@@ -71,18 +71,27 @@ def noisy_likelihood(n: int, epsilon: float) -> LikelihoodModel:
     return LikelihoodModel(m)
 
 
-def bayes_update(prior, like: LikelihoodModel, observed_r: int) -> Posterior:
-    """posterior[i] = prior[i] L[r, i] / sum_i prior[i] L[r, i]."""
+def _check_prior(prior) -> np.ndarray:
     prior = np.asarray(prior, dtype=float)
     if abs(prior.sum() - 1.0) > 1e-9:
         raise ValueError("prior must be normalized")
-    row = like.matrix[int(observed_r)]
-    evidence = float(row @ prior)
-    if evidence <= 0.0:
-        raise ZeroEvidenceError(
-            f"pointer value {observed_r} has zero probability under the model"
-        )
-    return Posterior(prior * row / evidence, int(observed_r))
+    return prior
+
+
+def _posterior_rows(prior, like: LikelihoodModel, readings) -> np.ndarray:
+    """Row k is the posterior given pointer reading readings[k]."""
+    weights = prior[None, :] * like.matrix[readings, :]
+    evidence = weights.sum(axis=1)
+    if np.any(evidence <= 0.0):
+        r = int(readings[np.argmax(evidence <= 0.0)])
+        raise ZeroEvidenceError(f"pointer value {r} has zero probability under the model")
+    return weights / evidence[:, None]
+
+
+def bayes_update(prior, like: LikelihoodModel, observed_r: int) -> Posterior:
+    """posterior[i] = prior[i] L[r, i] / sum_i prior[i] L[r, i]."""
+    r = int(observed_r)
+    return Posterior(_posterior_rows(_check_prior(prior), like, [r])[0], r)
 
 
 def simulate_pointer(true_cell: int, like: LikelihoodModel, seed, count: int = 1):
@@ -96,12 +105,25 @@ def simulate_pointer(true_cell: int, like: LikelihoodModel, seed, count: int = 1
 
 @dataclass
 class ExperimentLog:
+    """Per-trial record of an amplification run.
+
+    With one prior for every trial the posterior depends only on the
+    pointer reading, so each distinct reading's posterior is stored once:
+    trial k's posterior is rows[row_of[k]].
+    """
+
     born: np.ndarray        # Born vector of the prepared state
     prior: np.ndarray       # prior used in every update
     true_i: np.ndarray      # per-trial detection cells
     observed_r: np.ndarray  # per-trial pointer readings
-    posterior: np.ndarray   # per-trial posteriors, one row per trial
+    rows: np.ndarray        # one posterior per distinct reading, ascending
+    row_of: np.ndarray      # per-trial index into rows
     map_i: np.ndarray       # per-trial MAP estimates
+
+    @property
+    def posterior(self) -> np.ndarray:
+        """Per-trial posteriors, one row per trial."""
+        return self.rows[self.row_of]
 
     @property
     def error_rate(self) -> float:
@@ -116,7 +138,7 @@ class ExperimentLog:
                 "trial": int(k),
                 "true_i": int(self.true_i[k]),
                 "observed_r": int(self.observed_r[k]),
-                "posterior": [float(v) for v in self.posterior[k]],
+                "posterior": [float(v) for v in self.rows[self.row_of[k]]],
                 "map_i": int(self.map_i[k]),
             }
 
@@ -129,14 +151,13 @@ def end_to_end(
 
     The default prior is the Born vector of the prepared state: absent other
     information, the experimenter's expectation IS the predicted outcome
-    distribution. Pass an explicit prior to override.
+    distribution. Pass an explicit prior to override. The Bayes update runs
+    once per distinct reading, not once per trial.
     """
     if like.n_cells != dev.dim:
         raise ValueError("likelihood is not dimensioned to the device")
     p = born_probabilities(dev, psi)
-    prior = p.copy() if prior is None else np.asarray(prior, dtype=float)
-    if abs(prior.sum() - 1.0) > 1e-9:
-        raise ValueError("prior must be normalized")
+    prior = _check_prior(p.copy() if prior is None else prior)
 
     true_i = draw_outcomes(dev, psi, n_trials, seed)
     rng = stream_rng(seed, "pointer")
@@ -145,10 +166,7 @@ def end_to_end(
     observed_r = (u[None, :] > cum[:, true_i]).sum(axis=0)
     observed_r = np.minimum(observed_r, like.n_pointers - 1)
 
-    weights = prior[None, :] * like.matrix[observed_r, :]
-    evidence = weights.sum(axis=1)
-    if np.any(evidence <= 0.0):
-        raise ZeroEvidenceError("a drawn pointer value is impossible under the model")
-    posterior = weights / evidence[:, None]
-    map_i = np.argmax(posterior, axis=1)
-    return ExperimentLog(p, prior, true_i, observed_r, posterior, map_i)
+    readings, row_of = np.unique(observed_r, return_inverse=True)
+    rows = _posterior_rows(prior, like, readings)
+    map_i = np.argmax(rows, axis=1)[row_of]
+    return ExperimentLog(p, prior, true_i, observed_r, rows, row_of, map_i)

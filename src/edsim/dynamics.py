@@ -59,6 +59,13 @@ _ENGINES = ("schrodinger", "madelung")
 _BOUNDARIES = ("periodic", "hardwall")
 
 
+def _steps_for(t_final, dt):
+    n = int(round(t_final / dt))
+    if abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
+        raise ValueError(f"t_final={t_final:g} is not an integer number of dt={dt:g} steps")
+    return n
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
     dt: float
@@ -71,8 +78,8 @@ class EvolutionConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.t_final < 0:
-            raise ValueError("t_final must be non-negative")
+        if not 0 <= self.t_final < np.inf:
+            raise ValueError("t_final must be finite and non-negative")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
         if self.engine not in _ENGINES:
@@ -81,6 +88,7 @@ class EvolutionConfig:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}")
         if not self.c_stab > 0:
             raise ValueError("c_stab must be positive")
+        _steps_for(self.t_final, self.dt)
 
     def stability_limit(self, grid: Grid1D, p: PhysicalParams) -> float:
         """Largest admissible dt for the density-phase engine."""
@@ -293,13 +301,6 @@ def madelung_step(
 
 # ---------------------------------------------------------------------------
 # driver
-
-
-def _steps_for(t_final, dt):
-    n = int(round(t_final / dt))
-    if abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError(f"t_final={t_final:g} is not an integer number of dt={dt:g} steps")
-    return n
 
 
 def _diag_row(t, h, p, norm, renorm):

@@ -21,13 +21,35 @@ def _f(v) -> str:
     return format(float(v), ".17g")
 
 
-def atomic_write(path, text: str):
+def _f_table(a) -> np.ndarray:
+    """_f of every entry of a float array, as an object array of the same
+    shape. Each distinct value is formatted once; values are keyed on their
+    bit pattern, so -0.0 keeps its sign."""
+    a = np.ascontiguousarray(a, dtype=float)
+    bits, inv = np.unique(a.ravel().view(np.uint64), return_inverse=True)
+    text = np.array([_f(v) for v in bits.view(float)], dtype=object)
+    return text[inv.reshape(a.shape)]
+
+
+def _umask() -> int:
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
+def atomic_write(path, text):
+    """Write text, a str or an iterable of str chunks, to path via a temp
+    file in the same directory and a rename. The file gets the mode a plain
+    open() would give it: 0o666 less the umask."""
+    if isinstance(text, str):
+        text = (text,)
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
+            fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -113,17 +135,20 @@ def write_outcomes_csv(path, trials, dev: DiscreteDevice):
 
 
 def write_device(path, dev: DiscreteDevice):
+    """JSON: dim, basis rows and eigenvalues as [re, im] pairs, target cells."""
     rec = {
         "dim": dev.dim,
-        "basis": [[_c(v) for v in row] for row in dev.basis],
+        "basis": _pairs(dev.basis),
         "target_cells": [int(c) for c in dev.target_cells],
-        "eigenvalues": [_c(v) for v in dev.eigenvalues],
+        "eigenvalues": _pairs(dev.eigenvalues),
     }
     atomic_write(path, json.dumps(rec) + "\n")
 
 
-def _c(z):
-    return [float(np.real(z)), float(np.imag(z))]
+def _pairs(z) -> list:
+    """Complex array as nested lists with each entry an [re, im] pair."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    return z.view(float).reshape(z.shape + (2,)).tolist()
 
 
 def read_device(path) -> DiscreteDevice:
@@ -146,8 +171,7 @@ def write_likelihood_csv(path, like):
     P(r | cell i) across the columns."""
     m = like.matrix
     lines = [",".join("alpha_%d" % r for r in range(m.shape[0]))]
-    for i in range(m.shape[1]):
-        lines.append(",".join(_f(v) for v in m[:, i]))
+    lines.extend(",".join(row) for row in _f_table(m.T).tolist())
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -163,8 +187,16 @@ def read_likelihood_csv(path):
 
 
 def write_experiment_log(path, log):
-    lines = [json.dumps(rec, sort_keys=True) for rec in log.records()]
-    atomic_write(path, "\n".join(lines) + "\n")
+    """NDJSON, one record per trial with its keys sorted. Each distinct
+    posterior row is encoded once and spliced into every trial that shares
+    it, and the lines are streamed to disk."""
+    posts = [json.dumps(row) for row in log.rows.tolist()]
+    trials = zip(log.map_i.tolist(), log.observed_r.tolist(),
+                 log.row_of.tolist(), log.true_i.tolist())
+    atomic_write(path, (
+        '{"map_i": %d, "observed_r": %d, "posterior": %s, "trial": %d, "true_i": %d}\n'
+        % (map_i, r, posts[j], k, true_i)
+        for k, (map_i, r, j, true_i) in enumerate(trials)))
 
 
 def write_compare_csv(path, times, l1s):

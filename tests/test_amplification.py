@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from edsim import (
@@ -7,6 +9,7 @@ from edsim import (
     RangeError,
     ZeroEvidenceError,
     bayes_update,
+    build_device,
     end_to_end,
     fourier_device,
     ideal_likelihood,
@@ -137,3 +140,38 @@ def test_end_to_end_dimension_mismatch():
     psi = random_state(4, seed=2)
     with pytest.raises(ValueError):
         end_to_end(psi, identity_device(4), ideal_likelihood(3), 100, seed=0)
+
+
+def random_device(dim, seed):
+    """Random unitary basis (QR of a complex Gaussian), permuted cells."""
+    rng = stream_rng(seed, "state")
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(z)
+    return build_device(q, rng.permutation(dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(2, 7),
+    seed=st.integers(0, 2**32 - 1),
+    epsilon=st.floats(0.01, 0.9),
+    prior_weights=st.lists(st.floats(0.01, 1.0), min_size=7, max_size=7),
+    n_trials=st.integers(1, 300),
+)
+def test_end_to_end_posterior_properties(dim, seed, epsilon, prior_weights, n_trials):
+    dev = random_device(dim, seed)
+    like = noisy_likelihood(dim, epsilon)
+    prior = np.array(prior_weights[:dim])
+    prior /= prior.sum()
+    log = end_to_end(random_state(dim, seed), dev, like, n_trials, seed, prior=prior)
+
+    post = log.posterior
+    assert post.shape == (n_trials, dim)
+    readings = np.unique(log.observed_r)
+    assert len(log.rows) == len(readings)  # one stored row per distinct reading
+    for row in log.rows:
+        assert abs(row.sum() - 1.0) <= 1e-12
+    for r in readings:
+        expect = bayes_update(prior, like, r).probabilities
+        assert np.all(post[log.observed_r == r] == expect)
+    assert np.array_equal(log.map_i, np.argmax(post, axis=1))

@@ -150,6 +150,23 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("command, overrides", [
+    # t_final/dt must be an integer
+    ("evolve", {"evolution__dt": "3e-3", "evolution__t_final": 0.01}),
+    ("trajectories", {"evolution__dt": "3e-3", "evolution__t_final": 0.01}),
+    ("evolve", {"evolution__t_final": -0.01}),
+    ("evolve", {"evolution__engine": "spectral"}),
+    ("evolve", {"grid__n": 4}),
+    ("trajectories", {"sampler__n_particles": 1}),
+    ("measure", {"device__n_trials": 0}),
+    ("amplify", {"amplify__epsilon": 1.0}),
+])
+def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
+    cfg = ini(**overrides)
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
 def test_node_error_maps_to_exit_3(ini, tmp_path, capsys):
     # the default node floor trips on the far tail before the first step
     cfg = ini(evolution__engine="madelung")

@@ -1,0 +1,133 @@
+"""Byte-identity of the fast writers against their plain formulations.
+
+Each reference below is the straightforward encoding the file format is
+defined by; the writers must produce exactly the same bytes.
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+import edsim.io as iomod
+from edsim import (
+    LikelihoodModel,
+    end_to_end,
+    fourier_device,
+    identity_device,
+    ideal_likelihood,
+    noisy_likelihood,
+)
+from edsim.seeding import stream_rng
+
+
+def ref_experiment_log(log) -> str:
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in log.records())
+
+
+def _c(z):
+    return [float(np.real(z)), float(np.imag(z))]
+
+
+def ref_device(dev) -> str:
+    rec = {
+        "dim": dev.dim,
+        "basis": [[_c(v) for v in row] for row in dev.basis],
+        "target_cells": [int(c) for c in dev.target_cells],
+        "eigenvalues": [_c(v) for v in dev.eigenvalues],
+    }
+    return json.dumps(rec) + "\n"
+
+
+def ref_likelihood(like) -> str:
+    m = like.matrix
+    lines = [",".join("alpha_%d" % r for r in range(m.shape[0]))]
+    for i in range(m.shape[1]):
+        lines.append(",".join(format(float(v), ".17g") for v in m[:, i]))
+    return "\n".join(lines) + "\n"
+
+
+def random_state(dim, seed=0):
+    rng = stream_rng(seed, "state")
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def hand_likelihood():
+    """Columns sum to 1 and hold -0.0 and the smallest subnormal."""
+    tiny = 5e-324
+    return LikelihoodModel(np.array([
+        [1.0, -0.0, tiny, 0.1],
+        [-0.0, 0.75, 0.0, 0.2],
+        [0.0, 0.25, 1.0, 0.3],
+        [0.0, 0.0, -0.0, 0.4],
+    ]))
+
+
+LIKELIHOODS = {
+    "ideal": lambda: ideal_likelihood(32),
+    "noisy": lambda: noisy_likelihood(32, 0.1),
+    "hand": hand_likelihood,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIKELIHOODS))
+def test_likelihood_csv_matches_reference(name, tmp_path):
+    like = LIKELIHOODS[name]()
+    path = tmp_path / "like.csv"
+    iomod.write_likelihood_csv(path, like)
+    assert path.read_text() == ref_likelihood(like)
+    back = iomod.read_likelihood_csv(path)
+    assert np.array_equal(back.matrix.view(np.uint64), like.matrix.view(np.uint64))
+
+
+def test_likelihood_csv_keeps_negative_zero(tmp_path):
+    path = tmp_path / "like.csv"
+    iomod.write_likelihood_csv(path, hand_likelihood())
+    first = path.read_text().splitlines()[1]
+    assert first == "1,-0,0,0"
+    assert "4.9406564584124654e-324" in path.read_text()
+
+
+@pytest.mark.parametrize("dim, like, prior", [
+    (16, ideal_likelihood(16), None),
+    (16, noisy_likelihood(16, 0.3), None),
+    (16, noisy_likelihood(16, 0.3), np.full(16, 1.0 / 16)),
+    (4, hand_likelihood(), np.array([0.4, 0.3, 0.2, 0.1])),
+])
+def test_experiment_log_matches_reference(dim, like, prior, tmp_path):
+    log = end_to_end(random_state(dim, 3), identity_device(dim), like, 2000, seed=9,
+                     prior=prior)
+    assert len(log.rows) < len(log.observed_r)  # readings repeat across trials
+    path = tmp_path / "experiment.ndjson"
+    iomod.write_experiment_log(path, log)
+    assert path.read_text() == ref_experiment_log(log)
+
+
+def test_device_matches_reference_and_round_trips(tmp_path):
+    dev = fourier_device(24)
+    path = tmp_path / "device.json"
+    iomod.write_device(path, dev)
+    assert path.read_text() == ref_device(dev)
+    back = iomod.read_device(path)
+    assert np.array_equal(back.basis, dev.basis)
+    assert np.array_equal(back.eigenvalues, dev.eigenvalues)
+    assert np.array_equal(back.target_cells, dev.target_cells)
+
+
+def test_atomic_write_streams_chunks(tmp_path):
+    path = tmp_path / "chunks.txt"
+    iomod.atomic_write(path, (f"line {k}\n" for k in range(3)))
+    assert path.read_text() == "line 0\nline 1\nline 2\n"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                         ids=["022", "077", "002"])
+def test_atomic_write_respects_umask(umask, mode, tmp_path):
+    old = os.umask(umask)
+    try:
+        iomod.atomic_write(tmp_path / "out.txt", "x\n")
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "out.txt").st_mode & 0o777 == mode
