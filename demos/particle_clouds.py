@@ -21,6 +21,7 @@ from edsim import (
     EvolutionConfig,
     Grid1D,
     PhysicalParams,
+    TraceFields,
     WaveFunction,
     advance_ensemble,
     cdf_from_density,
@@ -50,8 +51,8 @@ def main():
     psi = WaveFunction(g, free_gaussian(g.cells, k0=1.0, x0=-1.0)).normalized()
     cfg = EvolutionConfig(dt=2e-3, t_final=1.0, engine="schrodinger",
                           snapshot_stride=50)
-    trace = evolve(psi, p, cfg)
-    ts, rhos, _ = trace.field_arrays()
+    fields = TraceFields.from_trace(evolve(psi, p, cfg), p)
+    ts, rhos = fields.ts, fields.rhos
 
     finals = {}
     for mode in SAMPLER_MODES:
@@ -61,7 +62,7 @@ def main():
         for k in range(len(ts)):
             if k:
                 prev = ens.positions
-                ens = advance_ensemble(ens, trace, cfg.dt, mode, p,
+                ens = advance_ensemble(ens, fields, cfg.dt, mode, p,
                                        t_target=float(ts[k]))
                 steps.append(np.mean(np.abs(ens.positions - prev)))
             qs = np.quantile(ens.positions, QS)

@@ -32,7 +32,7 @@ from .dynamics import evolve, l1_distance
 from .errors import ConfigError, SimulationError
 from .measurement import born_probabilities, device_state, draw_outcomes
 from .stats import cdf_from_density, chi2_gof, ks_critical, ks_statistic, make_test_record
-from .trajectories import SAMPLER_MODES, advance_ensemble, sample_initial
+from .trajectories import SAMPLER_MODES, TraceFields, advance_ensemble, sample_initial
 
 
 def _resolve_out(args, cfg, required=True):
@@ -80,16 +80,21 @@ def cmd_trajectories(args) -> int:
     cfg, out = _setup(args)
     g = cfg.grid()
     p = cfg.params()
+    n_particles = cfg._int("sampler", "n_particles")
+    if n_particles < 2:
+        raise ConfigError("[sampler] n_particles must be at least 2")
+    sdt = cfg._float("sampler", "dt")
+    if not (np.isfinite(sdt) and sdt >= 0):
+        raise ConfigError(
+            f"[sampler] dt must be finite and non-negative (0: the evolution dt), got {sdt:g}")
     requested = cfg.values["evolution"]["engine"]
     # particles read fields from one trace; the wavefunction engine is the
     # reference when the config asks for both
     ecfg = cfg.evolution_config(engine="schrodinger" if requested == "both" else requested)
     trace = evolve(cfg.initial_state(), p, ecfg, node_floor=cfg.node_floor())
-    ts, rhos, _ = trace.field_arrays()
-    n_particles = cfg._int("sampler", "n_particles")
-    if n_particles < 2:
-        raise ConfigError("[sampler] n_particles must be at least 2")
-    sdt = cfg._float("sampler", "dt") or ecfg.dt
+    fields = TraceFields.from_trace(trace, p)
+    ts, rhos = fields.ts, fields.rhos
+    sdt = sdt or ecfg.dt
     for k in range(1, len(ts)):
         span = float(ts[k] - ts[k - 1])
         if abs(round(span / sdt) * sdt - span) > 1e-9 or span < sdt / 2:
@@ -100,13 +105,14 @@ def cmd_trajectories(args) -> int:
     final_cdf = cdf_from_density(g, rhos[-1])
     for mode in modes:
         ens = sample_initial(rhos[0], g, n_particles, cfg.seed())
-        rows = [(i, ens.t, x) for i, x in enumerate(ens.positions)]
-        for k in range(1, len(ts)):
+        times, positions = [ens.t], [ens.positions]
+        for t in ts[1:]:
             ens = advance_ensemble(
-                ens, trace, sdt, mode, p, boundary=ecfg.boundary,
-                node_floor=cfg.node_floor(), t_target=float(ts[k]))
-            rows.extend((i, ens.t, x) for i, x in enumerate(ens.positions))
-        iomod.write_ensemble_csv(os.path.join(out, f"ensemble_{mode}.csv"), rows)
+                ens, fields, sdt, mode, p, boundary=ecfg.boundary,
+                node_floor=cfg.node_floor(), t_target=float(t))
+            times.append(ens.t)
+            positions.append(ens.positions)
+        iomod.write_ensemble_csv(os.path.join(out, f"ensemble_{mode}.csv"), times, positions)
         d = ks_statistic(ens.positions, final_cdf)
         crit = ks_critical(n_particles)
         iomod.write_test_record(

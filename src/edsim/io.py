@@ -58,21 +58,14 @@ def atomic_write(path, text):
 
 
 def write_snapshots(path, trace):
-    """NDJSON, one record per snapshot: t, x, rho, phi."""
+    """NDJSON, one record per snapshot: t, x, rho, phi. The cell centres are
+    the same in every record and are formatted once."""
     ts, rhos, phis = trace.field_arrays()
-    x = trace.grid.cells
-    lines = []
-    for t, rho, phi in zip(ts, rhos, phis):
-        lines.append(
-            '{"t": %s, "x": [%s], "rho": [%s], "phi": [%s]}'
-            % (
-                _f(t),
-                ", ".join(_f(v) for v in x),
-                ", ".join(_f(v) for v in rho),
-                ", ".join(_f(v) for v in phi),
-            )
-        )
-    atomic_write(path, "\n".join(lines) + "\n")
+    x = ", ".join(_f(v) for v in trace.grid.cells)
+    atomic_write(path, (
+        '{"t": %s, "x": [%s], "rho": [%s], "phi": [%s]}\n'
+        % (_f(t), x, ", ".join(_f(v) for v in rho), ", ".join(_f(v) for v in phi))
+        for t, rho, phi in zip(ts, rhos, phis)))
 
 
 def read_snapshots(path):
@@ -112,12 +105,25 @@ def write_diagnostics(path, rows):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_ensemble_csv(path, rows):
-    """rows of (particle_id, t, x)."""
-    lines = ["particle_id,t,x"]
-    for pid, t, x in rows:
-        lines.append("%d,%s,%s" % (pid, _f(t), _f(x)))
-    atomic_write(path, "\n".join(lines) + "\n")
+def write_ensemble_csv(path, times, positions):
+    """CSV particle_id,t,x: one row per particle per snapshot, where
+    positions[k][i] is particle i at times[k]. Each snapshot is one line
+    template, the "%d," id prefixes joined by "<t>,%.17g\n", filled by a
+    single % operation; "%.17g" of a float is exactly _f."""
+
+    def chunks():
+        yield "particle_id,t,x\n"
+        ids = []
+        for t, xs in zip(times, positions, strict=True):
+            xs = np.asarray(xs, dtype=float).tolist()
+            if not xs:
+                continue
+            if len(ids) < len(xs):
+                ids = ["%d," % i for i in range(len(xs))]
+            tail = _f(t) + ",%.17g\n"
+            yield (tail.join(ids[:len(xs)]) + tail) % tuple(xs)
+
+    atomic_write(path, chunks())
 
 
 def write_test_record(path, record: dict):

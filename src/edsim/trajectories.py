@@ -88,6 +88,33 @@ def _apply_boundary(x, grid, boundary):
     return x
 
 
+@dataclass(frozen=True)
+class TraceFields:
+    """A trace's snapshot fields and drift tables, built once per trace.
+
+    ts, rhos: snapshot times and densities. v_tab: current velocity
+    (hbar/m) dphi/dx per snapshot. u_tab: dlog(rho)/dx per snapshot, the
+    osmotic drift over D. The tables depend on hbar and m, which are kept so
+    that advancing with a different PhysicalParams is refused.
+    """
+
+    grid: Grid1D
+    ts: np.ndarray
+    rhos: np.ndarray
+    v_tab: np.ndarray
+    u_tab: np.ndarray
+    hbar: float
+    m: float
+
+    @classmethod
+    def from_trace(cls, trace, p: PhysicalParams) -> "TraceFields":
+        ts, rhos, phis = trace.field_arrays()
+        dx = trace.grid.dx
+        v_tab = np.array([(p.hbar / p.m) * gradient(ph, dx) for ph in phis])
+        u_tab = np.array([gradient(np.log(np.maximum(r, _LOG_TINY)), dx) for r in rhos])
+        return cls(trace.grid, ts, rhos, v_tab, u_tab, p.hbar, p.m)
+
+
 def advance_ensemble(
     ens: Ensemble,
     trace,
@@ -100,11 +127,21 @@ def advance_ensemble(
 ) -> Ensemble:
     """Euler(-Maruyama) advance of every particle from ens.t to t_target
     (default: the end of the trace), reading fields from the trace with
-    linear interpolation in time and space."""
+    linear interpolation in time and space.
+
+    trace is a TraceFields or an EvolutionTrace; pass a TraceFields when
+    advancing the same trace more than once, so its fields and drift
+    tables are built only once.
+    """
     if mode not in SAMPLER_MODES:
         raise ValueError(f"mode must be one of {SAMPLER_MODES}")
-    ts, rhos, phis = trace.field_arrays()
-    grid = trace.grid
+    f = trace if isinstance(trace, TraceFields) else TraceFields.from_trace(trace, p)
+    if (f.hbar, f.m) != (p.hbar, p.m):
+        raise ValueError(
+            f"drift tables were built for hbar={f.hbar:g}, m={f.m:g}, "
+            f"not hbar={p.hbar:g}, m={p.m:g}"
+        )
+    ts, rhos, v_tab, u_tab, grid = f.ts, f.rhos, f.v_tab, f.u_tab, f.grid
     t_target = float(ts[-1]) if t_target is None else float(t_target)
     tol = 1e-9 * max(1.0, abs(float(ts[-1])))
     if ens.t < ts[0] - tol or t_target > ts[-1] + tol:
@@ -118,11 +155,6 @@ def advance_ensemble(
     if abs(ens.t + n_steps * dt - t_target) > tol:
         raise ValueError("advance interval must be an integer number of dt steps")
 
-    # per-snapshot drift tables; time interpolation blends adjacent rows
-    v_tab = np.array([(p.hbar / p.m) * gradient(ph, grid.dx) for ph in phis])
-    u_tab = np.array(
-        [gradient(np.log(np.maximum(r, _LOG_TINY)), grid.dx) for r in rhos]
-    )
     cells = grid.cells
     diffusion = p.hbar / (2.0 * p.m)
     noise_amp = np.sqrt(2.0 * diffusion * dt)

@@ -36,6 +36,7 @@ from .trajectories import (
     CURRENT_FLOW,
     ENTROPIC_DIFFUSION,
     SAMPLER_MODES,
+    TraceFields,
     advance_ensemble,
     inverse_cdf_sample,
     sample_initial,
@@ -151,13 +152,13 @@ def _c_trajectory_marginal(ov):
         p,
         EvolutionConfig(dt=2e-3, t_final=1.0, engine="schrodinger", snapshot_stride=25),
     )
-    _, rhos, _ = tr.field_arrays()
-    ens0 = sample_initial(rhos[0], g, 100000, seed=42)
+    fields = TraceFields.from_trace(tr, p)
+    ens0 = sample_initial(fields.rhos[0], g, 100000, seed=42)
     finals = {
-        mode: advance_ensemble(ens0, tr, 2e-3, mode, p).positions
+        mode: advance_ensemble(ens0, fields, 2e-3, mode, p).positions
         for mode in SAMPLER_MODES
     }
-    cdf = cdf_from_density(g, rhos[-1])
+    cdf = cdf_from_density(g, fields.rhos[-1])
     crit = ks_critical(100000)
     d_cf = ks_statistic(finals[CURRENT_FLOW], cdf)
     d_ed = ks_statistic(finals[ENTROPIC_DIFFUSION], cdf)

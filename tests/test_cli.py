@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from edsim import cli
+from edsim import cli, dynamics
 from edsim.io import read_snapshots
 
 DEFAULTS = {
@@ -160,11 +160,35 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     ("trajectories", {"sampler__n_particles": 1}),
     ("measure", {"device__n_trials": 0}),
     ("amplify", {"amplify__epsilon": 1.0}),
+    # a negative sampler dt never moves the particles; nan cannot count steps
+    ("trajectories", {"sampler__dt": "-5e-4"}),
+    ("trajectories", {"sampler__dt": "nan"}),
 ])
 def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
     cfg = ini(**overrides)
     assert run(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_trajectories_convert_each_snapshot_at_most_twice(ini, tmp_path, monkeypatch):
+    """evolve converts each snapshot once for its diagnostics and the drift
+    tables once more; nothing may rebuild them per advance."""
+    real = dynamics.to_hydro
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(dynamics, "to_hydro", counted)
+    for t_final, stride, snapshots in ((0.01, 5, 3), (0.04, 1, 41)):
+        calls.clear()
+        cfg = ini(evolution__t_final=t_final, evolution__snapshot_stride=stride)
+        out = tmp_path / f"s{snapshots}"
+        assert run("trajectories", "--config", cfg, "--out", str(out)) == 0
+        assert len(calls) <= 2 * snapshots
+        with open(out / "ensemble_current_flow.csv") as fh:
+            assert sum(1 for _ in fh) == 1 + 200 * snapshots
 
 
 def test_node_error_maps_to_exit_3(ini, tmp_path, capsys):

@@ -76,7 +76,7 @@ def test_diagnostics_header(tmp_path):
 
 def test_ensemble_csv(tmp_path):
     path = tmp_path / "ens.csv"
-    iomod.write_ensemble_csv(path, [(0, 0.0, -1.25), (1, 0.0, 0.5)])
+    iomod.write_ensemble_csv(path, [0.0], [[-1.25, 0.5]])
     lines = path.read_text().splitlines()
     assert lines[0] == "particle_id,t,x"
     assert lines[1] == "0,0,-1.25"

@@ -10,6 +10,7 @@ from edsim import (
     NodeError,
     PhysicalParams,
     TraceCoverageError,
+    TraceFields,
     WaveFunction,
     advance_ensemble,
     evolve,
@@ -21,7 +22,7 @@ from edsim import (
     cdf_from_density,
     sample_initial,
 )
-from edsim.seeding import stream_rng
+from edsim.seeding import restore_rng, stream_rng
 
 
 def make_trace(n=512, t_final=1.0, dt=2e-3, stride=25, boundary="periodic"):
@@ -99,6 +100,25 @@ def test_split_advance_is_bitwise_single_advance():
     split = advance_ensemble(half, tr, 1e-2, ENTROPIC_DIFFUSION, p, t_target=0.5)
     single = advance_ensemble(ens, tr, 1e-2, ENTROPIC_DIFFUSION, p, t_target=0.5)
     assert np.array_equal(split.positions, single.positions)
+    # the CLI pattern: one prebuilt TraceFields, one advance per snapshot interval
+    fields = TraceFields.from_trace(tr, p)
+    assert len(fields.ts) == 6
+    stepped = ens
+    for t in fields.ts[1:]:
+        stepped = advance_ensemble(stepped, fields, 1e-2, ENTROPIC_DIFFUSION, p,
+                                   t_target=float(t))
+    assert np.array_equal(stepped.positions, single.positions)
+    assert np.array_equal(restore_rng(stepped.rng_state).random(8),
+                          restore_rng(single.rng_state).random(8))
+
+
+def test_trace_fields_refuse_other_hbar_or_m():
+    g, p, tr = make_trace(n=256, t_final=0.1, stride=10)
+    fields = TraceFields.from_trace(tr, p)
+    ens = sample_initial(fields.rhos[0], g, 100, seed=1)
+    for other in (PhysicalParams(hbar=2.0), PhysicalParams(m=0.5)):
+        with pytest.raises(ValueError, match="drift tables were built for"):
+            advance_ensemble(ens, fields, 2e-3, CURRENT_FLOW, other)
 
 
 def test_trace_coverage_errors():

@@ -12,9 +12,17 @@ import pytest
 
 import edsim.io as iomod
 from edsim import (
+    EvolutionConfig,
+    EvolutionTrace,
+    Grid1D,
+    HydroState,
     LikelihoodModel,
+    PhysicalParams,
+    WaveFunction,
     end_to_end,
+    evolve,
     fourier_device,
+    free_gaussian,
     identity_device,
     ideal_likelihood,
     noisy_likelihood,
@@ -45,6 +53,28 @@ def ref_likelihood(like) -> str:
     lines = [",".join("alpha_%d" % r for r in range(m.shape[0]))]
     for i in range(m.shape[1]):
         lines.append(",".join(format(float(v), ".17g") for v in m[:, i]))
+    return "\n".join(lines) + "\n"
+
+
+def ref_ensemble_csv(times, positions) -> str:
+    rows = [(pid, t, x) for t, xs in zip(times, positions) for pid, x in enumerate(xs)]
+    lines = ["particle_id,t,x"]
+    lines.extend("%d,%s,%s" % (pid, iomod._f(t), iomod._f(x)) for pid, t, x in rows)
+    return "\n".join(lines) + "\n"
+
+
+def ref_snapshots(trace) -> str:
+    ts, rhos, phis = trace.field_arrays()
+    x = trace.grid.cells
+    lines = [
+        '{"t": %s, "x": [%s], "rho": [%s], "phi": [%s]}' % (
+            iomod._f(t),
+            ", ".join(iomod._f(v) for v in x),
+            ", ".join(iomod._f(v) for v in rho),
+            ", ".join(iomod._f(v) for v in phi),
+        )
+        for t, rho, phi in zip(ts, rhos, phis)
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -131,3 +161,60 @@ def test_atomic_write_respects_umask(umask, mode, tmp_path):
     finally:
         os.umask(old)
     assert os.stat(tmp_path / "out.txt").st_mode & 0o777 == mode
+
+
+# 0.1 + 0.2 and 1/3 need all 17 significant digits to round-trip
+T17 = (0.1 + 0.2, 1.0 / 3.0)
+ENSEMBLES = {
+    "one_particle": ([0.0, T17[0]], [[-0.0], [5e-324]]),
+    "fourteen_particles": (
+        [0.0, T17[0], T17[1]],
+        [np.linspace(-3.0, 3.0, 14) + k / 7.0 for k in range(3)],
+    ),
+    "special_values": ([-0.0, T17[1]], [
+        [-0.0, 5e-324, -5e-324, 0.1, -1.25, 1e300, np.inf, -np.inf, np.nan, 2.0**-1074,
+         1.0 / 3.0, -(0.1 + 0.2)],
+        np.arange(12) * -0.0,
+    ]),
+    "changing_counts": ([0.0, 0.5, 1.0], [np.arange(12) * 0.1, [], [7.0]]),
+    "no_snapshots": ([], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENSEMBLES))
+def test_ensemble_csv_matches_reference(name, tmp_path):
+    times, positions = ENSEMBLES[name]
+    path = tmp_path / "ensemble.csv"
+    iomod.write_ensemble_csv(path, times, positions)
+    assert path.read_text() == ref_ensemble_csv(times, positions)
+
+
+def test_ensemble_csv_rejects_unpaired_times(tmp_path):
+    with pytest.raises(ValueError):
+        iomod.write_ensemble_csv(tmp_path / "e.csv", [0.0, 1.0], [[0.5]])
+    assert list(tmp_path.iterdir()) == []
+
+
+def hand_trace():
+    """Two snapshots on 8 cells holding -0.0, subnormals and 17-digit values."""
+    g = Grid1D(-0.1 - 0.2, 1.0 / 3.0, 8)
+    rho = np.array([-0.0, 5e-324, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    rho = rho / (rho.sum() * g.dx)
+    phi = np.array([-0.0, -5e-324, 0.1 + 0.2, 1.0 / 3.0, -1e300, 7.0, 0.0, -2.5])
+    snaps = [(0.0, HydroState(g, rho, phi)), (0.1 + 0.2, HydroState(g, rho[::-1], -phi))]
+    return EvolutionTrace(engine="madelung", grid=g, snapshots=snaps)
+
+
+def small_trace():
+    g = Grid1D(-8.0, 8.0, 64)
+    psi = WaveFunction(g, free_gaussian(g.cells)).normalized()
+    return evolve(psi, PhysicalParams(),
+                  EvolutionConfig(dt=1e-3, t_final=0.01, snapshot_stride=5))
+
+
+@pytest.mark.parametrize("make", [hand_trace, small_trace], ids=["hand", "evolved"])
+def test_snapshots_match_reference(make, tmp_path):
+    trace = make()
+    path = tmp_path / "trace.ndjson"
+    iomod.write_snapshots(path, trace)
+    assert path.read_text() == ref_snapshots(trace)
