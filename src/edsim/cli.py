@@ -62,15 +62,15 @@ def cmd_evolve(args) -> int:
     psi = cfg.initial_state()
     requested = cfg.values["evolution"]["engine"]
     engines = ("schrodinger", "madelung") if requested == "both" else (requested,)
-    traces = {}
+    fields = {}
     for eng in engines:
         trace = evolve(psi, p, cfg.evolution_config(engine=eng), node_floor=cfg.node_floor())
-        traces[eng] = trace
-        iomod.write_snapshots(os.path.join(out, f"trace_{eng}.ndjson"), trace)
+        fields[eng] = trace.field_arrays()
+        iomod.write_snapshots(os.path.join(out, f"trace_{eng}.ndjson"), g, *fields[eng])
         iomod.write_diagnostics(os.path.join(out, f"diagnostics_{eng}.csv"), trace.diagnostics)
-    if len(traces) == 2:
-        ts, r_s, _ = traces["schrodinger"].field_arrays()
-        _, r_m, _ = traces["madelung"].field_arrays()
+    if len(fields) == 2:
+        ts, r_s, _ = fields["schrodinger"]
+        _, r_m, _ = fields["madelung"]
         l1s = [l1_distance(a, b, g.dx) for a, b in zip(r_s, r_m)]
         iomod.write_compare_csv(os.path.join(out, "compare_l1.csv"), ts, l1s)
     return 0
@@ -178,6 +178,10 @@ def cmd_validate(args) -> int:
     overrides = {}
     if cfg is not None:
         dt_override = cfg._float("validate", "madelung_dt")
+        if not (np.isfinite(dt_override) and dt_override >= 0):
+            raise ConfigError(
+                "[validate] madelung_dt must be finite and non-negative "
+                f"(0: the default step), got {dt_override:g}")
         if dt_override > 0:
             overrides["madelung_dt"] = dt_override
     names = acceptance.select_criteria(args.filter) if args.filter else None

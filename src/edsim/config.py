@@ -199,7 +199,11 @@ class RunConfig:
             raise ConfigError(str(e)) from None
 
     def node_floor(self) -> float:
-        return self._float("evolution", "node_floor")
+        v = self._float("evolution", "node_floor")
+        # nan > 0 is false, so a nan floor would silently disable the check
+        if not math.isfinite(v):
+            raise ConfigError(f"[evolution] node_floor must be finite (<= 0 disables), got {v:g}")
+        return v
 
     def device(self, grid=None):
         preset = self.values["device"]["preset"]

@@ -34,6 +34,7 @@ non-finite fields within a fraction of a time unit on localized states
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -173,14 +174,25 @@ def _cn_factor(n, dx, dt, hbar, m, v_bytes, boundary):
     return splu(A), B
 
 
+def _cn_factor_for(grid: Grid1D, p: PhysicalParams, dt: float, boundary: str):
+    V = p.potential_on(grid)
+    return _cn_factor(grid.n, grid.dx, float(dt), p.hbar, p.m, V.tobytes(), boundary)
+
+
 def schrodinger_step(
-    psi: WaveFunction, p: PhysicalParams, dt: float, boundary: str = "periodic"
+    psi: WaveFunction,
+    p: PhysicalParams,
+    dt: float,
+    boundary: str = "periodic",
+    factor=None,
 ) -> WaveFunction:
-    """One Crank-Nicolson step: solve (I + i dt H/2hbar) psi' = (I - i dt H/2hbar) psi."""
-    V = p.potential_on(psi.grid)
-    lu, B = _cn_factor(
-        psi.grid.n, psi.grid.dx, float(dt), p.hbar, p.m, V.tobytes(), boundary
-    )
+    """One Crank-Nicolson step: solve (I + i dt H/2hbar) psi' = (I - i dt H/2hbar) psi.
+
+    factor, when given, is the (LU of the left side, right-side matrix) pair
+    for exactly these psi.grid, p, dt and boundary, resolved once by a
+    caller that takes many steps; by default it is looked up per call.
+    """
+    lu, B = factor or _cn_factor_for(psi.grid, p, dt, boundary)
     out = lu.solve(B @ psi.amplitudes)
     if not np.all(np.isfinite(out.view(float))):
         raise SolverError("linear solve returned non-finite amplitudes")
@@ -191,79 +203,173 @@ def schrodinger_step(
 # density-phase engine
 
 
-def _pad(f, kind, periodic, offset=0.0):
-    # two ghost cells per side; the hard wall mirrors about the domain edge
-    if periodic:
-        return np.concatenate((f[-2:] - offset, f, f[:2] + offset))
-    if kind == "even":
-        return np.concatenate((f[1::-1], f, f[:-3:-1]))
-    return np.concatenate((-f[1::-1], f, -f[:-3:-1]))
-
-
 class _MadelungEngine:
+    """RK4 stepper for the density-phase pair on buffers built once.
+
+    rho and phi are the two rows of one (2, n + 4) buffer, and the flux and
+    sqrt(rho + floor) live in (n + 4) buffers; the two ghost cells per side
+    are written by index before each stencil. Every term goes through out=
+    ufuncs into preallocated work arrays, in the operation order of the
+    plain expressions quoted in the comments, and the terms that rho and
+    phi share (the dissipation stencils and the RK4 stages) act on both rows
+    at once. A step allocates only the two arrays it returns.
+    """
+
     def __init__(self, grid: Grid1D, p: PhysicalParams, boundary: str, opts: MadelungOptions):
-        self.dx = grid.dx
-        self.n = grid.n
-        self.hbar = p.hbar
-        self.m = p.m
-        self.V = p.potential_on(grid)
+        self.dx = dx = grid.dx
+        self.n = n = grid.n
+        hbar, m = p.hbar, p.m
+        self.hbar = hbar
         self.periodic = boundary == "periodic"
         self.floor = opts.hydro_floor
         self.guard = opts.guard_scale
         self.dissipation = opts.dissipation
         # dissipation rates scale with the grid so that dt * rate is constant
         # at the stability bound
-        self.r2 = 4.0 * self.hbar / (self.m * self.dx**2)
-        self.r4 = 1.0 * self.hbar / (self.m * self.dx**2)
+        r2 = 4.0 * hbar / (m * dx**2)
+        r4 = 1.0 * hbar / (m * dx**2)
+        self.r2q = r2 * 0.25
+        self.r4s = r4 / 16.0
+        self.two_dx = 2.0 * dx
+        self.dx2 = dx**2
+        self.hm = hbar / m
+        self.cq = -(hbar**2 / (2.0 * m))
+        self.c2m = hbar / (2.0 * m)
+        self.floor2 = self.floor * self.floor
+        self.v_hbar = p.potential_on(grid) / hbar
+
+        # padded state (rows rho, phi), flux and sqrt(rho + floor) buffers,
+        # and the views the stencils read: interior, east and west neighbours
+        pad, fe, se = np.zeros((2, n + 4)), np.zeros(n + 4), np.zeros(n + 4)
+        self._y, self._ye, self._yw = pad[:, 2:-2], pad[:, 3:-1], pad[:, 1:-3]
+        self._yee, self._yww = pad[:, 4:], pad[:, :-4]
+        self._views = (pad[0], pad[1], self._y[0], self._y[1], self._ye[1], self._yw[1],
+                       fe, fe[2:-2], fe[3:-1], fe[1:-3], se, se[2:-2], se[3:-1], se[1:-3])
+        self._y0 = np.empty((2, n))
+        self._k = [np.empty((2, n)) for _ in range(4)]
+        self._gp, self._rp, self._a, self._b, self._c = (np.empty(n) for _ in range(5))
+        self._a2, self._c2, self._d2 = (np.empty((2, n)) for _ in range(3))
 
     def _winding(self, phi):
         # unwrapped phase of a periodic state advances by an exact multiple
         # of 2 pi across the domain; estimate it from the end-to-end slope
-        west = (phi[-1] - phi[0]) * self.n / (self.n - 1.0)
-        return 2.0 * np.pi * np.round(west / (2.0 * np.pi))
+        west = float(phi[-1] - phi[0]) * self.n / (self.n - 1.0)
+        return 2.0 * math.pi * round(west / (2.0 * math.pi), 0)
 
-    def rhs(self, rho, phi):
-        dx, hbar, m = self.dx, self.hbar, self.m
-        off = self._winding(phi) if self.periodic else 0.0
-        pe = _pad(phi, "even", self.periodic, off)
-        gp = (pe[3:-1] - pe[1:-3]) / (2.0 * dx)
-        flux = rho * (hbar / m) * gp
-        fe = _pad(flux, "odd", self.periodic)  # odd ghost: zero flux through the wall
-        drho = -(fe[3:-1] - fe[1:-3]) / (2.0 * dx)
+    def _ghosts(self, buf, odd, off=0.0):
+        """Two ghost cells per side: periodic images shifted by -+off, or a
+        mirror about the wall (odd: the field changes sign there)."""
+        n = self.n
+        if self.periodic:
+            buf[0] = buf[n] - off
+            buf[1] = buf[n + 1] - off
+            buf[n + 2] = buf[2] + off
+            buf[n + 3] = buf[3] + off
+        elif odd:
+            buf[0], buf[1], buf[n + 2], buf[n + 3] = -buf[3], -buf[2], -buf[n + 1], -buf[n]
+        else:
+            buf[0], buf[1], buf[n + 2], buf[n + 3] = buf[3], buf[2], buf[n + 1], buf[n]
 
-        rp = np.maximum(rho, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sq = np.sqrt(rp + self.floor)
-            se = _pad(sq, "odd", self.periodic)  # odd ghost: sqrt(rho) -> 0 at the wall
-            quantum = (
-                -(hbar**2 / (2.0 * m)) * ((se[3:-1] - 2.0 * sq + se[1:-3]) / dx**2) / sq
-            )
-            if self.floor > 0:
-                w = rp * rp / (rp * rp + self.floor * self.floor)
-            else:
-                w = 1.0  # bare scheme
-            dphi = -w * ((hbar / (2.0 * m)) * gp**2 + self.V / hbar + quantum / hbar)
+    def _rhs(self, k):
+        """Time derivatives of the state in the padded buffer's interior,
+        written into k: row 0 drho/dt, row 1 dphi/dt."""
+        re, pe, rho, phi, pe_e, pe_w, fe, flux, fe_e, fe_w, se, sq, se_e, se_w = self._views
+        drho, dphi = k
+        gp, rp, a, b, c = self._gp, self._rp, self._a, self._b, self._c
+
+        # gp = (pe[3:-1] - pe[1:-3]) / (2 dx)
+        self._ghosts(pe, False, self._winding(phi) if self.periodic else 0.0)
+        np.subtract(pe_e, pe_w, out=gp)
+        np.divide(gp, self.two_dx, out=gp)
+        # flux = rho * (hbar/m) * gp; odd ghost: zero flux through the wall
+        np.multiply(rho, self.hm, out=flux)
+        np.multiply(flux, gp, out=flux)
+        self._ghosts(fe, True)
+        # drho = -(fe[3:-1] - fe[1:-3]) / (2 dx)
+        np.subtract(fe_e, fe_w, out=drho)
+        np.negative(drho, out=drho)
+        np.divide(drho, self.two_dx, out=drho)
+
+        # quantum = -(hbar^2/2m) * ((se[3:-1] - 2 sq + se[1:-3]) / dx^2) / sq,
+        # sq = sqrt(max(rho, 0) + floor); odd ghost: sqrt(rho) -> 0 at the wall
+        np.maximum(rho, 0.0, out=rp)
+        np.add(rp, self.floor, out=sq)
+        np.sqrt(sq, out=sq)
+        self._ghosts(se, True)
+        np.multiply(sq, 2.0, out=a)
+        np.subtract(se_e, a, out=a)
+        np.add(a, se_w, out=a)
+        np.divide(a, self.dx2, out=a)
+        np.multiply(a, self.cq, out=a)
+        np.divide(a, sq, out=a)
+        # dphi = -w * ((hbar/2m) gp^2 + V/hbar + quantum/hbar), with
+        # w = rp^2 / (rp^2 + floor^2), or 1 for the bare scheme
+        np.multiply(gp, gp, out=dphi)
+        np.multiply(dphi, self.c2m, out=dphi)
+        np.add(dphi, self.v_hbar, out=dphi)
+        np.divide(a, self.hbar, out=a)
+        np.add(dphi, a, out=dphi)
+        if self.floor > 0:
+            np.multiply(rp, rp, out=b)
+            np.add(b, self.floor2, out=c)
+            np.divide(b, c, out=b)
+            np.negative(b, out=b)
+            np.multiply(b, dphi, out=dphi)
+        else:
+            np.multiply(dphi, -1.0, out=dphi)
 
         if self.dissipation:
-            msk = 1.0 / (1.0 + (rp / self.guard) ** 2)
-            re = _pad(rho, "even", self.periodic)
-            d2r = re[3:-1] - 2.0 * rho + re[1:-3]
-            d4r = re[4:] - 4.0 * re[3:-1] + 6.0 * rho - 4.0 * re[1:-3] + re[:-4]
-            d2p = pe[3:-1] - 2.0 * phi + pe[1:-3]
-            d4p = pe[4:] - 4.0 * pe[3:-1] + 6.0 * phi - 4.0 * pe[1:-3] + pe[:-4]
-            drho += msk * (self.r2 * 0.25 * d2r - self.r4 / 16.0 * d4r)
-            dphi += msk * (self.r2 * 0.25 * d2p - self.r4 / 16.0 * d4p)
-        return drho, dphi
+            # msk = 1 / (1 + (rp/guard)^2)
+            np.divide(rp, self.guard, out=b)
+            np.multiply(b, b, out=b)
+            np.add(b, 1.0, out=b)
+            np.divide(1.0, b, out=b)
+            # for f = rho, phi (even ghosts, phi's shifted by the winding):
+            # df += msk * (r2/4 * d2f - r4/16 * d4f), where
+            # d2f = pad[3:-1] - 2 f + pad[1:-3] and
+            # d4f = pad[4:] - 4 pad[3:-1] + 6 f - 4 pad[1:-3] + pad[:-4]
+            self._ghosts(re, False)
+            y, ye, yw = self._y, self._ye, self._yw
+            a2, c2, d2 = self._a2, self._c2, self._d2
+            np.multiply(y, 2.0, out=a2)
+            np.subtract(ye, a2, out=a2)
+            np.add(a2, yw, out=a2)
+            np.multiply(a2, self.r2q, out=a2)
+            np.multiply(ye, 4.0, out=c2)
+            np.subtract(self._yee, c2, out=c2)
+            np.multiply(y, 6.0, out=d2)
+            np.add(c2, d2, out=c2)
+            np.multiply(yw, 4.0, out=d2)
+            np.subtract(c2, d2, out=c2)
+            np.add(c2, self._yww, out=c2)
+            np.multiply(c2, self.r4s, out=c2)
+            np.subtract(a2, c2, out=a2)
+            np.multiply(a2, b, out=a2)
+            np.add(k, a2, out=k)
 
     def step(self, rho, phi, dt):
-        """One RK4 step plus renormalization. Returns (rho, phi, |Z - 1|)."""
+        """One RK4 step plus renormalization. Returns (rho, phi, |Z - 1|) in
+        new arrays; the inputs are left untouched."""
+        k, y, y0, a2 = self._k, self._y, self._y0, self._a2
         with np.errstate(all="ignore"):  # a diverging substep is caught below
-            k1r, k1p = self.rhs(rho, phi)
-            k2r, k2p = self.rhs(rho + 0.5 * dt * k1r, phi + 0.5 * dt * k1p)
-            k3r, k3p = self.rhs(rho + 0.5 * dt * k2r, phi + 0.5 * dt * k2p)
-            k4r, k4p = self.rhs(rho + dt * k3r, phi + dt * k3p)
-            rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-            phi = phi + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            np.copyto(y0[0], rho)
+            np.copyto(y0[1], phi)
+            np.copyto(y, y0)
+            self._rhs(k[0])
+            # stage i integrates from y0 + h k_(i-1)
+            for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
+                np.multiply(k[i - 1], h, out=y)
+                np.add(y0, y, out=y)
+                self._rhs(k[i])
+            # y0 + (dt/6) (k1 + 2 k2 + 2 k3 + k4)
+            np.multiply(k[1], 2.0, out=a2)
+            np.add(k[0], a2, out=a2)
+            np.multiply(k[2], 2.0, out=self._c2)
+            np.add(a2, self._c2, out=a2)
+            np.add(a2, k[3], out=a2)
+            np.multiply(a2, dt / 6.0, out=a2)
+            rho = np.add(rho, a2[0])
+            phi = np.add(phi, a2[1])
         np.maximum(rho, 0.0, out=rho)
         z = float(rho.sum() * self.dx)
         if not (np.isfinite(z) and z > 0.0 and np.all(np.isfinite(phi))):
@@ -291,7 +397,7 @@ def madelung_step(
     cfg = EvolutionConfig(dt=dt, t_final=dt, engine="madelung", boundary=boundary)
     cfg.check_stability(h.grid, p)
     eng = _MadelungEngine(h.grid, p, boundary, opts)
-    rho, phi, dev = eng.step(h.rho.copy(), h.phi.copy(), dt)
+    rho, phi, dev = eng.step(h.rho, h.phi, dt)
     if not np.isfinite(dev):
         raise StabilityError("non-finite field after one step")
     if node_floor > 0 and float(np.min(rho)) < node_floor:
@@ -335,6 +441,7 @@ def evolve(
 
     if cfg.engine == "schrodinger":
         psi = initial.normalized()
+        factor = _cn_factor_for(grid, p, cfg.dt, cfg.boundary)
         for step in range(n_steps + 1):
             t = step * cfg.dt
             if step in snap_at:
@@ -344,7 +451,7 @@ def evolve(
             if step == n_steps:
                 break
             try:
-                psi = schrodinger_step(psi, p, cfg.dt, cfg.boundary)
+                psi = schrodinger_step(psi, p, cfg.dt, cfg.boundary, factor)
             except SolverError as e:
                 raise SolverError(f"{e} (t={t + cfg.dt:g})") from None
         return trace
@@ -352,12 +459,12 @@ def evolve(
     cfg.check_stability(grid, p)
     h0 = to_hydro(initial.normalized(), node_floor)
     eng = _MadelungEngine(grid, p, cfg.boundary, madelung_opts or MadelungOptions())
-    rho, phi = h0.rho.copy(), h0.phi.copy()
+    rho, phi = h0.rho, h0.phi
     worst_renorm = 0.0
     for step in range(n_steps + 1):
         t = step * cfg.dt
         if step in snap_at:
-            h = HydroState(grid, rho.copy(), phi.copy())
+            h = HydroState(grid, rho, phi)  # step returns new arrays
             trace.snapshots.append((t, h))
             trace.diagnostics.append(
                 _diag_row(t, h, p, float(np.sum(rho) * grid.dx), worst_renorm)

@@ -57,11 +57,11 @@ def atomic_write(path, text):
         raise
 
 
-def write_snapshots(path, trace):
-    """NDJSON, one record per snapshot: t, x, rho, phi. The cell centres are
-    the same in every record and are formatted once."""
-    ts, rhos, phis = trace.field_arrays()
-    x = ", ".join(_f(v) for v in trace.grid.cells)
+def write_snapshots(path, grid, ts, rhos, phis):
+    """NDJSON, one record per snapshot: t, x, rho, phi, from the arrays of
+    EvolutionTrace.field_arrays() on grid. The cell centres are the same in
+    every record and are formatted once."""
+    x = ", ".join(_f(v) for v in grid.cells)
     atomic_write(path, (
         '{"t": %s, "x": [%s], "rho": [%s], "phi": [%s]}\n'
         % (_f(t), x, ", ".join(_f(v) for v in rho), ", ".join(_f(v) for v in phi))

@@ -163,6 +163,11 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     # a negative sampler dt never moves the particles; nan cannot count steps
     ("trajectories", {"sampler__dt": "-5e-4"}),
     ("trajectories", {"sampler__dt": "nan"}),
+    # nan > 0 is false: a nan floor or step override would be ignored
+    ("evolve", {"evolution__engine": "madelung", "evolution__node_floor": "nan"}),
+    ("trajectories", {"evolution__node_floor": "inf"}),
+    ("validate", {"validate__madelung_dt": "nan"}),
+    ("validate", {"validate__madelung_dt": "-1e-4"}),
 ])
 def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
     cfg = ini(**overrides)
@@ -189,6 +194,29 @@ def test_trajectories_convert_each_snapshot_at_most_twice(ini, tmp_path, monkeyp
         assert len(calls) <= 2 * snapshots
         with open(out / "ensemble_current_flow.csv") as fh:
             assert sum(1 for _ in fh) == 1 + 200 * snapshots
+
+
+def test_evolve_both_converts_each_schrodinger_snapshot_at_most_twice(ini, tmp_path, monkeypatch):
+    """evolve converts each wavefunction snapshot once for its diagnostics
+    and once for the snapshot file and compare_l1.csv together, plus the
+    density-phase engine's initial state."""
+    real = dynamics.to_hydro
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(dynamics, "to_hydro", counted)
+    for t_final, stride, snapshots in ((0.01, 5, 3), (0.04, 1, 41)):
+        calls.clear()
+        cfg = ini(evolution__engine="both", evolution__node_floor=0,
+                  evolution__t_final=t_final, evolution__snapshot_stride=stride)
+        out = tmp_path / f"s{snapshots}"
+        assert run("evolve", "--config", cfg, "--out", str(out)) == 0
+        assert len(calls) <= 2 * snapshots + 1
+        with open(out / "compare_l1.csv") as fh:
+            assert sum(1 for _ in fh) == 1 + snapshots
 
 
 def test_node_error_maps_to_exit_3(ini, tmp_path, capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edsim import (
     EvolutionConfig,
@@ -23,6 +25,7 @@ from edsim import (
     plane_wave,
     to_hydro,
 )
+from edsim.dynamics import _MadelungEngine
 
 HARMONIC = PhysicalParams(potential=lambda x: 0.5 * x**2)
 
@@ -189,3 +192,132 @@ def test_hydrostate_inputs_validated():
     h = HydroState(g, rho, np.zeros(g.n))
     with pytest.raises(StabilityError):
         madelung_step(h, HARMONIC, dt=1.0)  # far over the dt bound
+
+
+# ---------------------------------------------------------------------------
+# the engine against its plain-expression formulation
+
+
+def _ref_pad(f, kind, periodic, offset=0.0):
+    if periodic:
+        return np.concatenate((f[-2:] - offset, f, f[:2] + offset))
+    if kind == "even":
+        return np.concatenate((f[1::-1], f, f[:-3:-1]))
+    return np.concatenate((-f[1::-1], f, -f[:-3:-1]))
+
+
+def _ref_rhs(rho, phi, grid, p, periodic, opts):
+    dx, hbar, m, n = grid.dx, p.hbar, p.m, grid.n
+    V = p.potential_on(grid)
+    floor, guard = opts.hydro_floor, opts.guard_scale
+    off = 0.0
+    if periodic:
+        west = (phi[-1] - phi[0]) * n / (n - 1.0)
+        off = 2.0 * np.pi * np.round(west / (2.0 * np.pi))
+    pe = _ref_pad(phi, "even", periodic, off)
+    gp = (pe[3:-1] - pe[1:-3]) / (2.0 * dx)
+    flux = rho * (hbar / m) * gp
+    fe = _ref_pad(flux, "odd", periodic)
+    drho = -(fe[3:-1] - fe[1:-3]) / (2.0 * dx)
+    rp = np.maximum(rho, 0.0)
+    sq = np.sqrt(rp + floor)
+    se = _ref_pad(sq, "odd", periodic)
+    quantum = -(hbar**2 / (2.0 * m)) * ((se[3:-1] - 2.0 * sq + se[1:-3]) / dx**2) / sq
+    w = rp * rp / (rp * rp + floor * floor) if floor > 0 else 1.0
+    dphi = -w * ((hbar / (2.0 * m)) * gp**2 + V / hbar + quantum / hbar)
+    if opts.dissipation:
+        r2 = 4.0 * hbar / (m * dx**2)
+        r4 = 1.0 * hbar / (m * dx**2)
+        msk = 1.0 / (1.0 + (rp / guard) ** 2)
+        re = _ref_pad(rho, "even", periodic)
+        d2r = re[3:-1] - 2.0 * rho + re[1:-3]
+        d4r = re[4:] - 4.0 * re[3:-1] + 6.0 * rho - 4.0 * re[1:-3] + re[:-4]
+        d2p = pe[3:-1] - 2.0 * phi + pe[1:-3]
+        d4p = pe[4:] - 4.0 * pe[3:-1] + 6.0 * phi - 4.0 * pe[1:-3] + pe[:-4]
+        drho += msk * (r2 * 0.25 * d2r - r4 / 16.0 * d4r)
+        dphi += msk * (r2 * 0.25 * d2p - r4 / 16.0 * d4p)
+    return drho, dphi
+
+
+def _ref_step(rho, phi, dt, *args):
+    with np.errstate(all="ignore"):
+        k1r, k1p = _ref_rhs(rho, phi, *args)
+        k2r, k2p = _ref_rhs(rho + 0.5 * dt * k1r, phi + 0.5 * dt * k1p, *args)
+        k3r, k3p = _ref_rhs(rho + 0.5 * dt * k2r, phi + 0.5 * dt * k2p, *args)
+        k4r, k4p = _ref_rhs(rho + dt * k3r, phi + dt * k3p, *args)
+        rho = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        phi = phi + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    np.maximum(rho, 0.0, out=rho)
+    z = float(rho.sum() * args[0].dx)
+    if not (np.isfinite(z) and z > 0.0 and np.all(np.isfinite(phi))):
+        return rho, phi, np.inf
+    rho /= z
+    return rho, phi, abs(z - 1.0)
+
+
+def _same(a, b, bare):
+    # the bare scheme's tails turn to NaN, whose payloads may differ
+    return np.array_equal(a, b, equal_nan=True) if bare else a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(8, 160),
+    boundary=st.sampled_from(["periodic", "hardwall"]),
+    bare=st.booleans(),
+    harmonic=st.booleans(),
+    mu=st.floats(-2.0, 2.0),
+    sigma=st.floats(0.6, 2.5),
+    k0=st.floats(-3.0, 3.0),
+    c=st.floats(0.01, 0.1),
+    steps=st.integers(1, 8),
+)
+def test_step_is_bitwise_plain_formulation(n, boundary, bare, harmonic, mu, sigma, k0, c, steps):
+    g = Grid1D(-8.0, 8.0, n)
+    p = HARMONIC if harmonic else PhysicalParams()
+    opts = MadelungOptions(hydro_floor=0.0, dissipation=False) if bare else MadelungOptions()
+    psi = WaveFunction(g, free_gaussian(g.cells, sigma0=sigma, k0=k0, x0=mu)).normalized()
+    h = to_hydro(psi, node_floor=0.0)
+    dt = c * g.dx**2
+    eng = _MadelungEngine(g, p, boundary, opts)
+    args = (g, p, boundary == "periodic", opts)
+    rho, phi, rho_ref, phi_ref = h.rho, h.phi, h.rho.copy(), h.phi.copy()
+    for _ in range(steps):
+        rho, phi, dev = eng.step(rho, phi, dt)
+        rho_ref, phi_ref, dev_ref = _ref_step(rho_ref, phi_ref, dt, *args)
+        blown = not np.isfinite(dev_ref)
+        assert _same(rho, rho_ref, bare or blown)
+        assert _same(phi, phi_ref, bare or blown)
+        assert dev == dev_ref or (blown and not np.isfinite(dev))
+        if blown:
+            break
+
+
+def test_step_results_are_not_engine_buffers():
+    g = Grid1D(-3.5, 3.5, 64)
+    _, psi0 = discrete_ground_state(g, HARMONIC, "hardwall")
+    h0 = to_hydro(psi0, node_floor=0.0)
+    rho0, phi0 = h0.rho.copy(), h0.phi.copy()
+    eng = _MadelungEngine(g, HARMONIC, "hardwall", MadelungOptions())
+    r1, p1, _ = eng.step(h0.rho, h0.phi, 1e-4)
+    kept = r1.copy(), p1.copy()
+    r2, p2, _ = eng.step(r1, p1, 1e-4)
+    assert h0.rho.tobytes() == rho0.tobytes() and h0.phi.tobytes() == phi0.tobytes()
+    assert r1.tobytes() == kept[0].tobytes() and p1.tobytes() == kept[1].tobytes()
+    assert not (np.shares_memory(r1, r2) or np.shares_memory(p1, p2))
+
+    stepped = madelung_step(h0, HARMONIC, 1e-4, boundary="hardwall", node_floor=0.0)
+    assert h0.rho.tobytes() == rho0.tobytes() and h0.phi.tobytes() == phi0.tobytes()
+    assert not np.shares_memory(stepped.rho, h0.rho)
+
+    tr = evolve(
+        psi0,
+        HARMONIC,
+        EvolutionConfig(dt=1e-4, t_final=1e-3, engine="madelung", snapshot_stride=2,
+                        boundary="hardwall"),
+        node_floor=0.0,
+    )
+    arrays = [a for _, s in tr.snapshots for a in (s.rho, s.phi)]
+    assert len(arrays) == 12
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])

@@ -34,7 +34,7 @@ def small_trace():
 def test_snapshot_round_trip(tmp_path):
     tr = small_trace()
     path = tmp_path / "trace.ndjson"
-    iomod.write_snapshots(path, tr)
+    iomod.write_snapshots(path, tr.grid, *tr.field_arrays())
     back = iomod.read_snapshots(path)
     ts, rhos, phis = tr.field_arrays()
     assert len(back) == len(ts)
@@ -48,7 +48,7 @@ def test_snapshot_round_trip(tmp_path):
 def test_snapshots_to_states(tmp_path):
     tr = small_trace()
     path = tmp_path / "trace.ndjson"
-    iomod.write_snapshots(path, tr)
+    iomod.write_snapshots(path, tr.grid, *tr.field_arrays())
     states = iomod.snapshots_to_states(path)
     g = states[0][1].grid
     assert g.n == 64
@@ -59,7 +59,7 @@ def test_snapshots_to_states(tmp_path):
 
 def test_no_temp_files_left(tmp_path):
     tr = small_trace()
-    iomod.write_snapshots(tmp_path / "a.ndjson", tr)
+    iomod.write_snapshots(tmp_path / "a.ndjson", tr.grid, *tr.field_arrays())
     iomod.write_diagnostics(tmp_path / "b.csv", tr.diagnostics)
     leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
     assert leftovers == []

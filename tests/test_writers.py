@@ -216,5 +216,5 @@ def small_trace():
 def test_snapshots_match_reference(make, tmp_path):
     trace = make()
     path = tmp_path / "trace.ndjson"
-    iomod.write_snapshots(path, trace)
+    iomod.write_snapshots(path, trace.grid, *trace.field_arrays())
     assert path.read_text() == ref_snapshots(trace)
