@@ -94,15 +94,6 @@ def bayes_update(prior, like: LikelihoodModel, observed_r: int) -> Posterior:
     return Posterior(_posterior_rows(_check_prior(prior), like, [r])[0], r)
 
 
-def simulate_pointer(true_cell: int, like: LikelihoodModel, seed, count: int = 1):
-    """Categorical draw(s) from column true_cell of the likelihood."""
-    rng = seed if isinstance(seed, np.random.Generator) else stream_rng(seed, "pointer")
-    cdf = np.cumsum(like.matrix[:, int(true_cell)])
-    u = rng.random(int(count)) * cdf[-1]
-    r = np.minimum(np.searchsorted(cdf, u, side="left"), like.n_pointers - 1)
-    return int(r[0]) if count == 1 else r
-
-
 @dataclass
 class ExperimentLog:
     """Per-trial record of an amplification run.

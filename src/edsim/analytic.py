@@ -9,7 +9,6 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh
-from scipy.special import eval_hermite
 
 from .operators import hamiltonian
 from .state import Grid1D, PhysicalParams, WaveFunction
@@ -62,6 +61,8 @@ def plane_wave(grid: Grid1D, mode: int) -> WaveFunction:
 
 def harmonic_eigenstate(x, level=0, m=1.0, omega=1.0, hbar=1.0):
     """Real eigenfunction of the harmonic well, energy hbar omega (level + 1/2)."""
+    from scipy.special import eval_hermite  # kept off the CLI's import path
+
     x = np.asarray(x, dtype=float)
     a = m * omega / hbar
     xi = np.sqrt(a) * x

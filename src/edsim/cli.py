@@ -22,7 +22,6 @@ import os
 import sys
 
 import numpy as np
-from scipy import stats as sps
 
 from . import io as iomod
 from . import validate as acceptance
@@ -31,7 +30,14 @@ from .config import RunConfig
 from .dynamics import evolve, l1_distance
 from .errors import ConfigError, SimulationError
 from .measurement import born_probabilities, device_state, draw_outcomes
-from .stats import cdf_from_density, chi2_gof, ks_critical, ks_statistic, make_test_record
+from .stats import (
+    cdf_from_density,
+    chi2_critical,
+    chi2_gof,
+    ks_critical,
+    ks_statistic,
+    make_test_record,
+)
 from .trajectories import SAMPLER_MODES, TraceFields, advance_ensemble, sample_initial
 
 
@@ -141,7 +147,7 @@ def cmd_measure(args) -> int:
         json.dumps({"probabilities": [float(v) for v in probs]}, sort_keys=True) + "\n")
     counts = np.bincount(outcomes, minlength=dev.dim)
     stat, _ = chi2_gof(counts, probs)
-    crit = float(sps.chi2.ppf(0.99, dev.dim - 1))
+    crit = chi2_critical(dev.dim - 1)
     iomod.write_test_record(
         os.path.join(out, "chi2.json"),
         make_test_record("chi2_born", stat, crit, n_trials, bool(stat < crit)))

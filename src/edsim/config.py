@@ -104,7 +104,7 @@ class RunConfig:
         if self.values["initial"]["preset"] == "plane_wave":
             k = self._float("initial", "k")
             winding = k * g.length / (2 * math.pi)
-            if abs(winding - round(winding)) > 1e-9:
+            if not math.isfinite(winding) or abs(winding - round(winding)) > 1e-9:
                 raise ConfigError(
                     "plane_wave k must fit the periodic box: k*L/(2*pi) "
                     f"= {winding:.6g} is not an integer")
@@ -162,15 +162,17 @@ class RunConfig:
     def initial_state(self) -> WaveFunction:
         g = self.grid()
         x = g.cells
+        mu, sigma, k = (self._float("initial", key) for key in ("mu", "sigma", "k"))
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ConfigError(f"[initial] sigma must be finite and positive, got {sigma:g}")
+        if not (math.isfinite(mu) and math.isfinite(k)):
+            raise ConfigError(f"[initial] mu and k must be finite, got mu={mu:g}, k={k:g}")
         preset = self.values["initial"]["preset"]
         if preset == "gaussian":
             psi = free_gaussian(
-                x, sigma0=self._float("initial", "sigma"),
-                k0=self._float("initial", "k"),
-                x0=self._float("initial", "mu"),
+                x, sigma0=sigma, k0=k, x0=mu,
                 hbar=self._float("physics", "hbar"), m=self._float("physics", "m"))
         elif preset == "plane_wave":
-            k = self._float("initial", "k")
             mode = int(round(k * g.length / (2 * math.pi)))
             return plane_wave(g, mode)
         else:
@@ -184,7 +186,11 @@ class RunConfig:
                     hbar=self._float("physics", "hbar"))
             else:
                 psi = box_eigenstate(x, level, g.x_min, g.length)
-        return WaveFunction(g, psi.astype(complex)).normalized()
+        state = WaveFunction(g, psi.astype(complex))
+        norm = state.norm()
+        if not (math.isfinite(norm) and norm > 0):
+            raise ConfigError(f"[initial] the {preset} state has norm {norm:g} on this grid")
+        return state.normalized()
 
     def evolution_config(self, engine=None) -> EvolutionConfig:
         try:

@@ -126,23 +126,30 @@ class DiagnosticsRow:
 
 @dataclass
 class EvolutionTrace:
+    """Snapshots as the engine's own state (WaveFunction or HydroState).
+
+    hydro, when evolve filled it, holds each snapshot's HydroState as
+    to_hydro(s, node_floor=0.0) made it for the diagnostics row, so
+    field_arrays need not convert a wavefunction snapshot twice."""
+
     engine: str
     grid: Grid1D
     snapshots: List[Tuple[float, object]] = field(default_factory=list)
     diagnostics: List[DiagnosticsRow] = field(default_factory=list)
+    hydro: List[HydroState] = field(default_factory=list)
 
     def times(self) -> np.ndarray:
         return np.array([t for t, _ in self.snapshots])
 
     def field_arrays(self, node_floor: float = 0.0):
         """Snapshots as (times, rho matrix, phi matrix) for interpolation."""
-        ts, rhos, phis = [], [], []
-        for t, s in self.snapshots:
-            h = s if isinstance(s, HydroState) else to_hydro(s, node_floor)
-            ts.append(t)
-            rhos.append(h.rho)
-            phis.append(h.phi)
-        return np.array(ts), np.array(rhos), np.array(phis)
+        if node_floor == 0.0 and len(self.hydro) == len(self.snapshots):
+            hydro = self.hydro
+        else:
+            hydro = [s if isinstance(s, HydroState) else to_hydro(s, node_floor)
+                     for _, s in self.snapshots]
+        return (self.times(), np.array([h.rho for h in hydro]),
+                np.array([h.phi for h in hydro]))
 
 
 def energy(h: HydroState, p: PhysicalParams, node_floor: float = DEFAULT_NODE_FLOOR) -> float:
@@ -447,6 +454,7 @@ def evolve(
             if step in snap_at:
                 trace.snapshots.append((t, psi))
                 h = to_hydro(psi, node_floor=0.0)
+                trace.hydro.append(h)
                 trace.diagnostics.append(_diag_row(t, h, p, psi.norm(), 0.0))
             if step == n_steps:
                 break
@@ -466,6 +474,7 @@ def evolve(
         if step in snap_at:
             h = HydroState(grid, rho, phi)  # step returns new arrays
             trace.snapshots.append((t, h))
+            trace.hydro.append(h)
             trace.diagnostics.append(
                 _diag_row(t, h, p, float(np.sum(rho) * grid.dx), worst_renorm)
             )

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .measurement import DiscreteDevice, build_device
-from .state import Grid1D, HydroState
 
 
 def _f(v) -> str:
@@ -84,17 +83,6 @@ def read_snapshots(path):
                     np.array(rec["phi"], dtype=float),
                 )
             )
-    return out
-
-
-def snapshots_to_states(path):
-    """Rebuild (t, HydroState) pairs from a snapshot file."""
-    out = []
-    for t, x, rho, phi in read_snapshots(path):
-        dx = x[1] - x[0]
-        grid = Grid1D(float(x[0] - dx / 2), float(x[-1] + dx / 2), len(x))
-        rho = rho / (rho.sum() * dx)
-        out.append((t, HydroState(grid, rho, phi)))
     return out
 
 

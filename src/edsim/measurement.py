@@ -32,14 +32,6 @@ class DiscreteDevice:
     unitary: np.ndarray
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
-    index: int
-    eigenvalue: complex
-    detected_cell: int
-    count: int
-
-
 def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
     """Validate the basis and assemble the device unitary.
 
@@ -144,16 +136,6 @@ def draw_outcomes(dev, psi, n_trials, seed, method="categorical") -> np.ndarray:
         pos = inverse_cdf_sample(probs, 0.0, 1.0, int(n_trials), rng)
         return np.clip(np.floor(pos).astype(int), 0, dev.dim - 1)
     raise ValueError("method must be 'categorical' or 'positions'")
-
-
-def simulate_measurement(dev, psi, n_trials, seed, method="categorical"):
-    """Aggregate draw_outcomes into one OutcomeRecord per outcome index."""
-    trials = draw_outcomes(dev, psi, n_trials, seed, method)
-    counts = np.bincount(trials, minlength=dev.dim)
-    return [
-        OutcomeRecord(i, complex(dev.eigenvalues[i]), int(dev.target_cells[i]), int(c))
-        for i, c in enumerate(counts)
-    ]
 
 
 def collapse_update(dev: DiscreteDevice, observed_cell: int):

@@ -22,18 +22,6 @@ def gradient(f, dx, periodic=False):
     return g
 
 
-def laplacian(f, dx, periodic=False):
-    """Second derivative, O(dx^2); four-point one-sided closure at edges."""
-    f = np.asarray(f, dtype=float)
-    if periodic:
-        return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / dx**2
-    l = np.empty_like(f)
-    l[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx**2
-    l[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / dx**2
-    l[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / dx**2
-    return l
-
-
 def hamiltonian(n, dx, potential, hbar=1.0, m=1.0, boundary="periodic"):
     """Sparse discrete Hamiltonian: 3-point kinetic term plus diagonal potential.
 

@@ -1,7 +1,10 @@
-"""Goodness-of-fit helpers: Kolmogorov-Smirnov and chi-square at fixed levels."""
+"""Goodness-of-fit helpers: Kolmogorov-Smirnov and chi-square at fixed levels.
+
+scipy.special is imported inside the chi-square helpers, not here: the CLI
+imports this module on every run, and most runs never test a chi-square.
+"""
 
 import numpy as np
-from scipy import stats as _sps
 
 # asymptotic two-sided 1% point of the KS distribution
 KS_COEFF_1PCT = 1.63
@@ -22,6 +25,14 @@ def ks_critical(n, alpha=0.01) -> float:
     return KS_COEFF_1PCT / np.sqrt(n)
 
 
+def chi2_critical(dof, alpha=0.01) -> float:
+    """Upper alpha point of the chi-square distribution with dof degrees of
+    freedom; equal to scipy.stats.chi2.ppf(1 - alpha, dof) bit for bit."""
+    from scipy.special import gammaincinv
+
+    return float(2.0 * gammaincinv(dof / 2.0, 1.0 - alpha))
+
+
 def ks_two_sample(a, b):
     """Two-sample KS statistic and its 1% critical value."""
     a = np.sort(np.asarray(a, dtype=float))
@@ -38,12 +49,15 @@ def ks_two_sample(a, b):
 def chi2_gof(counts, probs):
     """Chi-square goodness of fit of counts against cell probabilities.
 
-    Returns (statistic, p_value)."""
+    Returns (statistic, p_value), equal bit for bit to
+    scipy.stats.chisquare(counts, f_exp=expected)."""
+    from scipy.special import chdtrc
+
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
     expected = counts.sum() * probs / probs.sum()
-    stat, pval = _sps.chisquare(counts, f_exp=expected)
-    return float(stat), float(pval)
+    stat = np.sum((counts - expected) ** 2 / expected)
+    return float(stat), float(chdtrc(len(counts) - 1, stat))
 
 
 def cdf_from_density(grid, rho):

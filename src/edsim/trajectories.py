@@ -65,15 +65,6 @@ def sample_initial(rho, grid: Grid1D, n: int, seed) -> Ensemble:
     return Ensemble(pos, 0.0, int(seed), rng.bit_generator.state)
 
 
-def marginal_histogram(ens: Ensemble, grid: Grid1D) -> np.ndarray:
-    """Normalized cell-count density; sums to 1/dx * dx = 1 exactly."""
-    idx = np.clip(
-        np.floor((ens.positions - grid.x_min) / grid.dx).astype(int), 0, grid.n - 1
-    )
-    counts = np.bincount(idx, minlength=grid.n)
-    return counts / (len(ens.positions) * grid.dx)
-
-
 def _apply_boundary(x, grid, boundary):
     if boundary == "periodic":
         return grid.x_min + np.mod(x - grid.x_min, grid.length)

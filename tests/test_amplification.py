@@ -15,7 +15,6 @@ from edsim import (
     ideal_likelihood,
     identity_device,
     noisy_likelihood,
-    simulate_pointer,
 )
 from edsim.seeding import stream_rng
 
@@ -74,22 +73,6 @@ def test_bayes_update_zero_evidence():
     like = ideal_likelihood(2)
     with pytest.raises(ZeroEvidenceError):
         bayes_update(np.array([1.0, 0.0]), like, 1)
-
-
-def test_simulate_pointer_ideal_is_exact():
-    like = ideal_likelihood(6)
-    for cell in (0, 3, 5):
-        assert simulate_pointer(cell, like, seed=1) == cell
-    draws = simulate_pointer(2, like, seed=1, count=100)
-    assert np.all(draws == 2)
-
-
-def test_simulate_pointer_reproducible():
-    like = noisy_likelihood(4, 0.4)
-    a = simulate_pointer(1, like, seed=3, count=500)
-    b = simulate_pointer(1, like, seed=3, count=500)
-    assert np.array_equal(a, b)
-    assert set(np.unique(a)) > {1}  # noise actually scatters readings
 
 
 def test_end_to_end_ideal_never_errs():

@@ -168,6 +168,14 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     ("trajectories", {"evolution__node_floor": "inf"}),
     ("validate", {"validate__madelung_dt": "nan"}),
     ("validate", {"validate__madelung_dt": "-1e-4"}),
+    # sigma = 0 divides by zero; a non-finite packet writes NaN into JSON
+    ("evolve", {"initial__sigma": 0}),
+    ("measure", {"initial__sigma": "nan"}),
+    ("amplify", {"initial__sigma": -1}),
+    ("trajectories", {"initial__mu": "inf"}),
+    ("measure", {"initial__k": "nan"}),
+    # a packet centred far off the grid underflows to the zero state
+    ("measure", {"initial__mu": "1e6"}),
 ])
 def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
     cfg = ini(**overrides)
@@ -176,8 +184,8 @@ def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
 
 
 def test_trajectories_convert_each_snapshot_at_most_twice(ini, tmp_path, monkeypatch):
-    """evolve converts each snapshot once for its diagnostics and the drift
-    tables once more; nothing may rebuild them per advance."""
+    """evolve converts each snapshot once, for its diagnostics row; the drift
+    tables reuse that conversion and nothing rebuilds them per advance."""
     real = dynamics.to_hydro
     calls = []
 
@@ -191,15 +199,15 @@ def test_trajectories_convert_each_snapshot_at_most_twice(ini, tmp_path, monkeyp
         cfg = ini(evolution__t_final=t_final, evolution__snapshot_stride=stride)
         out = tmp_path / f"s{snapshots}"
         assert run("trajectories", "--config", cfg, "--out", str(out)) == 0
-        assert len(calls) <= 2 * snapshots
+        assert len(calls) == snapshots
         with open(out / "ensemble_current_flow.csv") as fh:
             assert sum(1 for _ in fh) == 1 + 200 * snapshots
 
 
 def test_evolve_both_converts_each_schrodinger_snapshot_at_most_twice(ini, tmp_path, monkeypatch):
-    """evolve converts each wavefunction snapshot once for its diagnostics
-    and once for the snapshot file and compare_l1.csv together, plus the
-    density-phase engine's initial state."""
+    """evolve converts each wavefunction snapshot once, for its diagnostics
+    row; the snapshot file and compare_l1.csv reuse it. The density-phase
+    engine converts only its initial state."""
     real = dynamics.to_hydro
     calls = []
 
@@ -214,7 +222,7 @@ def test_evolve_both_converts_each_schrodinger_snapshot_at_most_twice(ini, tmp_p
                   evolution__t_final=t_final, evolution__snapshot_stride=stride)
         out = tmp_path / f"s{snapshots}"
         assert run("evolve", "--config", cfg, "--out", str(out)) == 0
-        assert len(calls) <= 2 * snapshots + 1
+        assert len(calls) == snapshots + 1
         with open(out / "compare_l1.csv") as fh:
             assert sum(1 for _ in fh) == 1 + snapshots
 

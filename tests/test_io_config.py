@@ -45,18 +45,6 @@ def test_snapshot_round_trip(tmp_path):
         assert np.array_equal(x, tr.grid.cells)
 
 
-def test_snapshots_to_states(tmp_path):
-    tr = small_trace()
-    path = tmp_path / "trace.ndjson"
-    iomod.write_snapshots(path, tr.grid, *tr.field_arrays())
-    states = iomod.snapshots_to_states(path)
-    g = states[0][1].grid
-    assert g.n == 64
-    assert g.x_min == pytest.approx(-8.0)
-    assert g.x_max == pytest.approx(8.0)
-    assert_allclose(states[-1][1].rho, tr.field_arrays()[1][-1], atol=1e-13)
-
-
 def test_no_temp_files_left(tmp_path):
     tr = small_trace()
     iomod.write_snapshots(tmp_path / "a.ndjson", tr.grid, *tr.field_arrays())

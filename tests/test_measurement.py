@@ -22,7 +22,6 @@ from edsim import (
     free_gaussian,
     identity_device,
     observable_matrix,
-    simulate_measurement,
 )
 from edsim.seeding import stream_rng
 
@@ -135,16 +134,6 @@ def test_draw_outcomes_unknown_method():
     dev = identity_device(4)
     with pytest.raises(ValueError):
         draw_outcomes(dev, random_state(4), 10, seed=0, method="metropolis")
-
-
-def test_simulate_measurement_tallies():
-    dev = fourier_device(8)
-    psi = random_state(8, seed=4)
-    records = simulate_measurement(dev, psi, 2000, seed=9)
-    assert sum(r.count for r in records) == 2000
-    for r in records:
-        assert r.eigenvalue == dev.eigenvalues[r.index]
-        assert r.detected_cell == dev.target_cells[r.index]
 
 
 def test_collapse_update():

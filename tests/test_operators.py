@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from edsim import Grid1D, gradient, hamiltonian, laplacian
+from edsim import Grid1D, gradient, hamiltonian
 
 
 def test_gradient_exact_on_quadratic():
@@ -11,13 +11,6 @@ def test_gradient_exact_on_quadratic():
     dx = x[1] - x[0]
     f = 2.0 * x**2 - x + 0.5
     assert_allclose(gradient(f, dx), 4.0 * x - 1.0, atol=1e-12)
-
-
-def test_laplacian_exact_on_quadratic():
-    x = np.linspace(-1.0, 1.0, 33)
-    dx = x[1] - x[0]
-    f = 3.0 * x**2 + x
-    assert_allclose(laplacian(f, dx), np.full_like(x, 6.0), atol=1e-10)
 
 
 def test_gradient_periodic_wraps():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from edsim import (
     Grid1D,
     cdf_from_density,
+    chi2_critical,
     chi2_gof,
     ks_critical,
     ks_statistic,
@@ -44,13 +47,31 @@ def test_ks_two_sample():
     assert d_diff > crit
 
 
-def test_chi2_matches_scipy():
-    counts = np.array([48, 52, 61, 39])
-    probs = np.full(4, 0.25)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 600), st.integers(0, 2**32 - 1), st.integers(1, 10**6), st.booleans())
+def test_chi2_matches_scipy(n, seed, trials, born):
+    """chi2_gof is scipy.stats.chisquare bit for bit, statistic and p-value,
+    on counts drawn from the cell weights (p-values spread over (0, 1)) or
+    drawn with no relation to them (p-values near 0)."""
+    rng = np.random.default_rng(seed)
+    probs = rng.uniform(1e-6, 1.0, size=n)
+    if born:
+        counts = rng.multinomial(trials, probs / probs.sum())
+    else:
+        counts = rng.integers(0, trials, size=n, endpoint=True)
+        counts[rng.integers(n)] += 1  # at least one trial
     stat, pval = chi2_gof(counts, probs)
-    ref = sps.chisquare(counts, probs * counts.sum())
-    assert stat == pytest.approx(float(ref.statistic))
-    assert pval == pytest.approx(float(ref.pvalue))
+    expected = counts.sum() * probs / probs.sum()
+    ref = sps.chisquare(counts.astype(float), f_exp=expected)
+    assert stat == float(ref.statistic)
+    assert pval == float(ref.pvalue)
+
+
+def test_chi2_critical_matches_scipy():
+    dofs = np.arange(1, 5000)
+    ref = sps.chi2.ppf(0.99, dofs)
+    assert [chi2_critical(int(d)) for d in dofs] == ref.tolist()
+    assert chi2_critical(7, alpha=0.05) == float(sps.chi2.ppf(0.95, 7))
 
 
 def test_cdf_from_density():

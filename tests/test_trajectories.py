@@ -18,7 +18,6 @@ from edsim import (
     inverse_cdf_sample,
     ks_critical,
     ks_statistic,
-    marginal_histogram,
     cdf_from_density,
     sample_initial,
 )
@@ -55,15 +54,6 @@ def test_sample_initial_reproducible():
     assert np.array_equal(a.positions, b.positions)
     assert not np.array_equal(a.positions, c.positions)
     assert a.t == 0.0 and a.seed == 9
-
-
-def test_marginal_histogram_normalized():
-    g, _, tr = make_trace(n=256, t_final=0.01, stride=5)
-    ens = sample_initial(tr.field_arrays()[1][0], g, 5000, seed=2)
-    hist = marginal_histogram(ens, g)
-    assert float(hist.sum() * g.dx) == pytest.approx(1.0, abs=1e-12)
-    center = g.cells[np.argmax(hist)]
-    assert abs(center + 1.0) < 0.2  # packet starts at x0 = -1
 
 
 def test_current_flow_tracks_density():
