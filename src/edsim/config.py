@@ -162,17 +162,18 @@ class RunConfig:
     def initial_state(self) -> WaveFunction:
         g = self.grid()
         x = g.cells
-        mu, sigma, k = (self._float("initial", key) for key in ("mu", "sigma", "k"))
-        if not (math.isfinite(sigma) and sigma > 0):
-            raise ConfigError(f"[initial] sigma must be finite and positive, got {sigma:g}")
-        if not (math.isfinite(mu) and math.isfinite(k)):
-            raise ConfigError(f"[initial] mu and k must be finite, got mu={mu:g}, k={k:g}")
         preset = self.values["initial"]["preset"]
         if preset == "gaussian":
+            mu, sigma, k = (self._float("initial", key) for key in ("mu", "sigma", "k"))
+            if not (math.isfinite(sigma) and sigma > 0):
+                raise ConfigError(f"[initial] sigma must be finite and positive, got {sigma:g}")
+            if not (math.isfinite(mu) and math.isfinite(k)):
+                raise ConfigError(f"[initial] mu and k must be finite, got mu={mu:g}, k={k:g}")
             psi = free_gaussian(
                 x, sigma0=sigma, k0=k, x0=mu,
                 hbar=self._float("physics", "hbar"), m=self._float("physics", "m"))
         elif preset == "plane_wave":
+            k = self._float("initial", "k")
             mode = int(round(k * g.length / (2 * math.pi)))
             return plane_wave(g, mode)
         else:

@@ -128,9 +128,10 @@ class DiagnosticsRow:
 class EvolutionTrace:
     """Snapshots as the engine's own state (WaveFunction or HydroState).
 
-    hydro, when evolve filled it, holds each snapshot's HydroState as
-    to_hydro(s, node_floor=0.0) made it for the diagnostics row, so
-    field_arrays need not convert a wavefunction snapshot twice."""
+    hydro holds one HydroState per snapshot: the snapshot itself for the
+    density-phase engine, and to_hydro(psi, node_floor=0.0) as evolve made
+    it for the diagnostics row for the wavefunction engine, so field_arrays
+    never converts a snapshot a second time."""
 
     engine: str
     grid: Grid1D
@@ -141,15 +142,10 @@ class EvolutionTrace:
     def times(self) -> np.ndarray:
         return np.array([t for t, _ in self.snapshots])
 
-    def field_arrays(self, node_floor: float = 0.0):
+    def field_arrays(self):
         """Snapshots as (times, rho matrix, phi matrix) for interpolation."""
-        if node_floor == 0.0 and len(self.hydro) == len(self.snapshots):
-            hydro = self.hydro
-        else:
-            hydro = [s if isinstance(s, HydroState) else to_hydro(s, node_floor)
-                     for _, s in self.snapshots]
-        return (self.times(), np.array([h.rho for h in hydro]),
-                np.array([h.phi for h in hydro]))
+        return (self.times(), np.array([h.rho for h in self.hydro]),
+                np.array([h.phi for h in self.hydro]))
 
 
 def energy(h: HydroState, p: PhysicalParams, node_floor: float = DEFAULT_NODE_FLOOR) -> float:

@@ -25,12 +25,12 @@ def ks_critical(n, alpha=0.01) -> float:
     return KS_COEFF_1PCT / np.sqrt(n)
 
 
-def chi2_critical(dof, alpha=0.01) -> float:
-    """Upper alpha point of the chi-square distribution with dof degrees of
-    freedom; equal to scipy.stats.chi2.ppf(1 - alpha, dof) bit for bit."""
+def chi2_critical(dof) -> float:
+    """Upper 1% point of the chi-square distribution with dof degrees of
+    freedom; equal to scipy.stats.chi2.ppf(0.99, dof) bit for bit."""
     from scipy.special import gammaincinv
 
-    return float(2.0 * gammaincinv(dof / 2.0, 1.0 - alpha))
+    return float(2.0 * gammaincinv(dof / 2.0, 0.99))
 
 
 def ks_two_sample(a, b):

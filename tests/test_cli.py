@@ -185,7 +185,11 @@ def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
 
 def test_trajectories_convert_each_snapshot_at_most_twice(ini, tmp_path, monkeypatch):
     """evolve converts each snapshot once, for its diagnostics row; the drift
-    tables reuse that conversion and nothing rebuilds them per advance."""
+    tables reuse that conversion and nothing rebuilds them per advance.
+
+    The count is exact (S); the id still says "at most twice", the bound
+    it held before the trace kept its conversions, so that it stays
+    comparable with earlier runs of the suite."""
     real = dynamics.to_hydro
     calls = []
 
@@ -207,7 +211,11 @@ def test_trajectories_convert_each_snapshot_at_most_twice(ini, tmp_path, monkeyp
 def test_evolve_both_converts_each_schrodinger_snapshot_at_most_twice(ini, tmp_path, monkeypatch):
     """evolve converts each wavefunction snapshot once, for its diagnostics
     row; the snapshot file and compare_l1.csv reuse it. The density-phase
-    engine converts only its initial state."""
+    engine converts only its initial state.
+
+    The count is exact (S + 1); the id still says "at most twice", the
+    bound it held before the trace kept its conversions, so that it stays
+    comparable with earlier runs of the suite."""
     real = dynamics.to_hydro
     calls = []
 

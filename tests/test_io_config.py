@@ -180,6 +180,10 @@ def test_config_eigenstate_presets(tmp_path):
     box = MINIMAL.replace("preset = gaussian", "preset = eigenstate\nwell = box")
     psi_box = RunConfig.load(write_ini(tmp_path, box, "box.ini")).initial_state()
     assert psi_box.norm() == pytest.approx(1.0, abs=1e-12)
+    # the packet keys are read only by the gaussian preset
+    stale = box.replace("well = box", "well = box\nsigma = 0\nmu = inf\nk = nan")
+    psi_stale = RunConfig.load(write_ini(tmp_path, stale, "stale.ini")).initial_state()
+    assert np.array_equal(psi_stale.amplitudes, psi_box.amplitudes)
 
 
 def test_config_seed_and_epsilon_ranges(tmp_path):

@@ -202,7 +202,8 @@ def hand_trace():
     rho = rho / (rho.sum() * g.dx)
     phi = np.array([-0.0, -5e-324, 0.1 + 0.2, 1.0 / 3.0, -1e300, 7.0, 0.0, -2.5])
     snaps = [(0.0, HydroState(g, rho, phi)), (0.1 + 0.2, HydroState(g, rho[::-1], -phi))]
-    return EvolutionTrace(engine="madelung", grid=g, snapshots=snaps)
+    return EvolutionTrace(engine="madelung", grid=g, snapshots=snaps,
+                          hydro=[h for _, h in snaps])
 
 
 def small_trace():
