@@ -30,7 +30,8 @@ class LikelihoodModel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise RangeError("likelihood must be a matrix")
-        if np.any(m < 0) or np.any(m > 1):
+        # written so that nan fails too: every comparison with nan is false
+        if not np.all((m >= 0) & (m <= 1)):
             raise RangeError("likelihood entries must lie in [0, 1]")
         colsums = m.sum(axis=0)
         if np.max(np.abs(colsums - 1.0)) > _COLUMN_TOL:
@@ -134,6 +135,22 @@ class ExperimentLog:
             }
 
 
+def draw_by_column(cum, cols, u) -> np.ndarray:
+    """Categorical draws from the columns of a cumulative table.
+
+    Entry k is the number of entries of cum[:, cols[k]] below u[k], the
+    same integers as (u[None, :] > cum[:, cols]).sum(axis=0) for columns
+    that never decrease. Trials are grouped by column and each distinct
+    column is searched once, so nothing of size rows x trials is built.
+    """
+    out = np.empty(len(cols), dtype=np.intp)
+    order = np.argsort(cols, kind="stable")
+    cells, starts = np.unique(cols[order], return_index=True)
+    for c, idx in zip(cells.tolist(), np.split(order, starts[1:])):
+        out[idx] = np.searchsorted(cum[:, c], u[idx], side="left")
+    return out
+
+
 def end_to_end(
     psi, dev: DiscreteDevice, like: LikelihoodModel, n_trials, seed, prior=None
 ) -> ExperimentLog:
@@ -154,8 +171,7 @@ def end_to_end(
     rng = stream_rng(seed, "pointer")
     cum = np.cumsum(like.matrix, axis=0)
     u = rng.random(len(true_i))
-    observed_r = (u[None, :] > cum[:, true_i]).sum(axis=0)
-    observed_r = np.minimum(observed_r, like.n_pointers - 1)
+    observed_r = np.minimum(draw_by_column(cum, true_i, u), like.n_pointers - 1)
 
     readings, row_of = np.unique(observed_r, return_inverse=True)
     rows = _posterior_rows(prior, like, readings)

@@ -181,10 +181,15 @@ class RunConfig:
             if level < 0:
                 raise ConfigError("[initial] level must be >= 0")
             if self.values["initial"]["well"] == "harmonic":
-                psi = harmonic_eigenstate(
-                    x, level, m=self._float("physics", "m"),
-                    omega=self._float("physics", "omega"),
-                    hbar=self._float("physics", "hbar"))
+                try:
+                    psi = harmonic_eigenstate(
+                        x, level, m=self._float("physics", "m"),
+                        omega=self._float("physics", "omega"),
+                        hbar=self._float("physics", "hbar"))
+                except OverflowError:  # level! exceeds a float from level 171 on
+                    raise ConfigError(
+                        f"[initial] level {level} is too high for the harmonic "
+                        "eigenstate: its normalization overflows") from None
             else:
                 psi = box_eigenstate(x, level, g.x_min, g.length)
         state = WaveFunction(g, psi.astype(complex))

@@ -6,6 +6,7 @@ readers never see partial output. No writer embeds timestamps or absolute
 paths: identical inputs give byte-identical files.
 """
 
+import itertools
 import json
 import os
 import tempfile
@@ -25,7 +26,7 @@ def _f_table(a) -> np.ndarray:
     shape. Each distinct value is formatted once; values are keyed on their
     bit pattern, so -0.0 keeps its sign."""
     a = np.ascontiguousarray(a, dtype=float)
-    bits, inv = np.unique(a.ravel().view(np.uint64), return_inverse=True)
+    bits, inv = _distinct(a.ravel().view(np.uint64))
     text = np.array([_f(v) for v in bits.view(float)], dtype=object)
     return text[inv.reshape(a.shape)]
 
@@ -129,20 +130,55 @@ def write_outcomes_csv(path, trials, dev: DiscreteDevice):
 
 
 def write_device(path, dev: DiscreteDevice):
-    """JSON: dim, basis rows and eigenvalues as [re, im] pairs, target cells."""
-    rec = {
-        "dim": dev.dim,
-        "basis": _pairs(dev.basis),
-        "target_cells": [int(c) for c in dev.target_cells],
-        "eigenvalues": _pairs(dev.eigenvalues),
-    }
-    atomic_write(path, json.dumps(rec) + "\n")
+    """JSON: dim, basis rows and eigenvalues as [re, im] pairs, target cells.
+
+    The bytes are those of json.dumps({"dim": ..., "basis": ...,
+    "target_cells": ..., "eigenvalues": ...}) + "\n", with the basis
+    streamed one row at a time from a table of its distinct pairs."""
+    basis = _pair_text(dev.basis)
+    eigenvalues = ", ".join(_pair_text(dev.eigenvalues).tolist())
+    cells = json.dumps([int(c) for c in dev.target_cells])
+
+    def chunks():
+        yield '{"dim": %s, "basis": [' % json.dumps(dev.dim)
+        for i, row in enumerate(basis):
+            yield ("[%s]" if i == 0 else ", [%s]") % ", ".join(row.tolist())
+        yield '], "target_cells": %s, "eigenvalues": [%s]}\n' % (cells, eigenvalues)
+
+    atomic_write(path, chunks())
 
 
-def _pairs(z) -> list:
-    """Complex array as nested lists with each entry an [re, im] pair."""
+def _pair_text(z) -> np.ndarray:
+    """The json.dumps text "[re, im]" of every entry of a complex array, as
+    an object array of the same shape. Each distinct float bit pattern is
+    formatted once, by json.dumps itself, and each distinct (re, im) pair is
+    joined once, keyed on the indices of its two floats."""
     z = np.ascontiguousarray(z, dtype=complex)
-    return z.view(float).reshape(z.shape + (2,)).tolist()
+    bits, idx = _distinct(z.view(np.uint64).ravel())
+    pairs, pair_of = _distinct(idx[0::2] * len(bits) + idx[1::2])
+    del idx  # 2 n^2 indices: free them before the strings are built
+    floats = json.dumps(bits.view(float).tolist())[1:-1].split(", ")
+    re, im = np.divmod(pairs, len(bits))
+    text = np.array(["[%s, %s]" % (floats[a], floats[b])
+                     for a, b in zip(re.tolist(), im.tolist())], dtype=object)
+    return text[pair_of.reshape(z.shape)]
+
+
+def _distinct(a):
+    """np.unique(a, return_inverse=True) for a flat array, with at most three
+    full-size temporaries alive at once where np.unique has six: it sorts
+    through a view of a, not a flattened copy."""
+    order = np.argsort(a)
+    ordered = a[order]
+    first = np.empty(len(a), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    values = ordered[first]
+    del ordered
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(first)
+    inverse -= 1
+    return values, inverse
 
 
 def read_device(path) -> DiscreteDevice:
@@ -164,9 +200,9 @@ def write_likelihood_csv(path, like):
     """Matrix with a header row of pointer labels; data row i holds
     P(r | cell i) across the columns."""
     m = like.matrix
-    lines = [",".join("alpha_%d" % r for r in range(m.shape[0]))]
-    lines.extend(",".join(row) for row in _f_table(m.T).tolist())
-    atomic_write(path, "\n".join(lines) + "\n")
+    header = ",".join("alpha_%d" % r for r in range(m.shape[0])) + "\n"
+    rows = (",".join(row.tolist()) + "\n" for row in _f_table(m.T))
+    atomic_write(path, itertools.chain((header,), rows))
 
 
 def read_likelihood_csv(path):
@@ -184,7 +220,7 @@ def write_experiment_log(path, log):
     """NDJSON, one record per trial with its keys sorted. Each distinct
     posterior row is encoded once and spliced into every trial that shares
     it, and the lines are streamed to disk."""
-    posts = [json.dumps(row) for row in log.rows.tolist()]
+    posts = [json.dumps(row.tolist()) for row in log.rows]
     trials = zip(log.map_i.tolist(), log.observed_r.tolist(),
                  log.row_of.tolist(), log.true_i.tolist())
     atomic_write(path, (

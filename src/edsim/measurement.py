@@ -42,15 +42,16 @@ def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
         raise BasisError("basis must be a square matrix of row vectors")
+    if not np.all(np.isfinite(basis)):
+        # nan fails every "> ORTHO_TOL" comparison and would pass the checks
+        raise BasisError("basis entries must be finite")
     dim = basis.shape[0]
-    eye = np.eye(dim)
     gram = basis @ basis.conj().T
-    if np.max(np.abs(gram - eye)) > ORTHO_TOL:
-        raise BasisError(
-            f"basis not orthonormal: max Gram deviation {np.max(np.abs(gram - eye)):.2e}"
-        )
+    deviation = _identity_deviation(gram)
+    if deviation > ORTHO_TOL:
+        raise BasisError(f"basis not orthonormal: max Gram deviation {deviation:.2e}")
     comp = basis.conj().T @ basis  # sum_i |a_i><a_i|
-    if np.max(np.abs(comp - eye)) > ORTHO_TOL:
+    if _identity_deviation(comp) > ORTHO_TOL:
         raise BasisError("basis not complete")
     cells = np.asarray(target_cells, dtype=int)
     if cells.shape != (dim,):
@@ -64,15 +65,26 @@ def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
     )
     if eigenvalues.shape != (dim,):
         raise ValueError("need one eigenvalue per basis vector")
-    # U = sum_i |x_i><a_i| in slot order: row i of U is conj(a_i)
+    if not np.all(np.isfinite(eigenvalues)):
+        raise BasisError("eigenvalues must be finite")
+    # U = sum_i |x_i><a_i| in slot order: row i of U is conj(a_i). With
+    # U = conj(B), U^H U = B^T conj(B) = conj(B^H B) and U B^T = conj(B B^H),
+    # so both checks below read the conjugate of a product already formed.
     unitary = basis.conj()
-    if np.max(np.abs(unitary.conj().T @ unitary - eye)) > ORTHO_TOL:
+    if _identity_deviation(comp.conj()) > ORTHO_TOL:
         raise BasisError("assembled matrix is not unitary")
     # explicit action check: U a_i = e_i
-    action = unitary @ basis.T
-    if np.max(np.abs(action - eye)) > ORTHO_TOL:
+    if _identity_deviation(gram.conj()) > ORTHO_TOL:
         raise BasisError("unitary does not map each a_i to its target indicator")
     return DiscreteDevice(dim, basis, eigenvalues, cells, unitary)
+
+
+def _identity_deviation(m) -> float:
+    """max |m - I| over the entries of a square matrix: the same number as
+    np.max(np.abs(m - np.eye(n))), with |m| as the only n x n temporary."""
+    dev = np.abs(m)
+    np.fill_diagonal(dev, np.abs(np.diagonal(m) - 1.0))
+    return np.max(dev)
 
 
 def identity_device(dim: int) -> DiscreteDevice:

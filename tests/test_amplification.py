@@ -16,6 +16,7 @@ from edsim import (
     identity_device,
     noisy_likelihood,
 )
+from edsim.amplification import draw_by_column
 from edsim.seeding import stream_rng
 
 
@@ -47,6 +48,9 @@ def test_likelihood_model_validation():
         LikelihoodModel(np.array([[0.5, 1.2], [0.5, -0.2]]))
     with pytest.raises(RangeError):
         LikelihoodModel(np.array([[0.5, 0.5], [0.4, 0.5]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(RangeError):
+            LikelihoodModel(np.array([[bad, 0.5], [0.5, 0.5]]))
     m = LikelihoodModel(np.array([[0.9, 0.2], [0.1, 0.8]]))
     assert m.n_pointers == 2 and m.n_cells == 2
 
@@ -158,3 +162,47 @@ def test_end_to_end_posterior_properties(dim, seed, epsilon, prior_weights, n_tr
         expect = bayes_update(prior, like, r).probabilities
         assert np.all(post[log.observed_r == r] == expect)
     assert np.array_equal(log.map_i, np.argmax(post, axis=1))
+
+
+def dense_draw(cum, cols, u):
+    """The pointer draw as one rows x trials comparison."""
+    return (u[None, :] > cum[:, cols]).sum(axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_pointers=st.integers(1, 9),
+    n_cells=st.integers(1, 9),
+    kind=st.sampled_from(["random", "identity", "zeros"]),
+    seed=st.integers(0, 2**32 - 1),
+    n_trials=st.integers(1, 3000),
+)
+def test_draw_by_column_matches_dense_draw(n_pointers, n_cells, kind, seed, n_trials):
+    rng = np.random.default_rng(seed)
+    if kind == "identity":
+        m = np.eye(n_cells)
+    else:
+        m = rng.random((n_pointers, n_cells))
+        if kind == "zeros":
+            m[rng.random(m.shape) < 0.6] = 0.0
+            m[rng.integers(n_pointers, size=n_cells), np.arange(n_cells)] += 1.0
+        m /= m.sum(axis=0)
+    like = LikelihoodModel(m)
+    cum = np.cumsum(like.matrix, axis=0)
+    cols = rng.integers(like.n_cells, size=n_trials)
+    u = rng.random(n_trials)
+    # ties: a uniform equal to a cumulative entry must land in that entry's row
+    tied = rng.random(n_trials) < 0.2
+    u[tied] = cum[rng.integers(like.n_pointers, size=n_trials), cols][tied]
+    got = np.minimum(draw_by_column(cum, cols, u), like.n_pointers - 1)
+    want = np.minimum(dense_draw(cum, cols, u), like.n_pointers - 1)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_end_to_end_readings_match_dense_draw():
+    like = noisy_likelihood(16, 0.3)
+    log = end_to_end(random_state(16, seed=4), fourier_device(16), like, 3000, seed=5)
+    u = stream_rng(5, "pointer").random(3000)
+    want = np.minimum(dense_draw(np.cumsum(like.matrix, axis=0), log.true_i, u), 15)
+    assert np.array_equal(log.observed_r, want)

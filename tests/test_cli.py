@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from edsim import cli, dynamics
-from edsim.io import read_snapshots
+from edsim import cli, dynamics, fourier_device, noisy_likelihood
+from edsim.io import read_snapshots, write_device, write_likelihood_csv
 
 DEFAULTS = {
     "grid": {"x_min": -8, "x_max": 8, "n": 64},
@@ -176,6 +176,8 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     ("measure", {"initial__k": "nan"}),
     # a packet centred far off the grid underflows to the zero state
     ("measure", {"initial__mu": "1e6"}),
+    # level! no longer fits in a float
+    ("evolve", {"initial__preset": "eigenstate", "initial__level": 200}),
 ])
 def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
     cfg = ini(**overrides)
@@ -240,6 +242,37 @@ def test_node_error_maps_to_exit_3(ini, tmp_path, capsys):
     cfg = ini(evolution__engine="madelung")
     assert run("evolve", "--config", cfg, "--out", str(tmp_path / "o")) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "NodeError"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("field", ["basis", "eigenvalues"])
+def test_non_finite_file_device_maps_to_exit_3(field, value, ini, tmp_path, capsys):
+    """nan fails every "deviation > tolerance" check, so without a finiteness
+    check a nan device would run and write NaN into born.json and chi2.json."""
+    path = tmp_path / "device.json"
+    write_device(path, fourier_device(64))
+    rec = json.loads(path.read_text())
+    entry = rec["basis"][3] if field == "basis" else rec["eigenvalues"]
+    entry[5][0] = float(value)
+    path.write_text(json.dumps(rec))
+    for command in ("measure", "amplify"):
+        cfg = ini(device__preset="file", device__path=str(path))
+        assert run(command, "--config", cfg, "--out", str(tmp_path / command)) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "BasisError"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_file_likelihood_maps_to_exit_3(value, ini, tmp_path, capsys):
+    path = tmp_path / "likelihood.csv"
+    write_likelihood_csv(path, noisy_likelihood(64, 0.1))
+    lines = path.read_text().splitlines()
+    row = lines[4].split(",")
+    row[7] = value
+    lines[4] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    cfg = ini(amplify__likelihood="file", amplify__path=str(path))
+    assert run("amplify", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "RangeError"
 
 
 def test_blocked_out_dir_maps_to_exit_4(ini, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as sps
 
@@ -23,6 +25,7 @@ from edsim import (
     identity_device,
     observable_matrix,
 )
+from edsim.measurement import ORTHO_TOL
 from edsim.seeding import stream_rng
 
 
@@ -170,3 +173,62 @@ def test_continuum_pdf_decreasing_map_allowed():
     dev = ContinuumDevice(lambda x: -x, lambda x: np.full_like(x, -1.0))
     a, rho_a = continuum_pdf(dev, psi)
     assert_allclose(rho_a, psi.density(), rtol=1e-9)
+
+
+def four_product_verdict(basis):
+    """build_device's basis checks, each with its own product, as they were
+    first written: the message of the first failing check, or None."""
+    basis = np.asarray(basis, dtype=complex)
+    if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
+        return "basis must be a square matrix of row vectors"
+    eye = np.eye(basis.shape[0])
+    gram = basis @ basis.conj().T
+    if np.max(np.abs(gram - eye)) > ORTHO_TOL:
+        return f"basis not orthonormal: max Gram deviation {np.max(np.abs(gram - eye)):.2e}"
+    if np.max(np.abs(basis.conj().T @ basis - eye)) > ORTHO_TOL:
+        return "basis not complete"
+    unitary = basis.conj()
+    if np.max(np.abs(unitary.conj().T @ unitary - eye)) > ORTHO_TOL:
+        return "assembled matrix is not unitary"
+    if np.max(np.abs(unitary @ basis.T - eye)) > ORTHO_TOL:
+        return "unitary does not map each a_i to its target indicator"
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    perturbation=st.sampled_from([0.0, 1e-12, 3e-11, 1e-9, 1e-3]),
+    shape=st.sampled_from(["square", "wide", "tall", "vector"]),
+)
+def test_build_device_matches_four_product_checks(dim, seed, perturbation, shape):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    basis = q + perturbation * (rng.normal(size=q.shape) + 1j * rng.normal(size=q.shape))
+    if shape == "wide":
+        basis = np.hstack([basis, basis[:, :1]])
+    elif shape == "tall":
+        basis = np.vstack([basis, basis[:1]])
+    elif shape == "vector":
+        basis = basis[0]
+    want = four_product_verdict(basis)
+    if want is None:
+        dev = build_device(basis, np.arange(dim))
+        assert np.array_equal(dev.unitary.view(np.uint64), basis.conj().view(np.uint64))
+    else:
+        with pytest.raises(BasisError) as err:
+            build_device(basis, np.arange(dim))
+        assert str(err.value) == want
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_build_device_rejects_non_finite(value):
+    basis = np.eye(4, dtype=complex)
+    basis[1, 2] = value
+    with pytest.raises(BasisError):
+        build_device(basis, np.arange(4))
+    eigenvalues = np.arange(4, dtype=complex)
+    eigenvalues[3] = complex(0.0, value)
+    with pytest.raises(BasisError):
+        build_device(np.eye(4), np.arange(4), eigenvalues)

@@ -6,6 +6,7 @@ defined by; the writers must produce exactly the same bytes.
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from edsim import (
     LikelihoodModel,
     PhysicalParams,
     WaveFunction,
+    build_device,
     end_to_end,
     evolve,
     fourier_device,
@@ -135,15 +137,85 @@ def test_experiment_log_matches_reference(dim, like, prior, tmp_path):
     assert path.read_text() == ref_experiment_log(log)
 
 
-def test_device_matches_reference_and_round_trips(tmp_path):
-    dev = fourier_device(24)
-    path = tmp_path / "device.json"
+def _complex(re, im):
+    """Complex array with exactly these parts, -0.0 included."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def hand_device():
+    """A unitary 4 x 4 basis holding -0.0, the smallest subnormal, values
+    that need all 17 digits, and (re, im) pairs repeated across rows."""
+    a = 0.1 + 0.2
+    b = float(np.sqrt(1.0 - a * a))
+    basis = _complex(
+        [[a, 0.0, -0.0, 0.0], [0.0, a, 0.0, -0.0], [5e-324, -0.0, a, b], [-0.0, 0.0, -b, a]],
+        [[0.0, b, -0.0, 0.0], [b, 0.0, 0.0, -0.0], [0.0, -0.0, 0.0, 0.0], [0.0, 5e-324, 0.0, -0.0]])
+    eigenvalues = _complex([a, 1.0 / 3.0, -0.0, a], [-0.0, 5e-324, 1e300, -0.0])
+    return build_device(basis, [3, 0, 2, 1], eigenvalues)
+
+
+def random_unitary_device(dim=12, seed=5):
+    rng = stream_rng(seed, "state")
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return build_device(q, rng.permutation(dim), rng.normal(size=dim))
+
+
+def check_device_file(dev, path):
     iomod.write_device(path, dev)
     assert path.read_text() == ref_device(dev)
     back = iomod.read_device(path)
     assert np.array_equal(back.basis, dev.basis)
     assert np.array_equal(back.eigenvalues, dev.eigenvalues)
     assert np.array_equal(back.target_cells, dev.target_cells)
+
+
+def test_device_matches_reference_and_round_trips(tmp_path):
+    check_device_file(fourier_device(24), tmp_path / "device.json")
+
+
+DEVICES = {
+    "fourier8": lambda: fourier_device(8),
+    "fourier64": lambda: fourier_device(64),
+    "identity16": lambda: identity_device(16),
+    "random_unitary": random_unitary_device,
+    "hand": hand_device,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEVICES))
+def test_more_devices_match_reference_and_round_trip(name, tmp_path):
+    check_device_file(DEVICES[name](), tmp_path / "device.json")
+
+
+def test_hand_device_keeps_special_values(tmp_path):
+    path = tmp_path / "device.json"
+    iomod.write_device(path, hand_device())
+    text = path.read_text()
+    assert text.startswith('{"dim": 4, "basis": [[[0.30000000000000004, 0.0], [0.0, 0.95')
+    assert "[5e-324, 0.0], [-0.0, -0.0]" in text
+    assert text.endswith('"target_cells": [3, 0, 2, 1], "eigenvalues": [[0.30000000000000004, '
+                         '-0.0], [0.3333333333333333, 5e-324], [-0.0, 1e+300], '
+                         '[0.30000000000000004, -0.0]]}\n')
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_device_writer_streams_in_bounded_memory(tmp_path):
+    """The streamed writer peaks at no more than half of what one json.dumps
+    over the nested [re, im] lists needs for the same device."""
+    dev = fourier_device(256)
+    streamed = _peak_bytes(lambda: iomod.write_device(tmp_path / "device.json", dev))
+    nested = _peak_bytes(lambda: ref_device(dev))
+    assert streamed <= nested / 2
 
 
 def test_atomic_write_streams_chunks(tmp_path):
