@@ -27,7 +27,7 @@ from . import io as iomod
 from . import validate as acceptance
 from .amplification import end_to_end
 from .config import RunConfig
-from .dynamics import evolve, l1_distance
+from .dynamics import evolve, l1_distance, madelung_start
 from .errors import ConfigError, SimulationError
 from .measurement import born_probabilities, device_state, draw_outcomes
 from .stats import (
@@ -68,9 +68,14 @@ def cmd_evolve(args) -> int:
     psi = cfg.initial_state()
     requested = cfg.values["evolution"]["engine"]
     engines = ("schrodinger", "madelung") if requested == "both" else (requested,)
+    ecfgs = {eng: cfg.evolution_config(engine=eng) for eng in engines}
+    # every engine's up-front checks pass before any engine takes a step
+    start = (madelung_start(psi, p, ecfgs["madelung"], cfg.node_floor())
+             if "madelung" in ecfgs else None)
     fields = {}
-    for eng in engines:
-        trace = evolve(psi, p, cfg.evolution_config(engine=eng), node_floor=cfg.node_floor())
+    for eng, ecfg in ecfgs.items():
+        trace = evolve(psi, p, ecfg, node_floor=cfg.node_floor(),
+                       start=start if eng == "madelung" else None)
         fields[eng] = trace.field_arrays()
         iomod.write_snapshots(os.path.join(out, f"trace_{eng}.ndjson"), g, *fields[eng])
         iomod.write_diagnostics(os.path.join(out, f"diagnostics_{eng}.csv"), trace.diagnostics)

@@ -114,6 +114,15 @@ class MadelungOptions:
     guard_scale: float = 1e-8
     dissipation: bool = True
 
+    def __post_init__(self):
+        # the weight and the mask divide by rho^2 + floor^2 and rho^2 + g^2,
+        # so both squares must be finite and, where used, nonzero at rho = 0
+        f, g = self.hydro_floor, self.guard_scale
+        if not (f == 0.0 or (f > 0.0 and 0.0 < f * f < math.inf)):
+            raise ValueError("hydro_floor must be 0, or positive with a finite nonzero square")
+        if not (g > 0.0 and 0.0 < g * g < math.inf):
+            raise ValueError("guard_scale must be positive with a finite nonzero square")
+
 
 @dataclass(frozen=True)
 class DiagnosticsRow:
@@ -212,46 +221,76 @@ class _MadelungEngine:
     rho and phi are the two rows of one (2, n + 4) buffer, and the flux and
     sqrt(rho + floor) live in (n + 4) buffers; the two ghost cells per side
     are written by index before each stencil. Every term goes through out=
-    ufuncs into preallocated work arrays, in the operation order of the
-    plain expressions quoted in the comments, and the terms that rho and
-    phi share (the dissipation stencils and the RK4 stages) act on both rows
-    at once. A step allocates only the two arrays it returns.
+    ufuncs into preallocated work arrays, and the terms that rho and phi
+    share (the weight and mask division, the dissipation stencils and the
+    RK4 stages) act on both rows at once. A step allocates only the two
+    arrays it returns.
+
+    The grid constants are folded so that one right-hand side makes 26
+    ufunc calls. With the unscaled centered difference gp = pe_e - pe_w of
+    the phase, rp = max(rho, 0), sq = sqrt(rp + floor) and
+    kq = hbar / (2 m dx^2):
+
+        drho = (fe_w - fe_e) * (hbar/m)/(2dx)^2,  fe = rho * gp
+        dphi = w * (-(hbar/(8 m dx^2)) gp^2 + (-V/hbar - 2 kq) + kq * (se_e + se_w) / sq)
+
+    where the -2 kq is the -2 sq of the curvature stencil. The phase weight
+    and the dissipation mask come from one (2, n) division,
+
+        [w, r4s msk] = [rp^2, r4s g^2] / (rp^2 + [floor^2, g^2]),
+
+    g the guard scale, which is w = rp^2 / (rp^2 + floor^2) and
+    msk = 1 / (1 + (rp/g)^2). Both rows f = rho, phi are then smoothed by
+
+        df += r4s msk * ((c1/r4s)(ye + yw) - (c0/r4s) y - (yee + yww)),
+
+    c1 = r2/4 + r4/4 and c0 = r2/2 + 3 r4/8, the 5-point form of
+    msk (r2/4 d2f - r4/16 d4f).
     """
 
     def __init__(self, grid: Grid1D, p: PhysicalParams, boundary: str, opts: MadelungOptions):
         self.dx = dx = grid.dx
         self.n = n = grid.n
         hbar, m = p.hbar, p.m
-        self.hbar = hbar
         self.periodic = boundary == "periodic"
         self.floor = opts.hydro_floor
-        self.guard = opts.guard_scale
         self.dissipation = opts.dissipation
+        kr = (hbar / m) / (2.0 * dx) ** 2
+        kg = -(hbar / (8.0 * m * dx**2))
+        kq = hbar / (2.0 * m * dx**2)
+        vq = -(p.potential_on(grid) / hbar) - 2.0 * kq
         # dissipation rates scale with the grid so that dt * rate is constant
         # at the stability bound
         r2 = 4.0 * hbar / (m * dx**2)
         r4 = 1.0 * hbar / (m * dx**2)
-        self.r2q = r2 * 0.25
-        self.r4s = r4 / 16.0
-        self.two_dx = 2.0 * dx
-        self.dx2 = dx**2
-        self.hm = hbar / m
-        self.cq = -(hbar**2 / (2.0 * m))
-        self.c2m = hbar / (2.0 * m)
-        self.floor2 = self.floor * self.floor
-        self.v_hbar = p.potential_on(grid) / hbar
+        r4s = r4 / 16.0
+        c1 = (r2 / 4.0 + r4 / 4.0) / r4s  # c1/r4s and c0/r4s of the docstring
+        c0 = (r2 / 2.0 + 3.0 * r4 / 8.0) / r4s
+        # scalar operands as 0-d arrays: a ufunc converts a Python float on
+        # every call, which costs about as much as the arithmetic at n = 1024
+        self._consts = (*(np.array(v) for v in (kr, kq, kg, c1, c0, self.floor, 0.0)), vq)
 
         # padded state (rows rho, phi), flux and sqrt(rho + floor) buffers,
         # and the views the stencils read: interior, east and west neighbours
         pad, fe, se = np.zeros((2, n + 4)), np.zeros(n + 4), np.zeros(n + 4)
-        self._y, self._ye, self._yw = pad[:, 2:-2], pad[:, 3:-1], pad[:, 1:-3]
-        self._yee, self._yww = pad[:, 4:], pad[:, :-4]
-        self._views = (pad[0], pad[1], self._y[0], self._y[1], self._ye[1], self._yw[1],
-                       fe, fe[2:-2], fe[3:-1], fe[1:-3], se, se[2:-2], se[3:-1], se[1:-3])
+        y, ye, yw = pad[:, 2:-2], pad[:, 3:-1], pad[:, 1:-3]
+        self._y = y
+        self._views = (pad[0], pad[1], y[0], y[1], ye[1], yw[1],
+                       fe, fe[2:-2], fe[3:-1], fe[1:-3], se, se[2:-2], se[3:-1], se[1:-3],
+                       y, ye, yw, pad[:, 4:], pad[:, :-4])
         self._y0 = np.empty((2, n))
         self._k = [np.empty((2, n)) for _ in range(4)]
-        self._gp, self._rp, self._a, self._b, self._c = (np.empty(n) for _ in range(5))
-        self._a2, self._c2, self._d2 = (np.empty((2, n)) for _ in range(3))
+        self._k_rows = [(k, k[0], k[1]) for k in self._k]
+        # weight (row 0) and mask (row 1) division: numerator [rp^2, r4s g^2],
+        # denominator rp^2 + [floor^2, g^2]; only the rows in use are divided
+        g2 = opts.guard_scale * opts.guard_scale
+        num, wm = np.empty((2, n)), np.empty((2, n))
+        num[1] = r4s * g2
+        rows = slice(0 if self.floor > 0 else 1, 2 if self.dissipation else 1)
+        fg = np.array([[self.floor * self.floor], [g2]])[rows]
+        self._a2 = np.empty((2, n))
+        self._work = (np.empty(n), np.empty(n), np.empty(n), self._a2, np.empty((2, n)),
+                      num[0], num[rows], fg, wm[rows], wm[0], wm[1])
 
     def _winding(self, phi):
         # unwrapped phase of a periodic state advances by an exact multiple
@@ -273,81 +312,60 @@ class _MadelungEngine:
         else:
             buf[0], buf[1], buf[n + 2], buf[n + 3] = buf[3], buf[2], buf[n + 1], buf[n]
 
-    def _rhs(self, k):
+    def _rhs(self, i):
         """Time derivatives of the state in the padded buffer's interior,
-        written into k: row 0 drho/dt, row 1 dphi/dt."""
-        re, pe, rho, phi, pe_e, pe_w, fe, flux, fe_e, fe_w, se, sq, se_e, se_w = self._views
-        drho, dphi = k
-        gp, rp, a, b, c = self._gp, self._rp, self._a, self._b, self._c
+        written into stage buffer i: row 0 drho/dt, row 1 dphi/dt."""
+        (re, pe, rho, phi, pe_e, pe_w, fe, flux, fe_e, fe_w, se, sq, se_e, se_w,
+         y, ye, yw, yee, yww) = self._views
+        gp, rp, a, a2, c2, rp2, num, fg, wm, w, msk = self._work
+        kr, kq, kg, c1, c0, floor, zero, vq = self._consts
+        k, drho, dphi = self._k_rows[i]
 
-        # gp = (pe[3:-1] - pe[1:-3]) / (2 dx)
+        # gp = pe_e - pe_w, 2 dx times the phase gradient
         self._ghosts(pe, False, self._winding(phi) if self.periodic else 0.0)
         np.subtract(pe_e, pe_w, out=gp)
-        np.divide(gp, self.two_dx, out=gp)
-        # flux = rho * (hbar/m) * gp; odd ghost: zero flux through the wall
-        np.multiply(rho, self.hm, out=flux)
-        np.multiply(flux, gp, out=flux)
+        # flux = rho * gp; odd ghost: zero flux through the wall
+        np.multiply(rho, gp, out=flux)
         self._ghosts(fe, True)
-        # drho = -(fe[3:-1] - fe[1:-3]) / (2 dx)
-        np.subtract(fe_e, fe_w, out=drho)
-        np.negative(drho, out=drho)
-        np.divide(drho, self.two_dx, out=drho)
+        # drho = (fe_w - fe_e) * (hbar/m)/(2dx)^2
+        np.subtract(fe_w, fe_e, out=drho)
+        np.multiply(drho, kr, out=drho)
 
-        # quantum = -(hbar^2/2m) * ((se[3:-1] - 2 sq + se[1:-3]) / dx^2) / sq,
-        # sq = sqrt(max(rho, 0) + floor); odd ghost: sqrt(rho) -> 0 at the wall
-        np.maximum(rho, 0.0, out=rp)
-        np.add(rp, self.floor, out=sq)
+        # sq = sqrt(rp + floor), rp = max(rho, 0); odd ghost: sqrt(rho) -> 0
+        # at the wall
+        np.maximum(rho, zero, out=rp)
+        np.add(rp, floor, out=sq)
         np.sqrt(sq, out=sq)
         self._ghosts(se, True)
-        np.multiply(sq, 2.0, out=a)
-        np.subtract(se_e, a, out=a)
-        np.add(a, se_w, out=a)
-        np.divide(a, self.dx2, out=a)
-        np.multiply(a, self.cq, out=a)
+        # dphi = -(hbar/(8 m dx^2)) gp^2 + (-V/hbar - 2 kq) + kq * (se_e + se_w) / sq
+        np.add(se_e, se_w, out=a)
+        np.multiply(a, kq, out=a)
         np.divide(a, sq, out=a)
-        # dphi = -w * ((hbar/2m) gp^2 + V/hbar + quantum/hbar), with
-        # w = rp^2 / (rp^2 + floor^2), or 1 for the bare scheme
         np.multiply(gp, gp, out=dphi)
-        np.multiply(dphi, self.c2m, out=dphi)
-        np.add(dphi, self.v_hbar, out=dphi)
-        np.divide(a, self.hbar, out=a)
+        np.multiply(dphi, kg, out=dphi)
+        np.add(dphi, vq, out=dphi)
         np.add(dphi, a, out=dphi)
+
+        # [w, r4s msk] = [rp^2, r4s g^2] / (rp^2 + [floor^2, g^2]); the bare
+        # scheme (floor 0, no dissipation) uses neither row
+        if self.floor > 0 or self.dissipation:
+            np.multiply(rp, rp, out=rp2)
+            np.add(rp2, fg, out=wm)
+            np.divide(num, wm, out=wm)
         if self.floor > 0:
-            np.multiply(rp, rp, out=b)
-            np.add(b, self.floor2, out=c)
-            np.divide(b, c, out=b)
-            np.negative(b, out=b)
-            np.multiply(b, dphi, out=dphi)
-        else:
-            np.multiply(dphi, -1.0, out=dphi)
+            np.multiply(dphi, w, out=dphi)
 
         if self.dissipation:
-            # msk = 1 / (1 + (rp/guard)^2)
-            np.divide(rp, self.guard, out=b)
-            np.multiply(b, b, out=b)
-            np.add(b, 1.0, out=b)
-            np.divide(1.0, b, out=b)
             # for f = rho, phi (even ghosts, phi's shifted by the winding):
-            # df += msk * (r2/4 * d2f - r4/16 * d4f), where
-            # d2f = pad[3:-1] - 2 f + pad[1:-3] and
-            # d4f = pad[4:] - 4 pad[3:-1] + 6 f - 4 pad[1:-3] + pad[:-4]
+            # df += r4s msk * ((c1/r4s)(ye + yw) - (c0/r4s) y - (yee + yww))
             self._ghosts(re, False)
-            y, ye, yw = self._y, self._ye, self._yw
-            a2, c2, d2 = self._a2, self._c2, self._d2
-            np.multiply(y, 2.0, out=a2)
-            np.subtract(ye, a2, out=a2)
-            np.add(a2, yw, out=a2)
-            np.multiply(a2, self.r2q, out=a2)
-            np.multiply(ye, 4.0, out=c2)
-            np.subtract(self._yee, c2, out=c2)
-            np.multiply(y, 6.0, out=d2)
-            np.add(c2, d2, out=c2)
-            np.multiply(yw, 4.0, out=d2)
-            np.subtract(c2, d2, out=c2)
-            np.add(c2, self._yww, out=c2)
-            np.multiply(c2, self.r4s, out=c2)
+            np.add(ye, yw, out=a2)
+            np.multiply(a2, c1, out=a2)
+            np.multiply(y, c0, out=c2)
             np.subtract(a2, c2, out=a2)
-            np.multiply(a2, b, out=a2)
+            np.add(yee, yww, out=c2)
+            np.subtract(a2, c2, out=a2)
+            np.multiply(a2, msk, out=a2)
             np.add(k, a2, out=k)
 
     def step(self, rho, phi, dt):
@@ -358,24 +376,23 @@ class _MadelungEngine:
             np.copyto(y0[0], rho)
             np.copyto(y0[1], phi)
             np.copyto(y, y0)
-            self._rhs(k[0])
+            self._rhs(0)
             # stage i integrates from y0 + h k_(i-1)
             for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
                 np.multiply(k[i - 1], h, out=y)
                 np.add(y0, y, out=y)
-                self._rhs(k[i])
-            # y0 + (dt/6) (k1 + 2 k2 + 2 k3 + k4)
-            np.multiply(k[1], 2.0, out=a2)
-            np.add(k[0], a2, out=a2)
-            np.multiply(k[2], 2.0, out=self._c2)
-            np.add(a2, self._c2, out=a2)
+                self._rhs(i)
+            # y0 + (dt/6) (2 (k2 + k3) + k1 + k4)
+            np.add(k[1], k[2], out=a2)
+            np.multiply(a2, 2.0, out=a2)
+            np.add(a2, k[0], out=a2)
             np.add(a2, k[3], out=a2)
             np.multiply(a2, dt / 6.0, out=a2)
             rho = np.add(rho, a2[0])
             phi = np.add(phi, a2[1])
         np.maximum(rho, 0.0, out=rho)
         z = float(rho.sum() * self.dx)
-        if not (np.isfinite(z) and z > 0.0 and np.all(np.isfinite(phi))):
+        if not (math.isfinite(z) and z > 0.0 and np.all(np.isfinite(phi))):
             return rho, phi, np.inf
         rho /= z
         return rho, phi, abs(z - 1.0)
@@ -422,19 +439,34 @@ def _diag_row(t, h, p, norm, renorm):
     )
 
 
+def madelung_start(
+    initial: WaveFunction,
+    p: PhysicalParams,
+    cfg: EvolutionConfig,
+    node_floor: float = DEFAULT_NODE_FLOOR,
+) -> HydroState:
+    """The density-phase engine's up-front checks, in order: the dt bound,
+    then the conversion of the normalized initial state, which raises
+    NodeError below node_floor. Returns the converted state."""
+    cfg.check_stability(initial.grid, p)
+    return to_hydro(initial.normalized(), node_floor)
+
+
 def evolve(
     initial: WaveFunction,
     p: PhysicalParams,
     cfg: EvolutionConfig,
     node_floor: float = DEFAULT_NODE_FLOOR,
     madelung_opts: Optional[MadelungOptions] = None,
+    start: Optional[HydroState] = None,
 ) -> EvolutionTrace:
     """Run the configured engine over [0, t_final], recording snapshots.
 
     Snapshots land every snapshot_stride steps, always including t = 0 and
-    t_final. The density-phase engine converts the initial state once via
-    to_hydro (node check active with the given floor) and records
-    HydroState snapshots; diagnostic energies skip the node check.
+    t_final. The density-phase engine starts from madelung_start (dt bound,
+    node check active with the given floor), or from start when a caller
+    has already run it, and records HydroState snapshots; diagnostic
+    energies skip the node check.
     """
     grid = initial.grid
     n_steps = _steps_for(cfg.t_final, cfg.dt)
@@ -460,8 +492,7 @@ def evolve(
                 raise SolverError(f"{e} (t={t + cfg.dt:g})") from None
         return trace
 
-    cfg.check_stability(grid, p)
-    h0 = to_hydro(initial.normalized(), node_floor)
+    h0 = start if start is not None else madelung_start(initial, p, cfg, node_floor)
     eng = _MadelungEngine(grid, p, cfg.boundary, madelung_opts or MadelungOptions())
     rho, phi = h0.rho, h0.phi
     worst_renorm = 0.0

@@ -122,7 +122,7 @@ def device_state(psi: WaveFunction) -> np.ndarray:
 def born_probabilities(dev: DiscreteDevice, psi) -> np.ndarray:
     """p_i = |<a_i|psi>|^2; sums to 1 by completeness."""
     psi = np.asarray(psi, dtype=complex)
-    return np.abs(dev.basis.conj() @ psi) ** 2
+    return np.abs(dev.unitary @ psi) ** 2  # row i of U is conj(a_i)
 
 
 def apply_device(dev: DiscreteDevice, psi) -> np.ndarray:

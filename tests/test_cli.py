@@ -244,6 +244,24 @@ def test_node_error_maps_to_exit_3(ini, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "NodeError"
 
 
+@pytest.mark.parametrize("overrides, error, message", [
+    # dt = 1e-2 is over the Madelung bound 6.25e-3 at dx = 0.25
+    ({"evolution__dt": "1e-2", "evolution__t_final": 0.1, "evolution__node_floor": 0},
+     "StabilityError", "exceeds the stability bound"),
+    ({}, "NodeError", "node floor"),
+], ids=["dt_bound", "node_floor"])
+def test_engine_both_checks_every_engine_before_stepping(
+        overrides, error, message, ini, tmp_path, capsys):
+    """A Madelung check that fails up front stops the run before the
+    Schrodinger engine steps, so no trace or diagnostics file is written."""
+    out = tmp_path / "o"
+    cfg = ini(evolution__engine="both", **overrides)
+    assert run("evolve", "--config", cfg, "--out", str(out)) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error and message in err["message"]
+    assert listdir(out) == ["resolved.ini"]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("field", ["basis", "eigenvalues"])
 def test_non_finite_file_device_maps_to_exit_3(field, value, ini, tmp_path, capsys):

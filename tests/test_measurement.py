@@ -62,6 +62,40 @@ def test_fourier_born_is_fft():
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _random_unitary_device(dim, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return build_device(q, np.arange(dim))
+
+
+@pytest.mark.parametrize("dev", [
+    fourier_device(8), fourier_device(64), identity_device(16),
+    _random_unitary_device(12, 5), _random_unitary_device(40, 9),
+], ids=["fourier8", "fourier64", "identity16", "random12", "random40"])
+def test_born_probabilities_read_the_unitary_bitwise(dev):
+    """born_probabilities projects with dev.unitary, which build_device sets
+    to basis.conj(): the same bits as conjugating the basis per call."""
+    psi = random_state(dev.dim, seed=4)
+    ref = np.abs(dev.basis.conj() @ psi) ** 2
+    assert born_probabilities(dev, psi).tobytes() == ref.tobytes()
+
+
+def test_born_probabilities_allocate_no_matrix():
+    """The projection allocates O(n): an n x n conjugate copy of the basis
+    would show as 16 n^2 bytes in the traced peak."""
+    import tracemalloc
+
+    dev = fourier_device(256)
+    psi = random_state(256)
+    tracemalloc.start()
+    try:
+        born_probabilities(dev, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 256 * 256 // 4
+
+
 def test_build_device_rejects_bad_basis():
     rows = np.eye(4, dtype=complex)
     rows[0, 0] = 2.0  # not unit norm
