@@ -14,6 +14,11 @@ Exit codes:
     5  validate ran and at least one criterion failed
 
 Errors are reported as a single JSON line on stderr: {"error": ..., "message": ...}.
+
+trajectories keeps every particle's position at every snapshot until it
+writes the ensemble file, so a run that would hold more than
+MAX_ENSEMBLE_POSITIONS of them (n_particles x snapshots) is refused up
+front with exit 2, before anything is evolved or allocated.
 """
 
 import argparse
@@ -39,6 +44,9 @@ from .stats import (
     make_test_record,
 )
 from .trajectories import SAMPLER_MODES, TraceFields, advance_ensemble, sample_initial
+
+# 1e8 float64 positions are 0.8 GB
+MAX_ENSEMBLE_POSITIONS = 10**8
 
 
 def _resolve_out(args, cfg, required=True):
@@ -102,6 +110,11 @@ def cmd_trajectories(args) -> int:
     # particles read fields from one trace; the wavefunction engine is the
     # reference when the config asks for both
     ecfg = cfg.evolution_config(engine="schrodinger" if requested == "both" else requested)
+    snapshots = ecfg.n_snapshots()
+    if n_particles * snapshots > MAX_ENSEMBLE_POSITIONS:
+        raise ConfigError(
+            f"[sampler] n_particles x snapshots = {n_particles} x {snapshots} exceeds "
+            f"the limit of {MAX_ENSEMBLE_POSITIONS:g} stored positions")
     trace = evolve(cfg.initial_state(), p, ecfg, node_floor=cfg.node_floor())
     fields = TraceFields.from_trace(trace, p)
     ts, rhos = fields.ts, fields.rhos

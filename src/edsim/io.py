@@ -60,12 +60,20 @@ def atomic_write(path, text):
 def write_snapshots(path, grid, ts, rhos, phis):
     """NDJSON, one record per snapshot: t, x, rho, phi, from the arrays of
     EvolutionTrace.field_arrays() on grid. The cell centres are the same in
-    every record and are formatted once."""
-    x = ", ".join(_f(v) for v in grid.cells)
+    every record and are formatted once. Each array fills a
+    "%.17g, %.17g, ..." template with a single % ("%.17g" of a float is
+    exactly _f)."""
+    x = _f_join(grid.cells)
     atomic_write(path, (
         '{"t": %s, "x": [%s], "rho": [%s], "phi": [%s]}\n'
-        % (_f(t), x, ", ".join(_f(v) for v in rho), ", ".join(_f(v) for v in phi))
+        % (_f(t), x, _f_join(rho), _f_join(phi))
         for t, rho, phi in zip(ts, rhos, phis)))
+
+
+def _f_join(a) -> str:
+    """", ".join(_f(v) for v in a), by one % on a template."""
+    values = np.asarray(a, dtype=float).tolist()
+    return ", ".join(["%.17g"] * len(values)) % tuple(values)
 
 
 def read_snapshots(path):

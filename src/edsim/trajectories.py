@@ -11,6 +11,7 @@ marginal distribution and differ only path-wise.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,17 +67,81 @@ def sample_initial(rho, grid: Grid1D, n: int, seed) -> Ensemble:
 
 
 def _apply_boundary(x, grid, boundary):
+    """Map positions back into the domain, in place."""
     if boundary == "periodic":
-        return grid.x_min + np.mod(x - grid.x_min, grid.length)
+        x -= grid.x_min
+        np.mod(x, grid.length, out=x)
+        x += grid.x_min
+        return
     # reflecting wall; displacements are small, but loop in case of corners
     for _ in range(8):
         over = x > grid.x_max
         under = x < grid.x_min
         if not (over.any() or under.any()):
             break
-        x = np.where(over, 2.0 * grid.x_max - x, x)
-        x = np.where(under, 2.0 * grid.x_min - x, x)
-    return x
+        x[over] = 2.0 * grid.x_max - x[over]
+        x[under] = 2.0 * grid.x_min - x[under]
+
+
+class GridInterp:
+    """np.interp(x, cells, fp) on a uniform grid, bit for bit, for several
+    tables read at the same positions.
+
+    locate(x) finds each position's cell bracket once, from one division
+    and one compare on each side, where np.interp runs a binary search per
+    position and per table; values(at, fp) then reads a table there. The
+    arithmetic is np.interp's: with cells[j] <= x < cells[j+1] and
+    slope[j] = (fp[j+1] - fp[j]) / (cells[j+1] - cells[j]), the value is
+    slope[j] * (x - cells[j]) + fp[j]; it is fp[0] below cells[0], fp[-1] at
+    or above cells[-1], and fp[j] on node j. Positions and slopes must be
+    finite, as they are for the drift tables.
+
+    Brackets are numbered i = j + 1 in [0, n], so that i = 0 (below the
+    first node) and i = n (at or past the last) index padded tables: a
+    left node cells[0] and fp[0] with slope +0.0 at i = 0, and cells[-1]
+    and fp[-1] with slope -0.0 at i = n. The slope times the offset is then
+    -0.0 at both ends, which leaves fp[0] and fp[-1] exact, -0.0 included.
+    """
+
+    def __init__(self, cells, dx):
+        n = len(cells)
+        self.cells = cells
+        self.dx = dx
+        self._left = np.concatenate((cells[:1], cells))
+        self._spacing = np.diff(cells)
+        self._slope = np.empty(n + 1)
+        self._slope[0], self._slope[n] = 0.0, -0.0
+        self._fp = np.empty(n + 1)
+
+    def locate(self, x):
+        """(i, x - left node, positions on a node) for every position."""
+        cells = self.cells
+        est = x - cells[0]
+        est /= self.dx
+        np.clip(est, 0.0, len(cells) - 2, out=est)
+        i = est.astype(np.intp)
+        i += 1
+        # the estimate is off by at most one cell either way
+        i -= x < self._left[i]
+        i += x >= cells[i]
+        d = x - self._left[i]
+        return i, d, np.flatnonzero(d == 0.0)
+
+    def values(self, at, fp):
+        """The table fp (one value per cell) at the located positions."""
+        i, d, on_node = at
+        f, s = self._fp, self._slope
+        f[0] = fp[0]
+        f[1:] = fp
+        np.subtract(fp[1:], fp[:-1], out=s[1:-1])
+        s[1:-1] /= self._spacing
+        out = s[i]
+        out *= d
+        out += f[i]
+        if on_node.size:
+            # slope * 0 + fp[j] would turn fp[j] = -0.0 into +0.0
+            out[on_node] = f[i[on_node]]
+        return out
 
 
 @dataclass(frozen=True)
@@ -118,7 +183,9 @@ def advance_ensemble(
 ) -> Ensemble:
     """Euler(-Maruyama) advance of every particle from ens.t to t_target
     (default: the end of the trace), reading fields from the trace with
-    linear interpolation in time and space.
+    linear interpolation in time and space. Each step finds every
+    particle's cell once (GridInterp) and reads each drift table there,
+    with the values np.interp gives, bit for bit.
 
     trace is a TraceFields or an EvolutionTrace; pass a TraceFields when
     advancing the same trace more than once, so its fields and drift
@@ -146,31 +213,44 @@ def advance_ensemble(
     if abs(ens.t + n_steps * dt - t_target) > tol:
         raise ValueError("advance interval must be an integer number of dt steps")
 
-    cells = grid.cells
     diffusion = p.hbar / (2.0 * p.m)
     noise_amp = np.sqrt(2.0 * diffusion * dt)
+    times, last = ts.tolist(), len(ts) - 2
 
-    def blend(tab, t):
-        k = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2))
-        th = (t - ts[k]) / (ts[k + 1] - ts[k])
+    def snapshot(t):
+        """The interval k of ts that t falls in, and how far along it."""
+        k = min(max(bisect_right(times, t) - 1, 0), last)
+        return k, (t - times[k]) / (times[k + 1] - times[k])
+
+    def blend(tab, k, th):
         return (1.0 - th) * tab[k] + th * tab[k + 1]
 
+    interp = GridInterp(grid.cells, grid.dx)
     rng = restore_rng(ens.rng_state)
     x = ens.positions.copy()
     for s in range(n_steps):
         t = ens.t + s * dt
-        drift = np.interp(x, cells, blend(v_tab, t))
+        k, th = snapshot(t)
+        at = interp.locate(x)
+        drift = interp.values(at, blend(v_tab, k, th))
         if mode == ENTROPIC_DIFFUSION:
-            drift = drift + diffusion * np.interp(x, cells, blend(u_tab, t))
-            x = x + drift * dt + noise_amp * rng.standard_normal(len(x))
+            osmotic = interp.values(at, blend(u_tab, k, th))
+            osmotic *= diffusion
+            drift += osmotic
+            drift *= dt
+            x += drift
+            noise = rng.standard_normal(len(x))
+            noise *= noise_amp
+            x += noise
         else:
-            x = x + drift * dt
-        x = _apply_boundary(x, grid, boundary)
+            drift *= dt
+            x += drift
+        _apply_boundary(x, grid, boundary)
         if mode == ENTROPIC_DIFFUSION and node_floor > 0:
             idx = np.clip(
                 np.floor((x - grid.x_min) / grid.dx).astype(int), 0, grid.n - 1
             )
-            rho_here = blend(rhos, t + dt)[idx]
+            rho_here = blend(rhos, *snapshot(t + dt))[idx]
             if float(np.min(rho_here)) < node_floor:
                 raise NodeError(
                     f"particle entered a cell with rho below {node_floor:g} "

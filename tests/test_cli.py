@@ -178,6 +178,8 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     ("measure", {"initial__mu": "1e6"}),
     # level! no longer fits in a float
     ("evolve", {"initial__preset": "eigenstate", "initial__level": 200}),
+    # 1e11 particles x 3 snapshots of positions: refused before any allocation
+    ("trajectories", {"sampler__n_particles": 100000000000}),
 ])
 def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
     cfg = ini(**overrides)
@@ -235,6 +237,32 @@ def test_evolve_both_converts_each_schrodinger_snapshot_at_most_twice(ini, tmp_p
         assert len(calls) == snapshots + 1
         with open(out / "compare_l1.csv") as fh:
             assert sum(1 for _ in fh) == 1 + snapshots
+
+
+def test_ensemble_limit_counts_the_recorded_positions(ini, tmp_path, monkeypatch, capsys):
+    """The limit is on n_particles x snapshots: 200 particles at the 5
+    snapshots t = 0, 3, 6, 9 and 10 dt."""
+    cfg = ini(evolution__snapshot_stride=3)
+    monkeypatch.setattr(cli, "MAX_ENSEMBLE_POSITIONS", 200 * 5)
+    assert run("trajectories", "--config", cfg, "--out", str(tmp_path / "a")) == 0
+    with open(tmp_path / "a" / "ensemble_current_flow.csv") as fh:
+        assert sum(1 for _ in fh) == 1 + 200 * 5
+    monkeypatch.setattr(cli, "MAX_ENSEMBLE_POSITIONS", 200 * 5 - 1)
+    assert run("trajectories", "--config", cfg, "--out", str(tmp_path / "b")) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "200 x 5" in err["message"]
+
+
+def test_finite_madelung_blow_up_maps_to_exit_3(ini, tmp_path, capsys):
+    # four steps inside the dt bound that renormalize by 2.68, 0.64, 8.1, 1.8e12
+    cfg = ini(grid__n=8, initial__mu=0.6, initial__sigma=0.6, initial__k=0.0988,
+              evolution__engine="madelung", evolution__dt=0.3952,
+              evolution__t_final=1.5808, evolution__snapshot_stride=1,
+              evolution__node_floor=0)
+    assert run("evolve", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "StabilityError"
+    assert "renormalization correction" in err["message"] and "(t=0.3952)" in err["message"]
 
 
 def test_node_error_maps_to_exit_3(ini, tmp_path, capsys):

@@ -135,6 +135,23 @@ def test_bare_scheme_blows_up():
         )
 
 
+def test_finite_blow_up_raises():
+    """A run can blow up with every field still finite: inside the dt bound,
+    these four steps renormalize the norm by 2.68, 0.64, 8.1 and 1.8e12 and
+    take the energy from 0.24 to 4e27. The first step already exceeds
+    RENORM_LIMIT, so both evolve and madelung_step refuse it."""
+    g = Grid1D(-8.0, 8.0, 8)
+    psi = WaveFunction(g, free_gaussian(g.cells, sigma0=0.6, k0=0.0988, x0=0.6)).normalized()
+    dt = 0.0988 * g.dx**2
+    cfg = EvolutionConfig(dt=dt, t_final=4 * dt, engine="madelung")
+    assert dt < cfg.stability_limit(g, PhysicalParams())
+    with pytest.raises(StabilityError,
+                       match=r"renormalization correction 2\.68 exceeds 0\.001 \(t=0\.3952\)"):
+        evolve(psi, PhysicalParams(), cfg, node_floor=0.0)
+    with pytest.raises(StabilityError, match="renormalization correction 2.68"):
+        madelung_step(to_hydro(psi, node_floor=0.0), PhysicalParams(), dt, node_floor=0.0)
+
+
 def test_dt_bound_enforced_upfront():
     g = Grid1D(-15.0, 15.0, 512)
     cfg = EvolutionConfig(dt=1e-2, t_final=0.1, engine="madelung")

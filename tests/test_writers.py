@@ -65,9 +65,8 @@ def ref_ensemble_csv(times, positions) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ref_snapshots(trace) -> str:
-    ts, rhos, phis = trace.field_arrays()
-    x = trace.grid.cells
+def ref_snapshots(grid, ts, rhos, phis) -> str:
+    x = grid.cells
     lines = [
         '{"t": %s, "x": [%s], "rho": [%s], "phi": [%s]}' % (
             iomod._f(t),
@@ -285,9 +284,21 @@ def small_trace():
                   EvolutionConfig(dt=1e-3, t_final=0.01, snapshot_stride=5))
 
 
-@pytest.mark.parametrize("make", [hand_trace, small_trace], ids=["hand", "evolved"])
+def special_fields():
+    """Raw field arrays, past what a trace holds: -0.0, subnormals, nan,
+    +-inf and 17-digit values in every column, and no trace at all."""
+    g = Grid1D(-0.1 - 0.2, 1.0 / 3.0, 12)
+    rho = np.array([-0.0, 5e-324, -5e-324, 2.0**-1074, np.nan, np.inf, -np.inf,
+                    0.1 + 0.2, 1.0 / 3.0, 1e300, -1.25, 0.0])
+    return g, [-0.0, 0.1 + 0.2, np.nan], [rho, rho[::-1], -rho], [-rho, rho * 3.0, rho]
+
+
+@pytest.mark.parametrize("make", [hand_trace, small_trace, special_fields],
+                         ids=["hand", "evolved", "special"])
 def test_snapshots_match_reference(make, tmp_path):
-    trace = make()
+    fields = make()
+    if isinstance(fields, EvolutionTrace):
+        fields = (fields.grid, *fields.field_arrays())
     path = tmp_path / "trace.ndjson"
-    iomod.write_snapshots(path, trace.grid, *trace.field_arrays())
-    assert path.read_text() == ref_snapshots(trace)
+    iomod.write_snapshots(path, *fields)
+    assert path.read_text() == ref_snapshots(*fields)
