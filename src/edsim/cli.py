@@ -18,12 +18,16 @@ Errors are reported as a single JSON line on stderr: {"error": ..., "message": .
 trajectories keeps every particle's position at every snapshot until it
 writes the ensemble file, so a run that would hold more than
 MAX_ENSEMBLE_POSITIONS of them (n_particles x snapshots) is refused up
-front with exit 2, before anything is evolved or allocated.
+front with exit 2, before anything is evolved or allocated. With mode =
+both the second mode can run in a forked worker (_run_modes) that holds
+its own positions, so the limit holds per process.
 """
 
 import argparse
 import json
 import os
+import pickle
+import signal
 import sys
 
 import numpy as np
@@ -95,6 +99,64 @@ def cmd_evolve(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_modes(run, modes):
+    """run(mode) for every mode, with the outcome of running them in order.
+
+    With two modes, os.fork and at least two usable CPUs, the first mode
+    runs in this process while the second runs in one forked worker;
+    otherwise every mode runs here, one after the other. The worker sends
+    (None,) or its pickled exception back over a pipe and always ends with
+    os._exit, and this process always reaps it, also when the first mode
+    fails. Errors keep mode order: the first mode's error, else the
+    worker's, else a RuntimeError naming how the worker died.
+    """
+    if len(modes) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
+        for mode in modes:
+            run(mode)
+        return
+    first, second = modes
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            try:
+                run(second)
+                result = (None,)
+            except BaseException as e:  # re-raised by the parent
+                result = (e,)
+            with open(wfd, "wb") as fh:
+                pickle.dump(result, fh)
+            status = 0
+        finally:
+            # never return into the caller's frames: no atexit hooks, and no
+            # second flush of output buffered before the fork
+            os._exit(status)
+    os.close(wfd)
+    try:
+        run(first)
+    finally:
+        with open(rfd, "rb") as fh:
+            report = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        raise RuntimeError(
+            f"the {second} worker was killed by signal {-code} ({signal.strsignal(-code)})")
+    if code:
+        raise RuntimeError(f"the {second} worker exited with status {code} and no result")
+    (error,) = pickle.loads(report)
+    if error is not None:
+        raise error
+
+
 def cmd_trajectories(args) -> int:
     cfg, out = _setup(args)
     g = cfg.grid()
@@ -127,7 +189,10 @@ def cmd_trajectories(args) -> int:
     requested_mode = cfg.values["sampler"]["mode"]
     modes = SAMPLER_MODES if requested_mode == "both" else (requested_mode,)
     final_cdf = cdf_from_density(g, rhos[-1])
-    for mode in modes:
+
+    def run_mode(mode):
+        # each mode draws its own stream from the seed, so the modes are
+        # independent and may run in either process
         ens = sample_initial(rhos[0], g, n_particles, cfg.seed())
         times, positions = [ens.t], [ens.positions]
         for t in ts[1:]:
@@ -142,6 +207,8 @@ def cmd_trajectories(args) -> int:
         iomod.write_test_record(
             os.path.join(out, f"ks_{mode}.json"),
             make_test_record(f"ks_{mode}", d, crit, n_particles, bool(d < crit)))
+
+    _run_modes(run_mode, modes)
     return 0
 
 

@@ -3,11 +3,15 @@
 import csv
 import itertools
 import json
+import os
+import re
+import signal
 
 import pytest
 
 from edsim import cli, dynamics, fourier_device, noisy_likelihood
 from edsim.io import read_snapshots, write_device, write_likelihood_csv
+from edsim.trajectories import ENTROPIC_DIFFUSION, SAMPLER_MODES
 
 DEFAULTS = {
     "grid": {"x_min": -8, "x_max": 8, "n": 64},
@@ -102,6 +106,121 @@ def test_trajectories(ini, tmp_path):
     assert rec["test"] == "ks_current_flow"
     assert rec["n"] == 200
     assert isinstance(rec["pass"], bool)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers that os.fork makes during the test."""
+    pids = []
+    real = os.fork
+
+    def counted():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def take_path(monkeypatch, path):
+    """Make cmd_trajectories take the "forked" or the "inline" path, through
+    its CPU probe alone."""
+    cpus = 2 if path == "forked" else 1
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("path", ["forked", "inline"])
+@pytest.mark.parametrize("seed", [3, 17])
+def test_both_modes_match_single_mode_runs(seed, path, forks, monkeypatch, ini, tmp_path):
+    """mode = both writes each mode's ensemble and KS record byte for byte
+    as a run of that mode alone does, whether the second mode runs in a
+    forked worker or in-process."""
+    take_path(monkeypatch, path)
+    both = tmp_path / "both"
+    assert run("trajectories", "--config", ini(sampler__mode="both"),
+               "--out", str(both), "--seed", str(seed)) == 0
+    assert len(forks) == (path == "forked")
+    assert_no_child_left()
+    assert listdir(both) == sorted(
+        ["resolved.ini"] + [f"{kind}_{m}.{ext}" for m in SAMPLER_MODES
+                            for kind, ext in (("ensemble", "csv"), ("ks", "json"))])
+    for mode in SAMPLER_MODES:
+        single = tmp_path / mode
+        assert run("trajectories", "--config", ini(sampler__mode=mode),
+                   "--out", str(single), "--seed", str(seed)) == 0
+        for name in (f"ensemble_{mode}.csv", f"ks_{mode}.json"):
+            assert (both / name).read_bytes() == (single / name).read_bytes()
+    assert len(forks) == (path == "forked")
+
+
+@pytest.mark.parametrize("case, code, error", [
+    # the floor trips on the entropic_diffusion tails; current_flow has no check
+    ("node_error", 3, "NodeError"),
+    # a directory where the ensemble file's rename lands
+    ("squatter", 4, "IsADirectoryError"),
+    # both modes fail: the first mode's error is the one reported
+    ("both_fail", 4, "IsADirectoryError"),
+])
+@needs_fork
+def test_worker_errors_match_inline(case, code, error, forks, monkeypatch, ini, tmp_path,
+                                    capsys):
+    """An error in either mode gives the same exit code, JSON stderr line
+    and files on the forked path as in-process, and leaves no temp file
+    and no child process behind."""
+    floor = {"evolution__node_floor": 0.05} if case != "squatter" else {}
+    squat = {"node_error": None, "squatter": ENTROPIC_DIFFUSION,
+             "both_fail": "current_flow"}[case]
+    cfg = ini(sampler__mode="both", **floor)
+    seen = {}
+    for path in ("forked", "inline"):
+        take_path(monkeypatch, path)
+        out = tmp_path / path
+        out.mkdir()
+        if squat:
+            (out / f"ensemble_{squat}.csv").mkdir()
+        assert run("trajectories", "--config", cfg, "--out", str(out)) == code
+        assert_no_child_left()
+        assert not list(out.glob("*.tmp"))
+        err = capsys.readouterr().err.replace(str(out), "<out>")
+        assert json.loads(err)["error"] == error
+        # the temp file's name is random on either path
+        seen[path] = re.sub(r"/tmp\w+\.tmp'", "/<tmp>'", err), listdir(out)
+    assert seen["forked"] == seen["inline"]
+    assert len(forks) == 1
+
+
+@needs_fork
+def test_killed_worker_exits_1_naming_mode_and_signal(forks, monkeypatch, ini, tmp_path, capsys):
+    real, runner = cli.advance_ensemble, os.getpid()
+
+    def advance(ens, fields, dt, mode, *args, **kwargs):
+        # only ever in a worker: the test runner itself must survive
+        if mode == ENTROPIC_DIFFUSION and os.getpid() != runner:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(ens, fields, dt, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "advance_ensemble", advance)
+    take_path(monkeypatch, "forked")
+    out = tmp_path / "o"
+    assert run("trajectories", "--config", ini(sampler__mode="both"), "--out", str(out)) == 1
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert not list(out.glob("*.tmp"))
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "RuntimeError"
+    assert ENTROPIC_DIFFUSION in err["message"] and f"signal {int(signal.SIGKILL)}" in err["message"]
+    assert listdir(out) == ["ensemble_current_flow.csv", "ks_current_flow.json", "resolved.ini"]
 
 
 def test_measure(ini, tmp_path):

@@ -264,6 +264,33 @@ def test_bitwise_cases_cross_walls_and_trip_node_floors(monkeypatch):
                              node_floor=NODE_FLOOR_MID_TRACE)
 
 
+_L_GRIDS = st.tuples(
+    st.one_of(st.just(0.0), st.just(-0.0), st.floats(-50.0, 50.0)),
+    st.floats(1e-3, 100.0),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid=_L_GRIDS, data=st.data())
+def test_periodic_wrap_is_np_mod_bitwise(grid, data):
+    """The in-place fmod wrap gives np.mod's positions by bytes: on +-0.0,
+    +-L, +-2L, one ulp inside L, subnormals and tiny negatives as offsets
+    from x_min (exact when x_min is +-0.0), and on arbitrary positions."""
+    x_min, length = grid
+    g = Grid1D(x_min, x_min + length, 8)
+    L = g.length
+    special = np.array([
+        0.0, -0.0, L, -L, 2 * L, -2 * L, np.nextafter(L, 0), -np.nextafter(L, 0),
+        5e-324, -5e-324, 2.2e-308, -2.2e-308, -1e-300, -1e-17, -L * 1e-16, 3 * L + 1e-9,
+    ])
+    offsets = np.concatenate((special, data.draw(
+        arrays(float, st.integers(0, 60), elements=st.floats(-3 * L, 4 * L)))))
+    x = offsets if x_min == 0.0 else x_min + offsets
+    expected = _ref_apply_boundary(x.copy(), g, "periodic")
+    trajectories._apply_boundary(x, g, "periodic")
+    assert x.tobytes() == expected.tobytes()
+
+
 # The stepping loop as it stood before GridInterp, verbatim but for the
 # names: the reference of test_advance_is_bitwise_np_interp_loop.
 
