@@ -62,8 +62,7 @@ def main():
         for k in range(len(ts)):
             if k:
                 prev = ens.positions
-                ens = advance_ensemble(ens, fields, cfg.dt, mode, p,
-                                       t_target=float(ts[k]))
+                ens = advance_ensemble(ens, fields, cfg.dt, mode, t_target=float(ts[k]))
                 steps.append(np.mean(np.abs(ens.positions - prev)))
             qs = np.quantile(ens.positions, QS)
             lines.append(",".join([f"{ts[k]:.17g}"] + [f"{v:.17g}" for v in qs]))

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import RangeError, ZeroEvidenceError
 from .measurement import DiscreteDevice, born_probabilities, draw_outcomes
 from .seeding import stream_rng
+from .trajectories import draw_cells
 
 _COLUMN_TOL = 1e-12
 
@@ -138,16 +139,18 @@ class ExperimentLog:
 def draw_by_column(cum, cols, u) -> np.ndarray:
     """Categorical draws from the columns of a cumulative table.
 
-    Entry k is the number of entries of cum[:, cols[k]] below u[k], the
-    same integers as (u[None, :] > cum[:, cols]).sum(axis=0) for columns
-    that never decrease. Trials are grouped by column and each distinct
-    column is searched once, so nothing of size rows x trials is built.
+    Entry k is draw_cells(cum[:, cols[k]], u[k]): the number of entries of
+    that column below u[k], capped at the last row, the same integers as
+    np.minimum((u[None, :] > cum[:, cols]).sum(axis=0), rows - 1) for
+    columns that never decrease. Trials are grouped by column and each
+    distinct column is searched once, so nothing of size rows x trials is
+    built.
     """
     out = np.empty(len(cols), dtype=np.intp)
     order = np.argsort(cols, kind="stable")
     cells, starts = np.unique(cols[order], return_index=True)
     for c, idx in zip(cells.tolist(), np.split(order, starts[1:])):
-        out[idx] = np.searchsorted(cum[:, c], u[idx], side="left")
+        out[idx] = draw_cells(cum[:, c], u[idx])
     return out
 
 
@@ -171,7 +174,7 @@ def end_to_end(
     rng = stream_rng(seed, "pointer")
     cum = np.cumsum(like.matrix, axis=0)
     u = rng.random(len(true_i))
-    observed_r = np.minimum(draw_by_column(cum, true_i, u), like.n_pointers - 1)
+    observed_r = draw_by_column(cum, true_i, u)
 
     readings, row_of = np.unique(observed_r, return_inverse=True)
     rows = _posterior_rows(prior, like, readings)

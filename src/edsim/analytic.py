@@ -33,20 +33,6 @@ def free_gaussian(x, t=0.0, sigma0=1.0, k0=0.0, x0=0.0, hbar=1.0, m=1.0):
     )
 
 
-def free_gaussian_phase(x, t=0.0, sigma0=1.0, k0=0.0, x0=0.0, hbar=1.0, m=1.0):
-    """Continuous (unwrapped in x) phase of free_gaussian."""
-    x = np.asarray(x, dtype=float)
-    beta = hbar * t / (2.0 * m * sigma0**2)
-    a2 = 1.0 + beta**2
-    xi = x - x0 - hbar * k0 * t / m
-    return (
-        k0 * (x - x0)
-        - 0.5 * hbar * k0**2 * t / m
-        + beta * xi**2 / (4.0 * sigma0**2 * a2)
-        - 0.5 * np.arctan(beta)
-    )
-
-
 def free_gaussian_variance(t, sigma0=1.0, hbar=1.0, m=1.0):
     """sigma(t)^2 = sigma0^2 (1 + (hbar t / (2 m sigma0^2))^2)."""
     return sigma0**2 * (1.0 + (hbar * t / (2.0 * m * sigma0**2)) ** 2)

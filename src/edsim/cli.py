@@ -197,7 +197,7 @@ def cmd_trajectories(args) -> int:
         times, positions = [ens.t], [ens.positions]
         for t in ts[1:]:
             ens = advance_ensemble(
-                ens, fields, sdt, mode, p, boundary=ecfg.boundary,
+                ens, fields, sdt, mode, boundary=ecfg.boundary,
                 node_floor=cfg.node_floor(), t_target=float(t))
             times.append(ens.t)
             positions.append(ens.positions)
@@ -223,8 +223,7 @@ def cmd_measure(args) -> int:
     n_trials = cfg._int("device", "n_trials")
     if n_trials < 1:
         raise ConfigError("[device] n_trials must be positive")
-    outcomes = draw_outcomes(
-        dev, psi_dev, n_trials, cfg.seed(), method=cfg.values["device"]["method"])
+    outcomes = draw_outcomes(dev, psi_dev, n_trials, cfg.seed())
     iomod.write_outcomes_csv(os.path.join(out, "outcomes.csv"), outcomes, dev)
     iomod.write_device(os.path.join(out, "device.json"), dev)
     iomod.atomic_write(

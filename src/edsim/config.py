@@ -14,7 +14,7 @@ import numpy as np
 from .analytic import box_eigenstate, free_gaussian, harmonic_eigenstate, plane_wave
 from .dynamics import EvolutionConfig
 from .errors import ConfigError
-from .measurement import build_device, fourier_device, identity_device
+from .measurement import fourier_device, identity_device
 from .state import Grid1D, PhysicalParams, WaveFunction
 
 _SCHEMA = {
@@ -27,8 +27,7 @@ _SCHEMA = {
                   "snapshot_stride": "1", "boundary": "periodic",
                   "c_stab": "0.1", "node_floor": "1e-12"},
     "sampler": {"mode": "current_flow", "n_particles": "10000", "dt": "0"},
-    "device": {"preset": "fourier", "dim": "16", "path": "",
-               "n_trials": "10000", "method": "categorical"},
+    "device": {"preset": "fourier", "dim": "16", "path": "", "n_trials": "10000"},
     "amplify": {"likelihood": "noisy", "epsilon": "0.1", "n_trials": "10000",
                 "prior": "born", "path": ""},
     "run": {"seed": "0", "out": ""},
@@ -47,7 +46,6 @@ _CHOICES = {
     ("evolution", "boundary"): ("periodic", "hardwall"),
     ("sampler", "mode"): ("current_flow", "entropic_diffusion", "both"),
     ("device", "preset"): ("identity", "fourier", "file"),
-    ("device", "method"): ("categorical", "positions"),
     ("amplify", "likelihood"): ("ideal", "noisy", "file"),
     ("amplify", "prior"): ("born", "uniform"),
 }

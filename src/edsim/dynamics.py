@@ -145,7 +145,6 @@ class DiagnosticsRow:
     t: float
     norm: float
     energy: float
-    total_prob: float
     renorm_correction: float
 
 
@@ -414,39 +413,6 @@ class _MadelungEngine:
         return rho, phi, abs(z - 1.0)
 
 
-def _renorm_failure(dev) -> str:
-    if math.isfinite(dev):
-        return f"renormalization correction {dev:.3g} exceeds {RENORM_LIMIT:g}"
-    return "non-finite field"
-
-
-def madelung_step(
-    h: HydroState,
-    p: PhysicalParams,
-    dt: float,
-    boundary: str = "periodic",
-    node_floor: float = DEFAULT_NODE_FLOOR,
-    opts: Optional[MadelungOptions] = None,
-) -> HydroState:
-    """Advance the density-phase pair by one RK4 step of the coupled equations.
-
-    drho/dt = -d(rho v)/dx with v = (hbar/m) dphi/dx, and
-    hbar dphi/dt = -[(hbar^2/2m)(dphi/dx)^2 + V - (hbar^2/2m) (d2 sqrt(rho)/dx2)/sqrt(rho)].
-    """
-    opts = opts or MadelungOptions()
-    if node_floor > 0 and float(np.min(h.rho)) < node_floor:
-        raise NodeError(f"density below node floor {node_floor:g}")
-    cfg = EvolutionConfig(dt=dt, t_final=dt, engine="madelung", boundary=boundary)
-    cfg.check_stability(h.grid, p)
-    eng = _MadelungEngine(h.grid, p, boundary, opts)
-    rho, phi, dev = eng.step(h.rho, h.phi, dt)
-    if not dev <= RENORM_LIMIT:
-        raise StabilityError(f"{_renorm_failure(dev)} after one step")
-    if node_floor > 0 and float(np.min(rho)) < node_floor:
-        raise NodeError(f"density fell below node floor {node_floor:g}")
-    return HydroState(h.grid, rho, phi)
-
-
 # ---------------------------------------------------------------------------
 # driver
 
@@ -456,7 +422,6 @@ def _diag_row(t, h, p, norm, renorm):
         t=t,
         norm=norm,
         energy=energy(h, p, node_floor=0.0),
-        total_prob=float(np.sum(h.rho) * h.grid.dx),
         renorm_correction=renorm,
     )
 
@@ -532,7 +497,9 @@ def evolve(
             break
         rho, phi, dev = eng.step(rho, phi, cfg.dt)
         if not dev <= RENORM_LIMIT:
-            raise StabilityError(f"{_renorm_failure(dev)} (t={t + cfg.dt:g})")
+            why = (f"renormalization correction {dev:.3g} exceeds {RENORM_LIMIT:g}"
+                   if math.isfinite(dev) else "non-finite field")
+            raise StabilityError(f"{why} (t={t + cfg.dt:g})")
         if node_floor > 0 and float(np.min(rho)) < node_floor:
             raise NodeError(
                 f"density {float(np.min(rho)):.3e} below node floor (t={t + cfg.dt:g})"

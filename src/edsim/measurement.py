@@ -11,14 +11,14 @@ identity is what the tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import BasisError, CellError, MonotonicityError
 from .seeding import stream_rng
 from .state import WaveFunction
-from .trajectories import inverse_cdf_sample
+from .trajectories import draw_cells
 
 ORTHO_TOL = 1e-10
 
@@ -130,24 +130,16 @@ def apply_device(dev: DiscreteDevice, psi) -> np.ndarray:
     return dev.unitary @ np.asarray(psi, dtype=complex)
 
 
-def draw_outcomes(dev, psi, n_trials, seed, method="categorical") -> np.ndarray:
+def draw_outcomes(dev, psi, n_trials, seed) -> np.ndarray:
     """Sample n_trials outcome indices from the post-device position density.
 
-    'categorical' draws cells directly from |psi'|^2. 'positions' runs the
-    same inverse-CDF position sampler the trajectory module uses over the
-    device's cells and floors each position back to a cell: detection is
-    literally a position reading.
+    Each outcome is the cell that the trajectory module's position sampler
+    draws over the device's cells, with weights |psi'|^2: detection is a
+    position reading.
     """
-    probs = born_probabilities(dev, psi)
-    rng = stream_rng(seed, "measurement")
-    if method == "categorical":
-        cdf = np.cumsum(probs)
-        u = rng.random(int(n_trials)) * cdf[-1]
-        return np.minimum(np.searchsorted(cdf, u, side="left"), dev.dim - 1)
-    if method == "positions":
-        pos = inverse_cdf_sample(probs, 0.0, 1.0, int(n_trials), rng)
-        return np.clip(np.floor(pos).astype(int), 0, dev.dim - 1)
-    raise ValueError("method must be 'categorical' or 'positions'")
+    cdf = np.cumsum(born_probabilities(dev, psi))
+    u = stream_rng(seed, "measurement").random(int(n_trials)) * cdf[-1]
+    return draw_cells(cdf, u)
 
 
 def collapse_update(dev: DiscreteDevice, observed_cell: int):

@@ -15,7 +15,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NodeError
-from .operators import gradient
 
 # default floor under which the density-phase description is rejected;
 # values <= 0 disable the check (long-domain packets have tails that
@@ -152,20 +151,3 @@ def to_hydro(psi: WaveFunction, node_floor: float = DEFAULT_NODE_FLOOR) -> Hydro
     total = float(rho.sum() * psi.grid.dx)
     return HydroState(psi.grid, rho / total, phi)
 
-
-def from_hydro(h: HydroState) -> WaveFunction:
-    """Reassemble amplitudes sqrt(rho) exp(i phi), normalized."""
-    amp = np.sqrt(h.rho) * np.exp(1j * h.phi)
-    return WaveFunction(h.grid, amp).normalized()
-
-
-def entropy_field(h: HydroState) -> np.ndarray:
-    """S = phi + (1/2) log rho. Requires strictly positive density."""
-    if float(np.min(h.rho)) <= 0.0:
-        raise NodeError("entropy field undefined where rho <= 0")
-    return h.phi + 0.5 * np.log(h.rho)
-
-
-def current_velocity(h: HydroState, p: PhysicalParams) -> np.ndarray:
-    """v = (hbar/m) grad(phi), centered differences, one-sided at the edges."""
-    return (p.hbar / p.m) * gradient(h.phi, h.grid.dx)

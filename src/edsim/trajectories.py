@@ -46,13 +46,20 @@ class Ensemble:
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
 
 
+def draw_cells(cdf, u) -> np.ndarray:
+    """The categorical cell draw: for each u, the first cell whose
+    cumulative weight reaches it. A cell of zero weight is never drawn for
+    0 < u <= cdf[-1]; a u past the last entry lands in the last cell."""
+    return np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf) - 1)
+
+
 def inverse_cdf_sample(rho, x_min, dx, count, rng) -> np.ndarray:
-    """Draw from a piecewise-constant cell density: inverse CDF plus uniform
-    jitter inside the selected cell."""
+    """Draw from a piecewise-constant cell density: a categorical cell draw
+    plus uniform jitter inside the selected cell."""
     w = np.asarray(rho, dtype=float) * dx
     cdf = np.cumsum(w)
     u = rng.random(count) * cdf[-1]
-    idx = np.minimum(np.searchsorted(cdf, u, side="left"), len(w) - 1)
+    idx = draw_cells(cdf, u)
     frac = (u - (cdf[idx] - w[idx])) / np.maximum(w[idx], _LOG_TINY)
     return x_min + (idx + np.clip(frac, 0.0, 1.0)) * dx
 
@@ -155,8 +162,8 @@ class TraceFields:
 
     ts, rhos: snapshot times and densities. v_tab: current velocity
     (hbar/m) dphi/dx per snapshot. u_tab: dlog(rho)/dx per snapshot, the
-    osmotic drift over D. The tables depend on hbar and m, which are kept so
-    that advancing with a different PhysicalParams is refused.
+    osmotic drift over D. hbar and m are the ones the tables were built
+    with; advancing reads the diffusion D = hbar/2m from them.
     """
 
     grid: Grid1D
@@ -178,33 +185,23 @@ class TraceFields:
 
 def advance_ensemble(
     ens: Ensemble,
-    trace,
+    fields: TraceFields,
     dt: float,
     mode: str,
-    p: PhysicalParams,
     boundary: str = "periodic",
     node_floor: float = DEFAULT_NODE_FLOOR,
     t_target=None,
 ) -> Ensemble:
     """Euler(-Maruyama) advance of every particle from ens.t to t_target
-    (default: the end of the trace), reading fields from the trace with
-    linear interpolation in time and space. Each step finds every
-    particle's cell once (GridInterp) and reads each drift table there,
-    with the values np.interp gives, bit for bit.
-
-    trace is a TraceFields or an EvolutionTrace; pass a TraceFields when
-    advancing the same trace more than once, so its fields and drift
-    tables are built only once.
+    (default: the end of the trace), reading the trace's fields with linear
+    interpolation in time and space. Each step finds every particle's cell
+    once (GridInterp) and reads each drift table there, with the values
+    np.interp gives, bit for bit.
     """
     if mode not in SAMPLER_MODES:
         raise ValueError(f"mode must be one of {SAMPLER_MODES}")
-    f = trace if isinstance(trace, TraceFields) else TraceFields.from_trace(trace, p)
-    if (f.hbar, f.m) != (p.hbar, p.m):
-        raise ValueError(
-            f"drift tables were built for hbar={f.hbar:g}, m={f.m:g}, "
-            f"not hbar={p.hbar:g}, m={p.m:g}"
-        )
-    ts, rhos, v_tab, u_tab, grid = f.ts, f.rhos, f.v_tab, f.u_tab, f.grid
+    ts, rhos, v_tab, u_tab, grid = (
+        fields.ts, fields.rhos, fields.v_tab, fields.u_tab, fields.grid)
     t_target = float(ts[-1]) if t_target is None else float(t_target)
     tol = 1e-9 * max(1.0, abs(float(ts[-1])))
     if ens.t < ts[0] - tol or t_target > ts[-1] + tol:
@@ -218,7 +215,7 @@ def advance_ensemble(
     if abs(ens.t + n_steps * dt - t_target) > tol:
         raise ValueError("advance interval must be an integer number of dt steps")
 
-    diffusion = p.hbar / (2.0 * p.m)
+    diffusion = fields.hbar / (2.0 * fields.m)
     noise_amp = np.sqrt(2.0 * diffusion * dt)
     times, last = ts.tolist(), len(ts) - 2
 

@@ -155,7 +155,7 @@ def _c_trajectory_marginal(ov):
     fields = TraceFields.from_trace(tr, p)
     ens0 = sample_initial(fields.rhos[0], g, 100000, seed=42)
     finals = {
-        mode: advance_ensemble(ens0, fields, 2e-3, mode, p).positions
+        mode: advance_ensemble(ens0, fields, 2e-3, mode).positions
         for mode in SAMPLER_MODES
     }
     cdf = cdf_from_density(g, fields.rhos[-1])

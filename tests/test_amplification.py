@@ -194,7 +194,11 @@ def test_draw_by_column_matches_dense_draw(n_pointers, n_cells, kind, seed, n_tr
     # ties: a uniform equal to a cumulative entry must land in that entry's row
     tied = rng.random(n_trials) < 0.2
     u[tied] = cum[rng.integers(like.n_pointers, size=n_trials), cols][tied]
-    got = np.minimum(draw_by_column(cum, cols, u), like.n_pointers - 1)
+    # past the end: roundoff can leave a column's last entry below a uniform,
+    # and such a draw must land in the last row
+    past = rng.random(n_trials) < 0.1
+    u[past] = np.nextafter(cum[-1, cols], np.inf)[past]
+    got = draw_by_column(cum, cols, u)
     want = np.minimum(dense_draw(cum, cols, u), like.n_pointers - 1)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)

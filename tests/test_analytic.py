@@ -9,7 +9,6 @@ from edsim import (
     coherent_state,
     discrete_ground_state,
     free_gaussian,
-    free_gaussian_phase,
     free_gaussian_variance,
     hamiltonian,
     harmonic_eigenstate,
@@ -39,14 +38,6 @@ def test_free_gaussian_variance_formula():
     assert free_gaussian_variance(0.0, sigma0=2.0) == pytest.approx(4.0)
     # hbar t / (2 m sigma0^2) = 1 doubles the variance
     assert free_gaussian_variance(2.0, sigma0=1.0) == pytest.approx(2.0)
-
-
-def test_free_gaussian_phase_consistent():
-    t, s0, k0, x0 = 0.9, 1.1, 2.0, 0.5
-    psi = free_gaussian(X, t=t, sigma0=s0, k0=k0, x0=x0)
-    phase = free_gaussian_phase(X, t=t, sigma0=s0, k0=k0, x0=x0)
-    rebuilt = np.abs(psi) * np.exp(1j * phase)
-    assert np.max(np.abs(rebuilt - psi)) < 1e-10
 
 
 def test_plane_wave_commensurate():

@@ -299,6 +299,8 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     ("evolve", {"initial__preset": "eigenstate", "initial__level": 200}),
     # 1e11 particles x 3 snapshots of positions: refused before any allocation
     ("trajectories", {"sampler__n_particles": 100000000000}),
+    # the outcome draw has one path, so [device] has no method key
+    ("measure", {"device__method": "categorical"}),
 ])
 def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
     cfg = ini(**overrides)

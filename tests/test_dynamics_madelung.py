@@ -12,7 +12,6 @@ from edsim import (
     DEFAULT_NODE_FLOOR,
     EvolutionConfig,
     Grid1D,
-    HydroState,
     MadelungOptions,
     NodeError,
     PhysicalParams,
@@ -22,7 +21,6 @@ from edsim import (
     evolve,
     free_gaussian,
     l1_distance,
-    madelung_step,
     plane_wave,
     to_hydro,
 )
@@ -139,7 +137,7 @@ def test_finite_blow_up_raises():
     """A run can blow up with every field still finite: inside the dt bound,
     these four steps renormalize the norm by 2.68, 0.64, 8.1 and 1.8e12 and
     take the energy from 0.24 to 4e27. The first step already exceeds
-    RENORM_LIMIT, so both evolve and madelung_step refuse it."""
+    RENORM_LIMIT, so evolve refuses it."""
     g = Grid1D(-8.0, 8.0, 8)
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=0.6, k0=0.0988, x0=0.6)).normalized()
     dt = 0.0988 * g.dx**2
@@ -148,8 +146,6 @@ def test_finite_blow_up_raises():
     with pytest.raises(StabilityError,
                        match=r"renormalization correction 2\.68 exceeds 0\.001 \(t=0\.3952\)"):
         evolve(psi, PhysicalParams(), cfg, node_floor=0.0)
-    with pytest.raises(StabilityError, match="renormalization correction 2.68"):
-        madelung_step(to_hydro(psi, node_floor=0.0), PhysicalParams(), dt, node_floor=0.0)
 
 
 def test_dt_bound_enforced_upfront():
@@ -184,7 +180,7 @@ def test_renormalization_stays_small():
     )
     worst = max(d.renorm_correction for d in tr.diagnostics)
     assert worst < 1e-10
-    assert all(d.total_prob == pytest.approx(1.0, abs=1e-12) for d in tr.diagnostics)
+    assert all(d.norm == pytest.approx(1.0, abs=1e-12) for d in tr.diagnostics)
 
 
 def test_single_step_matches_driver():
@@ -192,7 +188,8 @@ def test_single_step_matches_driver():
     _, psi0 = discrete_ground_state(g, HARMONIC, "periodic")
     h0 = to_hydro(psi0, node_floor=0.0)
     dt = 5e-5
-    stepped = madelung_step(h0, HARMONIC, dt, node_floor=0.0)
+    eng = _MadelungEngine(g, HARMONIC, "periodic", MadelungOptions())
+    rho, phi, _ = eng.step(h0.rho, h0.phi, dt)
     tr = evolve(
         psi0,
         HARMONIC,
@@ -200,16 +197,8 @@ def test_single_step_matches_driver():
         node_floor=0.0,
     )
     h1 = tr.snapshots[-1][1]
-    assert np.max(np.abs(stepped.rho - h1.rho)) < 1e-15
-    assert np.max(np.abs(stepped.phi - h1.phi)) < 1e-15
-
-
-def test_hydrostate_inputs_validated():
-    g = Grid1D(-3.5, 3.5, 256)
-    rho = np.full(g.n, 1.0 / 7.0)
-    h = HydroState(g, rho, np.zeros(g.n))
-    with pytest.raises(StabilityError):
-        madelung_step(h, HARMONIC, dt=1.0)  # far over the dt bound
+    assert np.max(np.abs(rho - h1.rho)) < 1e-15
+    assert np.max(np.abs(phi - h1.phi)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +462,6 @@ def test_step_results_are_not_engine_buffers():
     assert h0.rho.tobytes() == rho0.tobytes() and h0.phi.tobytes() == phi0.tobytes()
     assert r1.tobytes() == kept[0].tobytes() and p1.tobytes() == kept[1].tobytes()
     assert not (np.shares_memory(r1, r2) or np.shares_memory(p1, p2))
-
-    stepped = madelung_step(h0, HARMONIC, 1e-4, boundary="hardwall", node_floor=0.0)
-    assert h0.rho.tobytes() == rho0.tobytes() and h0.phi.tobytes() == phi0.tobytes()
-    assert not np.shares_memory(stepped.rho, h0.rho)
 
     tr = evolve(
         psi0,

@@ -156,21 +156,39 @@ def test_draw_outcomes_reproducible():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("method", ["categorical", "positions"])
-def test_draw_outcomes_follow_born(method):
+def test_draw_outcomes_follow_born():
     dev = fourier_device(8)
     psi = random_state(8, seed=2)
     probs = born_probabilities(dev, psi)
-    outcomes = draw_outcomes(dev, psi, 50000, seed=11, method=method)
+    outcomes = draw_outcomes(dev, psi, 50000, seed=11)
     counts = np.bincount(outcomes, minlength=8)
     ref = sps.chisquare(counts, probs * 50000)
     assert ref.pvalue > 1e-3
 
 
-def test_draw_outcomes_unknown_method():
-    dev = identity_device(4)
-    with pytest.raises(ValueError):
-        draw_outcomes(dev, random_state(4), 10, seed=0, method="metropolis")
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=1, max_size=24)
+    .filter(any),
+    norm=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+    seed=st.integers(0, 2**64 - 1),
+    n_trials=st.integers(1, 500),
+)
+def test_draw_outcomes_is_the_categorical_cell_draw(weights, norm, seed, n_trials):
+    """Outcomes are the inverse-CDF cell draw on the "measurement" stream,
+    byte for byte, also where cells carry zero Born weight and for states
+    of any norm."""
+    dim = len(weights)
+    dev = identity_device(dim)
+    psi = norm * np.sqrt(weights) / np.sqrt(np.sum(weights))
+    probs = born_probabilities(dev, psi)
+    cdf = np.cumsum(probs)
+    u = stream_rng(seed, "measurement").random(n_trials)
+    expected = np.minimum(np.searchsorted(cdf, u * cdf[-1], "left"), dim - 1)
+    got = draw_outcomes(dev, psi, n_trials, seed)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    # a zero-weight cell is drawn only by u = 0, and then only cell 0
+    assert np.all(probs[got[u > 0]] > 0)
 
 
 def test_collapse_update():

@@ -3,16 +3,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from edsim import (
+    EvolutionConfig,
     Grid1D,
     HydroState,
     NodeError,
     PhysicalParams,
+    TraceFields,
     WaveFunction,
     coherent_state,
-    current_velocity,
-    entropy_field,
+    evolve,
     free_gaussian,
-    from_hydro,
     plane_wave,
     to_hydro,
 )
@@ -60,10 +60,12 @@ def test_hydrostate_validation():
 
 
 def test_hydro_round_trip_preserves_state():
-    """to_hydro keeps the global phase, so from_hydro inverts it exactly."""
+    """to_hydro keeps the global phase, so sqrt(rho) exp(i phi) rebuilds the
+    state exactly."""
     g = grid()
     psi = WaveFunction(g, coherent_state(g.cells, x0=1.0, k0=2.0)).normalized()
-    back = from_hydro(to_hydro(psi, node_floor=0.0))
+    h = to_hydro(psi, node_floor=0.0)
+    back = WaveFunction(g, np.sqrt(h.rho) * np.exp(1j * h.phi)).normalized()
     assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-12
 
 
@@ -87,27 +89,13 @@ def test_to_hydro_node_floor():
     to_hydro(psi, node_floor=0.0)  # disabled floor admits the near-node
 
 
-def test_entropy_field_definition():
-    g = grid()
-    h = to_hydro(WaveFunction(g, free_gaussian(g.cells)).normalized(), node_floor=0.0)
-    s = entropy_field(h)
-    assert_allclose(s, h.phi + 0.5 * np.log(h.rho), atol=1e-12)
-
-
-def test_entropy_field_rejects_vacuum():
-    g = grid()
-    rho = np.zeros(g.n)
-    rho[0] = 1.0 / g.dx
-    with pytest.raises(NodeError):
-        entropy_field(HydroState(g, rho, np.zeros(g.n)))
-
-
 def test_current_velocity_plane_wave():
+    """The drift tables' current velocity (hbar/m) dphi/dx is hbar k/m."""
     g = Grid1D(0.0, 10.0, 64)
-    h = to_hydro(plane_wave(g, 3))
+    p = PhysicalParams(hbar=1.0, m=2.0)
+    trace = evolve(plane_wave(g, 3), p, EvolutionConfig(dt=1e-3, t_final=0.0))
     k = 6.0 * np.pi / 10.0
-    v = current_velocity(h, PhysicalParams(hbar=1.0, m=2.0))
-    assert_allclose(v, k / 2.0, atol=1e-9)
+    assert_allclose(TraceFields.from_trace(trace, p).v_tab[0], k / 2.0, atol=1e-9)
 
 
 def test_physical_params_potential():

@@ -41,7 +41,7 @@ def make_trace(n=512, t_final=1.0, dt=2e-3, stride=25, boundary="periodic"):
         EvolutionConfig(dt=dt, t_final=t_final, engine="schrodinger",
                         snapshot_stride=stride, boundary=boundary),
     )
-    return g, p, tr
+    return g, TraceFields.from_trace(tr, p)
 
 
 def test_inverse_cdf_uniform_density():
@@ -54,8 +54,8 @@ def test_inverse_cdf_uniform_density():
 
 
 def test_sample_initial_reproducible():
-    g, _, tr = make_trace(n=256, t_final=0.01, stride=5)
-    rho0 = tr.field_arrays()[1][0]
+    g, fields = make_trace(n=256, t_final=0.01, stride=5)
+    rho0 = fields.rhos[0]
     a = sample_initial(rho0, g, 1000, seed=9)
     b = sample_initial(rho0, g, 1000, seed=9)
     c = sample_initial(rho0, g, 1000, seed=10)
@@ -65,93 +65,83 @@ def test_sample_initial_reproducible():
 
 
 def test_current_flow_tracks_density():
-    g, p, tr = make_trace()
-    ens = sample_initial(tr.field_arrays()[1][0], g, 20000, seed=4)
-    moved = advance_ensemble(ens, tr, 2e-3, CURRENT_FLOW, p)
+    g, fields = make_trace()
+    ens = sample_initial(fields.rhos[0], g, 20000, seed=4)
+    moved = advance_ensemble(ens, fields, 2e-3, CURRENT_FLOW)
     assert moved.t == pytest.approx(1.0)
-    d = ks_statistic(moved.positions, cdf_from_density(g, tr.field_arrays()[1][-1]))
+    d = ks_statistic(moved.positions, cdf_from_density(g, fields.rhos[-1]))
     assert d < ks_critical(20000)
 
 
 def test_entropic_diffusion_tracks_density():
-    g, p, tr = make_trace()
-    ens = sample_initial(tr.field_arrays()[1][0], g, 20000, seed=4)
-    moved = advance_ensemble(ens, tr, 2e-3, ENTROPIC_DIFFUSION, p)
-    d = ks_statistic(moved.positions, cdf_from_density(g, tr.field_arrays()[1][-1]))
+    g, fields = make_trace()
+    ens = sample_initial(fields.rhos[0], g, 20000, seed=4)
+    moved = advance_ensemble(ens, fields, 2e-3, ENTROPIC_DIFFUSION)
+    d = ks_statistic(moved.positions, cdf_from_density(g, fields.rhos[-1]))
     assert d < ks_critical(20000)
 
 
 def test_current_flow_deterministic():
-    g, p, tr = make_trace(n=256, t_final=0.1, stride=10)
-    ens = sample_initial(tr.field_arrays()[1][0], g, 500, seed=6)
-    a = advance_ensemble(ens, tr, 2e-3, CURRENT_FLOW, p)
-    b = advance_ensemble(ens, tr, 2e-3, CURRENT_FLOW, p)
+    g, fields = make_trace(n=256, t_final=0.1, stride=10)
+    ens = sample_initial(fields.rhos[0], g, 500, seed=6)
+    a = advance_ensemble(ens, fields, 2e-3, CURRENT_FLOW)
+    b = advance_ensemble(ens, fields, 2e-3, CURRENT_FLOW)
     assert np.array_equal(a.positions, b.positions)
 
 
 def test_split_advance_is_bitwise_single_advance():
     """Continuing from the stored rng state makes two half-advances land on
     exactly the draws of one full advance."""
-    g, p, tr = make_trace(n=256, t_final=0.5, stride=50)
-    ens = sample_initial(tr.field_arrays()[1][0], g, 500, seed=3)
-    half = advance_ensemble(ens, tr, 1e-2, ENTROPIC_DIFFUSION, p, t_target=0.25)
-    split = advance_ensemble(half, tr, 1e-2, ENTROPIC_DIFFUSION, p, t_target=0.5)
-    single = advance_ensemble(ens, tr, 1e-2, ENTROPIC_DIFFUSION, p, t_target=0.5)
+    g, fields = make_trace(n=256, t_final=0.5, stride=50)
+    ens = sample_initial(fields.rhos[0], g, 500, seed=3)
+    half = advance_ensemble(ens, fields, 1e-2, ENTROPIC_DIFFUSION, t_target=0.25)
+    split = advance_ensemble(half, fields, 1e-2, ENTROPIC_DIFFUSION, t_target=0.5)
+    single = advance_ensemble(ens, fields, 1e-2, ENTROPIC_DIFFUSION, t_target=0.5)
     assert np.array_equal(split.positions, single.positions)
-    # the CLI pattern: one prebuilt TraceFields, one advance per snapshot interval
-    fields = TraceFields.from_trace(tr, p)
+    # the CLI pattern: one advance per snapshot interval
     assert len(fields.ts) == 6
     stepped = ens
     for t in fields.ts[1:]:
-        stepped = advance_ensemble(stepped, fields, 1e-2, ENTROPIC_DIFFUSION, p,
+        stepped = advance_ensemble(stepped, fields, 1e-2, ENTROPIC_DIFFUSION,
                                    t_target=float(t))
     assert np.array_equal(stepped.positions, single.positions)
     assert np.array_equal(restore_rng(stepped.rng_state).random(8),
                           restore_rng(single.rng_state).random(8))
 
 
-def test_trace_fields_refuse_other_hbar_or_m():
-    g, p, tr = make_trace(n=256, t_final=0.1, stride=10)
-    fields = TraceFields.from_trace(tr, p)
-    ens = sample_initial(fields.rhos[0], g, 100, seed=1)
-    for other in (PhysicalParams(hbar=2.0), PhysicalParams(m=0.5)):
-        with pytest.raises(ValueError, match="drift tables were built for"):
-            advance_ensemble(ens, fields, 2e-3, CURRENT_FLOW, other)
-
-
 def test_trace_coverage_errors():
-    g, p, tr = make_trace(n=256, t_final=0.1, stride=10)
-    ens = sample_initial(tr.field_arrays()[1][0], g, 100, seed=1)
+    g, fields = make_trace(n=256, t_final=0.1, stride=10)
+    ens = sample_initial(fields.rhos[0], g, 100, seed=1)
     with pytest.raises(TraceCoverageError):
-        advance_ensemble(ens, tr, 2e-3, CURRENT_FLOW, p, t_target=0.2)
+        advance_ensemble(ens, fields, 2e-3, CURRENT_FLOW, t_target=0.2)
     early = Ensemble(ens.positions, -0.5, ens.seed, ens.rng_state)
     with pytest.raises(TraceCoverageError):
-        advance_ensemble(early, tr, 2e-3, CURRENT_FLOW, p)
+        advance_ensemble(early, fields, 2e-3, CURRENT_FLOW)
     late = Ensemble(ens.positions, 0.08, ens.seed, ens.rng_state)
     with pytest.raises(TraceCoverageError):
-        advance_ensemble(late, tr, 2e-3, CURRENT_FLOW, p, t_target=0.04)
+        advance_ensemble(late, fields, 2e-3, CURRENT_FLOW, t_target=0.04)
 
 
 def test_non_divisible_dt_rejected():
-    g, p, tr = make_trace(n=256, t_final=0.1, stride=10)
-    ens = sample_initial(tr.field_arrays()[1][0], g, 100, seed=1)
+    g, fields = make_trace(n=256, t_final=0.1, stride=10)
+    ens = sample_initial(fields.rhos[0], g, 100, seed=1)
     with pytest.raises(ValueError):
-        advance_ensemble(ens, tr, 3e-3, CURRENT_FLOW, p)
+        advance_ensemble(ens, fields, 3e-3, CURRENT_FLOW)
 
 
 def test_node_check_on_diffusive_drift():
     # absurdly high floor: every occupied cell trips the check immediately
-    g, p, tr = make_trace(n=256, t_final=0.1, stride=10)
-    ens = sample_initial(tr.field_arrays()[1][0], g, 100, seed=1)
+    g, fields = make_trace(n=256, t_final=0.1, stride=10)
+    ens = sample_initial(fields.rhos[0], g, 100, seed=1)
     with pytest.raises(NodeError):
-        advance_ensemble(ens, tr, 2e-3, ENTROPIC_DIFFUSION, p, node_floor=10.0)
+        advance_ensemble(ens, fields, 2e-3, ENTROPIC_DIFFUSION, node_floor=10.0)
 
 
 def test_positions_stay_in_domain():
     for boundary in ("periodic", "hardwall"):
-        g, p, tr = make_trace(n=256, t_final=0.5, stride=50, boundary=boundary)
-        ens = sample_initial(tr.field_arrays()[1][0], g, 2000, seed=8)
-        moved = advance_ensemble(ens, tr, 1e-2, ENTROPIC_DIFFUSION, p, boundary=boundary)
+        g, fields = make_trace(n=256, t_final=0.5, stride=50, boundary=boundary)
+        ens = sample_initial(fields.rhos[0], g, 2000, seed=8)
+        moved = advance_ensemble(ens, fields, 1e-2, ENTROPIC_DIFFUSION, boundary=boundary)
         assert moved.positions.min() >= g.x_min
         assert moved.positions.max() <= g.x_max
 
@@ -202,14 +192,14 @@ def narrow_fields(boundary):
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=1.0, k0=3.0, x0=1.0)).normalized()
     tr = evolve(psi, p, EvolutionConfig(dt=2e-3, t_final=0.12, snapshot_stride=10,
                                          boundary=boundary))
-    return g, p, TraceFields.from_trace(tr, p)
+    return g, TraceFields.from_trace(tr, p)
 
 
-def _advance_or_error(advance, ens, fields, targets, dt, mode, p, boundary, node_floor):
+def _advance_or_error(advance, ens, fields, targets, dt, mode, boundary, node_floor):
     out = []
     try:
         for t in targets:
-            ens = advance(ens, fields, dt, mode, p, boundary=boundary,
+            ens = advance(ens, fields, dt, mode, boundary=boundary,
                           node_floor=node_floor, t_target=t)
             out.append((ens.positions.tobytes(), ens.t, repr(ens.rng_state)))
     except NodeError as e:
@@ -232,11 +222,11 @@ def test_advance_is_bitwise_np_interp_loop(boundary, mode, n_particles, seed, dt
     """Split or single advances, both modes and both boundaries land on the
     positions and RNG state of the np.interp loop bit for bit, and a node
     floor stops both at the same step with the same message."""
-    g, p, fields = narrow_fields(boundary)
+    g, fields = narrow_fields(boundary)
     ts = fields.ts.tolist()
     targets = ([ts[split]] if 0 < split < len(ts) - 1 else []) + [ts[-1]]
     ens = sample_initial(fields.rhos[0], g, n_particles, seed)
-    runs = [_advance_or_error(advance, ens, fields, targets, dt, mode, p, boundary, node_floor)
+    runs = [_advance_or_error(advance, ens, fields, targets, dt, mode, boundary, node_floor)
             for advance in (advance_ensemble, _ref_advance)]
     assert runs[0] == runs[1]
 
@@ -253,14 +243,14 @@ def test_bitwise_cases_cross_walls_and_trip_node_floors(monkeypatch):
 
     monkeypatch.setattr(trajectories, "_apply_boundary", spy)
     for boundary in ("periodic", "hardwall"):
-        g, p, fields = narrow_fields(boundary)
+        g, fields = narrow_fields(boundary)
         ens = sample_initial(fields.rhos[0], g, 400, 5)
         crossed.clear()
-        advance_ensemble(ens, fields, 1e-3, ENTROPIC_DIFFUSION, p, boundary=boundary,
+        advance_ensemble(ens, fields, 1e-3, ENTROPIC_DIFFUSION, boundary=boundary,
                          node_floor=0.0)
         assert any(crossed)
         with pytest.raises(NodeError, match=r"\(t=0\.0[1-9]"):
-            advance_ensemble(ens, fields, 1e-3, ENTROPIC_DIFFUSION, p, boundary=boundary,
+            advance_ensemble(ens, fields, 1e-3, ENTROPIC_DIFFUSION, boundary=boundary,
                              node_floor=NODE_FLOOR_MID_TRACE)
 
 
@@ -292,7 +282,8 @@ def test_periodic_wrap_is_np_mod_bitwise(grid, data):
 
 
 # The stepping loop as it stood before GridInterp, verbatim but for the
-# names: the reference of test_advance_is_bitwise_np_interp_loop.
+# names and the single TraceFields input: the reference of
+# test_advance_is_bitwise_np_interp_loop.
 
 
 def _ref_apply_boundary(x, grid, boundary):
@@ -311,10 +302,9 @@ def _ref_apply_boundary(x, grid, boundary):
 
 def _ref_advance(
     ens: Ensemble,
-    trace,
+    f: TraceFields,
     dt: float,
     mode: str,
-    p: PhysicalParams,
     boundary: str = "periodic",
     node_floor: float = DEFAULT_NODE_FLOOR,
     t_target=None,
@@ -322,19 +312,9 @@ def _ref_advance(
     """Euler(-Maruyama) advance of every particle from ens.t to t_target
     (default: the end of the trace), reading fields from the trace with
     linear interpolation in time and space.
-
-    trace is a TraceFields or an EvolutionTrace; pass a TraceFields when
-    advancing the same trace more than once, so its fields and drift
-    tables are built only once.
     """
     if mode not in SAMPLER_MODES:
         raise ValueError(f"mode must be one of {SAMPLER_MODES}")
-    f = trace if isinstance(trace, TraceFields) else TraceFields.from_trace(trace, p)
-    if (f.hbar, f.m) != (p.hbar, p.m):
-        raise ValueError(
-            f"drift tables were built for hbar={f.hbar:g}, m={f.m:g}, "
-            f"not hbar={p.hbar:g}, m={p.m:g}"
-        )
     ts, rhos, v_tab, u_tab, grid = f.ts, f.rhos, f.v_tab, f.u_tab, f.grid
     t_target = float(ts[-1]) if t_target is None else float(t_target)
     tol = 1e-9 * max(1.0, abs(float(ts[-1])))
@@ -350,7 +330,7 @@ def _ref_advance(
         raise ValueError("advance interval must be an integer number of dt steps")
 
     cells = grid.cells
-    diffusion = p.hbar / (2.0 * p.m)
+    diffusion = f.hbar / (2.0 * f.m)
     noise_amp = np.sqrt(2.0 * diffusion * dt)
 
     def blend(tab, t):
