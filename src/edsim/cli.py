@@ -216,8 +216,6 @@ def cmd_measure(args) -> int:
     cfg, out = _setup(args)
     g = cfg.grid()
     dev = cfg.device(g)
-    if dev.dim != g.n:
-        raise ConfigError(f"device dimension {dev.dim} must equal grid n {g.n}")
     psi_dev = device_state(cfg.initial_state())
     probs = born_probabilities(dev, psi_dev)
     n_trials = cfg._int("device", "n_trials")
@@ -242,8 +240,6 @@ def cmd_amplify(args) -> int:
     cfg, out = _setup(args)
     g = cfg.grid()
     dev = cfg.device(g)
-    if dev.dim != g.n:
-        raise ConfigError(f"device dimension {dev.dim} must equal grid n {g.n}")
     psi_dev = device_state(cfg.initial_state())
     like = cfg.likelihood(dev)
     prior = cfg.prior(dev, psi_dev)

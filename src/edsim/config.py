@@ -17,6 +17,7 @@ from .errors import ConfigError
 from .measurement import fourier_device, identity_device
 from .state import Grid1D, PhysicalParams, WaveFunction
 
+# a None default marks a required key
 _SCHEMA = {
     "grid": {"x_min": None, "x_max": None, "n": None},
     "physics": {"hbar": "1.0", "m": "1.0", "potential": "free", "omega": "1.0",
@@ -25,18 +26,14 @@ _SCHEMA = {
                 "well": "harmonic", "level": "0"},
     "evolution": {"engine": "schrodinger", "dt": None, "t_final": None,
                   "snapshot_stride": "1", "boundary": "periodic",
-                  "c_stab": "0.1", "node_floor": "1e-12"},
+                  "node_floor": "1e-12"},
     "sampler": {"mode": "current_flow", "n_particles": "10000", "dt": "0"},
-    "device": {"preset": "fourier", "dim": "16", "path": "", "n_trials": "10000"},
+    "device": {"preset": "fourier", "path": "", "n_trials": "10000"},
     "amplify": {"likelihood": "noisy", "epsilon": "0.1", "n_trials": "10000",
                 "prior": "born", "path": ""},
     "run": {"seed": "0", "out": ""},
     "validate": {"madelung_dt": "0"},
 }
-
-_REQUIRED = {"grid": ("x_min", "x_max", "n"),
-             "initial": ("preset",),
-             "evolution": ("dt", "t_final")}
 
 _CHOICES = {
     ("physics", "potential"): ("free", "harmonic"),
@@ -84,10 +81,8 @@ class RunConfig:
                     values[sect][key] = cp.get(sect, key).strip()
                 elif default is not None:
                     values[sect][key] = default
-                elif sect in _REQUIRED and key in _REQUIRED[sect]:
-                    raise ConfigError(f"missing required key '{key}' in [{sect}]")
                 else:
-                    values[sect][key] = ""
+                    raise ConfigError(f"missing required key '{key}' in [{sect}]")
         cfg = cls(values)
         cfg._check()
         return cfg
@@ -203,8 +198,7 @@ class RunConfig:
                 t_final=self._float("evolution", "t_final"),
                 engine=engine or self.values["evolution"]["engine"],
                 snapshot_stride=self._int("evolution", "snapshot_stride"),
-                boundary=self.values["evolution"]["boundary"],
-                c_stab=self._float("evolution", "c_stab"))
+                boundary=self.values["evolution"]["boundary"])
         except ValueError as e:
             raise ConfigError(str(e)) from None
 
@@ -215,17 +209,19 @@ class RunConfig:
             raise ConfigError(f"[evolution] node_floor must be finite (<= 0 disables), got {v:g}")
         return v
 
-    def device(self, grid=None):
+    def device(self, grid):
+        """The configured device on grid's cells: a preset of dimension
+        grid.n, or a file device, whose dimension must equal grid.n."""
         preset = self.values["device"]["preset"]
-        if preset == "file":
-            from .io import read_device
-            return read_device(self.values["device"]["path"])
-        dim = grid.n if grid is not None else self._int("device", "dim")
-        if dim < 1:
-            raise ConfigError("[device] dim must be positive")
         if preset == "identity":
-            return identity_device(dim)
-        return fourier_device(dim)
+            return identity_device(grid.n)
+        if preset == "fourier":
+            return fourier_device(grid.n)
+        from .io import read_device
+        dev = read_device(self.values["device"]["path"])
+        if dev.dim != grid.n:
+            raise ConfigError(f"device dimension {dev.dim} must equal grid n {grid.n}")
+        return dev
 
     def likelihood(self, dev):
         kind = self.values["amplify"]["likelihood"]

@@ -15,21 +15,20 @@ Three smooth guards confine the integration to the region that carries
 probability:
 
 * cushioned curvature: the quantum potential is evaluated from
-  sqrt(max(rho, 0) + hydro_floor), which bounds it in vacuum;
+  sqrt(max(rho, 0) + HYDRO_FLOOR), which bounds it in vacuum;
 * phase blend: the phase equation is weighted by
-  rho^2 / (rho^2 + hydro_floor^2), freezing the phase where there is no
+  rho^2 / (rho^2 + HYDRO_FLOOR^2), freezing the phase where there is no
   mass to transport (the unweighted vacuum phase equation is a
   pressureless Burgers flow that folds into caustics);
 * masked dissipation: second- plus fourth-difference smoothing scaled by
-  1 / (1 + (rho/guard_scale)^2), active only below guard_scale.
+  1 / (1 + (rho/GUARD_SCALE)^2), active only below GUARD_SCALE.
 
-All three act on densities far below physical relevance (defaults 1e-12
-and 1e-8, against packet densities of order 1); the transported density
-itself is never floored, and any mass the guards move shows up in the
-logged renormalization correction. Setting hydro_floor = 0 and
-dissipation = False recovers the bare scheme, which blows up to
-non-finite fields within a fraction of a time unit on localized states
-(see the tests).
+All three act on densities far below physical relevance (HYDRO_FLOOR =
+1e-12 and GUARD_SCALE = 1e-8, against packet densities of order 1); the
+transported density itself is never floored, and any mass the guards move
+shows up in the logged renormalization correction. Without the guards the
+bare scheme blows up to non-finite fields within a fraction of a time
+unit on localized states (the tests integrate it to show this).
 
 Blow-up check (density-phase engine). A step whose renormalization
 correction |Z - 1| exceeds RENORM_LIMIT = 1e-3, or is not finite, raises
@@ -66,6 +65,11 @@ _LOG_TINY = 1e-300
 
 # largest |Z - 1| one density-phase step may renormalize away; see above
 RENORM_LIMIT = 1e-3
+# the density-phase engine's dt bound is C_STAB m dx^2 / hbar
+C_STAB = 0.1
+# the low-density guards of the density-phase engine; see above
+HYDRO_FLOOR = 1e-12
+GUARD_SCALE = 1e-8
 
 _ENGINES = ("schrodinger", "madelung")
 _BOUNDARIES = ("periodic", "hardwall")
@@ -85,7 +89,6 @@ class EvolutionConfig:
     engine: str = "schrodinger"
     snapshot_stride: int = 1
     boundary: str = "periodic"
-    c_stab: float = 0.1
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -98,8 +101,6 @@ class EvolutionConfig:
             raise ValueError(f"engine must be one of {_ENGINES}")
         if self.boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}")
-        if not self.c_stab > 0:
-            raise ValueError("c_stab must be positive")
         _steps_for(self.t_final, self.dt)
 
     def n_snapshots(self) -> int:
@@ -109,7 +110,7 @@ class EvolutionConfig:
 
     def stability_limit(self, grid: Grid1D, p: PhysicalParams) -> float:
         """Largest admissible dt for the density-phase engine."""
-        return self.c_stab * p.m * grid.dx**2 / p.hbar
+        return C_STAB * p.m * grid.dx**2 / p.hbar
 
     def check_stability(self, grid: Grid1D, p: PhysicalParams) -> None:
         # the bound needs dx, so it cannot be checked before the grid is known
@@ -118,26 +119,8 @@ class EvolutionConfig:
             if self.dt > limit * (1.0 + 1e-12):
                 raise StabilityError(
                     f"dt={self.dt:g} exceeds the stability bound "
-                    f"{limit:g} = c_stab m dx^2 / hbar"
+                    f"{limit:g} = {C_STAB:g} m dx^2 / hbar"
                 )
-
-
-@dataclass(frozen=True)
-class MadelungOptions:
-    """Low-density guard settings; see the module docstring."""
-
-    hydro_floor: float = 1e-12
-    guard_scale: float = 1e-8
-    dissipation: bool = True
-
-    def __post_init__(self):
-        # the weight and the mask divide by rho^2 + floor^2 and rho^2 + g^2,
-        # so both squares must be finite and, where used, nonzero at rho = 0
-        f, g = self.hydro_floor, self.guard_scale
-        if not (f == 0.0 or (f > 0.0 and 0.0 < f * f < math.inf)):
-            raise ValueError("hydro_floor must be 0, or positive with a finite nonzero square")
-        if not (g > 0.0 and 0.0 < g * g < math.inf):
-            raise ValueError("guard_scale must be positive with a finite nonzero square")
 
 
 @dataclass(frozen=True)
@@ -172,10 +155,8 @@ class EvolutionTrace:
                 np.array([h.phi for h in self.hydro]))
 
 
-def energy(h: HydroState, p: PhysicalParams, node_floor: float = DEFAULT_NODE_FLOOR) -> float:
+def energy(h: HydroState, p: PhysicalParams) -> float:
     """E = sum rho [ (hbar^2/2m)(grad phi)^2 + (hbar^2/8m)(grad log rho)^2 + V ] dx."""
-    if node_floor > 0 and float(np.min(h.rho)) <= node_floor:
-        raise NodeError(f"density at or below node floor {node_floor:g}")
     dx = h.grid.dx
     gp = gradient(h.phi, dx)
     gl = gradient(np.log(np.maximum(h.rho, _LOG_TINY)), dx)
@@ -263,13 +244,11 @@ class _MadelungEngine:
     msk (r2/4 d2f - r4/16 d4f).
     """
 
-    def __init__(self, grid: Grid1D, p: PhysicalParams, boundary: str, opts: MadelungOptions):
+    def __init__(self, grid: Grid1D, p: PhysicalParams, boundary: str):
         self.dx = dx = grid.dx
         self.n = n = grid.n
         hbar, m = p.hbar, p.m
         self.periodic = boundary == "periodic"
-        self.floor = opts.hydro_floor
-        self.dissipation = opts.dissipation
         kr = (hbar / m) / (2.0 * dx) ** 2
         kg = -(hbar / (8.0 * m * dx**2))
         kq = hbar / (2.0 * m * dx**2)
@@ -283,7 +262,7 @@ class _MadelungEngine:
         c0 = (r2 / 2.0 + 3.0 * r4 / 8.0) / r4s
         # scalar operands as 0-d arrays: a ufunc converts a Python float on
         # every call, which costs about as much as the arithmetic at n = 1024
-        self._consts = (*(np.array(v) for v in (kr, kq, kg, c1, c0, self.floor, 0.0)), vq)
+        self._consts = (*(np.array(v) for v in (kr, kq, kg, c1, c0, HYDRO_FLOOR, 0.0)), vq)
 
         # padded state (rows rho, phi), flux and sqrt(rho + floor) buffers,
         # and the views the stencils read: interior, east and west neighbours
@@ -297,15 +276,14 @@ class _MadelungEngine:
         self._k = [np.empty((2, n)) for _ in range(4)]
         self._k_rows = [(k, k[0], k[1]) for k in self._k]
         # weight (row 0) and mask (row 1) division: numerator [rp^2, r4s g^2],
-        # denominator rp^2 + [floor^2, g^2]; only the rows in use are divided
-        g2 = opts.guard_scale * opts.guard_scale
+        # denominator rp^2 + [floor^2, g^2]
+        g2 = GUARD_SCALE * GUARD_SCALE
         num, wm = np.empty((2, n)), np.empty((2, n))
         num[1] = r4s * g2
-        rows = slice(0 if self.floor > 0 else 1, 2 if self.dissipation else 1)
-        fg = np.array([[self.floor * self.floor], [g2]])[rows]
+        fg = np.array([[HYDRO_FLOOR * HYDRO_FLOOR], [g2]])
         self._a2 = np.empty((2, n))
         self._work = (np.empty(n), np.empty(n), np.empty(n), self._a2, np.empty((2, n)),
-                      num[0], num[rows], fg, wm[rows], wm[0], wm[1])
+                      num[0], num, fg, wm, wm[0], wm[1])
 
     def _winding(self, phi):
         # unwrapped phase of a periodic state advances by an exact multiple
@@ -361,27 +339,23 @@ class _MadelungEngine:
         np.add(dphi, vq, out=dphi)
         np.add(dphi, a, out=dphi)
 
-        # [w, r4s msk] = [rp^2, r4s g^2] / (rp^2 + [floor^2, g^2]); the bare
-        # scheme (floor 0, no dissipation) uses neither row
-        if self.floor > 0 or self.dissipation:
-            np.multiply(rp, rp, out=rp2)
-            np.add(rp2, fg, out=wm)
-            np.divide(num, wm, out=wm)
-        if self.floor > 0:
-            np.multiply(dphi, w, out=dphi)
+        # [w, r4s msk] = [rp^2, r4s g^2] / (rp^2 + [floor^2, g^2])
+        np.multiply(rp, rp, out=rp2)
+        np.add(rp2, fg, out=wm)
+        np.divide(num, wm, out=wm)
+        np.multiply(dphi, w, out=dphi)
 
-        if self.dissipation:
-            # for f = rho, phi (even ghosts, phi's shifted by the winding):
-            # df += r4s msk * ((c1/r4s)(ye + yw) - (c0/r4s) y - (yee + yww))
-            self._ghosts(re, False)
-            np.add(ye, yw, out=a2)
-            np.multiply(a2, c1, out=a2)
-            np.multiply(y, c0, out=c2)
-            np.subtract(a2, c2, out=a2)
-            np.add(yee, yww, out=c2)
-            np.subtract(a2, c2, out=a2)
-            np.multiply(a2, msk, out=a2)
-            np.add(k, a2, out=k)
+        # for f = rho, phi (even ghosts, phi's shifted by the winding):
+        # df += r4s msk * ((c1/r4s)(ye + yw) - (c0/r4s) y - (yee + yww))
+        self._ghosts(re, False)
+        np.add(ye, yw, out=a2)
+        np.multiply(a2, c1, out=a2)
+        np.multiply(y, c0, out=c2)
+        np.subtract(a2, c2, out=a2)
+        np.add(yee, yww, out=c2)
+        np.subtract(a2, c2, out=a2)
+        np.multiply(a2, msk, out=a2)
+        np.add(k, a2, out=k)
 
     def step(self, rho, phi, dt):
         """One RK4 step plus renormalization. Returns (rho, phi, |Z - 1|) in
@@ -421,7 +395,7 @@ def _diag_row(t, h, p, norm, renorm):
     return DiagnosticsRow(
         t=t,
         norm=norm,
-        energy=energy(h, p, node_floor=0.0),
+        energy=energy(h, p),
         renorm_correction=renorm,
     )
 
@@ -444,7 +418,6 @@ def evolve(
     p: PhysicalParams,
     cfg: EvolutionConfig,
     node_floor: float = DEFAULT_NODE_FLOOR,
-    madelung_opts: Optional[MadelungOptions] = None,
     start: Optional[HydroState] = None,
 ) -> EvolutionTrace:
     """Run the configured engine over [0, t_final], recording snapshots.
@@ -452,8 +425,7 @@ def evolve(
     Snapshots land every snapshot_stride steps, always including t = 0 and
     t_final. The density-phase engine starts from madelung_start (dt bound,
     node check active with the given floor), or from start when a caller
-    has already run it, and records HydroState snapshots; diagnostic
-    energies skip the node check.
+    has already run it, and records HydroState snapshots.
     """
     grid = initial.grid
     n_steps = _steps_for(cfg.t_final, cfg.dt)
@@ -480,7 +452,7 @@ def evolve(
         return trace
 
     h0 = start if start is not None else madelung_start(initial, p, cfg, node_floor)
-    eng = _MadelungEngine(grid, p, cfg.boundary, madelung_opts or MadelungOptions())
+    eng = _MadelungEngine(grid, p, cfg.boundary)
     rho, phi = h0.rho, h0.phi
     worst_renorm = 0.0
     for step in range(n_steps + 1):

@@ -68,14 +68,10 @@ def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
     if not np.all(np.isfinite(eigenvalues)):
         raise BasisError("eigenvalues must be finite")
     # U = sum_i |x_i><a_i| in slot order: row i of U is conj(a_i). With
-    # U = conj(B), U^H U = B^T conj(B) = conj(B^H B) and U B^T = conj(B B^H),
-    # so both checks below read the conjugate of a product already formed.
+    # U = conj(B), U^H U = conj(comp) and U B^T = conj(gram), so unitarity
+    # and U a_i = e_i are the checks above: _identity_deviation reads only
+    # abs(m) and abs(diag(m) - 1), which conjugation leaves bit for bit.
     unitary = basis.conj()
-    if _identity_deviation(comp.conj()) > ORTHO_TOL:
-        raise BasisError("assembled matrix is not unitary")
-    # explicit action check: U a_i = e_i
-    if _identity_deviation(gram.conj()) > ORTHO_TOL:
-        raise BasisError("unitary does not map each a_i to its target indicator")
     return DiscreteDevice(dim, basis, eigenvalues, cells, unitary)
 
 
@@ -92,12 +88,11 @@ def identity_device(dim: int) -> DiscreteDevice:
     return build_device(np.eye(dim, dtype=complex), np.arange(dim))
 
 
-def fourier_device(dim: int, target_cells=None) -> DiscreteDevice:
+def fourier_device(dim: int) -> DiscreteDevice:
     """Momentum-like device: discrete Fourier vectors as the basis."""
     j = np.arange(dim)
     basis = np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
-    cells = np.arange(dim) if target_cells is None else target_cells
-    return build_device(basis, cells, j.astype(complex))
+    return build_device(basis, j, j.astype(complex))
 
 
 def observable_matrix(dev: DiscreteDevice) -> np.ndarray:
@@ -105,12 +100,12 @@ def observable_matrix(dev: DiscreteDevice) -> np.ndarray:
     return (dev.basis.T * dev.eigenvalues) @ dev.basis.conj()
 
 
-def check_normal(a, tol=ORTHO_TOL) -> bool:
-    """True iff A commutes with its adjoint entrywise within tol."""
+def check_normal(a) -> bool:
+    """True iff A commutes with its adjoint entrywise within ORTHO_TOL."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
-    return bool(np.max(np.abs(a @ a.conj().T - a.conj().T @ a)) < tol)
+    return bool(np.max(np.abs(a @ a.conj().T - a.conj().T @ a)) < ORTHO_TOL)
 
 
 def device_state(psi: WaveFunction) -> np.ndarray:
@@ -162,16 +157,16 @@ class ContinuumDevice:
     g_prime: Callable
 
 
-def continuum_pdf(cdev: ContinuumDevice, psi: WaveFunction, deriv_tol=1e-12):
+def continuum_pdf(cdev: ContinuumDevice, psi: WaveFunction):
     """Push the position density through a = g(x).
 
     Returns (a_grid, rho_a) with rho_a = rho(x)/|g'(x)| on the image grid
     a_j = g(x_j). Raises MonotonicityError if g' changes sign or falls
-    below deriv_tol in magnitude anywhere on the grid.
+    below 1e-12 in magnitude anywhere on the grid.
     """
     x = psi.grid.cells
     gp = np.asarray(cdev.g_prime(x), dtype=float)
-    if np.min(np.abs(gp)) < deriv_tol or (np.min(gp) < 0 < np.max(gp)):
+    if np.min(np.abs(gp)) < 1e-12 or (np.min(gp) < 0 < np.max(gp)):
         raise MonotonicityError("g' must be bounded away from zero with one sign")
     rho = psi.density()
     rho = rho / (rho.sum() * psi.grid.dx)

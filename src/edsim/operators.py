@@ -10,11 +10,9 @@ import numpy as np
 from scipy.sparse import csc_matrix, diags
 
 
-def gradient(f, dx, periodic=False):
+def gradient(f, dx):
     """First derivative, O(dx^2)."""
     f = np.asarray(f, dtype=float)
-    if periodic:
-        return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * dx)
     g = np.empty_like(f)
     g[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
     g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)

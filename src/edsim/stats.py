@@ -19,9 +19,8 @@ def ks_statistic(samples, model_cdf) -> float:
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
 
 
-def ks_critical(n, alpha=0.01) -> float:
-    if alpha != 0.01:
-        raise ValueError("only the 1% level is tabulated")
+def ks_critical(n) -> float:
+    """Asymptotic two-sided 1% critical value of the one-sample KS statistic."""
     return KS_COEFF_1PCT / np.sqrt(n)
 
 

@@ -134,7 +134,7 @@ def _c_energy_conservation(ov):
     es = np.array([d.energy for d in tr.diagnostics])
     drift = float(np.max(np.abs(es - es[0]) / abs(es[0])))
     ground = WaveFunction(g, harmonic_eigenstate(g.cells, 0).astype(complex)).normalized()
-    e_g = energy(to_hydro(ground, node_floor=0.0), p, node_floor=0.0)
+    e_g = energy(to_hydro(ground, node_floor=0.0), p)
     g_err = abs(e_g - 0.5 * p.hbar * omega) / (0.5 * p.hbar * omega)
     ok = drift < 1e-5 and g_err < 1e-4
     return ok, (

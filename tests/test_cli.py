@@ -301,6 +301,9 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     ("trajectories", {"sampler__n_particles": 100000000000}),
     # the outcome draw has one path, so [device] has no method key
     ("measure", {"device__method": "categorical"}),
+    # a preset device takes the grid's n, and the dt bound factor is a constant
+    ("measure", {"device__dim": 16}),
+    ("evolve", {"evolution__c_stab": 0.1}),
 ])
 def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
     cfg = ini(**overrides)
@@ -426,6 +429,17 @@ def test_non_finite_file_device_maps_to_exit_3(field, value, ini, tmp_path, caps
         cfg = ini(device__preset="file", device__path=str(path))
         assert run(command, "--config", cfg, "--out", str(tmp_path / command)) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "BasisError"
+
+
+def test_file_device_dimension_must_equal_grid_n(ini, tmp_path, capsys):
+    path = tmp_path / "device.json"
+    write_device(path, fourier_device(64))
+    for command in ("measure", "amplify"):
+        cfg = ini(grid__n=32, device__preset="file", device__path=str(path))
+        assert run(command, "--config", cfg, "--out", str(tmp_path / command)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError",
+                       "message": "device dimension 64 must equal grid n 32"}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -9,10 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edsim import (
-    DEFAULT_NODE_FLOOR,
     EvolutionConfig,
     Grid1D,
-    MadelungOptions,
     NodeError,
     PhysicalParams,
     StabilityError,
@@ -24,7 +22,7 @@ from edsim import (
     plane_wave,
     to_hydro,
 )
-from edsim.dynamics import _MadelungEngine
+from edsim.dynamics import GUARD_SCALE, HYDRO_FLOOR, _MadelungEngine
 
 HARMONIC = PhysicalParams(potential=lambda x: 0.5 * x**2)
 
@@ -119,18 +117,29 @@ def test_plane_wave_exact():
 
 
 def test_bare_scheme_blows_up():
-    """Unguarded integration of a localized packet diverges from tail
-    roundoff; the driver must turn that into StabilityError, not NaNs."""
+    """Without the guards (floor 0, no dissipation) integration of a
+    localized packet diverges from tail roundoff: the plain reference step
+    reaches non-finite fields before t = 0.5."""
     g = Grid1D(-15.0, 15.0, 512)
-    dt, _ = stable_dt(g, 0.5)
-    with pytest.raises(StabilityError):
-        evolve(
-            packet(g),
-            PhysicalParams(),
-            EvolutionConfig(dt=dt, t_final=0.5, engine="madelung", snapshot_stride=100),
-            node_floor=0.0,
-            madelung_opts=MadelungOptions(hydro_floor=0.0, dissipation=False),
-        )
+    dt, steps = stable_dt(g, 0.5)
+    h = to_hydro(packet(g), node_floor=0.0)
+    rho, phi = h.rho, h.phi
+    for _ in range(steps):
+        rho, phi, dev = _ref_step(rho, phi, dt, g, PhysicalParams(), True, 0.0, GUARD_SCALE, False)
+        if not np.isfinite(dev):
+            break
+    assert not np.isfinite(dev)
+
+
+def test_non_finite_field_raises():
+    """A step whose fields overflow raises StabilityError with the time it
+    reached instead of recording NaNs."""
+    g = Grid1D(-8.0, 8.0, 8)
+    p = PhysicalParams(potential=lambda x: 1e300 * (1.0 + x**2 / 64.0))
+    psi = WaveFunction(g, free_gaussian(g.cells, sigma0=2.0)).normalized()
+    dt = 0.05 * g.dx**2
+    with pytest.raises(StabilityError, match=r"non-finite field \(t=0\.2\)"):
+        evolve(psi, p, EvolutionConfig(dt=dt, t_final=dt, engine="madelung"))
 
 
 def test_finite_blow_up_raises():
@@ -188,7 +197,7 @@ def test_single_step_matches_driver():
     _, psi0 = discrete_ground_state(g, HARMONIC, "periodic")
     h0 = to_hydro(psi0, node_floor=0.0)
     dt = 5e-5
-    eng = _MadelungEngine(g, HARMONIC, "periodic", MadelungOptions())
+    eng = _MadelungEngine(g, HARMONIC, "periodic")
     rho, phi, _ = eng.step(h0.rho, h0.phi, dt)
     tr = evolve(
         psi0,
@@ -221,11 +230,11 @@ def _ref_winding(phi, periodic):
     return 2.0 * np.pi * np.round(west / (2.0 * np.pi))
 
 
-def _ref_rhs(rho, phi, grid, p, periodic, opts):
+def _ref_rhs(rho, phi, grid, p, periodic, floor, guard, dissipation):
     """The engine's folded-constant algebra as plain expressions, in the
-    kernel's operation order."""
+    kernel's operation order; the engine runs floor = HYDRO_FLOOR,
+    guard = GUARD_SCALE and dissipation on."""
     dx, hbar, m = grid.dx, p.hbar, p.m
-    floor, guard = opts.hydro_floor, opts.guard_scale
     kr = (hbar / m) / (2.0 * dx) ** 2
     kg = -(hbar / (8.0 * m * dx**2))
     kq = hbar / (2.0 * m * dx**2)
@@ -240,7 +249,7 @@ def _ref_rhs(rho, phi, grid, p, periodic, opts):
     dphi = gp * gp * kg + vq + kq * (se[3:-1] + se[1:-3]) / sq
     if floor > 0:
         dphi = dphi * (rp * rp / (rp * rp + floor * floor))
-    if opts.dissipation:
+    if dissipation:
         r2 = 4.0 * hbar / (m * dx**2)
         r4 = 1.0 * hbar / (m * dx**2)
         r4s = r4 / 16.0
@@ -253,12 +262,11 @@ def _ref_rhs(rho, phi, grid, p, periodic, opts):
     return drho, dphi
 
 
-def _ref_rhs_unfused(rho, phi, grid, p, periodic, opts):
+def _ref_rhs_unfused(rho, phi, grid, p, periodic, floor, guard, dissipation):
     """The plain expressions the engine integrated before its constants were
     folded, kept as an independent check of the algebra."""
     dx, hbar, m, n = grid.dx, p.hbar, p.m, grid.n
     V = p.potential_on(grid)
-    floor, guard = opts.hydro_floor, opts.guard_scale
     off = 0.0
     if periodic:
         west = (phi[-1] - phi[0]) * n / (n - 1.0)
@@ -274,7 +282,7 @@ def _ref_rhs_unfused(rho, phi, grid, p, periodic, opts):
     quantum = -(hbar**2 / (2.0 * m)) * ((se[3:-1] - 2.0 * sq + se[1:-3]) / dx**2) / sq
     w = rp * rp / (rp * rp + floor * floor) if floor > 0 else 1.0
     dphi = -w * ((hbar / (2.0 * m)) * gp**2 + V / hbar + quantum / hbar)
-    if opts.dissipation:
+    if dissipation:
         r2 = 4.0 * hbar / (m * dx**2)
         r4 = 1.0 * hbar / (m * dx**2)
         msk = 1.0 / (1.0 + (rp / guard) ** 2)
@@ -309,15 +317,14 @@ def _ref_step(rho, phi, dt, *args, unfused=False):
     return rho, phi, abs(z - 1.0)
 
 
-def _same(a, b, bare):
-    # the bare scheme's tails turn to NaN, whose payloads may differ
-    return np.array_equal(a, b, equal_nan=True) if bare else a.tobytes() == b.tobytes()
+def _same(a, b, blown):
+    # a blown-up step's fields turn to NaN, whose payloads may differ
+    return np.array_equal(a, b, equal_nan=True) if blown else a.tobytes() == b.tobytes()
 
 
 _CASES = dict(
     n=st.integers(8, 160),
     boundary=st.sampled_from(["periodic", "hardwall"]),
-    bare=st.booleans(),
     harmonic=st.booleans(),
     mu=st.floats(-2.0, 2.0),
     sigma=st.floats(0.6, 2.5),
@@ -331,29 +338,29 @@ _CASES = dict(
 EVEN_HARMONIC = PhysicalParams(potential=lambda x: 0.25 * (x**2 + x[::-1] ** 2))
 
 
-def _case(n, boundary, bare, harmonic, mu, sigma, k0, c, even=False):
+def _case(n, boundary, harmonic, mu, sigma, k0, c, even=False):
     """A Gaussian packet's (rho, phi), dt = c dx^2, the engine and the
     reference arguments for one drawn case."""
     g = Grid1D(-8.0, 8.0, n)
     p = (EVEN_HARMONIC if even else HARMONIC) if harmonic else PhysicalParams()
-    opts = MadelungOptions(hydro_floor=0.0, dissipation=False) if bare else MadelungOptions()
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=sigma, k0=k0, x0=mu)).normalized()
     h = to_hydro(psi, node_floor=0.0)
-    eng = _MadelungEngine(g, p, boundary, opts)
-    return h.rho, h.phi, c * g.dx**2, eng, (g, p, boundary == "periodic", opts)
+    eng = _MadelungEngine(g, p, boundary)
+    args = (g, p, boundary == "periodic", HYDRO_FLOOR, GUARD_SCALE, True)
+    return h.rho, h.phi, c * g.dx**2, eng, args
 
 
 @settings(max_examples=60, deadline=None)
 @given(steps=st.integers(1, 8), **_CASES)
-def test_step_is_bitwise_plain_formulation(steps, bare, **case):
-    rho, phi, dt, eng, args = _case(bare=bare, **case)
+def test_step_is_bitwise_plain_formulation(steps, **case):
+    rho, phi, dt, eng, args = _case(**case)
     rho_ref, phi_ref = rho.copy(), phi.copy()
     for _ in range(steps):
         rho, phi, dev = eng.step(rho, phi, dt)
         rho_ref, phi_ref, dev_ref = _ref_step(rho_ref, phi_ref, dt, *args)
         blown = not np.isfinite(dev_ref)
-        assert _same(rho, rho_ref, bare or blown)
-        assert _same(phi, phi_ref, bare or blown)
+        assert _same(rho, rho_ref, blown)
+        assert _same(phi, phi_ref, blown)
         assert dev == dev_ref or (blown and not np.isfinite(dev))
         if blown:
             break
@@ -392,29 +399,24 @@ EPS = np.finfo(float).eps
 # is steep where a cell's density is orders of magnitude below its
 # neighbour's. Over about 35,000 drawn cases the worst deviation was 84 units
 # of eps (1 + max |phi| + max |phi'| + |c|), in rho relative to max rho' and
-# in phi absolute; the bound is SHIFT_K = 1024 units. Below the node floor
-# the bare scheme has no cushion under sq and amplifies a one-ulp change of
-# a 1e-30 density into ~1e3 units (the mechanism behind
-# test_bare_scheme_blows_up), so its phase is compared only where the input
-# density is at or above DEFAULT_NODE_FLOOR.
+# in phi absolute; the bound is SHIFT_K = 1024 units.
 SHIFT_K = 1024.0
 
 
 @settings(max_examples=40, deadline=None)
 @given(shift=st.floats(-10.0, 10.0), **_CASES)
-def test_step_phase_shift_invariance(shift, bare, **case):
+def test_step_phase_shift_invariance(shift, **case):
     """Only differences of the phase enter the right-hand side, so a
     constant shift rides through a step unchanged."""
-    rho, phi, dt, eng, _ = _case(bare=bare, **case)
+    rho, phi, dt, eng, _ = _case(**case)
     rho1, phi1, dev1 = eng.step(rho, phi, dt)
     rho2, phi2, dev2 = eng.step(rho, phi + shift, dt)
     assert np.isfinite(dev1) == np.isfinite(dev2)
-    assume(np.isfinite(dev1))  # the bare scheme can blow up on coarse grids
+    assume(np.isfinite(dev1))  # a non-finite step leaves nothing to compare
     phi1 = phi1 + shift
     scale = SHIFT_K * EPS * (1.0 + np.max(np.abs(phi)) + np.max(np.abs(phi1)) + abs(shift))
-    kept = rho >= DEFAULT_NODE_FLOOR if bare else slice(None)
     assert np.max(np.abs(rho2 - rho1)) <= scale * np.max(rho1)
-    assert np.max(np.abs(phi2 - phi1)[kept]) <= scale
+    assert np.max(np.abs(phi2 - phi1)) <= scale
 
 
 # the renormalization sums the mirrored density in another order; over
@@ -434,20 +436,9 @@ def test_step_commutes_with_parity(**case):
     rho1, phi1, dev1 = eng.step(rho, phi, dt)
     rho2, phi2, dev2 = eng.step(rho[::-1].copy(), phi[::-1].copy(), dt)
     assert np.isfinite(dev1) == np.isfinite(dev2)
-    assume(np.isfinite(dev1))  # the bare scheme can blow up on coarse grids
+    assume(np.isfinite(dev1))  # a non-finite step leaves nothing to compare
     assert phi2[::-1].tobytes() == phi1.tobytes()
     assert np.max(np.abs(rho2[::-1] - rho1)) <= PARITY_K * EPS * np.max(rho1)
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"hydro_floor": -1e-12}, {"hydro_floor": 1e-170}, {"hydro_floor": float("nan")},
-    {"guard_scale": 0.0}, {"guard_scale": 1e-170}, {"guard_scale": float("inf")},
-])
-def test_guard_options_keep_their_squares_usable(kwargs):
-    """The weight and mask divide by rho^2 + floor^2 and rho^2 + guard^2; a
-    square that underflows to 0 would turn an empty cell into 0/0."""
-    with pytest.raises(ValueError):
-        MadelungOptions(**kwargs)
 
 
 def test_step_results_are_not_engine_buffers():
@@ -455,7 +446,7 @@ def test_step_results_are_not_engine_buffers():
     _, psi0 = discrete_ground_state(g, HARMONIC, "hardwall")
     h0 = to_hydro(psi0, node_floor=0.0)
     rho0, phi0 = h0.rho.copy(), h0.phi.copy()
-    eng = _MadelungEngine(g, HARMONIC, "hardwall", MadelungOptions())
+    eng = _MadelungEngine(g, HARMONIC, "hardwall")
     r1, p1, _ = eng.step(h0.rho, h0.phi, 1e-4)
     kept = r1.copy(), p1.copy()
     r2, p2, _ = eng.step(r1, p1, 1e-4)

@@ -4,7 +4,6 @@ import pytest
 from edsim import (
     EvolutionConfig,
     Grid1D,
-    NodeError,
     PhysicalParams,
     WaveFunction,
     coherent_state,
@@ -21,7 +20,7 @@ HARMONIC = PhysicalParams(potential=lambda x: 0.5 * x**2)
 def test_ground_state_energy():
     g = Grid1D(-12.0, 12.0, 1024)
     psi = WaveFunction(g, harmonic_eigenstate(g.cells, 0).astype(complex)).normalized()
-    e = energy(to_hydro(psi, node_floor=0.0), HARMONIC, node_floor=0.0)
+    e = energy(to_hydro(psi, node_floor=0.0), HARMONIC)
     assert e == pytest.approx(0.5, abs=1e-10)
 
 
@@ -29,14 +28,14 @@ def test_coherent_state_energy():
     # hbar w / 2 plus the classical displacement energy m w^2 x0^2 / 2
     g = Grid1D(-12.0, 12.0, 1024)
     psi = WaveFunction(g, coherent_state(g.cells, x0=1.0)).normalized()
-    e = energy(to_hydro(psi, node_floor=0.0), HARMONIC, node_floor=0.0)
+    e = energy(to_hydro(psi, node_floor=0.0), HARMONIC)
     assert e == pytest.approx(1.0, abs=1e-8)
 
 
 def test_plane_wave_energy():
     g = Grid1D(0.0, 10.0, 128)
     k = 6.0 * np.pi / 10.0
-    e = energy(to_hydro(plane_wave(g, 3)), PhysicalParams(), node_floor=0.0)
+    e = energy(to_hydro(plane_wave(g, 3)), PhysicalParams())
     assert e == pytest.approx(0.5 * k**2, abs=1e-12)
 
 
@@ -44,18 +43,9 @@ def test_energy_shifts_with_potential_offset():
     g = Grid1D(-12.0, 12.0, 512)
     psi = WaveFunction(g, coherent_state(g.cells, x0=0.5)).normalized()
     h = to_hydro(psi, node_floor=0.0)
-    e0 = energy(h, HARMONIC, node_floor=0.0)
+    e0 = energy(h, HARMONIC)
     shifted = PhysicalParams(potential=lambda x: 0.5 * x**2 + 2.0)
-    assert energy(h, shifted, node_floor=0.0) == pytest.approx(e0 + 2.0, abs=1e-12)
-
-
-def test_energy_node_floor():
-    g = Grid1D(-12.0, 12.0, 512)
-    psi = WaveFunction(g, coherent_state(g.cells)).normalized()
-    h = to_hydro(psi, node_floor=0.0)
-    with pytest.raises(NodeError):
-        energy(h, HARMONIC)  # default floor is above the far-tail density
-    energy(h, HARMONIC, node_floor=0.0)
+    assert energy(h, shifted) == pytest.approx(e0 + 2.0, abs=1e-12)
 
 
 def test_energy_conserved_one_period():

@@ -1,11 +1,15 @@
+import itertools
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import edsim.io as iomod
+from edsim.config import _SCHEMA
 from edsim import (
     BasisError,
     ConfigError,
@@ -201,3 +205,24 @@ def test_resolved_ini_deterministic(tmp_path):
     assert text_a == text_b  # output location excluded from provenance
     assert "node_floor = 1e-12" in text_a
     assert "engine = schrodinger" in text_a
+
+
+def _documented_keys():
+    """{section: backticked keys} of the README's configuration reference
+    table; a row with an empty section cell continues the section above."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().split("### Configuration reference", 1)[1].splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    keys, sect = {}, None
+    for row in itertools.takewhile(lambda line: line.startswith("|"), lines[header + 2:]):
+        cells = [c.strip() for c in row.strip("|").split("|")]
+        if cells[0]:
+            sect = re.fullmatch(r"`\[(\w+)\]`", cells[0]).group(1)
+        keys.setdefault(sect, set()).update(re.findall(r"`(\w+)`", cells[1]))
+    return keys
+
+
+def test_readme_config_table_matches_schema():
+    """Every schema key has a row in the README table and every row names a
+    schema key, so neither can change without the other."""
+    assert _documented_keys() == {sect: set(keys) for sect, keys in _SCHEMA.items()}

@@ -13,15 +13,6 @@ def test_gradient_exact_on_quadratic():
     assert_allclose(gradient(f, dx), 4.0 * x - 1.0, atol=1e-12)
 
 
-def test_gradient_periodic_wraps():
-    n = 128
-    x = np.arange(n) * (2.0 * np.pi / n)
-    dx = x[1] - x[0]
-    g = gradient(np.sin(x), dx, periodic=True)
-    # second order: error ~ dx^2/6 * max|f'''|
-    assert np.max(np.abs(g - np.cos(x))) < dx**2
-
-
 def test_gradient_second_order_convergence():
     errs = []
     for n in (64, 128, 256):

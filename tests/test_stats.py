@@ -33,8 +33,6 @@ def test_ks_statistic_detects_shift():
 
 def test_ks_critical_formula():
     assert ks_critical(10000) == pytest.approx(1.63 / 100.0)
-    with pytest.raises(ValueError):
-        ks_critical(10000, alpha=0.05)
 
 
 def test_ks_two_sample():
