@@ -7,11 +7,8 @@ of them call solver code.
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import eigsh
 
-from .operators import hamiltonian
-from .state import Grid1D, PhysicalParams, WaveFunction
+from .state import Grid1D, WaveFunction
 
 
 def free_gaussian(x, t=0.0, sigma0=1.0, k0=0.0, x0=0.0, hbar=1.0, m=1.0):
@@ -72,33 +69,3 @@ def box_eigenstate(x, level, x_min, length):
     n = level + 1
     return np.sqrt(2.0 / length) * np.sin(n * np.pi * (x - x_min) / length)
 
-
-def discrete_ground_state(grid: Grid1D, p: PhysicalParams, boundary="periodic"):
-    """Ground state of the discretized Hamiltonian itself.
-
-    Unlike the continuum eigenfunctions, this state is stationary for the
-    grid dynamics down to roundoff, which is what discrete stationarity
-    tests need. Returns (energy, WaveFunction).
-    """
-    V = p.potential_on(grid)
-    dx = grid.dx
-    scale = p.hbar**2 / (2.0 * p.m * dx**2)
-    if boundary == "hardwall":
-        diag = scale * np.full(grid.n, 2.0) + V
-        diag[0] += scale  # odd-reflection ghost: corner diagonal -3
-        diag[-1] += scale
-        off = np.full(grid.n - 1, -scale)
-        energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-        e0, u = float(energies[0]), vecs[:, 0]
-    elif boundary == "periodic":
-        H = hamiltonian(grid.n, dx, V, p.hbar, p.m, "periodic")
-        # fixed start vector keeps the Lanczos iteration deterministic
-        v0 = np.full(grid.n, 1.0 / np.sqrt(grid.n))
-        energies, vecs = eigsh(H, k=1, which="SA", v0=v0)
-        e0, u = float(energies[0]), vecs[:, 0]
-    else:
-        raise ValueError(f"unknown boundary '{boundary}'")
-    if u.sum() < 0:
-        u = -u
-    psi = WaveFunction(grid, u.astype(complex) / np.sqrt(dx))
-    return e0, psi.normalized()

@@ -214,13 +214,13 @@ def cmd_trajectories(args) -> int:
 
 def cmd_measure(args) -> int:
     cfg, out = _setup(args)
+    n_trials = cfg._int("device", "n_trials")
+    if n_trials < 1:
+        raise ConfigError("[device] n_trials must be positive")
     g = cfg.grid()
     dev = cfg.device(g)
     psi_dev = device_state(cfg.initial_state())
     probs = born_probabilities(dev, psi_dev)
-    n_trials = cfg._int("device", "n_trials")
-    if n_trials < 1:
-        raise ConfigError("[device] n_trials must be positive")
     outcomes = draw_outcomes(dev, psi_dev, n_trials, cfg.seed())
     iomod.write_outcomes_csv(os.path.join(out, "outcomes.csv"), outcomes, dev)
     iomod.write_device(os.path.join(out, "device.json"), dev)
@@ -238,14 +238,14 @@ def cmd_measure(args) -> int:
 
 def cmd_amplify(args) -> int:
     cfg, out = _setup(args)
+    n_trials = cfg._int("amplify", "n_trials")
+    if n_trials < 1:
+        raise ConfigError("[amplify] n_trials must be positive")
     g = cfg.grid()
     dev = cfg.device(g)
     psi_dev = device_state(cfg.initial_state())
     like = cfg.likelihood(dev)
     prior = cfg.prior(dev, psi_dev)
-    n_trials = cfg._int("amplify", "n_trials")
-    if n_trials < 1:
-        raise ConfigError("[amplify] n_trials must be positive")
     log = end_to_end(psi_dev, dev, like, n_trials, cfg.seed(), prior=prior)
     iomod.write_experiment_log(os.path.join(out, "experiment.ndjson"), log)
     iomod.write_likelihood_csv(os.path.join(out, "likelihood.csv"), like)

@@ -43,12 +43,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import identity as sparse_identity
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import NodeError, SolverError, StabilityError
 from .operators import gradient, hamiltonian
@@ -91,8 +89,8 @@ class EvolutionConfig:
     boundary: str = "periodic"
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and positive")
         if not 0 <= self.t_final < np.inf:
             raise ValueError("t_final must be finite and non-negative")
         if self.snapshot_stride < 1:
@@ -172,19 +170,46 @@ def l1_distance(rho_a: np.ndarray, rho_b: np.ndarray, dx: float) -> float:
 # wavefunction engine (Crank-Nicolson)
 
 
-@lru_cache(maxsize=16)
-def _cn_factor(n, dx, dt, hbar, m, v_bytes, boundary):
-    V = np.frombuffer(v_bytes, dtype=float)
-    H = hamiltonian(n, dx, V, hbar, m, boundary)
-    eye = sparse_identity(n, format="csc", dtype=complex)
-    A = (eye + 0.5j * dt / hbar * H).tocsc()
-    B = (eye - 0.5j * dt / hbar * H).tocsc()
-    return splu(A), B
+def _cn_solver(grid: Grid1D, p: PhysicalParams, dt: float, boundary: str):
+    """b -> A^-1 b for the Crank-Nicolson matrix A = I + i dt H/2hbar,
+    factored once by LAPACK's gttrf.
 
+    A is tridiagonal plus, on a periodic grid, the two corners c. Those go
+    in by Sherman-Morrison (Numerical Recipes 2.7): A = T + u v^T with
+    u = (g, 0, ..., 0, c), v = (1, 0, ..., 0, c/g) and g = -A[0, 0], so T
+    is A's tridiagonal part with A[0, 0] - g and A[n-1, n-1] - c^2/g on its
+    ends, and A^-1 b = y - (v.y / (1 + v.z)) z with T y = b and T z = u.
+    """
+    diag, off, corner = hamiltonian(grid.n, grid.dx, p.potential_on(grid), p.hbar, p.m, boundary)
+    a = 0.5j * dt / p.hbar
+    d = 1.0 + a * diag
+    e = np.full(grid.n - 1, a * off)
+    c = a * corner
+    if corner:
+        g = -d[0]
+        d[0] -= g
+        d[-1] -= c * c / g
+    dl, d, du, du2, ipiv, info = zgttrf(e, d, e)
+    if info != 0:
+        raise SolverError(f"Crank-Nicolson matrix is singular (gttrf info {info})")
 
-def _cn_factor_for(grid: Grid1D, p: PhysicalParams, dt: float, boundary: str):
-    V = p.potential_on(grid)
-    return _cn_factor(grid.n, grid.dx, float(dt), p.hbar, p.m, V.tobytes(), boundary)
+    def solve(b):
+        return zgttrs(dl, d, du, du2, ipiv, b)[0]
+
+    if not corner:
+        return solve
+    u = np.zeros(grid.n, dtype=complex)
+    u[0], u[-1] = g, c
+    z = solve(u)
+    w = c / g
+    scale = 1.0 / (1.0 + z[0] + w * z[-1])
+
+    def solve_cyclic(b):
+        y = solve(b)
+        y -= (scale * (y[0] + w * y[-1])) * z
+        return y
+
+    return solve_cyclic
 
 
 def schrodinger_step(
@@ -192,16 +217,19 @@ def schrodinger_step(
     p: PhysicalParams,
     dt: float,
     boundary: str = "periodic",
-    factor=None,
+    solver=None,
 ) -> WaveFunction:
     """One Crank-Nicolson step: solve (I + i dt H/2hbar) psi' = (I - i dt H/2hbar) psi.
 
-    factor, when given, is the (LU of the left side, right-side matrix) pair
-    for exactly these psi.grid, p, dt and boundary, resolved once by a
-    caller that takes many steps; by default it is looked up per call.
+    With A the left side, the right side is 2I - A, so psi' = 2 A^-1 psi - psi.
+    solver, when given, is b -> A^-1 b for exactly these psi.grid, p, dt and
+    boundary, built once by a caller that takes many steps; by default the
+    step factors A itself.
     """
-    lu, B = factor or _cn_factor_for(psi.grid, p, dt, boundary)
-    out = lu.solve(B @ psi.amplitudes)
+    solve = solver or _cn_solver(psi.grid, p, dt, boundary)
+    out = solve(psi.amplitudes)
+    out *= 2.0
+    out -= psi.amplitudes
     if not np.all(np.isfinite(out.view(float))):
         raise SolverError("linear solve returned non-finite amplitudes")
     return WaveFunction(psi.grid, out)
@@ -435,7 +463,7 @@ def evolve(
 
     if cfg.engine == "schrodinger":
         psi = initial.normalized()
-        factor = _cn_factor_for(grid, p, cfg.dt, cfg.boundary)
+        solver = _cn_solver(grid, p, cfg.dt, cfg.boundary)
         for step in range(n_steps + 1):
             t = step * cfg.dt
             if step in snap_at:
@@ -446,7 +474,7 @@ def evolve(
             if step == n_steps:
                 break
             try:
-                psi = schrodinger_step(psi, p, cfg.dt, cfg.boundary, factor)
+                psi = schrodinger_step(psi, p, cfg.dt, cfg.boundary, solver)
             except SolverError as e:
                 raise SolverError(f"{e} (t={t + cfg.dt:g})") from None
         return trace

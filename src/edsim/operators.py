@@ -7,7 +7,6 @@ everywhere.
 """
 
 import numpy as np
-from scipy.sparse import csc_matrix, diags
 
 
 def gradient(f, dx):
@@ -21,22 +20,21 @@ def gradient(f, dx):
 
 
 def hamiltonian(n, dx, potential, hbar=1.0, m=1.0, boundary="periodic"):
-    """Sparse discrete Hamiltonian: 3-point kinetic term plus diagonal potential.
+    """Discrete Hamiltonian, 3-point kinetic term plus diagonal potential, as
+    its three bands (diagonal, off_diagonal, corner).
 
-    The hard wall sits at the domain edge, half a cell beyond the outermost
-    cell center. Odd reflection of the amplitude about that face gives a
-    corner diagonal of -3 in the Laplacian.
+    diagonal is an array of n entries; off_diagonal, the entry next to the
+    diagonal on both sides, and corner, the entries H[0, n-1] = H[n-1, 0]
+    that close a periodic grid (0.0 on a hard wall), are numbers. The hard
+    wall sits at the domain edge, half a cell beyond the outermost cell
+    center. Odd reflection of the amplitude about that face gives a corner
+    diagonal of -3 in the Laplacian.
     """
     if boundary not in ("periodic", "hardwall"):
         raise ValueError(f"unknown boundary '{boundary}'")
-    main = np.full(n, -2.0)
-    off = np.ones(n - 1)
-    lap = diags([off, main, off], [-1, 0, 1], format="lil")
-    if boundary == "periodic":
-        lap[0, -1] = 1.0
-        lap[-1, 0] = 1.0
-    else:
-        lap[0, 0] = -3.0
-        lap[-1, -1] = -3.0
-    kin = csc_matrix(lap) * (-(hbar**2) / (2.0 * m * dx**2))
-    return kin + diags(np.asarray(potential, dtype=float), format="csc")
+    k = hbar**2 / (2.0 * m * dx**2)
+    diag = np.full(n, 2.0 * k)
+    if boundary == "hardwall":
+        diag[0] = diag[-1] = 3.0 * k
+    diag += np.asarray(potential, dtype=float)
+    return diag, -k, (-k if boundary == "periodic" else 0.0)

@@ -7,13 +7,12 @@ from edsim import (
     PhysicalParams,
     box_eigenstate,
     coherent_state,
-    discrete_ground_state,
     free_gaussian,
     free_gaussian_variance,
-    hamiltonian,
     harmonic_eigenstate,
     plane_wave,
 )
+from oracles import dense_hamiltonian, discrete_ground_state
 
 X = np.linspace(-25.0, 25.0, 4001)
 DX = X[1] - X[0]
@@ -60,7 +59,7 @@ def test_harmonic_eigenstates_orthonormal():
 def test_harmonic_eigenstate_solves_discrete_problem():
     g = Grid1D(-10.0, 10.0, 1024)
     p = PhysicalParams()
-    H = hamiltonian(g.n, g.dx, 0.5 * g.cells**2, boundary="hardwall")
+    H = dense_hamiltonian(g.n, g.dx, 0.5 * g.cells**2, boundary="hardwall")
     for lv in (0, 2):
         u = harmonic_eigenstate(g.cells, lv).astype(complex)
         u /= np.sqrt(np.sum(np.abs(u) ** 2) * g.dx)
@@ -106,7 +105,7 @@ def test_discrete_ground_state_periodic_harmonic():
     p = PhysicalParams(potential=lambda x: 0.5 * x**2)
     e0, psi0 = discrete_ground_state(g, p, "periodic")
     assert e0 == pytest.approx(0.5, rel=1e-3)
-    H = hamiltonian(g.n, g.dx, 0.5 * g.cells**2, boundary="periodic")
+    H = dense_hamiltonian(g.n, g.dx, 0.5 * g.cells**2, boundary="periodic")
     resid = np.max(np.abs(H @ psi0.amplitudes - e0 * psi0.amplitudes))
     assert resid < 1e-8  # it is the eigenvector of this exact matrix
     assert float(np.min(psi0.density())) > 1e-6  # no spurious node at the seam

@@ -14,10 +14,6 @@ import edsim
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the tests' stationarity oracle; ROADMAP item 2 (banded Crank-Nicolson)
-# decides where it lives
-TEST_ONLY = {"discrete_ground_state"}
-
 
 def _without_definition(source, name):
     """source with the top-level def, class or assignment of name removed."""
@@ -45,5 +41,5 @@ def _used(name):
 
 
 def test_every_export_has_a_user():
-    unused = [name for name in edsim.__all__ if name not in TEST_ONLY and not _used(name)]
+    unused = [name for name in edsim.__all__ if not _used(name)]
     assert unused == []

@@ -304,6 +304,10 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     # a preset device takes the grid's n, and the dt bound factor is a constant
     ("measure", {"device__dim": 16}),
     ("evolve", {"evolution__c_stab": 0.1}),
+    # inf > 0 holds, so an infinite dt needs its own check
+    ("evolve", {"evolution__dt": "inf"}),
+    ("trajectories", {"evolution__dt": "inf"}),
+    ("evolve", {"evolution__engine": "madelung", "evolution__dt": "inf"}),
 ])
 def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
     cfg = ini(**overrides)
@@ -440,6 +444,21 @@ def test_file_device_dimension_must_equal_grid_n(ini, tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError",
                        "message": "device dimension 64 must equal grid n 32"}
+
+
+@pytest.mark.parametrize("command, section, overrides", [
+    ("measure", "device", {"device__preset": "file"}),
+    ("amplify", "amplify", {"amplify__likelihood": "file"}),
+])
+def test_n_trials_is_checked_before_any_file_is_read(command, section, overrides, ini,
+                                                      tmp_path, capsys):
+    """The missing file would exit 4 once read; n_trials = 0 exits 2 before
+    the device, the likelihood or the prior is built."""
+    cfg = ini(**overrides, **{f"{section}__path": str(tmp_path / "missing"),
+                              f"{section}__n_trials": 0})
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError", "message": f"[{section}] n_trials must be positive"}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

