@@ -15,12 +15,14 @@ Exit codes:
 
 Errors are reported as a single JSON line on stderr: {"error": ..., "message": ...}.
 
-trajectories keeps every particle's position at every snapshot until it
-writes the ensemble file, so a run that would hold more than
-MAX_ENSEMBLE_POSITIONS of them (n_particles x snapshots) is refused up
-front with exit 2, before anything is evolved or allocated. With mode =
+Config values are read and checked through RunConfig (edsim.config); this
+module checks only what needs more than the config. Memory is bounded up
+front, with exit 2 before the initial state is built: a trace may hold at
+most MAX_TRACE_VALUES values (snapshots x cells), and trajectories, which
+keeps every particle's position at every snapshot, at most
+MAX_ENSEMBLE_POSITIONS positions (n_particles x snapshots). With mode =
 both the second mode can run in a forked worker (_run_modes) that holds
-its own positions, so the limit holds per process.
+its own positions, so that limit holds per process.
 """
 
 import argparse
@@ -51,10 +53,13 @@ from .trajectories import SAMPLER_MODES, TraceFields, advance_ensemble, sample_i
 
 # 1e8 float64 positions are 0.8 GB
 MAX_ENSEMBLE_POSITIONS = 10**8
+# a trace keeps psi and (rho, phi) per snapshot cell, and its field arrays
+# and drift tables two more pairs: up to 64 bytes a value, 0.64 GB at 1e7
+MAX_TRACE_VALUES = 10**7
 
 
 def _resolve_out(args, cfg, required=True):
-    out = args.out or os.environ.get("EDSIM_OUT") or (cfg.out_dir() if cfg else "")
+    out = args.out or os.environ.get("EDSIM_OUT") or (cfg["run", "out"] if cfg else "")
     if not out and required:
         raise ConfigError("no output directory: pass --out, set EDSIM_OUT, or set [run] out")
     if out:
@@ -63,30 +68,36 @@ def _resolve_out(args, cfg, required=True):
 
 
 def _setup(args):
-    cfg = RunConfig.load(args.config)
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must fit in an unsigned 64-bit integer")
-        cfg.values["run"]["seed"] = str(args.seed)
+    cfg = RunConfig.load(args.config, seed=args.seed)
     out = _resolve_out(args, cfg)
     iomod.atomic_write(os.path.join(out, "resolved.ini"), cfg.resolved_ini())
     return cfg, out
 
 
+def _check_trace(g, ecfg):
+    snapshots = ecfg.n_snapshots()
+    if snapshots * g.n > MAX_TRACE_VALUES:
+        raise ConfigError(
+            f"snapshots x cells = {snapshots:g} x {g.n:g} exceeds the limit of "
+            f"{MAX_TRACE_VALUES:g} trace values")
+
+
 def cmd_evolve(args) -> int:
     cfg, out = _setup(args)
     g = cfg.grid()
-    p = cfg.params()
-    psi = cfg.initial_state()
-    requested = cfg.values["evolution"]["engine"]
+    requested = cfg["evolution", "engine"]
     engines = ("schrodinger", "madelung") if requested == "both" else (requested,)
     ecfgs = {eng: cfg.evolution_config(engine=eng) for eng in engines}
+    _check_trace(g, ecfgs[engines[0]])
+    p = cfg.params()
+    psi = cfg.initial_state()
+    node_floor = cfg["evolution", "node_floor"]
     # every engine's up-front checks pass before any engine takes a step
-    start = (madelung_start(psi, p, ecfgs["madelung"], cfg.node_floor())
+    start = (madelung_start(psi, p, ecfgs["madelung"], node_floor)
              if "madelung" in ecfgs else None)
     fields = {}
     for eng, ecfg in ecfgs.items():
-        trace = evolve(psi, p, ecfg, node_floor=cfg.node_floor(),
+        trace = evolve(psi, p, ecfg, node_floor=node_floor,
                        start=start if eng == "madelung" else None)
         fields[eng] = trace.field_arrays()
         iomod.write_snapshots(os.path.join(out, f"trace_{eng}.ndjson"), g, *fields[eng])
@@ -160,15 +171,9 @@ def _run_modes(run, modes):
 def cmd_trajectories(args) -> int:
     cfg, out = _setup(args)
     g = cfg.grid()
-    p = cfg.params()
-    n_particles = cfg._int("sampler", "n_particles")
-    if n_particles < 2:
-        raise ConfigError("[sampler] n_particles must be at least 2")
-    sdt = cfg._float("sampler", "dt")
-    if not (np.isfinite(sdt) and sdt >= 0):
-        raise ConfigError(
-            f"[sampler] dt must be finite and non-negative (0: the evolution dt), got {sdt:g}")
-    requested = cfg.values["evolution"]["engine"]
+    n_particles = cfg["sampler", "n_particles"]
+    sdt = cfg["sampler", "dt"]
+    requested = cfg["evolution", "engine"]
     # particles read fields from one trace; the wavefunction engine is the
     # reference when the config asks for both
     ecfg = cfg.evolution_config(engine="schrodinger" if requested == "both" else requested)
@@ -177,7 +182,10 @@ def cmd_trajectories(args) -> int:
         raise ConfigError(
             f"[sampler] n_particles x snapshots = {n_particles} x {snapshots} exceeds "
             f"the limit of {MAX_ENSEMBLE_POSITIONS:g} stored positions")
-    trace = evolve(cfg.initial_state(), p, ecfg, node_floor=cfg.node_floor())
+    _check_trace(g, ecfg)
+    p = cfg.params()
+    node_floor, seed = cfg["evolution", "node_floor"], cfg["run", "seed"]
+    trace = evolve(cfg.initial_state(), p, ecfg, node_floor=node_floor)
     fields = TraceFields.from_trace(trace, p)
     ts, rhos = fields.ts, fields.rhos
     sdt = sdt or ecfg.dt
@@ -186,19 +194,19 @@ def cmd_trajectories(args) -> int:
         if abs(round(span / sdt) * sdt - span) > 1e-9 or span < sdt / 2:
             raise ConfigError(
                 f"sampler dt {sdt:g} does not divide the snapshot interval {span:g}")
-    requested_mode = cfg.values["sampler"]["mode"]
+    requested_mode = cfg["sampler", "mode"]
     modes = SAMPLER_MODES if requested_mode == "both" else (requested_mode,)
     final_cdf = cdf_from_density(g, rhos[-1])
 
     def run_mode(mode):
         # each mode draws its own stream from the seed, so the modes are
         # independent and may run in either process
-        ens = sample_initial(rhos[0], g, n_particles, cfg.seed())
+        ens = sample_initial(rhos[0], g, n_particles, seed)
         times, positions = [ens.t], [ens.positions]
         for t in ts[1:]:
             ens = advance_ensemble(
                 ens, fields, sdt, mode, boundary=ecfg.boundary,
-                node_floor=cfg.node_floor(), t_target=float(t))
+                node_floor=node_floor, t_target=float(t))
             times.append(ens.t)
             positions.append(ens.positions)
         iomod.write_ensemble_csv(os.path.join(out, f"ensemble_{mode}.csv"), times, positions)
@@ -214,14 +222,12 @@ def cmd_trajectories(args) -> int:
 
 def cmd_measure(args) -> int:
     cfg, out = _setup(args)
-    n_trials = cfg._int("device", "n_trials")
-    if n_trials < 1:
-        raise ConfigError("[device] n_trials must be positive")
+    n_trials = cfg["device", "n_trials"]
     g = cfg.grid()
     dev = cfg.device(g)
     psi_dev = device_state(cfg.initial_state())
     probs = born_probabilities(dev, psi_dev)
-    outcomes = draw_outcomes(dev, psi_dev, n_trials, cfg.seed())
+    outcomes = draw_outcomes(dev, psi_dev, n_trials, cfg["run", "seed"])
     iomod.write_outcomes_csv(os.path.join(out, "outcomes.csv"), outcomes, dev)
     iomod.write_device(os.path.join(out, "device.json"), dev)
     iomod.atomic_write(
@@ -238,15 +244,13 @@ def cmd_measure(args) -> int:
 
 def cmd_amplify(args) -> int:
     cfg, out = _setup(args)
-    n_trials = cfg._int("amplify", "n_trials")
-    if n_trials < 1:
-        raise ConfigError("[amplify] n_trials must be positive")
+    n_trials = cfg["amplify", "n_trials"]
     g = cfg.grid()
     dev = cfg.device(g)
     psi_dev = device_state(cfg.initial_state())
     like = cfg.likelihood(dev)
     prior = cfg.prior(dev, psi_dev)
-    log = end_to_end(psi_dev, dev, like, n_trials, cfg.seed(), prior=prior)
+    log = end_to_end(psi_dev, dev, like, n_trials, cfg["run", "seed"], prior=prior)
     iomod.write_experiment_log(os.path.join(out, "experiment.ndjson"), log)
     iomod.write_likelihood_csv(os.path.join(out, "likelihood.csv"), like)
     summary = {
@@ -262,14 +266,8 @@ def cmd_amplify(args) -> int:
 def cmd_validate(args) -> int:
     cfg = RunConfig.load(args.config) if args.config else None
     overrides = {}
-    if cfg is not None:
-        dt_override = cfg._float("validate", "madelung_dt")
-        if not (np.isfinite(dt_override) and dt_override >= 0):
-            raise ConfigError(
-                "[validate] madelung_dt must be finite and non-negative "
-                f"(0: the default step), got {dt_override:g}")
-        if dt_override > 0:
-            overrides["madelung_dt"] = dt_override
+    if cfg is not None and cfg["validate", "madelung_dt"] > 0:
+        overrides["madelung_dt"] = cfg["validate", "madelung_dt"]
     names = acceptance.select_criteria(args.filter) if args.filter else None
     results = acceptance.run_all(names, overrides)
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]

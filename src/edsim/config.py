@@ -1,13 +1,19 @@
 """INI run configuration.
 
 The schema is strict: unknown sections or keys are errors, so a typo like
-``n_particle`` fails loudly instead of silently using a default. The
-resolved configuration (all defaults filled in, output path excluded) can
-be rendered back to canonical text for archiving next to the results.
+``n_particle`` fails loudly instead of silently using a default. Each key's
+rule lives in _SCHEMA beside its default: a tuple of choices, a Num, or None
+for free text. Choices, the grid, [run] seed and [amplify] epsilon are
+checked at load; any other number when it is read as cfg[section, key], so
+a key that a command never reads cannot fail it. Rules that join keys stay
+with the builders. The resolved configuration (all defaults filled in,
+output path excluded) can be rendered back to canonical text for archiving
+next to the results.
 """
 
 import configparser
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,45 +23,80 @@ from .errors import ConfigError
 from .measurement import fourier_device, identity_device
 from .state import Grid1D, PhysicalParams, WaveFunction
 
-# a None default marks a required key
-_SCHEMA = {
-    "grid": {"x_min": None, "x_max": None, "n": None},
-    "physics": {"hbar": "1.0", "m": "1.0", "potential": "free", "omega": "1.0",
-                "center": "0.0"},
-    "initial": {"preset": None, "mu": "0.0", "sigma": "1.0", "k": "0.0",
-                "well": "harmonic", "level": "0"},
-    "evolution": {"engine": "schrodinger", "dt": None, "t_final": None,
-                  "snapshot_stride": "1", "boundary": "periodic",
-                  "node_floor": "1e-12"},
-    "sampler": {"mode": "current_flow", "n_particles": "10000", "dt": "0"},
-    "device": {"preset": "fourier", "path": "", "n_trials": "10000"},
-    "amplify": {"likelihood": "noisy", "epsilon": "0.1", "n_trials": "10000",
-                "prior": "born", "path": ""},
-    "run": {"seed": "0", "out": ""},
-    "validate": {"madelung_dt": "0"},
-}
+# a preset device holds a few dense n x n complex matrices at once (16 n^2
+# bytes each, 256 MiB at n = 4096); measure at n = 2048 peaks at 512 MB
+MAX_DEVICE_DIM = 4096
 
-_CHOICES = {
-    ("physics", "potential"): ("free", "harmonic"),
-    ("initial", "preset"): ("gaussian", "plane_wave", "eigenstate"),
-    ("initial", "well"): ("harmonic", "box"),
-    ("evolution", "engine"): ("schrodinger", "madelung", "both"),
-    ("evolution", "boundary"): ("periodic", "hardwall"),
-    ("sampler", "mode"): ("current_flow", "entropic_diffusion", "both"),
-    ("device", "preset"): ("identity", "fourier", "file"),
-    ("amplify", "likelihood"): ("ideal", "noisy", "file"),
-    ("amplify", "prior"): ("born", "uniform"),
+
+@dataclass(frozen=True)
+class Num:
+    """A finite number of type kind (int or float), at least low (above low
+    when strict) and below high."""
+
+    kind: type = float
+    low: float = -math.inf
+    strict: bool = False
+    high: float = math.inf
+
+    def __str__(self):
+        text = "an integer" if self.kind is int else "a finite number"
+        if self.low > -math.inf:
+            text += f" {'>' if self.strict else '>='} {self.low}"
+        if self.high < math.inf:
+            text += f" and < {self.high}"
+        return text
+
+    def check(self, where: str, raw: str):
+        try:
+            v = self.kind(raw)
+        except ValueError:
+            v = math.nan
+        if not ((v > self.low if self.strict else v >= self.low) and -math.inf < v < self.high):
+            raise ConfigError(f"{where} must be {self}, got '{raw}'")
+        return v
+
+
+_FINITE, _POSITIVE, _NON_NEGATIVE = Num(), Num(low=0, strict=True), Num(low=0)
+
+# (default, rule) per key; a None default marks a required key
+_SCHEMA = {
+    "grid": {"x_min": (None, _FINITE), "x_max": (None, _FINITE), "n": (None, Num(int, 8))},
+    "physics": {"hbar": ("1.0", _POSITIVE), "m": ("1.0", _POSITIVE),
+                "potential": ("free", ("free", "harmonic")),
+                "omega": ("1.0", _FINITE), "center": ("0.0", _FINITE)},
+    "initial": {"preset": (None, ("gaussian", "plane_wave", "eigenstate")),
+                "mu": ("0.0", _FINITE), "sigma": ("1.0", _POSITIVE), "k": ("0.0", _FINITE),
+                "well": ("harmonic", ("harmonic", "box")), "level": ("0", Num(int, 0))},
+    "evolution": {"engine": ("schrodinger", ("schrodinger", "madelung", "both")),
+                  "dt": (None, _POSITIVE), "t_final": (None, _NON_NEGATIVE),
+                  "snapshot_stride": ("1", Num(int, 1)),
+                  "boundary": ("periodic", ("periodic", "hardwall")),
+                  # <= 0 disables the node check; nan would disable it silently
+                  "node_floor": ("1e-12", _FINITE)},
+    "sampler": {"mode": ("current_flow", ("current_flow", "entropic_diffusion", "both")),
+                "n_particles": ("10000", Num(int, 2)),
+                "dt": ("0", _NON_NEGATIVE)},  # 0: the evolution dt
+    "device": {"preset": ("fourier", ("identity", "fourier", "file")), "path": ("", None),
+               "n_trials": ("10000", Num(int, 1))},
+    "amplify": {"likelihood": ("noisy", ("ideal", "noisy", "file")),
+                "epsilon": ("0.1", Num(low=0, high=1)), "n_trials": ("10000", Num(int, 1)),
+                "prior": ("born", ("born", "uniform")), "path": ("", None)},
+    "run": {"seed": ("0", Num(int, 0, high=2**64)), "out": ("", None)},
+    "validate": {"madelung_dt": ("0", _NON_NEGATIVE)},  # 0: the default step
 }
 
 
 class RunConfig:
-    """Validated configuration with typed accessors and state builders."""
+    """Validated configuration: raw text per key, read as cfg[section, key],
+    and the state builders."""
 
     def __init__(self, values: dict):
         self.values = values
 
     @classmethod
-    def load(cls, path):
+    def load(cls, path, seed=None):
+        """The config at path; seed, when given, replaces [run] seed and is
+        checked by the same rule."""
         cp = configparser.ConfigParser(interpolation=None)
         try:
             read = cp.read(path)
@@ -63,128 +104,96 @@ class RunConfig:
             raise ConfigError(f"cannot parse {path}: {e}") from None
         if not read:
             raise ConfigError(f"config file not found: {path}")
+        if seed is not None:
+            cp.read_dict({"run": {"seed": str(seed)}})
         return cls.from_parser(cp)
 
     @classmethod
     def from_parser(cls, cp):
-        values = {}
         for sect in cp.sections():
             if sect not in _SCHEMA:
                 raise ConfigError(f"unknown section [{sect}]")
             for key in cp[sect]:
                 if key not in _SCHEMA[sect]:
                     raise ConfigError(f"unknown key '{key}' in section [{sect}]")
+        values = {sect: {} for sect in _SCHEMA}
         for sect, keys in _SCHEMA.items():
-            values[sect] = {}
-            for key, default in keys.items():
-                if cp.has_option(sect, key):
-                    values[sect][key] = cp.get(sect, key).strip()
-                elif default is not None:
-                    values[sect][key] = default
-                else:
+            for key, (default, rule) in keys.items():
+                raw = cp.get(sect, key, fallback=default)
+                if raw is None:
                     raise ConfigError(f"missing required key '{key}' in [{sect}]")
+                values[sect][key] = raw = raw.strip()
+                if isinstance(rule, tuple) and raw not in rule:
+                    raise ConfigError(f"[{sect}] {key} must be one of {rule}, got '{raw}'")
         cfg = cls(values)
-        cfg._check()
-        return cfg
-
-    def _check(self):
-        for (sect, key), allowed in _CHOICES.items():
-            v = self.values[sect][key]
-            if v and v not in allowed:
-                raise ConfigError(
-                    f"[{sect}] {key} must be one of {allowed}, got '{v}'")
-        g = self.grid()  # validates ranges
-        if self.values["initial"]["preset"] == "plane_wave":
-            k = self._float("initial", "k")
-            winding = k * g.length / (2 * math.pi)
+        g = cfg.grid()
+        if cfg["initial", "preset"] == "plane_wave":
+            winding = cfg["initial", "k"] * g.length / (2 * math.pi)
             if not math.isfinite(winding) or abs(winding - round(winding)) > 1e-9:
                 raise ConfigError(
                     "plane_wave k must fit the periodic box: k*L/(2*pi) "
                     f"= {winding:.6g} is not an integer")
-        if self.values["device"]["preset"] == "file" and not self.values["device"]["path"]:
+        if cfg["device", "preset"] == "file" and not cfg["device", "path"]:
             raise ConfigError("[device] preset = file requires path")
-        if self.values["amplify"]["likelihood"] == "file" and not self.values["amplify"]["path"]:
+        if cfg["amplify", "likelihood"] == "file" and not cfg["amplify", "path"]:
             raise ConfigError("[amplify] likelihood = file requires path")
-        eps = self._float("amplify", "epsilon")
-        if not 0.0 <= eps < 1.0:
-            raise ConfigError(f"[amplify] epsilon must be in [0, 1), got {eps}")
-        seed = self.values["run"]["seed"]
-        try:
-            s = int(seed)
-        except ValueError:
-            raise ConfigError(f"[run] seed must be an integer, got '{seed}'") from None
-        if not 0 <= s < 2 ** 64:
-            raise ConfigError("[run] seed must fit in an unsigned 64-bit integer")
+        # read to be checked at load, whatever the command
+        cfg["amplify", "epsilon"]
+        cfg["run", "seed"]
+        return cfg
 
-    def _float(self, sect, key) -> float:
-        v = self.values[sect][key]
-        try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"[{sect}] {key} must be a number, got '{v}'") from None
-
-    def _int(self, sect, key) -> int:
-        v = self.values[sect][key]
-        try:
-            return int(v)
-        except ValueError:
-            raise ConfigError(f"[{sect}] {key} must be an integer, got '{v}'") from None
+    def __getitem__(self, where):
+        """[section] key: checked by its Num rule into an int or float, else
+        the text."""
+        sect, key = where
+        raw, rule = self.values[sect][key], _SCHEMA[sect][key][1]
+        return rule.check(f"[{sect}] {key}", raw) if isinstance(rule, Num) else raw
 
     # builders -----------------------------------------------------------
 
     def grid(self) -> Grid1D:
         try:
-            return Grid1D(self._float("grid", "x_min"),
-                          self._float("grid", "x_max"),
-                          self._int("grid", "n"))
+            return Grid1D(self["grid", "x_min"], self["grid", "x_max"], self["grid", "n"])
         except ValueError as e:
             raise ConfigError(str(e)) from None
 
     def params(self) -> PhysicalParams:
-        hbar = self._float("physics", "hbar")
-        m = self._float("physics", "m")
-        if hbar <= 0 or m <= 0:
-            raise ConfigError("[physics] hbar and m must be positive")
-        pot = self.values["physics"]["potential"]
-        if pot == "harmonic":
-            omega = self._float("physics", "omega")
-            x0 = self._float("physics", "center")
-            return PhysicalParams(hbar, m, lambda x: 0.5 * m * omega ** 2 * (x - x0) ** 2)
-        return PhysicalParams(hbar, m)
+        """Physical constants and potential; a harmonic potential must be
+        finite on every grid cell."""
+        hbar, m = self["physics", "hbar"], self["physics", "m"]
+        if self["physics", "potential"] == "free":
+            return PhysicalParams(hbar, m)
+        omega, x0 = self["physics", "omega"], self["physics", "center"]
+        p = PhysicalParams(hbar, m, lambda x: 0.5 * m * omega ** 2 * (x - x0) ** 2)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                p.potential_on(self.grid())
+        except (ValueError, OverflowError):  # omega ** 2 overflows a float
+            raise ConfigError(
+                f"[physics] the harmonic potential (omega {omega:g}, center {x0:g}) "
+                "is not finite on every grid cell") from None
+        return p
 
     def initial_state(self) -> WaveFunction:
         g = self.grid()
         x = g.cells
-        preset = self.values["initial"]["preset"]
-        if preset == "gaussian":
-            mu, sigma, k = (self._float("initial", key) for key in ("mu", "sigma", "k"))
-            if not (math.isfinite(sigma) and sigma > 0):
-                raise ConfigError(f"[initial] sigma must be finite and positive, got {sigma:g}")
-            if not (math.isfinite(mu) and math.isfinite(k)):
-                raise ConfigError(f"[initial] mu and k must be finite, got mu={mu:g}, k={k:g}")
-            psi = free_gaussian(
-                x, sigma0=sigma, k0=k, x0=mu,
-                hbar=self._float("physics", "hbar"), m=self._float("physics", "m"))
-        elif preset == "plane_wave":
-            k = self._float("initial", "k")
-            mode = int(round(k * g.length / (2 * math.pi)))
+        preset = self["initial", "preset"]
+        if preset == "plane_wave":
+            mode = int(round(self["initial", "k"] * g.length / (2 * math.pi)))
             return plane_wave(g, mode)
-        else:
-            level = self._int("initial", "level")
-            if level < 0:
-                raise ConfigError("[initial] level must be >= 0")
-            if self.values["initial"]["well"] == "harmonic":
-                try:
-                    psi = harmonic_eigenstate(
-                        x, level, m=self._float("physics", "m"),
-                        omega=self._float("physics", "omega"),
-                        hbar=self._float("physics", "hbar"))
-                except OverflowError:  # level! exceeds a float from level 171 on
-                    raise ConfigError(
-                        f"[initial] level {level} is too high for the harmonic "
-                        "eigenstate: its normalization overflows") from None
+        try:
+            if preset == "gaussian":  # at t = 0 the packet does not depend on hbar or m
+                psi = free_gaussian(x, sigma0=self["initial", "sigma"],
+                                    k0=self["initial", "k"], x0=self["initial", "mu"])
+            elif self["initial", "well"] == "harmonic":
+                psi = harmonic_eigenstate(
+                    x, self["initial", "level"], m=self["physics", "m"],
+                    omega=self["physics", "omega"], hbar=self["physics", "hbar"])
             else:
-                psi = box_eigenstate(x, level, g.x_min, g.length)
+                psi = box_eigenstate(x, self["initial", "level"], g.x_min, g.length)
+        except ArithmeticError as e:  # level! or k^2 past a float, sigma^2 underflowing to 0
+            raise ConfigError(
+                f"[initial] the {preset} preset cannot be computed in floats: {e}") from None
         state = WaveFunction(g, psi.astype(complex))
         norm = state.norm()
         if not (math.isfinite(norm) and norm > 0):
@@ -194,44 +203,42 @@ class RunConfig:
     def evolution_config(self, engine=None) -> EvolutionConfig:
         try:
             return EvolutionConfig(
-                dt=self._float("evolution", "dt"),
-                t_final=self._float("evolution", "t_final"),
-                engine=engine or self.values["evolution"]["engine"],
-                snapshot_stride=self._int("evolution", "snapshot_stride"),
-                boundary=self.values["evolution"]["boundary"])
+                dt=self["evolution", "dt"],
+                t_final=self["evolution", "t_final"],
+                engine=engine or self["evolution", "engine"],
+                snapshot_stride=self["evolution", "snapshot_stride"],
+                boundary=self["evolution", "boundary"])
         except ValueError as e:
             raise ConfigError(str(e)) from None
 
-    def node_floor(self) -> float:
-        v = self._float("evolution", "node_floor")
-        # nan > 0 is false, so a nan floor would silently disable the check
-        if not math.isfinite(v):
-            raise ConfigError(f"[evolution] node_floor must be finite (<= 0 disables), got {v:g}")
-        return v
-
     def device(self, grid):
         """The configured device on grid's cells: a preset of dimension
-        grid.n, or a file device, whose dimension must equal grid.n."""
-        preset = self.values["device"]["preset"]
+        grid.n, or a file device, whose dimension must equal grid.n. Either
+        way grid.n may not exceed MAX_DEVICE_DIM."""
+        if grid.n > MAX_DEVICE_DIM:
+            raise ConfigError(
+                f"device dimension {grid.n} exceeds the limit of {MAX_DEVICE_DIM} "
+                "(dense n x n complex matrices)")
+        preset = self["device", "preset"]
         if preset == "identity":
             return identity_device(grid.n)
         if preset == "fourier":
             return fourier_device(grid.n)
         from .io import read_device
-        dev = read_device(self.values["device"]["path"])
+        dev = read_device(self["device", "path"])
         if dev.dim != grid.n:
             raise ConfigError(f"device dimension {dev.dim} must equal grid n {grid.n}")
         return dev
 
     def likelihood(self, dev):
-        kind = self.values["amplify"]["likelihood"]
+        kind = self["amplify", "likelihood"]
         from .amplification import ideal_likelihood, noisy_likelihood
         if kind == "ideal":
             return ideal_likelihood(dev.dim)
         if kind == "noisy":
-            return noisy_likelihood(dev.dim, self._float("amplify", "epsilon"))
+            return noisy_likelihood(dev.dim, self["amplify", "epsilon"])
         from .io import read_likelihood_csv
-        like = read_likelihood_csv(self.values["amplify"]["path"])
+        like = read_likelihood_csv(self["amplify", "path"])
         if like.n_cells != dev.dim:
             raise ConfigError(
                 f"likelihood has {like.n_cells} cells but device has {dev.dim}")
@@ -239,15 +246,9 @@ class RunConfig:
 
     def prior(self, dev, psi_dev):
         from .measurement import born_probabilities
-        if self.values["amplify"]["prior"] == "uniform":
+        if self["amplify", "prior"] == "uniform":
             return np.full(dev.dim, 1.0 / dev.dim)
         return born_probabilities(dev, psi_dev)
-
-    def seed(self) -> int:
-        return int(self.values["run"]["seed"])
-
-    def out_dir(self) -> str:
-        return self.values["run"]["out"]
 
     def resolved_ini(self) -> str:
         """Canonical text of the fully-resolved configuration. The output

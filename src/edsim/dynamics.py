@@ -74,6 +74,8 @@ _BOUNDARIES = ("periodic", "hardwall")
 
 
 def _steps_for(t_final, dt):
+    if not t_final / dt < math.inf:
+        raise ValueError(f"t_final={t_final:g} is too many dt={dt:g} steps to count")
     n = int(round(t_final / dt))
     if abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError(f"t_final={t_final:g} is not an integer number of dt={dt:g} steps")
@@ -457,8 +459,6 @@ def evolve(
     """
     grid = initial.grid
     n_steps = _steps_for(cfg.t_final, cfg.dt)
-    snap_at = set(range(0, n_steps + 1, cfg.snapshot_stride))
-    snap_at.add(n_steps)
     trace = EvolutionTrace(engine=cfg.engine, grid=grid)
 
     if cfg.engine == "schrodinger":
@@ -466,7 +466,7 @@ def evolve(
         solver = _cn_solver(grid, p, cfg.dt, cfg.boundary)
         for step in range(n_steps + 1):
             t = step * cfg.dt
-            if step in snap_at:
+            if step % cfg.snapshot_stride == 0 or step == n_steps:
                 trace.snapshots.append((t, psi))
                 h = to_hydro(psi, node_floor=0.0)
                 trace.hydro.append(h)
@@ -485,7 +485,7 @@ def evolve(
     worst_renorm = 0.0
     for step in range(n_steps + 1):
         t = step * cfg.dt
-        if step in snap_at:
+        if step % cfg.snapshot_stride == 0 or step == n_steps:
             h = HydroState(grid, rho, phi)  # step returns new arrays
             trace.snapshots.append((t, h))
             trace.hydro.append(h)

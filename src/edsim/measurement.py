@@ -29,11 +29,10 @@ class DiscreteDevice:
     basis: np.ndarray  # rows are the eigenvectors a_i
     eigenvalues: np.ndarray
     target_cells: np.ndarray
-    unitary: np.ndarray
 
 
 def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
-    """Validate the basis and assemble the device unitary.
+    """Validate the basis and assemble the device.
 
     basis rows must be orthonormal and complete; target cells pairwise
     distinct. Eigenvalues are arbitrary scalars (default 0..N-1): labels,
@@ -67,12 +66,11 @@ def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
         raise ValueError("need one eigenvalue per basis vector")
     if not np.all(np.isfinite(eigenvalues)):
         raise BasisError("eigenvalues must be finite")
-    # U = sum_i |x_i><a_i| in slot order: row i of U is conj(a_i). With
-    # U = conj(B), U^H U = conj(comp) and U B^T = conj(gram), so unitarity
-    # and U a_i = e_i are the checks above: _identity_deviation reads only
-    # abs(m) and abs(diag(m) - 1), which conjugation leaves bit for bit.
-    unitary = basis.conj()
-    return DiscreteDevice(dim, basis, eigenvalues, cells, unitary)
+    # the device unitary U = sum_i |x_i><a_i| in slot order is conj(B). Its
+    # unitarity and U a_i = e_i are the checks above: U^H U = conj(comp) and
+    # U B^T = conj(gram), and _identity_deviation reads only abs(m) and
+    # abs(diag(m) - 1), which conjugation leaves bit for bit.
+    return DiscreteDevice(dim, basis, eigenvalues, cells)
 
 
 def _identity_deviation(m) -> float:
@@ -116,13 +114,13 @@ def device_state(psi: WaveFunction) -> np.ndarray:
 
 def born_probabilities(dev: DiscreteDevice, psi) -> np.ndarray:
     """p_i = |<a_i|psi>|^2; sums to 1 by completeness."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.abs(dev.unitary @ psi) ** 2  # row i of U is conj(a_i)
+    return np.abs(dev.basis @ np.conj(psi)) ** 2  # |<a_i|psi>| = |a_i . conj(psi)|
 
 
 def apply_device(dev: DiscreteDevice, psi) -> np.ndarray:
-    """psi' = U psi; component i of psi' lives at target cell x_i."""
-    return dev.unitary @ np.asarray(psi, dtype=complex)
+    """psi' = U psi with U = conj(B); component i of psi' lives at target
+    cell x_i."""
+    return np.conj(dev.basis @ np.conj(psi))
 
 
 def draw_outcomes(dev, psi, n_trials, seed) -> np.ndarray:

@@ -9,7 +9,7 @@ import signal
 
 import pytest
 
-from edsim import cli, dynamics, fourier_device, noisy_likelihood
+from edsim import cli, config, dynamics, fourier_device, noisy_likelihood
 from edsim.io import read_snapshots, write_device, write_likelihood_csv
 from edsim.trajectories import ENTROPIC_DIFFUSION, SAMPLER_MODES
 
@@ -308,6 +308,25 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     ("evolve", {"evolution__dt": "inf"}),
     ("trajectories", {"evolution__dt": "inf"}),
     ("evolve", {"evolution__engine": "madelung", "evolution__dt": "inf"}),
+    # a harmonic potential that is not finite on the grid; omega ** 2 overflows
+    ("evolve", {"physics__potential": "harmonic", "physics__omega": "inf"}),
+    ("trajectories", {"physics__potential": "harmonic", "physics__omega": "inf"}),
+    ("evolve", {"physics__potential": "harmonic", "physics__center": "inf"}),
+    ("trajectories", {"physics__potential": "harmonic", "physics__center": "inf"}),
+    ("evolve", {"physics__potential": "harmonic", "physics__omega": "1e200"}),
+    ("trajectories", {"physics__potential": "harmonic", "physics__omega": "1e200"}),
+    # traces beyond MAX_TRACE_VALUES, refused before the initial state is built
+    ("evolve", {"evolution__t_final": "1e300"}),
+    ("evolve", {"grid__n": 100000000000}),
+    ("trajectories", {"grid__n": 100000000000}),
+    # devices beyond MAX_DEVICE_DIM, refused before any n x n matrix is built
+    ("measure", {"grid__n": 100000}),
+    ("amplify", {"grid__n": 100000}),
+    # k ** 2 overflows, sigma ** 2 underflows to a zero divisor, and the step
+    # count t_final / dt overflows
+    ("measure", {"initial__k": "1e300"}),
+    ("measure", {"initial__sigma": "1e-300"}),
+    ("evolve", {"evolution__dt": "1e-10", "evolution__t_final": "1e300"}),
 ])
 def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
     cfg = ini(**overrides)
@@ -379,6 +398,40 @@ def test_ensemble_limit_counts_the_recorded_positions(ini, tmp_path, monkeypatch
     assert run("trajectories", "--config", cfg, "--out", str(tmp_path / "b")) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "200 x 5" in err["message"]
+
+
+@pytest.mark.parametrize("command, engine", [
+    ("evolve", "schrodinger"), ("evolve", "both"), ("trajectories", "both")])
+def test_trace_limit_counts_snapshots_times_cells(command, engine, ini, tmp_path, monkeypatch,
+                                                  capsys):
+    """The limit is on snapshots x cells: 5 snapshots (t = 0, 3, 6, 9 and
+    10 dt) of 64 cells, per engine. Over it the run stops before the
+    initial state is built."""
+    cfg = ini(evolution__snapshot_stride=3, evolution__engine=engine, evolution__node_floor=0)
+    monkeypatch.setattr(cli, "MAX_TRACE_VALUES", 5 * 64)
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "a")) == 0
+    monkeypatch.setattr(cli, "MAX_TRACE_VALUES", 5 * 64 - 1)
+    monkeypatch.setattr(cli.RunConfig, "initial_state", None)  # never reached
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "b")) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "5 x 64" in err["message"]
+
+
+def test_device_limit_is_checked_before_any_matrix(ini, tmp_path, monkeypatch, capsys):
+    """grid n = MAX_DEVICE_DIM runs; one more is refused before a device or
+    a device file is built or read. n = 2048 stays within the limit."""
+    assert config.MAX_DEVICE_DIM >= 2048
+    monkeypatch.setattr(config, "MAX_DEVICE_DIM", 64)
+    for command in ("measure", "amplify"):
+        assert run(command, "--config", ini(), "--out", str(tmp_path / command)) == 0
+    monkeypatch.setattr(config, "MAX_DEVICE_DIM", 63)
+    monkeypatch.setattr(config, "fourier_device", None)  # never reached
+    for command in ("measure", "amplify"):
+        for overrides in ({}, {"device__preset": "file", "device__path": str(tmp_path / "no")}):
+            assert run(command, "--config", ini(**overrides), "--out", str(tmp_path / "o")) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err == {"error": "ConfigError", "message": "device dimension 64 exceeds "
+                           "the limit of 63 (dense n x n complex matrices)"}
 
 
 def test_finite_madelung_blow_up_maps_to_exit_3(ini, tmp_path, capsys):
@@ -458,7 +511,8 @@ def test_n_trials_is_checked_before_any_file_is_read(command, section, overrides
                               f"{section}__n_trials": 0})
     assert run(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "ConfigError", "message": f"[{section}] n_trials must be positive"}
+    assert err == {"error": "ConfigError",
+                   "message": f"[{section}] n_trials must be an integer >= 1, got '0'"}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -501,6 +555,8 @@ def test_seed_override(ini, tmp_path):
     assert run("measure", "--config", ini(), "--out", str(b), "--seed", "2") == 0
     assert (a / "outcomes.csv").read_bytes() != (b / "outcomes.csv").read_bytes()
     assert "seed = 1" in (a / "resolved.ini").read_text()
+    # --seed replaces [run] seed and takes its rule
+    assert run("measure", "--config", ini(), "--out", str(b), "--seed", str(2**64)) == 2
     # Born probabilities do not depend on the sampling seed
     assert (a / "born.json").read_bytes() == (b / "born.json").read_bytes()
 

@@ -1,3 +1,4 @@
+import configparser
 import itertools
 import json
 import os
@@ -6,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import edsim.io as iomod
-from edsim.config import _SCHEMA
+from edsim.config import _SCHEMA, Num
 from edsim import (
     BasisError,
     ConfigError,
@@ -128,8 +131,9 @@ def write_ini(tmp_path, text, name="run.ini"):
 def test_config_defaults(tmp_path):
     cfg = RunConfig.load(write_ini(tmp_path, MINIMAL))
     assert cfg.grid().n == 128
-    assert cfg.seed() == 0
-    assert cfg.node_floor() == pytest.approx(1e-12)
+    assert cfg["run", "seed"] == 0
+    assert cfg["evolution", "node_floor"] == pytest.approx(1e-12)
+    assert cfg["evolution", "snapshot_stride"] == 1 and cfg["run", "out"] == ""
     ecfg = cfg.evolution_config()
     assert ecfg.engine == "schrodinger"
     assert ecfg.boundary == "periodic"
@@ -197,6 +201,77 @@ def test_config_seed_and_epsilon_ranges(tmp_path):
         RunConfig.load(write_ini(tmp_path, MINIMAL + "\n[amplify]\nepsilon = 1.5\n"))
 
 
+def test_seed_override_takes_the_seed_rule(tmp_path):
+    path = write_ini(tmp_path, MINIMAL + "\n[run]\nseed = x\n")
+    assert RunConfig.load(path, seed=2**64 - 1)["run", "seed"] == 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match=r"\[run\] seed must be an integer >= 0"):
+            RunConfig.load(path, seed=seed)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    (("grid", "n"), "7", "[grid] n must be an integer >= 8, got '7'"),
+    (("physics", "hbar"), "0", "[physics] hbar must be a finite number > 0, got '0'"),
+    (("physics", "omega"), "inf", "[physics] omega must be a finite number, got 'inf'"),
+    (("evolution", "t_final"), "-1", "[evolution] t_final must be a finite number >= 0, got '-1'"),
+    (("amplify", "epsilon"), "1", "[amplify] epsilon must be a finite number >= 0 and < 1, got '1'"),
+    (("device", "n_trials"), "1.5", "[device] n_trials must be an integer >= 1, got '1.5'"),
+])
+def test_rule_messages(key, value, message):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(MINIMAL)
+    cp.read_dict({"physics": {"potential": "harmonic"}, key[0]: {key[1]: value}})
+    with pytest.raises(ConfigError) as err:
+        cfg = RunConfig.from_parser(cp)
+        cfg[key]
+    assert str(err.value) == message
+
+
+def test_harmonic_potential_must_be_finite_on_the_grid(tmp_path):
+    harm = MINIMAL.replace("[evolution]", "[physics]\npotential = harmonic\n\n[evolution]")
+    for extra in ("omega = 1e200", "center = 1e300"):
+        cfg = RunConfig.load(write_ini(tmp_path, harm.replace("potential = harmonic",
+                                                              "potential = harmonic\n" + extra)))
+        with pytest.raises(ConfigError, match="harmonic potential"):
+            cfg.params()
+    # a key the command does not read cannot fail it
+    free = RunConfig.load(write_ini(tmp_path, MINIMAL + "\n[physics]\nomega = inf\n"))
+    assert free.params().potential_on(free.grid()).max() == 0.0
+
+
+NUMBER_KEYS = sorted((sect, key) for sect, keys in _SCHEMA.items()
+                     for key, (_, rule) in keys.items() if isinstance(rule, Num))
+FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "1.5", "1e300", "1e-300", "x"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(numbers=st.dictionaries(st.sampled_from(NUMBER_KEYS), st.sampled_from(FUZZ_VALUES),
+                               min_size=1, max_size=3),
+       preset=st.sampled_from(_SCHEMA["initial"]["preset"][1]),
+       well=st.sampled_from(_SCHEMA["initial"]["well"][1]),
+       potential=st.sampled_from(_SCHEMA["physics"]["potential"][1]))
+def test_config_fuzz_raises_only_config_error(numbers, preset, well, potential):
+    """Loading, reading any number and building the grid, params, initial
+    state and evolution config raise nothing but ConfigError. No drawn
+    value parses as a large grid n, so nothing allocates at scale."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(MINIMAL)
+    cp.read_dict({"initial": {"preset": preset, "well": well},
+                  "physics": {"potential": potential}})
+    for (sect, key), value in numbers.items():
+        cp.read_dict({sect: {key: value}})
+    try:
+        cfg = RunConfig.from_parser(cp)
+    except ConfigError:
+        return
+    steps = [lambda where=where: cfg[where] for where in NUMBER_KEYS]
+    for step in steps + [cfg.grid, cfg.params, cfg.initial_state, cfg.evolution_config]:
+        try:
+            step()
+        except ConfigError:
+            pass
+
+
 def test_resolved_ini_deterministic(tmp_path):
     text_a = RunConfig.load(write_ini(tmp_path, MINIMAL, "a.ini")).resolved_ini()
     text_b = RunConfig.load(
@@ -207,22 +282,38 @@ def test_resolved_ini_deterministic(tmp_path):
     assert "engine = schrodinger" in text_a
 
 
-def _documented_keys():
-    """{section: backticked keys} of the README's configuration reference
-    table; a row with an empty section cell continues the section above."""
+def _documented_rows():
+    """(section, backticked keys, default and notes) per row of the README's
+    configuration reference table; a row with an empty section cell
+    continues the section above."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = readme.read_text().split("### Configuration reference", 1)[1].splitlines()
     header = next(i for i, line in enumerate(lines) if line.startswith("|"))
-    keys, sect = {}, None
+    rows, sect = [], None
     for row in itertools.takewhile(lambda line: line.startswith("|"), lines[header + 2:]):
         cells = [c.strip() for c in row.strip("|").split("|")]
         if cells[0]:
             sect = re.fullmatch(r"`\[(\w+)\]`", cells[0]).group(1)
-        keys.setdefault(sect, set()).update(re.findall(r"`(\w+)`", cells[1]))
-    return keys
+        rows.append((sect, re.findall(r"`(\w+)`", cells[1]), " | ".join(cells[2:])))
+    return rows
 
 
 def test_readme_config_table_matches_schema():
     """Every schema key has a row in the README table and every row names a
     schema key, so neither can change without the other."""
-    assert _documented_keys() == {sect: set(keys) for sect, keys in _SCHEMA.items()}
+    keys = {}
+    for sect, row_keys, _ in _documented_rows():
+        keys.setdefault(sect, set()).update(row_keys)
+    assert keys == {sect: set(keys) for sect, keys in _SCHEMA.items()}
+
+
+def test_readme_config_table_states_each_rule():
+    """A number key's row states its rule as the schema words it, and a
+    choice key's row names every choice."""
+    for sect, row_keys, text in _documented_rows():
+        for key in row_keys:
+            rule = _SCHEMA[sect][key][1]
+            if isinstance(rule, Num):
+                assert str(rule) in text, (sect, key)
+            elif rule is not None:
+                assert all(f"`{v}`" in text for v in rule), (sect, key)
