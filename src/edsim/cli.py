@@ -20,9 +20,11 @@ module checks only what needs more than the config. Memory is bounded up
 front, with exit 2 before the initial state is built: a trace may hold at
 most MAX_TRACE_VALUES values (snapshots x cells), and trajectories, which
 keeps every particle's position at every snapshot, at most
-MAX_ENSEMBLE_POSITIONS positions (n_particles x snapshots). With mode =
-both the second mode can run in a forked worker (_run_modes) that holds
-its own positions, so that limit holds per process.
+MAX_ENSEMBLE_POSITIONS positions (n_particles x snapshots). Two jobs can
+run at once in a forked worker (_run_modes): with trajectories' mode =
+both the second sampler mode, which holds its own positions, and with
+evolve's engine = both the Madelung engine, which holds its own trace and
+sends back only its densities. Either limit then holds per process.
 """
 
 import argparse
@@ -95,16 +97,20 @@ def cmd_evolve(args) -> int:
     # every engine's up-front checks pass before any engine takes a step
     start = (madelung_start(psi, p, ecfgs["madelung"], node_floor)
              if "madelung" in ecfgs else None)
-    fields = {}
-    for eng, ecfg in ecfgs.items():
-        trace = evolve(psi, p, ecfg, node_floor=node_floor,
+
+    def run_engine(eng):
+        # each engine writes only its own files, so the engines may run in
+        # either process; only the densities come back, for compare_l1.csv
+        trace = evolve(psi, p, ecfgs[eng], node_floor=node_floor,
                        start=start if eng == "madelung" else None)
-        fields[eng] = trace.field_arrays()
-        iomod.write_snapshots(os.path.join(out, f"trace_{eng}.ndjson"), g, *fields[eng])
+        ts, rhos, phis = trace.field_arrays()
+        iomod.write_snapshots(os.path.join(out, f"trace_{eng}.ndjson"), g, ts, rhos, phis)
         iomod.write_diagnostics(os.path.join(out, f"diagnostics_{eng}.csv"), trace.diagnostics)
-    if len(fields) == 2:
-        ts, r_s, _ = fields["schrodinger"]
-        _, r_m, _ = fields["madelung"]
+        return ts, rhos
+
+    results = _run_modes(run_engine, engines)
+    if len(results) == 2:
+        (ts, r_s), (_, r_m) = results
         l1s = [l1_distance(a, b, g.dx) for a, b in zip(r_s, r_m)]
         iomod.write_compare_csv(os.path.join(out, "compare_l1.csv"), ts, l1s)
     return 0
@@ -118,20 +124,18 @@ def _usable_cpus() -> int:
 
 
 def _run_modes(run, modes):
-    """run(mode) for every mode, with the outcome of running them in order.
+    """[run(mode) for mode in modes], with the outcome of running them in order.
 
     With two modes, os.fork and at least two usable CPUs, the first mode
     runs in this process while the second runs in one forked worker;
     otherwise every mode runs here, one after the other. The worker sends
-    (None,) or its pickled exception back over a pipe and always ends with
-    os._exit, and this process always reaps it, also when the first mode
-    fails. Errors keep mode order: the first mode's error, else the
-    worker's, else a RuntimeError naming how the worker died.
+    its pickled (value, None) or (None, exception) back over a pipe and
+    always ends with os._exit, and this process always reaps it, also when
+    the first mode fails. Errors keep mode order: the first mode's error,
+    else the worker's, else a RuntimeError naming how the worker died.
     """
     if len(modes) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
-        for mode in modes:
-            run(mode)
-        return
+        return [run(mode) for mode in modes]
     first, second = modes
     rfd, wfd = os.pipe()
     pid = os.fork()
@@ -140,10 +144,9 @@ def _run_modes(run, modes):
         try:
             os.close(rfd)
             try:
-                run(second)
-                result = (None,)
+                result = (run(second), None)
             except BaseException as e:  # re-raised by the parent
-                result = (e,)
+                result = (None, e)
             with open(wfd, "wb") as fh:
                 pickle.dump(result, fh)
             status = 0
@@ -153,7 +156,7 @@ def _run_modes(run, modes):
             os._exit(status)
     os.close(wfd)
     try:
-        run(first)
+        value = run(first)
     finally:
         with open(rfd, "rb") as fh:
             report = fh.read()
@@ -163,9 +166,10 @@ def _run_modes(run, modes):
             f"the {second} worker was killed by signal {-code} ({signal.strsignal(-code)})")
     if code:
         raise RuntimeError(f"the {second} worker exited with status {code} and no result")
-    (error,) = pickle.loads(report)
+    second_value, error = pickle.loads(report)
     if error is not None:
         raise error
+    return [value, second_value]
 
 
 def cmd_trajectories(args) -> int:

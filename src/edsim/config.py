@@ -133,6 +133,12 @@ class RunConfig:
                 raise ConfigError(
                     "plane_wave k must fit the periodic box: k*L/(2*pi) "
                     f"= {winding:.6g} is not an integer")
+            # past 2^53 every float is an integer, so the fit check alone
+            # would pass any huge k
+            if abs(round(winding)) > g.n // 2:
+                raise ConfigError(
+                    f"plane_wave mode k*L/(2*pi) = {winding:.6g} exceeds the grid's "
+                    f"Nyquist mode n/2 = {g.n // 2}")
         if cfg["device", "preset"] == "file" and not cfg["device", "path"]:
             raise ConfigError("[device] preset = file requires path")
         if cfg["amplify", "likelihood"] == "file" and not cfg["amplify", "path"]:
@@ -182,15 +188,18 @@ class RunConfig:
             mode = int(round(self["initial", "k"] * g.length / (2 * math.pi)))
             return plane_wave(g, mode)
         try:
-            if preset == "gaussian":  # at t = 0 the packet does not depend on hbar or m
-                psi = free_gaussian(x, sigma0=self["initial", "sigma"],
-                                    k0=self["initial", "k"], x0=self["initial", "mu"])
-            elif self["initial", "well"] == "harmonic":
-                psi = harmonic_eigenstate(
-                    x, self["initial", "level"], m=self["physics", "m"],
-                    omega=self["physics", "omega"], hbar=self["physics", "hbar"])
-            else:
-                psi = box_eigenstate(x, self["initial", "level"], g.x_min, g.length)
+            # a preset that overflows in numpy is refused by the norm check
+            # below, with no warning printed ahead of the error line
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                if preset == "gaussian":  # at t = 0 the packet does not depend on hbar or m
+                    psi = free_gaussian(x, sigma0=self["initial", "sigma"],
+                                        k0=self["initial", "k"], x0=self["initial", "mu"])
+                elif self["initial", "well"] == "harmonic":
+                    psi = harmonic_eigenstate(
+                        x, self["initial", "level"], m=self["physics", "m"],
+                        omega=self["physics", "omega"], hbar=self["physics", "hbar"])
+                else:
+                    psi = box_eigenstate(x, self["initial", "level"], g.x_min, g.length)
         except ArithmeticError as e:  # level! or k^2 past a float, sigma^2 underflowing to 0
             raise ConfigError(
                 f"[initial] the {preset} preset cannot be computed in floats: {e}") from None

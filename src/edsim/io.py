@@ -77,13 +77,14 @@ def _f_join(a) -> str:
 
 
 def read_snapshots(path):
-    """Inverse of write_snapshots: list of (t, x, rho, phi) arrays."""
+    """Inverse of write_snapshots: list of (t, x, rho, phi) arrays. Every
+    number parses as a float, so "-0" (-0.0 in "%.17g") keeps its sign."""
     out = []
     with open(path) as fh:
         for line in fh:
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            rec = json.loads(line, parse_int=float)
             out.append(
                 (
                     float(rec["t"]),

@@ -3,10 +3,14 @@
 import csv
 import itertools
 import json
+import math
 import os
 import re
 import signal
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from edsim import cli, config, dynamics, fourier_device, noisy_likelihood
@@ -128,8 +132,8 @@ def forks(monkeypatch):
 
 
 def take_path(monkeypatch, path):
-    """Make cmd_trajectories take the "forked" or the "inline" path, through
-    its CPU probe alone."""
+    """Make _run_modes, and so cmd_trajectories and cmd_evolve, take the
+    "forked" or the "inline" path, through its CPU probe alone."""
     cpus = 2 if path == "forked" else 1
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
 
@@ -221,6 +225,101 @@ def test_killed_worker_exits_1_naming_mode_and_signal(forks, monkeypatch, ini, t
     assert err["error"] == "RuntimeError"
     assert ENTROPIC_DIFFUSION in err["message"] and f"signal {int(signal.SIGKILL)}" in err["message"]
     assert listdir(out) == ["ensemble_current_flow.csv", "ks_current_flow.json", "resolved.ini"]
+
+
+@needs_fork
+@pytest.mark.parametrize("path", ["forked", "inline"])
+def test_run_modes_returns_each_value_in_mode_order(path, forks, monkeypatch):
+    """A numpy array from each mode comes back bit for bit, in mode order,
+    whichever process ran the mode."""
+    take_path(monkeypatch, path)
+    special = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, np.pi]
+    values = {"a": np.array(special), "b": np.array(special[::-1]) * -1.0}
+    got = cli._run_modes(values.__getitem__, ("a", "b"))
+    assert len(forks) == (path == "forked")
+    assert_no_child_left()
+    assert [v.tobytes() for v in got] == [values["a"].tobytes(), values["b"].tobytes()]
+    assert cli._run_modes(values.__getitem__, ("b",))[0].tobytes() == values["b"].tobytes()
+
+
+ENGINE_FILES = [f"{kind}_{eng}.{ext}" for eng in ("madelung", "schrodinger")
+                for kind, ext in (("diagnostics", "csv"), ("trace", "ndjson"))]
+
+
+@needs_fork
+@pytest.mark.parametrize("boundary", ["periodic", "hardwall"])
+def test_engine_both_forked_matches_inline(boundary, forks, monkeypatch, ini, tmp_path):
+    """engine = both writes the same bytes whether the Madelung engine runs
+    in a forked worker or in-process, with one fork on the forked path."""
+    cfg = ini(evolution__engine="both", evolution__node_floor=0,
+              evolution__boundary=boundary)
+    files = {}
+    for path in ("forked", "inline"):
+        take_path(monkeypatch, path)
+        out = tmp_path / path
+        assert run("evolve", "--config", cfg, "--out", str(out)) == 0
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert listdir(out) == sorted(["compare_l1.csv", "resolved.ini"] + ENGINE_FILES)
+        files[path] = {name: (out / name).read_bytes() for name in listdir(out)}
+    assert files["forked"] == files["inline"]
+
+
+@pytest.mark.parametrize("overrides, error", [
+    # the initial tail (3.1e-18) clears the floor; the first step clips it to 0
+    ({"evolution__node_floor": "1e-18"}, "NodeError"),
+    # four steps inside the dt bound that renormalize by 2.68, 0.64, 8.1, 1.8e12
+    ({"grid__n": 8, "initial__mu": 0.6, "initial__sigma": 0.6, "initial__k": 0.0988,
+      "evolution__dt": 0.3952, "evolution__t_final": 1.5808,
+      "evolution__snapshot_stride": 1, "evolution__node_floor": 0}, "StabilityError"),
+], ids=["node_floor", "blow_up"])
+@needs_fork
+def test_madelung_errors_match_inline(overrides, error, forks, monkeypatch, ini, tmp_path,
+                                      capsys):
+    """A Madelung failure mid-run gives the same exit 3, JSON stderr line and
+    files on the forked path as in-process, and leaves no temp file and no
+    child process behind."""
+    cfg = ini(evolution__engine="both", **overrides)
+    seen = {}
+    for path in ("forked", "inline"):
+        take_path(monkeypatch, path)
+        out = tmp_path / path
+        assert run("evolve", "--config", cfg, "--out", str(out)) == 3
+        assert_no_child_left()
+        assert not list(out.glob("*.tmp"))
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == error
+        seen[path] = err, listdir(out)
+    assert seen["forked"] == seen["inline"]
+    assert seen["inline"][1] == ["diagnostics_schrodinger.csv", "resolved.ini",
+                                 "trace_schrodinger.ndjson"]
+    assert len(forks) == 1
+
+
+@needs_fork
+def test_killed_madelung_worker_exits_1_naming_engine_and_signal(forks, monkeypatch, ini,
+                                                                tmp_path, capsys):
+    real, runner = cli.evolve, os.getpid()
+
+    def evolve(psi, p, ecfg, *args, **kwargs):
+        # only ever in a worker: the test runner itself must survive
+        if ecfg.engine == "madelung" and os.getpid() != runner:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(psi, p, ecfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve", evolve)
+    take_path(monkeypatch, "forked")
+    out = tmp_path / "o"
+    cfg = ini(evolution__engine="both", evolution__node_floor=0)
+    assert run("evolve", "--config", cfg, "--out", str(out)) == 1
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert not list(out.glob("*.tmp"))
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "RuntimeError"
+    assert "madelung" in err["message"] and f"signal {int(signal.SIGKILL)}" in err["message"]
+    assert listdir(out) == ["diagnostics_schrodinger.csv", "resolved.ini",
+                            "trace_schrodinger.ndjson"]
 
 
 def test_measure(ini, tmp_path):
@@ -327,11 +426,43 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     ("measure", {"initial__k": "1e300"}),
     ("measure", {"initial__sigma": "1e-300"}),
     ("evolve", {"evolution__dt": "1e-10", "evolution__t_final": "1e300"}),
+    # a plane wave past the grid's Nyquist mode n/2 = 32: k = 1e300 fits the
+    # box only because every float past 2^53 is an integer
+    ("measure", {"initial__preset": "plane_wave", "initial__k": "1e300"}),
+    ("measure", {"initial__preset": "plane_wave", "initial__k": repr(2 * math.pi * 33 / 16)}),
 ])
 def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
     cfg = ini(**overrides)
     assert run(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("mode", [32, -32])
+def test_plane_wave_nyquist_mode_runs(mode, ini, tmp_path):
+    """Mode n/2 is the last one the grid resolves; the Fourier device finds
+    all of it in one outcome."""
+    cfg = ini(initial__preset="plane_wave", initial__k=repr(2 * math.pi * mode / 16))
+    out = tmp_path / "o"
+    assert run("measure", "--config", cfg, "--out", str(out)) == 0
+    probs = json.loads((out / "born.json").read_text())["probabilities"]
+    assert max(probs) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_numpy_warnings_stay_off_stderr(ini, tmp_path):
+    """A packet that overflows numpy on the grid (x_min = -1e300) exits 2
+    with exactly one stderr line, the JSON error, and no RuntimeWarning
+    ahead of it. Run in a fresh interpreter, where warnings print as they
+    would for a user."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "edsim.cli", "measure", "--config", ini(grid__x_min="-1e300"),
+         "--out", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0]) == {
+        "error": "ConfigError", "message": "[initial] the gaussian state has norm 0 on this grid"}
 
 
 def test_trajectories_convert_each_snapshot_at_most_twice(ini, tmp_path, monkeypatch):

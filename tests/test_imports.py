@@ -5,8 +5,9 @@ some commands spend on their work, so edsim.cli keeps scipy.stats,
 scipy.special and scipy.optimize out of its import graph; the chi-square
 helpers import scipy.special only when called. The Crank-Nicolson step
 solves its banded system with scipy.linalg's LAPACK wrappers, so
-scipy.sparse is not loaded either. The trajectories worker is
-a plain os.fork, so no process-pool machinery is loaded either. These are
+scipy.sparse is not loaded either. The worker that runs the second
+sampler mode of trajectories, or the Madelung engine of evolve, is a
+plain os.fork, so no process-pool machinery is loaded either. These are
 structural checks rather than timing ones, so they do not depend on the
 machine.
 """

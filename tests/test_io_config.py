@@ -1,4 +1,5 @@
 import configparser
+import csv
 import itertools
 import json
 import os
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import edsim.io as iomod
@@ -75,6 +77,54 @@ def test_ensemble_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "particle_id,t,x"
     assert lines[1] == "0,0,-1.25"
+
+
+# signed zeros, the smallest subnormal, the smallest normal and the largest
+# finite floats, which a uniform draw would rarely produce
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -2.2250738585072009e-308, 1.7976931348623157e308, -1.7976931348623157e308)
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@st.composite
+def snapshot_fields(draw):
+    s, n = draw(st.integers(1, 4)), draw(st.integers(8, 12))
+    x_min = draw(st.floats(-1e6, 1e6))
+    grid = Grid1D(x_min, x_min + draw(st.floats(1e-3, 1e6)), n)
+    return grid, *(draw(arrays(float, shape, elements=FINITE)) for shape in (s, (s, n), (s, n)))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(snapshot_fields())
+def test_snapshots_round_trip_every_finite_float(tmp_path, fields):
+    grid, ts, rhos, phis = fields
+    path = tmp_path / "trace.ndjson"
+    iomod.write_snapshots(path, grid, ts, rhos, phis)
+    back = iomod.read_snapshots(path)
+    assert [bits(t) for t, *_ in back] == [bits(t) for t in ts]
+    assert all(bits(x) == bits(grid.cells) for _, x, _, _ in back)
+    assert bits([rho for _, _, rho, _ in back]) == bits(rhos)
+    assert bits([phi for *_, phi in back]) == bits(phis)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(FINITE, st.lists(FINITE, min_size=1, max_size=6)),
+                min_size=1, max_size=4))
+def test_ensemble_csv_round_trips_every_finite_float(tmp_path, snapshots):
+    times = [t for t, _ in snapshots]
+    positions = [xs for _, xs in snapshots]
+    path = tmp_path / "ensemble.csv"
+    iomod.write_ensemble_csv(path, times, positions)
+    with open(path, newline="") as fh:
+        rows = [(int(r["particle_id"]), bits(float(r["t"])), bits(float(r["x"])))
+                for r in csv.DictReader(fh)]
+    assert rows == [(i, bits(t), bits(x)) for t, xs in snapshots for i, x in enumerate(xs)]
 
 
 def test_device_round_trip(tmp_path):
