@@ -75,6 +75,8 @@ def noisy_likelihood(n: int, epsilon: float) -> LikelihoodModel:
 
 def _check_prior(prior) -> np.ndarray:
     prior = np.asarray(prior, dtype=float)
+    if not np.all(np.isfinite(prior) & (prior >= 0.0)):
+        raise ValueError("prior entries must be finite and >= 0")
     if abs(prior.sum() - 1.0) > 1e-9:
         raise ValueError("prior must be normalized")
     return prior
@@ -105,7 +107,6 @@ class ExperimentLog:
     trial k's posterior is rows[row_of[k]].
     """
 
-    born: np.ndarray        # Born vector of the prepared state
     prior: np.ndarray       # prior used in every update
     true_i: np.ndarray      # per-trial detection cells
     observed_r: np.ndarray  # per-trial pointer readings
@@ -167,8 +168,7 @@ def end_to_end(
     """
     if like.n_cells != dev.dim:
         raise ValueError("likelihood is not dimensioned to the device")
-    p = born_probabilities(dev, psi)
-    prior = _check_prior(p.copy() if prior is None else prior)
+    prior = _check_prior(born_probabilities(dev, psi) if prior is None else prior)
 
     true_i = draw_outcomes(dev, psi, n_trials, seed)
     rng = stream_rng(seed, "pointer")
@@ -179,4 +179,4 @@ def end_to_end(
     readings, row_of = np.unique(observed_r, return_inverse=True)
     rows = _posterior_rows(prior, like, readings)
     map_i = np.argmax(rows, axis=1)[row_of]
-    return ExperimentLog(p, prior, true_i, observed_r, rows, row_of, map_i)
+    return ExperimentLog(prior, true_i, observed_r, rows, row_of, map_i)

@@ -22,7 +22,7 @@ class BasisError(SimulationError):
 
 
 class CellError(SimulationError):
-    """Invalid target cell: duplicate index, or not a target of the device."""
+    """Invalid target cell: duplicate, off the grid, or not a target of the device."""
 
 
 class MonotonicityError(SimulationError):

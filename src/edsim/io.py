@@ -129,12 +129,14 @@ def write_test_record(path, record: dict):
 
 
 def write_outcomes_csv(path, trials, dev: DiscreteDevice):
+    """CSV trial,index,eigenvalue_re,eigenvalue_im,cell: one row per trial.
+    Each outcome index's "index,eigenvalue_re,eigenvalue_im,cell" text is
+    formatted once, and a trial's row is its number and that text."""
+    text = ["%d,%s,%s,%d" % (i, _f(lam.real), _f(lam.imag), cell)
+            for i, (lam, cell) in enumerate(zip(dev.eigenvalues.tolist(),
+                                                dev.target_cells.tolist()))]
     lines = ["trial,index,eigenvalue_re,eigenvalue_im,cell"]
-    for k, i in enumerate(trials):
-        lam = dev.eigenvalues[i]
-        lines.append(
-            "%d,%d,%s,%s,%d" % (k, i, _f(lam.real), _f(lam.imag), dev.target_cells[i])
-        )
+    lines.extend("%d,%s" % (k, text[i]) for k, i in enumerate(np.asarray(trials).tolist()))
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -191,18 +193,20 @@ def _distinct(a):
 
 
 def read_device(path) -> DiscreteDevice:
-    """Load and re-validate a device; raises BasisError/CellError on bad files."""
-    with open(path) as fh:
-        rec = json.load(fh)
+    """Load and re-validate a device. A file that does not decode, parse or
+    fit the write_device layout raises ConfigError naming it; a basis or
+    cells that fail build_device's checks raise BasisError/CellError."""
     try:
+        with open(path) as fh:
+            rec = json.load(fh)
         basis = np.array(
             [[complex(re, im) for re, im in row] for row in rec["basis"]]
         )
         cells = np.array(rec["target_cells"], dtype=int)
         eig = np.array([complex(re, im) for re, im in rec["eigenvalues"]])
-    except (KeyError, TypeError, ValueError) as e:
+        return build_device(basis, cells, eig)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"malformed device file {path}: {e}") from None
-    return build_device(basis, cells, eig)
 
 
 def write_likelihood_csv(path, like):
@@ -217,12 +221,15 @@ def write_likelihood_csv(path, like):
 def read_likelihood_csv(path):
     from .amplification import LikelihoodModel
 
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ConfigError(f"empty likelihood file {path}")
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    return LikelihoodModel(np.array(rows, dtype=float).T)
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        if not lines:
+            raise ConfigError(f"empty likelihood file {path}")
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=float)
+    except ValueError as e:
+        raise ConfigError(f"malformed likelihood file {path}: {e}") from None
+    return LikelihoodModel(rows.T)
 
 
 def write_experiment_log(path, log):

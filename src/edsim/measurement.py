@@ -35,8 +35,8 @@ def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
     """Validate the basis and assemble the device.
 
     basis rows must be orthonormal and complete; target cells pairwise
-    distinct. Eigenvalues are arbitrary scalars (default 0..N-1): labels,
-    not dynamics.
+    distinct cells of the N-cell grid, each in [0, N). Eigenvalues are
+    arbitrary scalars (default 0..N-1): labels, not dynamics.
     """
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
@@ -57,6 +57,8 @@ def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
         raise CellError("need one target cell per basis vector")
     if len(set(cells.tolist())) != dim:
         raise CellError("target cells must be pairwise distinct")
+    if cells.min() < 0 or cells.max() >= dim:
+        raise CellError(f"target cells must lie in [0, {dim})")
     eigenvalues = (
         np.arange(dim, dtype=complex)
         if eigenvalues is None
@@ -87,9 +89,19 @@ def identity_device(dim: int) -> DiscreteDevice:
 
 
 def fourier_device(dim: int) -> DiscreteDevice:
-    """Momentum-like device: discrete Fourier vectors as the basis."""
+    """Momentum-like device: discrete Fourier vectors as the basis.
+
+    Entry (j, k) is exp(2 pi i jk/n) / sqrt(n), read from a table of the n
+    distinct values at (jk mod n): the basis holds exactly n distinct
+    entries, and no phase loses digits to a large jk. The n x n index
+    matrix is the only temporary beside the basis, and it is freed before
+    build_device forms its products."""
     j = np.arange(dim)
-    basis = np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
+    table = np.exp(2j * np.pi * j / dim) / np.sqrt(dim)
+    jk = np.outer(j, j)
+    np.remainder(jk, dim, out=jk)
+    basis = table[jk]
+    del jk
     return build_device(basis, j, j.astype(complex))
 
 

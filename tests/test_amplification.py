@@ -73,6 +73,18 @@ def test_bayes_update_validates_prior():
         bayes_update(np.array([0.5, 0.5, 0.5]), like, 0)
 
 
+@pytest.mark.parametrize("prior", [
+    [np.nan, 0.5, 0.25, 0.25],
+    [-0.5, 1.0, 0.25, 0.25],
+    [np.inf, 0.5, 0.25, 0.25],
+], ids=["nan", "negative", "inf"])
+def test_bayes_update_rejects_non_probability_prior(prior):
+    """A nan sum passes the normalization check, and a negative entry that
+    the others balance sums to 1: both need the entrywise check."""
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        bayes_update(np.array(prior), noisy_likelihood(4, 0.1), 1)
+
+
 def test_bayes_update_zero_evidence():
     like = ideal_likelihood(2)
     with pytest.raises(ZeroEvidenceError):

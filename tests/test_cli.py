@@ -630,6 +630,83 @@ def test_file_device_dimension_must_equal_grid_n(ini, tmp_path, capsys):
                        "message": "device dimension 64 must equal grid n 32"}
 
 
+def _edit_json(text, key, edit):
+    rec = json.loads(text)
+    rec[key] = edit(rec[key])
+    return json.dumps(rec).encode()
+
+
+MALFORMED_DEVICES = {
+    # json.load's JSONDecodeError and UnicodeDecodeError
+    "truncated": lambda text: text[: len(text) // 2].encode(),
+    "not_utf8": lambda text: b"\xff" + text.encode(),
+    # build_device's ValueError
+    "eigenvalue_short": lambda text: _edit_json(text, "eigenvalues", lambda v: v[:-1]),
+    # an OverflowError: no C long holds the cell
+    "cell_overflow": lambda text: _edit_json(text, "target_cells",
+                                             lambda v: v[:-1] + [10**30]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DEVICES))
+def test_malformed_device_file_exits_2_naming_it(case, ini, tmp_path, capsys):
+    path = tmp_path / "device.json"
+    write_device(path, fourier_device(64))
+    path.write_bytes(MALFORMED_DEVICES[case](path.read_text()))
+    for command in ("measure", "amplify"):
+        out = tmp_path / command
+        cfg = ini(device__preset="file", device__path=str(path))
+        assert run(command, "--config", cfg, "--out", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"malformed device file {path}: ")
+        assert listdir(out) == ["resolved.ini"]
+
+
+@pytest.mark.parametrize("cell", [64, 99, -1])
+def test_target_cell_off_the_grid_exits_3(cell, ini, tmp_path, capsys):
+    """Cells are indices into the 64-cell grid: 99 would be tallied in
+    outcomes.csv as a cell that does not exist."""
+    path = tmp_path / "device.json"
+    write_device(path, fourier_device(64))
+    path.write_bytes(_edit_json(path.read_text(), "target_cells",
+                                lambda v: v[:-1] + [cell]))
+    for command in ("measure", "amplify"):
+        out = tmp_path / command
+        cfg = ini(device__preset="file", device__path=str(path))
+        assert run(command, "--config", cfg, "--out", str(out)) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "CellError", "message": "target cells must lie in [0, 64)"}
+        assert listdir(out) == ["resolved.ini"]
+
+
+def _edit_row(text, edit):
+    lines = text.splitlines()
+    lines[4] = edit(lines[4].split(","))
+    return ("\n".join(lines) + "\n").encode()
+
+
+MALFORMED_LIKELIHOODS = {
+    "non_numeric": lambda text: _edit_row(text, lambda row: ",".join(row[:-2] + ["0.5", "x"])),
+    "short_row": lambda text: _edit_row(text, lambda row: ",".join(row[:-1])),
+    "binary": lambda text: b"\xff\xfe\x00\x01" + text.encode(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LIKELIHOODS))
+def test_malformed_likelihood_file_exits_2_naming_it(case, ini, tmp_path, capsys):
+    path = tmp_path / "likelihood.csv"
+    write_likelihood_csv(path, noisy_likelihood(64, 0.1))
+    path.write_bytes(MALFORMED_LIKELIHOODS[case](path.read_text()))
+    out = tmp_path / "o"
+    cfg = ini(amplify__likelihood="file", amplify__path=str(path))
+    assert run("amplify", "--config", cfg, "--out", str(out)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(f"malformed likelihood file {path}: ")
+    assert listdir(out) == ["resolved.ini"]
+
+
 @pytest.mark.parametrize("command, section, overrides", [
     ("measure", "device", {"device__preset": "file"}),
     ("amplify", "amplify", {"amplify__likelihood": "file"}),

@@ -20,9 +20,11 @@ from edsim import (
     ConfigError,
     EvolutionConfig,
     Grid1D,
+    LikelihoodModel,
     PhysicalParams,
     RunConfig,
     WaveFunction,
+    build_device,
     evolve,
     fourier_device,
     free_gaussian,
@@ -155,6 +157,69 @@ def test_likelihood_round_trip(tmp_path):
     iomod.write_likelihood_csv(path, like)
     back = iomod.read_likelihood_csv(path)
     assert_allclose(back.matrix, like.matrix, atol=1e-16)
+
+
+def _complex(re, im):
+    """Complex array with exactly these parts, -0.0 included."""
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+# entries that an orthonormality check cannot see next to a unit entry
+NEGLIGIBLE = st.one_of(st.sampled_from(EDGE_FLOATS[:6]), st.floats(-1e-300, 1e-300))
+
+
+@st.composite
+def edge_devices(draw):
+    """A unit phase per row at a drawn column, negligible floats elsewhere,
+    and eigenvalues from every finite float: -0.0, subnormals and +-max
+    float in every part they can hold."""
+    dim = draw(st.integers(1, 6))
+    cols, cells = draw(st.permutations(range(dim))), draw(st.permutations(range(dim)))
+    parts = [draw(arrays(float, (2, dim), elements=NEGLIGIBLE)) for _ in range(dim)]
+    basis = np.array([_complex(re, im) for re, im in parts])
+    for i, j in enumerate(cols):
+        theta = draw(st.floats(-np.pi, np.pi))
+        basis[i, j] = complex(np.cos(theta), np.sin(theta))
+    eigenvalues = _complex(*draw(arrays(float, (2, dim), elements=FINITE)))
+    return build_device(basis, cells, eigenvalues)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edge_devices())
+def test_device_round_trips_every_bit(tmp_path, dev):
+    path = tmp_path / "device.json"
+    iomod.write_device(path, dev)
+    back = iomod.read_device(path)
+    assert back.basis.tobytes() == dev.basis.tobytes()
+    assert back.eigenvalues.tobytes() == dev.eigenvalues.tobytes()
+    assert np.array_equal(back.target_cells, dev.target_cells)
+
+
+@st.composite
+def edge_likelihoods(draw):
+    """Columns of signed zeros, subnormals and drawn floats, each closed to
+    a sum of 1 by one entry at a drawn row."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    small = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 2.2250738585072014e-308)),
+                      st.floats(0.0, 1.0 / rows))
+    m = draw(arrays(float, (rows, cols), elements=small))
+    for i in range(cols):
+        r = draw(st.integers(0, rows - 1))
+        m[r, i] = 0.0
+        m[r, i] = 1.0 - m[:, i].sum()
+    return LikelihoodModel(m)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edge_likelihoods())
+def test_likelihood_round_trips_every_bit(tmp_path, like):
+    path = tmp_path / "like.csv"
+    iomod.write_likelihood_csv(path, like)
+    assert iomod.read_likelihood_csv(path).matrix.tobytes() == like.matrix.tobytes()
 
 
 MINIMAL = """

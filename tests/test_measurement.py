@@ -62,6 +62,33 @@ def test_fourier_born_is_fft():
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def phase_table_basis(n):
+    """The definition the preset states: entry (j, k) is table[jk mod n],
+    with table[m] = exp(2 pi i m/n) / sqrt(n)."""
+    table = np.exp(2j * np.pi * np.arange(n) / n) / np.sqrt(n)
+    return np.array([[table[(j * k) % n] for k in range(n)] for j in range(n)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 96))
+def test_fourier_device_is_the_phase_table(n):
+    dev = fourier_device(n)
+    assert dev.basis.tobytes() == phase_table_basis(n).tobytes()
+    assert len(np.unique(dev.basis)) == n
+    assert np.array_equal(dev.target_cells, np.arange(n))
+    assert np.array_equal(dev.eigenvalues, np.arange(n))
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_fourier_born_is_fft_to_roundoff(n):
+    """The phase table keeps every phase exact to one rounding, so the Born
+    vector matches |fft(psi)|^2 / n to 5e-16; exp(2 pi i jk/n) evaluated at
+    each jk misses that bound by its lost digits."""
+    psi = random_state(n, seed=1)
+    probs = born_probabilities(fourier_device(n), psi)
+    assert np.max(np.abs(probs - np.abs(np.fft.fft(psi)) ** 2 / n)) < 5e-16
+
+
 def _random_unitary_device(dim, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
@@ -98,6 +125,26 @@ def test_born_probabilities_allocate_no_matrix():
     assert peak < 16 * 256 * 256 // 4
 
 
+def test_fourier_device_frees_its_index_matrix():
+    """The preset's traced peak is build_device's own peak plus the 16 n^2
+    bytes of the basis: the 8 n^2-byte index matrix is freed before the
+    n x n products are formed."""
+    import tracemalloc
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n = 256
+    basis = fourier_device(n).basis
+    checks = peak(lambda: build_device(basis, np.arange(n)))
+    assert peak(lambda: fourier_device(n)) < checks + 16 * n * n + 2 * n * n
+
+
 def test_build_device_rejects_bad_basis():
     rows = np.eye(4, dtype=complex)
     rows[0, 0] = 2.0  # not unit norm
@@ -114,6 +161,9 @@ def test_build_device_rejects_bad_cells():
         build_device(rows, np.array([0, 1, 2]))
     with pytest.raises(CellError):
         build_device(rows, np.array([0, 1, 2, 2]))
+    for cells in ([0, 1, 2, 99], [0, 1, 2, -1], [1, 2, 3, 4]):
+        with pytest.raises(CellError, match=r"must lie in \[0, 4\)"):
+            build_device(rows, np.array(cells))
 
 
 def test_default_eigenvalues_are_indices():
