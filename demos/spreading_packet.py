@@ -36,7 +36,7 @@ def run_resolution(n):
     trace = evolve(psi.normalized(), PhysicalParams(), cfg)
     rows = []
     for t, s in trace.snapshots:
-        rho = s.density() * g.dx
+        rho = s.rho * g.dx
         mean = float(np.sum(rho * g.cells))
         var = float(np.sum(rho * (g.cells - mean) ** 2))
         rows.append((t, var, free_gaussian_variance(t)))

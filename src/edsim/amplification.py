@@ -107,7 +107,6 @@ class ExperimentLog:
     trial k's posterior is rows[row_of[k]].
     """
 
-    prior: np.ndarray       # prior used in every update
     true_i: np.ndarray      # per-trial detection cells
     observed_r: np.ndarray  # per-trial pointer readings
     rows: np.ndarray        # one posterior per distinct reading, ascending
@@ -122,19 +121,6 @@ class ExperimentLog:
     @property
     def error_rate(self) -> float:
         return float(np.mean(self.map_i != self.true_i))
-
-    def pointer_marginal(self, n_pointers) -> np.ndarray:
-        return np.bincount(self.observed_r, minlength=n_pointers) / len(self.observed_r)
-
-    def records(self):
-        for k in range(len(self.true_i)):
-            yield {
-                "trial": int(k),
-                "true_i": int(self.true_i[k]),
-                "observed_r": int(self.observed_r[k]),
-                "posterior": [float(v) for v in self.rows[self.row_of[k]]],
-                "map_i": int(self.map_i[k]),
-            }
 
 
 def draw_by_column(cum, cols, u) -> np.ndarray:
@@ -179,4 +165,4 @@ def end_to_end(
     readings, row_of = np.unique(observed_r, return_inverse=True)
     rows = _posterior_rows(prior, like, readings)
     map_i = np.argmax(rows, axis=1)[row_of]
-    return ExperimentLog(prior, true_i, observed_r, rows, row_of, map_i)
+    return ExperimentLog(true_i, observed_r, rows, row_of, map_i)

@@ -18,13 +18,15 @@ Errors are reported as a single JSON line on stderr: {"error": ..., "message": .
 Config values are read and checked through RunConfig (edsim.config); this
 module checks only what needs more than the config. Memory is bounded up
 front, with exit 2 before the initial state is built: a trace may hold at
-most MAX_TRACE_VALUES values (snapshots x cells), and trajectories, which
-keeps every particle's position at every snapshot, at most
-MAX_ENSEMBLE_POSITIONS positions (n_particles x snapshots). Two jobs can
-run at once in a forked worker (_run_modes): with trajectories' mode =
-both the second sampler mode, which holds its own positions, and with
-evolve's engine = both the Madelung engine, which holds its own trace and
-sends back only its densities. Either limit then holds per process.
+most MAX_TRACE_VALUES values (snapshots x cells), and the [sampler]
+n_particles rule keeps an ensemble below MAX_PARTICLES particles. trajectories
+writes each snapshot's rows as the ensemble reaches it and holds only the
+current positions, so its memory does not grow with the snapshot count.
+Two jobs can run at once in a forked worker (_run_modes): with
+trajectories' mode = both the second sampler mode, which holds its own
+ensemble, and with evolve's engine = both the Madelung engine, which holds
+its own trace and sends back only its densities. Either limit then holds
+per process.
 """
 
 import argparse
@@ -53,10 +55,8 @@ from .stats import (
 )
 from .trajectories import SAMPLER_MODES, TraceFields, advance_ensemble, sample_initial
 
-# 1e8 float64 positions are 0.8 GB
-MAX_ENSEMBLE_POSITIONS = 10**8
-# a trace keeps psi and (rho, phi) per snapshot cell, and its field arrays
-# and drift tables two more pairs: up to 64 bytes a value, 0.64 GB at 1e7
+# a trace keeps (rho, phi) per snapshot cell, and its field arrays and
+# drift tables two more pairs: up to 48 bytes a value, 0.48 GB at 1e7
 MAX_TRACE_VALUES = 10**7
 
 
@@ -181,16 +181,10 @@ def cmd_trajectories(args) -> int:
     # particles read fields from one trace; the wavefunction engine is the
     # reference when the config asks for both
     ecfg = cfg.evolution_config(engine="schrodinger" if requested == "both" else requested)
-    snapshots = ecfg.n_snapshots()
-    if n_particles * snapshots > MAX_ENSEMBLE_POSITIONS:
-        raise ConfigError(
-            f"[sampler] n_particles x snapshots = {n_particles} x {snapshots} exceeds "
-            f"the limit of {MAX_ENSEMBLE_POSITIONS:g} stored positions")
     _check_trace(g, ecfg)
     p = cfg.params()
     node_floor, seed = cfg["evolution", "node_floor"], cfg["run", "seed"]
-    trace = evolve(cfg.initial_state(), p, ecfg, node_floor=node_floor)
-    fields = TraceFields.from_trace(trace, p)
+    fields = TraceFields.from_trace(evolve(cfg.initial_state(), p, ecfg, node_floor=node_floor), p)
     ts, rhos = fields.ts, fields.rhos
     sdt = sdt or ecfg.dt
     for k in range(1, len(ts)):
@@ -206,21 +200,32 @@ def cmd_trajectories(args) -> int:
         # each mode draws its own stream from the seed, so the modes are
         # independent and may run in either process
         ens = sample_initial(rhos[0], g, n_particles, seed)
-        times, positions = [ens.t], [ens.positions]
-        for t in ts[1:]:
-            ens = advance_ensemble(
-                ens, fields, sdt, mode, boundary=ecfg.boundary,
-                node_floor=node_floor, t_target=float(t))
-            times.append(ens.t)
-            positions.append(ens.positions)
-        iomod.write_ensemble_csv(os.path.join(out, f"ensemble_{mode}.csv"), times, positions)
+
+        def snapshots():
+            # only the current ensemble is held: each snapshot's rows are
+            # written before the next advance starts
+            nonlocal ens
+            yield ens.t, ens.positions
+            for t in ts[1:]:
+                ens = advance_ensemble(
+                    ens, fields, sdt, mode, boundary=ecfg.boundary,
+                    node_floor=node_floor, t_target=float(t))
+                yield ens.t, ens.positions
+
+        iomod.write_ensemble_csv(os.path.join(out, f"ensemble_{mode}.csv"), snapshots())
         d = ks_statistic(ens.positions, final_cdf)
         crit = ks_critical(n_particles)
         iomod.write_test_record(
             os.path.join(out, f"ks_{mode}.json"),
             make_test_record(f"ks_{mode}", d, crit, n_particles, bool(d < crit)))
 
-    _run_modes(run_mode, modes)
+    try:
+        _run_modes(run_mode, modes)
+    except BaseException:
+        # a worker killed by a signal mid-stream leaves its temp file behind
+        for mode in modes:
+            iomod.remove_temps(os.path.join(out, f"ensemble_{mode}.csv"))
+        raise
     return 0
 
 

@@ -26,6 +26,10 @@ from .state import Grid1D, PhysicalParams, WaveFunction
 # a preset device holds a few dense n x n complex matrices at once (16 n^2
 # bytes each, 256 MiB at n = 4096); measure at n = 2048 peaks at 512 MB
 MAX_DEVICE_DIM = 4096
+# [sampler] n_particles stays below this: trajectories holds one ensemble at
+# a time and peaks at about 200 bytes a particle per sampler mode (the
+# positions, one snapshot's floats and its CSV text), 0.8 GB at 4e6
+MAX_PARTICLES = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ _SCHEMA = {
                   # <= 0 disables the node check; nan would disable it silently
                   "node_floor": ("1e-12", _FINITE)},
     "sampler": {"mode": ("current_flow", ("current_flow", "entropic_diffusion", "both")),
-                "n_particles": ("10000", Num(int, 2)),
+                "n_particles": ("10000", Num(int, 2, high=MAX_PARTICLES)),
                 "dt": ("0", _NON_NEGATIVE)},  # 0: the evolution dt
     "device": {"preset": ("fourier", ("identity", "fourier", "file")), "path": ("", None),
                "n_trials": ("10000", Num(int, 1))},

@@ -133,26 +133,23 @@ class DiagnosticsRow:
 
 @dataclass
 class EvolutionTrace:
-    """Snapshots as the engine's own state (WaveFunction or HydroState).
-
-    hydro holds one HydroState per snapshot: the snapshot itself for the
+    """Snapshots as (t, HydroState): the engine's own state for the
     density-phase engine, and to_hydro(psi, node_floor=0.0) as evolve made
     it for the diagnostics row for the wavefunction engine, so field_arrays
     never converts a snapshot a second time."""
 
     engine: str
     grid: Grid1D
-    snapshots: List[Tuple[float, object]] = field(default_factory=list)
+    snapshots: List[Tuple[float, HydroState]] = field(default_factory=list)
     diagnostics: List[DiagnosticsRow] = field(default_factory=list)
-    hydro: List[HydroState] = field(default_factory=list)
 
     def times(self) -> np.ndarray:
         return np.array([t for t, _ in self.snapshots])
 
     def field_arrays(self):
         """Snapshots as (times, rho matrix, phi matrix) for interpolation."""
-        return (self.times(), np.array([h.rho for h in self.hydro]),
-                np.array([h.phi for h in self.hydro]))
+        return (self.times(), np.array([h.rho for _, h in self.snapshots]),
+                np.array([h.phi for _, h in self.snapshots]))
 
 
 def energy(h: HydroState, p: PhysicalParams) -> float:
@@ -455,7 +452,7 @@ def evolve(
     Snapshots land every snapshot_stride steps, always including t = 0 and
     t_final. The density-phase engine starts from madelung_start (dt bound,
     node check active with the given floor), or from start when a caller
-    has already run it, and records HydroState snapshots.
+    has already run it. Either engine records HydroState snapshots.
     """
     grid = initial.grid
     n_steps = _steps_for(cfg.t_final, cfg.dt)
@@ -467,9 +464,8 @@ def evolve(
         for step in range(n_steps + 1):
             t = step * cfg.dt
             if step % cfg.snapshot_stride == 0 or step == n_steps:
-                trace.snapshots.append((t, psi))
                 h = to_hydro(psi, node_floor=0.0)
-                trace.hydro.append(h)
+                trace.snapshots.append((t, h))
                 trace.diagnostics.append(_diag_row(t, h, p, psi.norm(), 0.0))
             if step == n_steps:
                 break
@@ -488,7 +484,6 @@ def evolve(
         if step % cfg.snapshot_stride == 0 or step == n_steps:
             h = HydroState(grid, rho, phi)  # step returns new arrays
             trace.snapshots.append((t, h))
-            trace.hydro.append(h)
             trace.diagnostics.append(
                 _diag_row(t, h, p, float(np.sum(rho) * grid.dx), worst_renorm)
             )

@@ -6,6 +6,7 @@ readers never see partial output. No writer embeds timestamps or absolute
 paths: identical inputs give byte-identical files.
 """
 
+import glob
 import itertools
 import json
 import os
@@ -39,13 +40,13 @@ def _umask() -> int:
 
 def atomic_write(path, text):
     """Write text, a str or an iterable of str chunks, to path via a temp
-    file in the same directory and a rename. The file gets the mode a plain
-    open() would give it: 0o666 less the umask."""
+    file, path + ".<random>.tmp", and a rename. The file gets the mode a
+    plain open() would give it: 0o666 less the umask."""
     if isinstance(text, str):
         text = (text,)
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~_umask())
@@ -55,6 +56,13 @@ def atomic_write(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def remove_temps(path):
+    """Delete the temp files of atomic_write(path, ...) calls whose process
+    was killed before it could delete them itself."""
+    for tmp in glob.glob(glob.escape(path) + ".*.tmp"):
+        os.unlink(tmp)
 
 
 def write_snapshots(path, grid, ts, rhos, phis):
@@ -103,16 +111,17 @@ def write_diagnostics(path, rows):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_ensemble_csv(path, times, positions):
-    """CSV particle_id,t,x: one row per particle per snapshot, where
-    positions[k][i] is particle i at times[k]. Each snapshot is one line
-    template, the "%d," id prefixes joined by "<t>,%.17g\n", filled by a
-    single % operation; "%.17g" of a float is exactly _f."""
+def write_ensemble_csv(path, snapshots):
+    """CSV particle_id,t,x: one row per particle per snapshot, from an
+    iterable of (t, positions) pairs, read one pair at a time as its rows
+    are written. Each snapshot is one line template, the "%d," id prefixes
+    joined by "<t>,%.17g\n", filled by a single % operation; "%.17g" of a
+    float is exactly _f."""
 
     def chunks():
         yield "particle_id,t,x\n"
         ids = []
-        for t, xs in zip(times, positions, strict=True):
+        for t, xs in snapshots:
             xs = np.asarray(xs, dtype=float).tolist()
             if not xs:
                 continue
@@ -202,6 +211,10 @@ def read_device(path) -> DiscreteDevice:
         basis = np.array(
             [[complex(re, im) for re, im in row] for row in rec["basis"]]
         )
+        # np.array(..., dtype=int) would truncate 7.99 and read true as 1
+        bad = [c for c in rec["target_cells"] if type(c) is not int]
+        if bad:
+            raise ValueError(f"target cell {json.dumps(bad[0])} is not an integer")
         cells = np.array(rec["target_cells"], dtype=int)
         eig = np.array([complex(re, im) for re, im in rec["eigenvalues"]])
         return build_device(basis, cells, eig)

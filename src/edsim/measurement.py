@@ -45,8 +45,8 @@ def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
         # nan fails every "> ORTHO_TOL" comparison and would pass the checks
         raise BasisError("basis entries must be finite")
     dim = basis.shape[0]
-    gram = basis @ basis.conj().T
-    deviation = _identity_deviation(gram)
+    # the Gram matrix B B^H is freed before B^H B is formed
+    deviation = _identity_deviation(basis @ basis.conj().T)
     if deviation > ORTHO_TOL:
         raise BasisError(f"basis not orthonormal: max Gram deviation {deviation:.2e}")
     comp = basis.conj().T @ basis  # sum_i |a_i><a_i|
@@ -70,7 +70,7 @@ def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
         raise BasisError("eigenvalues must be finite")
     # the device unitary U = sum_i |x_i><a_i| in slot order is conj(B). Its
     # unitarity and U a_i = e_i are the checks above: U^H U = conj(comp) and
-    # U B^T = conj(gram), and _identity_deviation reads only abs(m) and
+    # U B^T = conj(B B^H), and _identity_deviation reads only abs(m) and
     # abs(diag(m) - 1), which conjugation leaves bit for bit.
     return DiscreteDevice(dim, basis, eigenvalues, cells)
 

@@ -1,9 +1,12 @@
 """Reference computations the tests measure the package against.
 
-They work on dense or eigen-decomposed forms of the Hamiltonian's bands,
-where scipy's general solvers are fine: none of this is on the package's
-run path.
+The Hamiltonian references work on dense or eigen-decomposed forms of its
+bands, where scipy's general solvers are fine; the experiment log
+reference encodes one plain dict per trial. None of this is on the
+package's run path.
 """
+
+import json
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
@@ -39,3 +42,14 @@ def discrete_ground_state(grid, p, boundary="periodic"):
         u = -u
     psi = WaveFunction(grid, u.astype(complex) / np.sqrt(grid.dx))
     return e0, psi.normalized()
+
+
+def experiment_log_text(log) -> str:
+    """experiment.ndjson as json.dumps of one dict per trial, keys sorted."""
+    posterior = log.posterior
+    return "".join(
+        json.dumps({"trial": k, "true_i": int(log.true_i[k]),
+                    "observed_r": int(log.observed_r[k]),
+                    "posterior": [float(v) for v in posterior[k]],
+                    "map_i": int(log.map_i[k])}, sort_keys=True) + "\n"
+        for k in range(len(log.true_i)))

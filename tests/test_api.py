@@ -1,12 +1,18 @@
-"""Public-API guard: every name edsim exports has a user outside the tests.
+"""Public-API guard: every name edsim exports, and every public member of
+an exported class, has a user outside the tests.
 
 A name counts as used when it appears in a package module other than
 __init__.py (its own top-level definition cut out), in a demo or in the
-README. A function that only tests call is a second path the package
-does not need; it belongs in the tests or nowhere.
+README. A member (method, property or dataclass field) counts as used when
+the package's or a demo's code reads it as an attribute, or the README
+writes it as .name; a name two classes share counts for both. A
+function or field that only tests read is a second path the package does
+not need; it belongs in the tests or nowhere.
 """
 
 import ast
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -42,4 +48,38 @@ def _used(name):
 
 def test_every_export_has_a_user():
     unused = [name for name in edsim.__all__ if not _used(name)]
+    assert unused == []
+
+
+def _members(cls):
+    """The public methods, properties and dataclass fields that cls defines."""
+    names = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    names.update(name for name, value in vars(cls).items()
+                 if callable(value) or isinstance(value, (property, classmethod, staticmethod)))
+    return sorted(name for name in names if not name.startswith("_"))
+
+
+def _attributes(path):
+    """The names read as attributes, x.name, in a Python file's code: its
+    comments and strings do not count."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+
+
+_ATTRIBUTES = set().union(*map(_attributes, [*(ROOT / "src" / "edsim").glob("*.py"),
+                                             *(ROOT / "demos").glob("*.py")]))
+
+
+def _member_used(name):
+    """Read as an attribute in the package's or a demo's code, or written
+    .name in the README. Neither check knows whose attribute it is, so a
+    name that two classes share counts as used for both."""
+    return name in _ATTRIBUTES or bool(
+        re.search(rf"\.{re.escape(name)}\b", (ROOT / "README.md").read_text()))
+
+
+def test_every_member_of_an_exported_class_has_a_user():
+    classes = [obj for obj in map(edsim.__dict__.get, edsim.__all__) if inspect.isclass(obj)]
+    unused = [f"{cls.__name__}.{name}" for cls in classes for name in _members(cls)
+              if not _member_used(name)]
     assert unused == []

@@ -9,11 +9,12 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from edsim import cli, config, dynamics, fourier_device, noisy_likelihood
+from edsim import NodeError, cli, config, dynamics, fourier_device, noisy_likelihood
 from edsim.io import read_snapshots, write_device, write_likelihood_csv
 from edsim.trajectories import ENTROPIC_DIFFUSION, SAMPLER_MODES
 
@@ -199,7 +200,7 @@ def test_worker_errors_match_inline(case, code, error, forks, monkeypatch, ini, 
         err = capsys.readouterr().err.replace(str(out), "<out>")
         assert json.loads(err)["error"] == error
         # the temp file's name is random on either path
-        seen[path] = re.sub(r"/tmp\w+\.tmp'", "/<tmp>'", err), listdir(out)
+        seen[path] = re.sub(r"\.\w+\.tmp'", ".<tmp>'", err), listdir(out)
     assert seen["forked"] == seen["inline"]
     assert len(forks) == 1
 
@@ -396,7 +397,7 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     ("measure", {"initial__mu": "1e6"}),
     # level! no longer fits in a float
     ("evolve", {"initial__preset": "eigenstate", "initial__level": 200}),
-    # 1e11 particles x 3 snapshots of positions: refused before any allocation
+    # n_particles past MAX_PARTICLES, refused before anything is evolved
     ("trajectories", {"sampler__n_particles": 100000000000}),
     # the outcome draw has one path, so [device] has no method key
     ("measure", {"device__method": "categorical"}),
@@ -430,6 +431,8 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     # box only because every float past 2^53 is an integer
     ("measure", {"initial__preset": "plane_wave", "initial__k": "1e300"}),
     ("measure", {"initial__preset": "plane_wave", "initial__k": repr(2 * math.pi * 33 / 16)}),
+    # n_particles must stay below MAX_PARTICLES
+    ("trajectories", {"sampler__n_particles": 4000000}),
 ])
 def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
     cfg = ini(**overrides)
@@ -517,18 +520,58 @@ def test_evolve_both_converts_each_schrodinger_snapshot_at_most_twice(ini, tmp_p
             assert sum(1 for _ in fh) == 1 + snapshots
 
 
-def test_ensemble_limit_counts_the_recorded_positions(ini, tmp_path, monkeypatch, capsys):
-    """The limit is on n_particles x snapshots: 200 particles at the 5
-    snapshots t = 0, 3, 6, 9 and 10 dt."""
-    cfg = ini(evolution__snapshot_stride=3)
-    monkeypatch.setattr(cli, "MAX_ENSEMBLE_POSITIONS", 200 * 5)
-    assert run("trajectories", "--config", cfg, "--out", str(tmp_path / "a")) == 0
-    with open(tmp_path / "a" / "ensemble_current_flow.csv") as fh:
-        assert sum(1 for _ in fh) == 1 + 200 * 5
-    monkeypatch.setattr(cli, "MAX_ENSEMBLE_POSITIONS", 200 * 5 - 1)
-    assert run("trajectories", "--config", cfg, "--out", str(tmp_path / "b")) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError" and "200 x 5" in err["message"]
+def test_trajectories_peak_does_not_grow_with_snapshots(ini, tmp_path):
+    """The ensemble is streamed to its file: 2e4 particles over the same 20
+    steps peak within 10% at 21 snapshots of what they peak at 2. Holding
+    every snapshot's positions adds 8 bytes a particle per snapshot, 3.2 MB
+    here on a peak near 4 MB. The step is 2^-10, so that every snapshot
+    time prints in at most 12 characters and each snapshot's CSV text,
+    which the peak holds, is about the same size."""
+    peaks = {}
+    for snapshots, stride in ((2, 20), (21, 1)):
+        cfg = ini(sampler__n_particles=20000, evolution__dt=2.0**-10,
+                  evolution__t_final=20 * 2.0**-10, evolution__snapshot_stride=stride,
+                  evolution__node_floor=0)
+        out = tmp_path / f"s{snapshots}"
+        tracemalloc.start()
+        try:
+            assert run("trajectories", "--config", cfg, "--out", str(out)) == 0
+            peaks[snapshots] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with open(out / "ensemble_current_flow.csv") as fh:
+            assert sum(1 for _ in fh) == 1 + 20000 * snapshots
+    assert peaks[21] < 1.1 * peaks[2], peaks
+
+
+@pytest.mark.parametrize("mode", SAMPLER_MODES)
+def test_advance_failing_partway_leaves_no_ensemble_file(mode, ini, tmp_path, monkeypatch,
+                                                        capsys):
+    """An advance that raises after some snapshots' rows are written exits
+    3, and the partly written ensemble file goes with its temp file."""
+    real, calls = cli.advance_ensemble, []
+
+    def advance(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 4:
+            raise NodeError("planted (t=0.004)")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "advance_ensemble", advance)
+    cfg = ini(sampler__mode=mode, evolution__snapshot_stride=1, evolution__node_floor=0)
+    out = tmp_path / "o"
+    assert run("trajectories", "--config", cfg, "--out", str(out)) == 3
+    assert len(calls) == 4
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "NodeError", "message": "planted (t=0.004)"}
+    assert listdir(out) == ["resolved.ini"]
+
+
+def test_n_particles_cap_is_the_last_integer_below_max_particles(ini):
+    """MAX_PARTICLES - 1 passes the rule; MAX_PARTICLES itself is a
+    test_config_rule_exit_2 row."""
+    cfg = config.RunConfig.load(ini(sampler__n_particles=config.MAX_PARTICLES - 1))
+    assert cfg["sampler", "n_particles"] == config.MAX_PARTICLES - 1
 
 
 @pytest.mark.parametrize("command, engine", [
@@ -645,6 +688,11 @@ MALFORMED_DEVICES = {
     # an OverflowError: no C long holds the cell
     "cell_overflow": lambda text: _edit_json(text, "target_cells",
                                              lambda v: v[:-1] + [10**30]),
+    # cells that int() would truncate to 0 and 63, and JSON booleans
+    "cell_fraction": lambda text: _edit_json(text, "target_cells",
+                                             lambda v: [0.9] + v[1:-1] + [63.99]),
+    "cell_boolean": lambda text: _edit_json(text, "target_cells",
+                                            lambda v: [True, False] + v[2:]),
 }
 
 

@@ -71,7 +71,7 @@ def test_agrees_with_wavefunction_engine():
         EvolutionConfig(dt=dt, t_final=0.5, engine="madelung", snapshot_stride=steps),
         node_floor=0.0,
     )
-    rho_cn = to_hydro(cn.snapshots[-1][1], node_floor=0.0).rho
+    rho_cn = cn.snapshots[-1][1].rho
     assert l1_distance(rho_cn, md.snapshots[-1][1].rho, g.dx) < 1e-3
 
 
@@ -94,7 +94,7 @@ def test_agrees_with_wavefunction_engine_hardwall():
                         snapshot_stride=steps, boundary="hardwall"),
         node_floor=0.0,
     )
-    rho_cn = to_hydro(cn.snapshots[-1][1], node_floor=0.0).rho
+    rho_cn = cn.snapshots[-1][1].rho
     assert l1_distance(rho_cn, md.snapshots[-1][1].rho, g.dx) < 1e-4
 
 

@@ -40,7 +40,7 @@ def test_matches_closed_form_free_packet():
         p,
         EvolutionConfig(dt=1e-3, t_final=1.0, engine="schrodinger", snapshot_stride=1000),
     )
-    num = tr.snapshots[-1][1].density()
+    num = tr.snapshots[-1][1].rho
     exact = np.abs(free_gaussian(g.cells, t=1.0, sigma0=1.0, k0=1.0, x0=-1.0)) ** 2
     assert l1_distance(num, exact, g.dx) < 1e-3
 
@@ -93,10 +93,12 @@ def test_hardwall_discrete_ground_state_stationary():
         EvolutionConfig(dt=1e-3, t_final=1.0, engine="schrodinger",
                         snapshot_stride=1000, boundary="hardwall"),
     )
-    psi_t = tr.snapshots[-1][1]
-    assert np.max(np.abs(psi_t.density() - psi0.density())) < 1e-10
-    # evolution only rotates the global phase, by -e0 t / hbar
-    overlap = np.vdot(psi0.amplitudes, psi_t.amplitudes) * g.dx
+    h = tr.snapshots[-1][1]
+    assert np.max(np.abs(h.rho - psi0.density())) < 1e-10
+    # evolution only rotates the global phase, by -e0 t / hbar; the snapshot
+    # keeps rho and phi, and to_hydro anchors that phase in the first cell
+    psi_t = np.sqrt(h.rho) * np.exp(1j * h.phi)
+    overlap = np.vdot(psi0.amplitudes, psi_t) * g.dx
     assert abs(overlap) == pytest.approx(1.0, abs=1e-10)
     assert np.angle(overlap) == pytest.approx(-e0, abs=1e-6)  # e0 t/hbar < pi here
 

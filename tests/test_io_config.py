@@ -75,7 +75,7 @@ def test_diagnostics_header(tmp_path):
 
 def test_ensemble_csv(tmp_path):
     path = tmp_path / "ens.csv"
-    iomod.write_ensemble_csv(path, [0.0], [[-1.25, 0.5]])
+    iomod.write_ensemble_csv(path, [(0.0, [-1.25, 0.5])])
     lines = path.read_text().splitlines()
     assert lines[0] == "particle_id,t,x"
     assert lines[1] == "0,0,-1.25"
@@ -119,10 +119,8 @@ def test_snapshots_round_trip_every_finite_float(tmp_path, fields):
 @given(st.lists(st.tuples(FINITE, st.lists(FINITE, min_size=1, max_size=6)),
                 min_size=1, max_size=4))
 def test_ensemble_csv_round_trips_every_finite_float(tmp_path, snapshots):
-    times = [t for t, _ in snapshots]
-    positions = [xs for _, xs in snapshots]
     path = tmp_path / "ensemble.csv"
-    iomod.write_ensemble_csv(path, times, positions)
+    iomod.write_ensemble_csv(path, iter(snapshots))
     with open(path, newline="") as fh:
         rows = [(int(r["particle_id"]), bits(float(r["t"])), bits(float(r["x"])))
                 for r in csv.DictReader(fh)]

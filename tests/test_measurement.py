@@ -145,6 +145,23 @@ def test_fourier_device_frees_its_index_matrix():
     assert peak(lambda: fourier_device(n)) < checks + 16 * n * n + 2 * n * n
 
 
+def test_build_device_frees_gram_before_completeness_check():
+    """build_device's traced peak is one n x n product and the conjugate
+    copy it is formed from, 32 n^2 bytes: the 16 n^2-byte Gram matrix is
+    freed once checked, before B^H B is formed (48 n^2 with it alive)."""
+    import tracemalloc
+
+    n = 256
+    basis = fourier_device(n).basis
+    tracemalloc.start()
+    try:
+        build_device(basis, np.arange(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * n * n
+
+
 def test_build_device_rejects_bad_basis():
     rows = np.eye(4, dtype=complex)
     rows[0, 0] = 2.0  # not unit norm

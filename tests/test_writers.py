@@ -30,10 +30,7 @@ from edsim import (
     noisy_likelihood,
 )
 from edsim.seeding import stream_rng
-
-
-def ref_experiment_log(log) -> str:
-    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in log.records())
+from oracles import experiment_log_text
 
 
 def _c(z):
@@ -58,8 +55,8 @@ def ref_likelihood(like) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ref_ensemble_csv(times, positions) -> str:
-    rows = [(pid, t, x) for t, xs in zip(times, positions) for pid, x in enumerate(xs)]
+def ref_ensemble_csv(snapshots) -> str:
+    rows = [(pid, t, x) for t, xs in snapshots for pid, x in enumerate(xs)]
     lines = ["particle_id,t,x"]
     lines.extend("%d,%s,%s" % (pid, iomod._f(t), iomod._f(x)) for pid, t, x in rows)
     return "\n".join(lines) + "\n"
@@ -133,7 +130,7 @@ def test_experiment_log_matches_reference(dim, like, prior, tmp_path):
     assert len(log.rows) < len(log.observed_r)  # readings repeat across trials
     path = tmp_path / "experiment.ndjson"
     iomod.write_experiment_log(path, log)
-    assert path.read_text() == ref_experiment_log(log)
+    assert path.read_text() == experiment_log_text(log)
 
 
 def _complex(re, im):
@@ -237,33 +234,26 @@ def test_atomic_write_respects_umask(umask, mode, tmp_path):
 # 0.1 + 0.2 and 1/3 need all 17 significant digits to round-trip
 T17 = (0.1 + 0.2, 1.0 / 3.0)
 ENSEMBLES = {
-    "one_particle": ([0.0, T17[0]], [[-0.0], [5e-324]]),
-    "fourteen_particles": (
-        [0.0, T17[0], T17[1]],
-        [np.linspace(-3.0, 3.0, 14) + k / 7.0 for k in range(3)],
-    ),
-    "special_values": ([-0.0, T17[1]], [
-        [-0.0, 5e-324, -5e-324, 0.1, -1.25, 1e300, np.inf, -np.inf, np.nan, 2.0**-1074,
-         1.0 / 3.0, -(0.1 + 0.2)],
-        np.arange(12) * -0.0,
-    ]),
-    "changing_counts": ([0.0, 0.5, 1.0], [np.arange(12) * 0.1, [], [7.0]]),
-    "no_snapshots": ([], []),
+    "one_particle": [(0.0, [-0.0]), (T17[0], [5e-324])],
+    "fourteen_particles": [(t, np.linspace(-3.0, 3.0, 14) + k / 7.0)
+                           for k, t in enumerate((0.0, *T17))],
+    "special_values": [
+        (-0.0, [-0.0, 5e-324, -5e-324, 0.1, -1.25, 1e300, np.inf, -np.inf, np.nan,
+                2.0**-1074, 1.0 / 3.0, -(0.1 + 0.2)]),
+        (T17[1], np.arange(12) * -0.0),
+    ],
+    "changing_counts": [(0.0, np.arange(12) * 0.1), (0.5, []), (1.0, [7.0])],
+    "no_snapshots": [],
 }
 
 
 @pytest.mark.parametrize("name", sorted(ENSEMBLES))
 def test_ensemble_csv_matches_reference(name, tmp_path):
-    times, positions = ENSEMBLES[name]
+    snapshots = ENSEMBLES[name]
     path = tmp_path / "ensemble.csv"
-    iomod.write_ensemble_csv(path, times, positions)
-    assert path.read_text() == ref_ensemble_csv(times, positions)
-
-
-def test_ensemble_csv_rejects_unpaired_times(tmp_path):
-    with pytest.raises(ValueError):
-        iomod.write_ensemble_csv(tmp_path / "e.csv", [0.0, 1.0], [[0.5]])
-    assert list(tmp_path.iterdir()) == []
+    # a generator: the writer reads each pair once, in order
+    iomod.write_ensemble_csv(path, (pair for pair in snapshots))
+    assert path.read_text() == ref_ensemble_csv(snapshots)
 
 
 def hand_trace():
@@ -273,8 +263,7 @@ def hand_trace():
     rho = rho / (rho.sum() * g.dx)
     phi = np.array([-0.0, -5e-324, 0.1 + 0.2, 1.0 / 3.0, -1e300, 7.0, 0.0, -2.5])
     snaps = [(0.0, HydroState(g, rho, phi)), (0.1 + 0.2, HydroState(g, rho[::-1], -phi))]
-    return EvolutionTrace(engine="madelung", grid=g, snapshots=snaps,
-                          hydro=[h for _, h in snaps])
+    return EvolutionTrace(engine="madelung", grid=g, snapshots=snaps)
 
 
 def small_trace():
