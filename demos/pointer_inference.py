@@ -48,7 +48,7 @@ def main():
     vec = device_state(psi)
     probs = born_probabilities(dev, vec)
 
-    outcomes = draw_outcomes(dev, vec, N_TRIALS, args.seed)
+    outcomes = draw_outcomes(probs, N_TRIALS, args.seed)
     counts = np.bincount(outcomes, minlength=dev.dim)
     # the packet is narrow in the device basis; lump cells expecting < 5
     # counts into one bin so the chi-square reference holds

@@ -149,14 +149,16 @@ def end_to_end(
 
     The default prior is the Born vector of the prepared state: absent other
     information, the experimenter's expectation IS the predicted outcome
-    distribution. Pass an explicit prior to override. The Bayes update runs
+    distribution. Pass an explicit prior to override. The Born vector is
+    computed once, for the draw and the default prior; the Bayes update runs
     once per distinct reading, not once per trial.
     """
     if like.n_cells != dev.dim:
         raise ValueError("likelihood is not dimensioned to the device")
-    prior = _check_prior(born_probabilities(dev, psi) if prior is None else prior)
+    born = born_probabilities(dev, psi)
+    prior = _check_prior(born if prior is None else prior)
 
-    true_i = draw_outcomes(dev, psi, n_trials, seed)
+    true_i = draw_outcomes(born, n_trials, seed)
     rng = stream_rng(seed, "pointer")
     cum = np.cumsum(like.matrix, axis=0)
     u = rng.random(len(true_i))

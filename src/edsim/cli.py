@@ -236,7 +236,7 @@ def cmd_measure(args) -> int:
     dev = cfg.device(g)
     psi_dev = device_state(cfg.initial_state())
     probs = born_probabilities(dev, psi_dev)
-    outcomes = draw_outcomes(dev, psi_dev, n_trials, cfg["run", "seed"])
+    outcomes = draw_outcomes(probs, n_trials, cfg["run", "seed"])
     iomod.write_outcomes_csv(os.path.join(out, "outcomes.csv"), outcomes, dev)
     iomod.write_device(os.path.join(out, "device.json"), dev)
     iomod.atomic_write(
@@ -244,7 +244,8 @@ def cmd_measure(args) -> int:
         json.dumps({"probabilities": [float(v) for v in probs]}, sort_keys=True) + "\n")
     counts = np.bincount(outcomes, minlength=dev.dim)
     stat, _ = chi2_gof(counts, probs)
-    crit = chi2_critical(dev.dim - 1)
+    # chi2_gof leaves zero-probability cells out of its degrees of freedom
+    crit = chi2_critical(np.count_nonzero(probs) - 1)
     iomod.write_test_record(
         os.path.join(out, "chi2.json"),
         make_test_record("chi2_born", stat, crit, n_trials, bool(stat < crit)))
@@ -258,8 +259,7 @@ def cmd_amplify(args) -> int:
     dev = cfg.device(g)
     psi_dev = device_state(cfg.initial_state())
     like = cfg.likelihood(dev)
-    prior = cfg.prior(dev, psi_dev)
-    log = end_to_end(psi_dev, dev, like, n_trials, cfg["run", "seed"], prior=prior)
+    log = end_to_end(psi_dev, dev, like, n_trials, cfg["run", "seed"], prior=cfg.prior(dev.dim))
     iomod.write_experiment_log(os.path.join(out, "experiment.ndjson"), log)
     iomod.write_likelihood_csv(os.path.join(out, "likelihood.csv"), like)
     summary = {

@@ -257,11 +257,12 @@ class RunConfig:
                 f"likelihood has {like.n_cells} cells but device has {dev.dim}")
         return like
 
-    def prior(self, dev, psi_dev):
-        from .measurement import born_probabilities
+    def prior(self, dim):
+        """The [amplify] prior over dim cells for end_to_end: None for born,
+        which end_to_end then computes from the state it draws from."""
         if self["amplify", "prior"] == "uniform":
-            return np.full(dev.dim, 1.0 / dev.dim)
-        return born_probabilities(dev, psi_dev)
+            return np.full(dim, 1.0 / dim)
+        return None
 
     def resolved_ini(self) -> str:
         """Canonical text of the fully-resolved configuration. The output

@@ -171,17 +171,25 @@ def write_device(path, dev: DiscreteDevice):
 def _pair_text(z) -> np.ndarray:
     """The json.dumps text "[re, im]" of every entry of a complex array, as
     an object array of the same shape. Each distinct float bit pattern is
-    formatted once, by json.dumps itself, and each distinct (re, im) pair is
+    formatted once, by _json_floats, and each distinct (re, im) pair is
     joined once, keyed on the indices of its two floats."""
-    z = np.ascontiguousarray(z, dtype=complex)
-    bits, idx = _distinct(z.view(np.uint64).ravel())
-    pairs, pair_of = _distinct(idx[0::2] * len(bits) + idx[1::2])
+    floats, idx = _json_floats(np.ascontiguousarray(z, dtype=complex).view(float))
+    n = len(floats)
+    pairs, pair_of = _distinct(idx[0::2] * n + idx[1::2])
     del idx  # 2 n^2 indices: free them before the strings are built
-    floats = json.dumps(bits.view(float).tolist())[1:-1].split(", ")
-    re, im = np.divmod(pairs, len(bits))
+    re, im = np.divmod(pairs, n)
     text = np.array(["[%s, %s]" % (floats[a], floats[b])
                      for a, b in zip(re.tolist(), im.tolist())], dtype=object)
-    return text[pair_of.reshape(z.shape)]
+    return text[pair_of.reshape(np.shape(z))]
+
+
+def _json_floats(a):
+    """(text, inverse) for a float array: text[k] is the json.dumps spelling
+    of the k-th distinct float64 bit pattern of a (repr digits, -0.0, NaN,
+    Infinity), and a.ravel()[i] is spelled text[inverse[i]]. The distinct
+    floats go through one json.dumps call, so each is formatted once."""
+    bits, inverse = _distinct(np.ascontiguousarray(a, dtype=float).view(np.uint64).ravel())
+    return json.dumps(bits.view(float).tolist())[1:-1].split(", "), inverse
 
 
 def _distinct(a):
@@ -246,10 +254,16 @@ def read_likelihood_csv(path):
 
 
 def write_experiment_log(path, log):
-    """NDJSON, one record per trial with its keys sorted. Each distinct
-    posterior row is encoded once and spliced into every trial that shares
+    """NDJSON, one record per trial with its keys sorted. The bytes are
+    those of json.dumps of each trial's record: each distinct posterior
+    float is formatted once, by _json_floats, each distinct posterior row is
+    joined once from that table and spliced into every trial that shares
     it, and the lines are streamed to disk."""
-    posts = [json.dumps(row.tolist()) for row in log.rows]
+    floats, idx = _json_floats(log.rows)
+    floats = np.array(floats, dtype=object)
+    posts = ["[%s]" % ", ".join(floats[row].tolist())
+             for row in idx.reshape(np.shape(log.rows))]
+    del floats, idx
     trials = zip(log.map_i.tolist(), log.observed_r.tolist(),
                  log.row_of.tolist(), log.true_i.tolist())
     atomic_write(path, (

@@ -135,14 +135,15 @@ def apply_device(dev: DiscreteDevice, psi) -> np.ndarray:
     return np.conj(dev.basis @ np.conj(psi))
 
 
-def draw_outcomes(dev, psi, n_trials, seed) -> np.ndarray:
+def draw_outcomes(probs, n_trials, seed) -> np.ndarray:
     """Sample n_trials outcome indices from the post-device position density.
 
-    Each outcome is the cell that the trajectory module's position sampler
-    draws over the device's cells, with weights |psi'|^2: detection is a
-    position reading.
+    probs is the Born vector born_probabilities(dev, psi), which the caller
+    already holds. Each outcome is the cell that the trajectory module's
+    position sampler draws over the device's cells, with weights
+    |psi'|^2 = probs: detection is a position reading.
     """
-    cdf = np.cumsum(born_probabilities(dev, psi))
+    cdf = np.cumsum(probs)
     u = stream_rng(seed, "measurement").random(int(n_trials)) * cdf[-1]
     return draw_cells(cdf, u)
 

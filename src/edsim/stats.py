@@ -48,13 +48,20 @@ def ks_two_sample(a, b):
 def chi2_gof(counts, probs):
     """Chi-square goodness of fit of counts against cell probabilities.
 
-    Returns (statistic, p_value), equal bit for bit to
-    scipy.stats.chisquare(counts, f_exp=expected)."""
+    Returns (statistic, p_value). Cells of probability 0 are left out of
+    Pearson's sum and of the degrees of freedom, the count of positive
+    cells less one; a count in such a cell gives (inf, 0.0). Where every
+    probability is positive the result equals
+    scipy.stats.chisquare(counts, f_exp=expected) bit for bit."""
     from scipy.special import chdtrc
 
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
     expected = counts.sum() * probs / probs.sum()
+    kept = probs > 0
+    if np.any(counts[~kept]):
+        return float("inf"), 0.0
+    counts, expected = counts[kept], expected[kept]
     stat = np.sum((counts - expected) ** 2 / expected)
     return float(stat), float(chdtrc(len(counts) - 1, stat))
 

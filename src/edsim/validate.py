@@ -180,7 +180,7 @@ def _c_discrete_born(ov):
     probs = born_probabilities(dev, psi)
     after = apply_device(dev, psi)
     exact = float(np.max(np.abs(np.abs(after) ** 2 - probs)))
-    outcomes = draw_outcomes(dev, psi, 100000, seed=42)
+    outcomes = draw_outcomes(probs, 100000, seed=42)
     counts = np.bincount(outcomes, minlength=dev.dim)
     _, pval = chi2_gof(counts, probs)
     ok = pval > 0.01 and exact <= 1e-12

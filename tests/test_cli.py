@@ -14,7 +14,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from edsim import NodeError, cli, config, dynamics, fourier_device, noisy_likelihood
+from edsim import (
+    NodeError,
+    chi2_critical,
+    cli,
+    config,
+    dynamics,
+    fourier_device,
+    noisy_likelihood,
+)
 from edsim.io import read_snapshots, write_device, write_likelihood_csv
 from edsim.trajectories import ENTROPIC_DIFFUSION, SAMPLER_MODES
 
@@ -466,6 +474,31 @@ def test_numpy_warnings_stay_off_stderr(ini, tmp_path):
     assert len(lines) == 1, proc.stderr
     assert json.loads(lines[0]) == {
         "error": "ConfigError", "message": "[initial] the gaussian state has norm 0 on this grid"}
+
+
+def test_measure_with_zero_born_cells_writes_strict_json(ini, tmp_path):
+    """A packet whose Born vector has exact zeros (cells 68 and 70 here)
+    exits 0 with nothing on stderr, and chi2.json is strict JSON: the zero
+    cells are left out of Pearson's sum and of the degrees of freedom. Run
+    in a fresh interpreter, where warnings print as they would for a user."""
+    out = tmp_path / "o"
+    cfg = ini(grid__x_min=-20, grid__x_max=20, grid__n=128, initial__sigma=1)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "edsim.cli", "measure", "--config", cfg, "--out", str(out),
+         "--seed", "17"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    probs = json.loads((out / "born.json").read_text())["probabilities"]
+    zeros = [i for i, p in enumerate(probs) if p == 0.0]
+    assert zeros == [68, 70]
+
+    def no_constants(name):
+        raise ValueError(f"chi2.json holds {name}")
+
+    rec = json.loads((out / "chi2.json").read_text(), parse_constant=no_constants)
+    assert math.isfinite(rec["statistic"])
+    assert rec["critical_value"] == chi2_critical(len(probs) - len(zeros) - 1)
 
 
 def test_trajectories_convert_each_snapshot_at_most_twice(ini, tmp_path, monkeypatch):

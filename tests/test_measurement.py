@@ -216,11 +216,10 @@ def test_device_state_embeds_grid_state():
 
 
 def test_draw_outcomes_reproducible():
-    dev = fourier_device(8)
-    psi = random_state(8, seed=1)
-    a = draw_outcomes(dev, psi, 1000, seed=5)
-    b = draw_outcomes(dev, psi, 1000, seed=5)
-    c = draw_outcomes(dev, psi, 1000, seed=6)
+    probs = born_probabilities(fourier_device(8), random_state(8, seed=1))
+    a = draw_outcomes(probs, 1000, seed=5)
+    b = draw_outcomes(probs, 1000, seed=5)
+    c = draw_outcomes(probs, 1000, seed=6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -229,7 +228,7 @@ def test_draw_outcomes_follow_born():
     dev = fourier_device(8)
     psi = random_state(8, seed=2)
     probs = born_probabilities(dev, psi)
-    outcomes = draw_outcomes(dev, psi, 50000, seed=11)
+    outcomes = draw_outcomes(probs, 50000, seed=11)
     counts = np.bincount(outcomes, minlength=8)
     ref = sps.chisquare(counts, probs * 50000)
     assert ref.pvalue > 1e-3
@@ -254,7 +253,7 @@ def test_draw_outcomes_is_the_categorical_cell_draw(weights, norm, seed, n_trial
     cdf = np.cumsum(probs)
     u = stream_rng(seed, "measurement").random(n_trials)
     expected = np.minimum(np.searchsorted(cdf, u * cdf[-1], "left"), dim - 1)
-    got = draw_outcomes(dev, psi, n_trials, seed)
+    got = draw_outcomes(probs, n_trials, seed)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     # a zero-weight cell is drawn only by u = 0, and then only cell 0
     assert np.all(probs[got[u > 0]] > 0)

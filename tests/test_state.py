@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from edsim import (
@@ -67,6 +69,41 @@ def test_hydro_round_trip_preserves_state():
     h = to_hydro(psi, node_floor=0.0)
     back = WaveFunction(g, np.sqrt(h.rho) * np.exp(1j * h.phi)).normalized()
     assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-12
+
+
+@st.composite
+def smooth_states(draw):
+    """Smooth states with |psi| bounded away from 0: a modulus 1 + sum of
+    cosines whose amplitudes sum to at most 0.9, times exp(i phase) with a
+    global phase, a plane-wave slope and cosine modes, kept below 3 rad from
+    cell to cell so the unwrapped phase is the drawn one."""
+    n = draw(st.integers(8, 256))
+    x_min = draw(st.floats(-20.0, 0.0))
+    g = Grid1D(x_min, x_min + draw(st.floats(1.0, 40.0)), n)
+    u = 2.0 * np.pi * (g.cells - g.x_min) / g.length
+
+    def modes(total):
+        terms = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(1, 4),
+                                        st.floats(-np.pi, np.pi)), max_size=3))
+        scale = total / max(1.0, sum(abs(c) for c, _, _ in terms))
+        return sum((scale * c * np.cos(m * u + d) for c, m, d in terms), np.zeros(n))
+
+    modulus = 1.0 + modes(0.9)
+    phase = (draw(st.floats(-np.pi, np.pi)) + draw(st.floats(-2.0, 2.0)) * np.arange(n)
+             + modes(draw(st.floats(0.0, 3.0))))
+    assume(np.max(np.abs(np.diff(phase)), initial=0.0) < 3.0)
+    return WaveFunction(g, modulus * np.exp(1j * phase))
+
+
+@settings(max_examples=300, deadline=None)
+@given(smooth_states())
+def test_hydro_round_trip_on_smooth_states(psi):
+    """Away from nodes, sqrt(rho) exp(i phi) rebuilds the normalized state,
+    global phase included."""
+    h = to_hydro(psi, node_floor=0.0)
+    back = WaveFunction(psi.grid, np.sqrt(h.rho) * np.exp(1j * h.phi))
+    ref = psi.normalized().amplitudes
+    assert np.max(np.abs(back.amplitudes - ref)) < 1e-12
 
 
 def test_to_hydro_unwraps_phase():

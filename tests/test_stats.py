@@ -65,6 +65,28 @@ def test_chi2_matches_scipy(n, seed, trials, born):
     assert pval == float(ref.pvalue)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 300), st.integers(0, 2**32 - 1), st.integers(1, 10**6))
+def test_chi2_leaves_zero_probability_cells_out(n, seed, trials):
+    """A cell of probability 0, which the draw never picks, adds nothing to
+    the statistic or the degrees of freedom: the result is chisquare over
+    the positive cells, with no 0/0."""
+    rng = np.random.default_rng(seed)
+    probs = rng.uniform(1e-6, 1.0, size=n)
+    probs[rng.choice(n, size=rng.integers(1, n - 1), replace=False)] = 0.0
+    counts = rng.multinomial(trials, probs / probs.sum())
+    kept = probs > 0
+    stat, pval = chi2_gof(counts, probs)
+    expected = counts.sum() * probs[kept] / probs.sum()
+    ref = sps.chisquare(counts[kept].astype(float), f_exp=expected)
+    assert stat == float(ref.statistic)
+    assert pval == float(ref.pvalue)
+
+
+def test_chi2_count_in_zero_probability_cell_rejects():
+    assert chi2_gof([3, 1, 2], [0.5, 0.0, 0.5]) == (float("inf"), 0.0)
+
+
 def test_chi2_critical_matches_scipy():
     dofs = np.arange(1, 5000)
     ref = sps.chi2.ppf(0.99, dofs)

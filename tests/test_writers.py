@@ -7,20 +7,25 @@ defined by; the writers must produce exactly the same bytes.
 import json
 import os
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import edsim.io as iomod
 from edsim import (
     EvolutionConfig,
     EvolutionTrace,
+    ExperimentLog,
     Grid1D,
     HydroState,
     LikelihoodModel,
     PhysicalParams,
     WaveFunction,
     build_device,
+    device_state,
     end_to_end,
     evolve,
     fourier_device,
@@ -131,6 +136,62 @@ def test_experiment_log_matches_reference(dim, like, prior, tmp_path):
     path = tmp_path / "experiment.ndjson"
     iomod.write_experiment_log(path, log)
     assert path.read_text() == experiment_log_text(log)
+
+
+# -0.0, subnormals, values that need all 17 digits, and the spellings json
+# has for the non-finite floats
+POSTERIOR_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.0**-1060, -2.0**-1030, 0.1 + 0.2, 1.0 / 3.0,
+                     1.0, 1e300, np.nan, np.inf, -np.inf]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def experiment_logs(draw):
+    """Logs whose rows draw from a small pool of floats, so that rows share
+    values, down to one row and one trial."""
+    n_rows = draw(st.integers(1, 5))
+    n_cells = draw(st.integers(1, 6))
+    pool = draw(st.lists(POSTERIOR_FLOATS, min_size=1, max_size=8))
+    rows = np.array(draw(st.lists(st.sampled_from(pool), min_size=n_rows * n_cells,
+                                  max_size=n_rows * n_cells))).reshape(n_rows, n_cells)
+    n_trials = draw(st.integers(1, 8))
+
+    def ints(hi):
+        return np.array(draw(st.lists(st.integers(0, hi), min_size=n_trials,
+                                      max_size=n_trials)), dtype=np.intp)
+
+    return ExperimentLog(true_i=ints(n_cells - 1), observed_r=ints(n_cells - 1),
+                         rows=rows, row_of=ints(n_rows - 1), map_i=ints(n_cells - 1))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(experiment_logs())
+def test_experiment_log_matches_reference_on_generated_logs(tmp_path, log):
+    path = tmp_path / "experiment.ndjson"
+    iomod.write_experiment_log(path, log)
+    assert path.read_text() == experiment_log_text(log)
+
+
+def test_experiment_log_formats_each_distinct_float_once(tmp_path, monkeypatch):
+    """The writer hands json.dumps one float per distinct bit pattern of the
+    posterior rows, not one per entry: rows of readings whose Born prior is
+    tiny share their values (here 3,537 distinct floats in 13,696 entries)."""
+    formatted = []
+
+    def dumps(obj, **kwargs):
+        formatted.extend(v for v in obj if isinstance(v, float))
+        return json.dumps(obj, **kwargs)
+
+    g = Grid1D(-10.0, 10.0, 128)
+    psi = WaveFunction(g, free_gaussian(g.cells, k0=1.0)).normalized()
+    log = end_to_end(device_state(psi), fourier_device(128), noisy_likelihood(128, 0.1),
+                     2000, seed=9)
+    monkeypatch.setattr(iomod, "json", types.SimpleNamespace(dumps=dumps))
+    iomod.write_experiment_log(tmp_path / "experiment.ndjson", log)
+    distinct = len(np.unique(log.rows.view(np.uint64)))
+    assert len(formatted) == distinct < log.rows.size
 
 
 def _complex(re, im):
