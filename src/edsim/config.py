@@ -27,8 +27,8 @@ from .state import Grid1D, PhysicalParams, WaveFunction
 # bytes each, 256 MiB at n = 4096); measure at n = 2048 peaks at 512 MB
 MAX_DEVICE_DIM = 4096
 # [sampler] n_particles stays below this: trajectories holds one ensemble at
-# a time and peaks at about 200 bytes a particle per sampler mode (the
-# positions, one snapshot's floats and its CSV text), 0.8 GB at 4e6
+# a time and peaks at about 80 bytes a particle per sampler mode, 0.32 GB
+# at 4e6; the CSV text is formatted in blocks of io.ENSEMBLE_BLOCK particles
 MAX_PARTICLES = 4 * 10**6
 
 

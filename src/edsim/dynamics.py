@@ -41,12 +41,16 @@ its fields are still finite.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
+import scipy
 
 from .errors import NodeError, SolverError, StabilityError
 from .operators import gradient, hamiltonian
@@ -58,6 +62,30 @@ from .state import (
     WaveFunction,
     to_hydro,
 )
+
+
+def _load_flapack():
+    """scipy.linalg's compiled LAPACK module, loaded from its file.
+
+    `import scipy.linalg.lapack` would run scipy.linalg's package init,
+    which sets up scipy's array-API layer and loads numpy.f2py,
+    numpy.testing and numpy.ma, about 0.3 s of start-up for two wrappers.
+    scipy.linalg.lapack re-exports this module's zgttrf and zgttrs, so the
+    solver calls the same objects either way. `import scipy` above runs
+    its _distributor_init, which sets up bundled-library paths."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+        path = next(stem + s for s in EXTENSION_SUFFIXES if os.path.exists(stem + s))
+        spec = importlib.util.spec_from_loader(name, ExtensionFileLoader(name, path))
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+_flapack = _load_flapack()
+zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 
 _LOG_TINY = 1e-300
 

@@ -111,24 +111,35 @@ def write_diagnostics(path, rows):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+# particles per formatted block of write_ensemble_csv: the writer holds
+# about 190 B a particle of one block, not of a whole snapshot
+ENSEMBLE_BLOCK = 8192
+
+
 def write_ensemble_csv(path, snapshots):
     """CSV particle_id,t,x: one row per particle per snapshot, from an
     iterable of (t, positions) pairs, read one pair at a time as its rows
-    are written. Each snapshot is one line template, the "%d," id prefixes
+    are written. A snapshot is written in blocks of ENSEMBLE_BLOCK
+    particles. Each block is one line template, the "%d," id prefixes
     joined by "<t>,%.17g\n", filled by a single % operation; "%.17g" of a
-    float is exactly _f."""
+    float is exactly _f. The first block's id prefixes are kept across
+    snapshots."""
 
     def chunks():
         yield "particle_id,t,x\n"
-        ids = []
+        first_ids = []
         for t, xs in snapshots:
-            xs = np.asarray(xs, dtype=float).tolist()
-            if not xs:
-                continue
-            if len(ids) < len(xs):
-                ids = ["%d," % i for i in range(len(xs))]
+            xs = np.asarray(xs, dtype=float)
             tail = _f(t) + ",%.17g\n"
-            yield (tail.join(ids[:len(xs)]) + tail) % tuple(xs)
+            for start in range(0, len(xs), ENSEMBLE_BLOCK):
+                block = xs[start:start + ENSEMBLE_BLOCK].tolist()
+                if start:
+                    ids = ["%d," % i for i in range(start, start + len(block))]
+                elif len(first_ids) >= len(block):
+                    ids = first_ids[:len(block)]
+                else:
+                    ids = first_ids = ["%d," % i for i in range(len(block))]
+                yield (tail.join(ids) + tail) % tuple(block)
 
     atomic_write(path, chunks())
 

@@ -1,10 +1,13 @@
 """Goodness-of-fit helpers: Kolmogorov-Smirnov and chi-square at fixed levels.
 
-scipy.special is imported inside the chi-square helpers, not here: the CLI
-imports this module on every run, and most runs never test a chi-square.
+The CLI imports this module on every run, so nothing here loads scipy at
+import. chi2_critical reads its 1% points from edsim.chi2_table, and only
+chi2_gof, for its p-value, imports scipy.special, when it is called.
 """
 
 import numpy as np
+
+from .chi2_table import POINTS
 
 # asymptotic two-sided 1% point of the KS distribution
 KS_COEFF_1PCT = 1.63
@@ -26,10 +29,13 @@ def ks_critical(n) -> float:
 
 def chi2_critical(dof) -> float:
     """Upper 1% point of the chi-square distribution with dof degrees of
-    freedom; equal to scipy.stats.chi2.ppf(0.99, dof) bit for bit."""
-    from scipy.special import gammaincinv
-
-    return float(2.0 * gammaincinv(dof / 2.0, 0.99))
+    freedom, from edsim.chi2_table: scipy.stats.chi2.ppf(0.99, dof) bit for
+    bit, and 0.0 at dof 0. ValueError outside dof 0 to 4999, which covers
+    every device the CLI accepts (MAX_DEVICE_DIM cells)."""
+    points = POINTS.split()
+    if not 0 <= dof < len(points):
+        raise ValueError(f"chi2_critical: dof {dof} is outside 0 to {len(points) - 1}")
+    return float(points[dof])
 
 
 def ks_two_sample(a, b):
@@ -45,25 +51,33 @@ def ks_two_sample(a, b):
     return d, float(crit)
 
 
-def chi2_gof(counts, probs):
-    """Chi-square goodness of fit of counts against cell probabilities.
+def pearson_statistic(counts, probs) -> float:
+    """Pearson's chi-square statistic of counts against cell probabilities.
 
-    Returns (statistic, p_value). Cells of probability 0 are left out of
-    Pearson's sum and of the degrees of freedom, the count of positive
-    cells less one; a count in such a cell gives (inf, 0.0). Where every
-    probability is positive the result equals
-    scipy.stats.chisquare(counts, f_exp=expected) bit for bit."""
-    from scipy.special import chdtrc
-
+    Cells of probability 0 are left out of the sum, and a count in such a
+    cell gives inf. Its degrees of freedom are the count of positive cells
+    less one."""
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
     expected = counts.sum() * probs / probs.sum()
     kept = probs > 0
     if np.any(counts[~kept]):
-        return float("inf"), 0.0
+        return float("inf")
     counts, expected = counts[kept], expected[kept]
-    stat = np.sum((counts - expected) ** 2 / expected)
-    return float(stat), float(chdtrc(len(counts) - 1, stat))
+    return float(np.sum((counts - expected) ** 2 / expected))
+
+
+def chi2_gof(counts, probs):
+    """Chi-square goodness of fit of counts against cell probabilities.
+
+    Returns (statistic, p_value): pearson_statistic and its upper tail,
+    (inf, 0.0) for a count in a cell of probability 0. Where every
+    probability is positive the result equals
+    scipy.stats.chisquare(counts, f_exp=expected) bit for bit."""
+    from scipy.special import chdtrc
+
+    stat = pearson_statistic(counts, probs)
+    return stat, float(chdtrc(np.count_nonzero(probs) - 1, stat))
 
 
 def cdf_from_density(grid, rho):

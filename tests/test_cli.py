@@ -501,6 +501,32 @@ def test_measure_with_zero_born_cells_writes_strict_json(ini, tmp_path):
     assert rec["critical_value"] == chi2_critical(len(probs) - len(zeros) - 1)
 
 
+def test_measure_with_one_born_cell_passes_with_strict_json(ini, tmp_path):
+    """A packet far narrower than a cell puts all its Born probability in
+    cell 32. With 0 degrees of freedom every draw lands there: chi2.json is
+    strict JSON, its critical value is 0.0 and the test passes. Run in a
+    fresh interpreter, where warnings print as they would for a user."""
+    out = tmp_path / "o"
+    cfg = ini(grid__x_min=-10, grid__x_max=10, grid__n=64, initial__mu=0.15625,
+              initial__sigma=0.001, initial__k=0, device__preset="identity")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "edsim.cli", "measure", "--config", cfg, "--out", str(out),
+         "--seed", "1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    probs = json.loads((out / "born.json").read_text())["probabilities"]
+    assert [i for i, p in enumerate(probs) if p > 0.0] == [32]
+
+    def no_constants(name):
+        raise ValueError(f"chi2.json holds {name}")
+
+    rec = json.loads((out / "chi2.json").read_text(), parse_constant=no_constants)
+    assert rec["critical_value"] == 0.0
+    assert rec["statistic"] == 0.0
+    assert rec["pass"] is True
+
+
 def test_trajectories_convert_each_snapshot_at_most_twice(ini, tmp_path, monkeypatch):
     """evolve converts each snapshot once, for its diagnostics row; the drift
     tables reuse that conversion and nothing rebuilds them per advance.

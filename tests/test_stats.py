@@ -9,6 +9,7 @@ from edsim import (
     cdf_from_density,
     chi2_critical,
     chi2_gof,
+    chi2_table,
     ks_critical,
     ks_statistic,
     ks_two_sample,
@@ -91,6 +92,24 @@ def test_chi2_critical_matches_scipy():
     dofs = np.arange(1, 5000)
     ref = sps.chi2.ppf(0.99, dofs)
     assert [chi2_critical(int(d)) for d in dofs] == ref.tolist()
+
+
+def test_chi2_critical_at_zero_dof_is_zero():
+    assert chi2_critical(0) == 0.0
+
+
+@pytest.mark.parametrize("dof", [-1, 5000, 10**6])
+def test_chi2_critical_outside_table_raises(dof):
+    with pytest.raises(ValueError, match="outside 0 to 4999"):
+        chi2_critical(dof)
+
+
+def test_chi2_table_is_generator_output():
+    """The committed POINTS line is what `python src/edsim/chi2_table.py`
+    writes, so the table is never edited by hand."""
+    with open(chi2_table.__file__) as fh:
+        committed = [line for line in fh if line.startswith("POINTS = ")]
+    assert committed == [chi2_table.points_line()]
 
 
 def test_cdf_from_density():

@@ -317,6 +317,40 @@ def test_ensemble_csv_matches_reference(name, tmp_path):
     assert path.read_text() == ref_ensemble_csv(snapshots)
 
 
+def test_ensemble_csv_blocks_match_reference(tmp_path, monkeypatch):
+    """With blocks of 3 particles, snapshots of 7, 3, 10 and 0 particles
+    span block boundaries; ids run on across them, and the bytes are the
+    reference's."""
+    monkeypatch.setattr(iomod, "ENSEMBLE_BLOCK", 3)
+    snapshots = [(0.0, np.arange(7) * 0.1), (T17[0], [-0.0, 5e-324, 1.0]),
+                 (T17[1], np.arange(10) / 3.0), (1.0, [])]
+    path = tmp_path / "ensemble.csv"
+    iomod.write_ensemble_csv(path, iter(snapshots))
+    assert path.read_text() == ref_ensemble_csv(snapshots)
+
+
+def test_ensemble_csv_is_one_block_per_snapshot_at_4000_particles(tmp_path, monkeypatch):
+    """The particles benchmark's 4000-particle snapshots are each one chunk."""
+    chunks = []
+    monkeypatch.setattr(iomod, "atomic_write", lambda path, text: chunks.extend(text))
+    iomod.write_ensemble_csv(tmp_path / "e.csv", [(0.0, np.zeros(4000)), (1.0, np.ones(4000))])
+    assert len(chunks) == 1 + 2
+
+
+def test_ensemble_writer_peak_does_not_grow_with_particles(tmp_path):
+    """The writer formats a snapshot in fixed blocks, so its peak on one
+    snapshot of 8 blocks is within 64 KB of its peak on 4 blocks; text for
+    a whole snapshot would add about 190 B a particle, 6 MB here."""
+    n = 4 * iomod.ENSEMBLE_BLOCK
+    peaks = []
+    for count in (n, 2 * n):
+        xs = np.random.default_rng(count).normal(size=count)
+        path = tmp_path / f"e{count}.csv"
+        peaks.append(_peak_bytes(lambda: iomod.write_ensemble_csv(path, [(T17[0], xs)])))
+        assert path.stat().st_size > count * 20
+    assert peaks[1] < peaks[0] + 65536, peaks
+
+
 def hand_trace():
     """Two snapshots on 8 cells holding -0.0, subnormals and 17-digit values."""
     g = Grid1D(-0.1 - 0.2, 1.0 / 3.0, 8)
