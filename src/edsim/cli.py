@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Five subcommands: evolve, trajectories, measure, amplify, validate. Every
-run archives the fully-resolved configuration next to its outputs, so a
-result directory is self-describing; rerunning with the same config and
-seed reproduces every file byte for byte.
+run but validate, whose criteria pin their own configs and seeds, archives
+the fully-resolved configuration next to its outputs; rerunning with the
+same config and seed reproduces every file byte for byte.
 
 Exit codes:
     0  success
@@ -43,7 +43,7 @@ from . import io as iomod
 from . import validate as acceptance
 from .amplification import end_to_end
 from .config import RunConfig
-from .dynamics import evolve, l1_distance, madelung_start
+from .dynamics import _steps_for, evolve, l1_distance, madelung_start
 from .errors import ConfigError, SimulationError
 from .measurement import born_probabilities, device_state, draw_outcomes
 from .stats import (  # chi2_gof stays a cli name: perfbench/tracer.py patches it
@@ -189,11 +189,12 @@ def cmd_trajectories(args) -> int:
     fields = TraceFields.from_trace(evolve(cfg.initial_state(), p, ecfg, node_floor=node_floor), p)
     ts, rhos = fields.ts, fields.rhos
     sdt = sdt or ecfg.dt
-    for k in range(1, len(ts)):
-        span = float(ts[k] - ts[k - 1])
-        if abs(round(span / sdt) * sdt - span) > 1e-9 or span < sdt / 2:
-            raise ConfigError(
-                f"sampler dt {sdt:g} does not divide the snapshot interval {span:g}")
+    try:  # the advance runs step k at t = k sdt: every snapshot must be a step
+        steps = [_steps_for(t, sdt) for t in ts.tolist()]
+    except ValueError as e:
+        raise ConfigError(f"sampler dt does not fit the snapshots: {e}") from None
+    if any(a >= b for a, b in zip(steps, steps[1:])):
+        raise ConfigError(f"sampler dt {sdt:g} is longer than a snapshot interval")
     requested_mode = cfg["sampler", "mode"]
     modes = SAMPLER_MODES if requested_mode == "both" else (requested_mode,)
     final_cdf = cdf_from_density(g, rhos[-1])
@@ -280,18 +281,12 @@ def cmd_amplify(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = RunConfig.load(args.config) if args.config else None
-    overrides = {}
-    if cfg is not None and cfg["validate", "madelung_dt"] > 0:
-        overrides["madelung_dt"] = cfg["validate", "madelung_dt"]
     names = acceptance.select_criteria(args.filter) if args.filter else None
-    results = acceptance.run_all(names, overrides)
+    results = acceptance.run_all(names)
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
     print("\n".join(lines))
-    out = _resolve_out(args, cfg, required=False)
+    out = _resolve_out(args, None, required=False)
     if out:
-        if cfg is not None:
-            iomod.atomic_write(os.path.join(out, "resolved.ini"), cfg.resolved_ini())
         iomod.atomic_write(os.path.join(out, "validation.txt"), "\n".join(lines) + "\n")
     return 0 if all(r.passed for r in results) else 5
 
@@ -311,12 +306,12 @@ def _build_parser():
     )
     for name, fn, help_text in specs:
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", required=(name != "validate"),
-                        help="INI run configuration")
         sp.add_argument("--out", help="output directory (overrides EDSIM_OUT and [run] out)")
-        sp.add_argument("--seed", type=int, help="override [run] seed")
         if name == "validate":
             sp.add_argument("--filter", help="comma-separated criterion names or substrings")
+        else:
+            sp.add_argument("--config", required=True, help="INI run configuration")
+            sp.add_argument("--seed", type=int, help="override [run] seed")
         sp.set_defaults(func=fn)
     return ap
 

@@ -86,7 +86,6 @@ _SCHEMA = {
                 "epsilon": ("0.1", Num(low=0, high=1)), "n_trials": ("10000", Num(int, 1)),
                 "prior": ("born", ("born", "uniform")), "path": ("", None)},
     "run": {"seed": ("0", Num(int, 0, high=2**64)), "out": ("", None)},
-    "validate": {"madelung_dt": ("0", _NON_NEGATIVE)},  # 0: the default step
 }
 
 

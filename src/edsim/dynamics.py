@@ -53,7 +53,7 @@ import numpy as np
 import scipy
 
 from .errors import NodeError, SolverError, StabilityError
-from .operators import gradient, hamiltonian
+from .operators import gradient, hamiltonian, log_gradient
 from .state import (
     DEFAULT_NODE_FLOOR,
     Grid1D,
@@ -87,8 +87,6 @@ def _load_flapack():
 _flapack = _load_flapack()
 zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 
-_LOG_TINY = 1e-300
-
 # largest |Z - 1| one density-phase step may renormalize away; see above
 RENORM_LIMIT = 1e-3
 # the density-phase engine's dt bound is C_STAB m dx^2 / hbar
@@ -101,12 +99,14 @@ _ENGINES = ("schrodinger", "madelung")
 _BOUNDARIES = ("periodic", "hardwall")
 
 
-def _steps_for(t_final, dt):
-    if not t_final / dt < math.inf:
-        raise ValueError(f"t_final={t_final:g} is too many dt={dt:g} steps to count")
-    n = int(round(t_final / dt))
-    if abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError(f"t_final={t_final:g} is not an integer number of dt={dt:g} steps")
+def _steps_for(t, dt):
+    """The whole number of dt steps from 0 to t: the one clock of evolve and
+    of the ensemble advance, whose step k runs at t = k dt."""
+    if not t / dt < math.inf:
+        raise ValueError(f"t={t:g} is too many dt={dt:g} steps to count")
+    n = int(round(t / dt))
+    if abs(n * dt - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"t={t:g} is not a whole number of dt={dt:g} steps")
     return n
 
 
@@ -184,7 +184,7 @@ def energy(h: HydroState, p: PhysicalParams) -> float:
     """E = sum rho [ (hbar^2/2m)(grad phi)^2 + (hbar^2/8m)(grad log rho)^2 + V ] dx."""
     dx = h.grid.dx
     gp = gradient(h.phi, dx)
-    gl = gradient(np.log(np.maximum(h.rho, _LOG_TINY)), dx)
+    gl = log_gradient(h.rho, dx)
     dens = (p.hbar**2 / (2.0 * p.m)) * gp**2 + (p.hbar**2 / (8.0 * p.m)) * gl**2
     return float(np.sum(h.rho * (dens + p.potential_on(h.grid))) * dx)
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _steps_for
 from .errors import NodeError, TraceCoverageError
-from .operators import gradient
+from .operators import _LOG_TINY, gradient, log_gradient
 from .seeding import restore_rng, stream_rng
 from .state import DEFAULT_NODE_FLOOR, Grid1D, PhysicalParams
 
@@ -25,16 +26,15 @@ CURRENT_FLOW = "current_flow"
 ENTROPIC_DIFFUSION = "entropic_diffusion"
 SAMPLER_MODES = (CURRENT_FLOW, ENTROPIC_DIFFUSION)
 
-_LOG_TINY = 1e-300
-
 
 @dataclass(frozen=True)
 class Ensemble:
     """Particle positions at a common time, plus the RNG stream they came from.
 
     rng_state is the bit-generator state after the draws that produced this
-    ensemble; advancing continues the stream, so splitting one advance into
-    two is bitwise identical to doing it in one call.
+    ensemble; advancing continues the stream, and step k runs at t = k dt
+    wherever the advance started, so splitting one advance into two is
+    bitwise identical to doing it in one call.
     """
 
     positions: np.ndarray
@@ -96,17 +96,16 @@ def _apply_boundary(x, grid, boundary):
 
 
 class GridInterp:
-    """np.interp(x, cells, fp) on a uniform grid, bit for bit, for several
-    tables read at the same positions.
+    """np.interp(x, cells, fp) on a uniform grid, bit for bit.
 
-    locate(x) finds each position's cell bracket once, from one division
-    and one compare on each side, where np.interp runs a binary search per
-    position and per table; values(at, fp) then reads a table there. The
-    arithmetic is np.interp's: with cells[j] <= x < cells[j+1] and
-    slope[j] = (fp[j+1] - fp[j]) / (cells[j+1] - cells[j]), the value is
-    slope[j] * (x - cells[j]) + fp[j]; it is fp[0] below cells[0], fp[-1] at
-    or above cells[-1], and fp[j] on node j. Positions and slopes must be
-    finite, as they are for the drift tables.
+    A call finds each position's cell bracket from one division and one
+    compare on each side, where np.interp runs a binary search per
+    position, and reads the table fp there. The arithmetic is np.interp's:
+    with cells[j] <= x < cells[j+1] and slope[j] = (fp[j+1] - fp[j]) /
+    (cells[j+1] - cells[j]), the value is slope[j] * (x - cells[j]) + fp[j];
+    it is fp[0] below cells[0], fp[-1] at or above cells[-1], and fp[j] on
+    node j. Positions and slopes must be finite, as they are for the drift
+    tables.
 
     Brackets are numbered i = j + 1 in [0, n], so that i = 0 (below the
     first node) and i = n (at or past the last) index padded tables: a
@@ -125,8 +124,8 @@ class GridInterp:
         self._slope[0], self._slope[n] = 0.0, -0.0
         self._fp = np.empty(n + 1)
 
-    def locate(self, x):
-        """(i, x - left node, positions on a node) for every position."""
+    def __call__(self, x, fp):
+        """The table fp (one value per cell) at the positions x."""
         cells = self.cells
         est = x - cells[0]
         est /= self.dx
@@ -137,11 +136,7 @@ class GridInterp:
         i -= x < self._left[i]
         i += x >= cells[i]
         d = x - self._left[i]
-        return i, d, np.flatnonzero(d == 0.0)
-
-    def values(self, at, fp):
-        """The table fp (one value per cell) at the located positions."""
-        i, d, on_node = at
+        on_node = np.flatnonzero(d == 0.0)
         f, s = self._fp, self._slope
         f[0] = fp[0]
         f[1:] = fp
@@ -158,29 +153,36 @@ class GridInterp:
 
 @dataclass(frozen=True)
 class TraceFields:
-    """A trace's snapshot fields and drift tables, built once per trace.
+    """A trace's snapshot fields and the drift each path law integrates,
+    built once per trace.
 
-    ts, rhos: snapshot times and densities. v_tab: current velocity
-    (hbar/m) dphi/dx per snapshot. u_tab: dlog(rho)/dx per snapshot, the
-    osmotic drift over D. hbar and m are the ones the tables were built
-    with; advancing reads the diffusion D = hbar/2m from them.
+    ts, rhos: snapshot times and densities. v_tab: the current_flow drift,
+    the current velocity (hbar/m) dphi/dx, per snapshot. b_tab: the
+    entropic_diffusion drift v + D dlog(rho)/dx per snapshot. diffusion:
+    D = hbar/2m.
     """
 
     grid: Grid1D
     ts: np.ndarray
     rhos: np.ndarray
     v_tab: np.ndarray
-    u_tab: np.ndarray
-    hbar: float
-    m: float
+    b_tab: np.ndarray
+    diffusion: float
 
     @classmethod
     def from_trace(cls, trace, p: PhysicalParams) -> "TraceFields":
+        """Each table is one stacked gradient; the build peaks at four
+        arrays of the trace's size, 32 bytes a trace value."""
         ts, rhos, phis = trace.field_arrays()
         dx = trace.grid.dx
-        v_tab = np.array([(p.hbar / p.m) * gradient(ph, dx) for ph in phis])
-        u_tab = np.array([gradient(np.log(np.maximum(r, _LOG_TINY)), dx) for r in rhos])
-        return cls(trace.grid, ts, rhos, v_tab, u_tab, p.hbar, p.m)
+        v_tab = gradient(phis, dx)
+        del phis  # before the log density's array is made
+        v_tab *= p.hbar / p.m
+        diffusion = p.hbar / (2.0 * p.m)
+        b_tab = log_gradient(rhos, dx)
+        b_tab *= diffusion
+        b_tab += v_tab
+        return cls(trace.grid, ts, rhos, v_tab, b_tab, diffusion)
 
 
 def advance_ensemble(
@@ -193,15 +195,14 @@ def advance_ensemble(
     t_target=None,
 ) -> Ensemble:
     """Euler(-Maruyama) advance of every particle from ens.t to t_target
-    (default: the end of the trace), reading the trace's fields with linear
-    interpolation in time and space. Each step finds every particle's cell
-    once (GridInterp) and reads each drift table there, with the values
-    np.interp gives, bit for bit.
+    (default: the end of the trace), reading the law's drift table with
+    linear interpolation in time and space, with the values np.interp
+    gives, bit for bit. Step k runs at t = k dt; ens.t and t_target must be
+    whole numbers of dt steps.
     """
     if mode not in SAMPLER_MODES:
         raise ValueError(f"mode must be one of {SAMPLER_MODES}")
-    ts, rhos, v_tab, u_tab, grid = (
-        fields.ts, fields.rhos, fields.v_tab, fields.u_tab, fields.grid)
+    ts, rhos, grid = fields.ts, fields.rhos, fields.grid
     t_target = float(ts[-1]) if t_target is None else float(t_target)
     tol = 1e-9 * max(1.0, abs(float(ts[-1])))
     if ens.t < ts[0] - tol or t_target > ts[-1] + tol:
@@ -210,52 +211,39 @@ def advance_ensemble(
         )
     if t_target < ens.t - tol:
         raise TraceCoverageError("cannot advance backwards")
-
-    n_steps = int(round((t_target - ens.t) / dt))
-    if abs(ens.t + n_steps * dt - t_target) > tol:
-        raise ValueError("advance interval must be an integer number of dt steps")
-
-    diffusion = fields.hbar / (2.0 * fields.m)
-    noise_amp = np.sqrt(2.0 * diffusion * dt)
+    steps = range(_steps_for(ens.t, dt), _steps_for(t_target, dt))
+    diffusing = mode == ENTROPIC_DIFFUSION
+    tab = fields.b_tab if diffusing else fields.v_tab
+    noise_amp = np.sqrt(2.0 * fields.diffusion * dt)
     times, last = ts.tolist(), len(ts) - 2
 
-    def snapshot(t):
-        """The interval k of ts that t falls in, and how far along it."""
-        k = min(max(bisect_right(times, t) - 1, 0), last)
-        return k, (t - times[k]) / (times[k + 1] - times[k])
-
-    def blend(tab, k, th):
-        return (1.0 - th) * tab[k] + th * tab[k + 1]
+    def blend(table, t):
+        """table interpolated linearly in time between its snapshots."""
+        j = min(max(bisect_right(times, t) - 1, 0), last)
+        th = (t - times[j]) / (times[j + 1] - times[j])
+        return (1.0 - th) * table[j] + th * table[j + 1]
 
     interp = GridInterp(grid.cells, grid.dx)
     rng = restore_rng(ens.rng_state)
     x = ens.positions.copy()
-    for s in range(n_steps):
-        t = ens.t + s * dt
-        k, th = snapshot(t)
-        at = interp.locate(x)
-        drift = interp.values(at, blend(v_tab, k, th))
-        if mode == ENTROPIC_DIFFUSION:
-            osmotic = interp.values(at, blend(u_tab, k, th))
-            osmotic *= diffusion
-            drift += osmotic
-            drift *= dt
-            x += drift
+    for k in steps:
+        drift = interp(x, blend(tab, k * dt))
+        drift *= dt
+        x += drift
+        if diffusing:
             noise = rng.standard_normal(len(x))
             noise *= noise_amp
             x += noise
-        else:
-            drift *= dt
-            x += drift
         _apply_boundary(x, grid, boundary)
-        if mode == ENTROPIC_DIFFUSION and node_floor > 0:
+        if diffusing and node_floor > 0:
+            t = (k + 1) * dt
             idx = np.clip(
                 np.floor((x - grid.x_min) / grid.dx).astype(int), 0, grid.n - 1
             )
-            rho_here = blend(rhos, *snapshot(t + dt))[idx]
+            rho_here = blend(rhos, t)[idx]
             if float(np.min(rho_here)) < node_floor:
                 raise NodeError(
                     f"particle entered a cell with rho below {node_floor:g} "
-                    f"(t={t + dt:g}): drift d(log rho)/dx diverges there"
+                    f"(t={t:g}): drift d(log rho)/dx diverges there"
                 )
     return Ensemble(x, t_target, ens.seed, rng.bit_generator.state)

@@ -3,8 +3,8 @@
 Each criterion runs a pinned configuration and returns pass/fail plus a
 one-line detail with the measured number and its tolerance, so a failing
 row says how far off it was. Domain errors inside a criterion become
-failing rows rather than crashes; that is what makes the deliberately
-undersized time step (see the madelung_dt override) report cleanly.
+failing rows rather than crashes. The criteria pin their own
+configurations and seeds, so a run takes no settings.
 """
 
 import os
@@ -57,7 +57,7 @@ def _packet(grid: Grid1D) -> WaveFunction:
     ).normalized()
 
 
-def _c_engine_equivalence(ov):
+def _c_engine_equivalence():
     t0 = time.perf_counter()
     g = Grid1D(-20.0, 20.0, 1024)
     p = PhysicalParams()
@@ -65,12 +65,10 @@ def _c_engine_equivalence(ov):
     cn = evolve(
         psi, p, EvolutionConfig(dt=1e-3, t_final=2.0, engine="schrodinger", snapshot_stride=100)
     )
-    dt_m = float(ov.get("madelung_dt", 0.0)) or 2.0 / 14000.0
-    stride = max(1, int(round(0.1 / dt_m)))
     md = evolve(
         psi,
         p,
-        EvolutionConfig(dt=dt_m, t_final=2.0, engine="madelung", snapshot_stride=stride),
+        EvolutionConfig(dt=2.0 / 14000.0, t_final=2.0, engine="madelung", snapshot_stride=700),
         node_floor=0.0,
     )
     ts_c, rh_c, _ = cn.field_arrays()
@@ -112,13 +110,13 @@ def _variance_err(n: int) -> float:
     return _VARIANCE_ERR[n]
 
 
-def _c_analytic_spreading(ov):
+def _c_analytic_spreading():
     err = _variance_err(1024)
     ok = abs(err) <= 1e-4
     return ok, f"variance relative error {err:+.3e} at t=2, n=1024 (tol 1e-4)"
 
 
-def _c_energy_conservation(ov):
+def _c_energy_conservation():
     g = Grid1D(-12.0, 12.0, 4096)
     omega = 1.0
     p = PhysicalParams(potential=lambda x: 0.5 * omega**2 * x**2)
@@ -143,7 +141,7 @@ def _c_energy_conservation(ov):
     )
 
 
-def _c_trajectory_marginal(ov):
+def _c_trajectory_marginal():
     t0 = time.perf_counter()
     g = Grid1D(-20.0, 20.0, 512)
     p = PhysicalParams()
@@ -172,7 +170,7 @@ def _c_trajectory_marginal(ov):
     )
 
 
-def _c_discrete_born(ov):
+def _c_discrete_born():
     dev = fourier_device(16)
     rng = stream_rng(42, "state")
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
@@ -190,7 +188,7 @@ def _c_discrete_born(ov):
     )
 
 
-def _c_continuum_born(ov):
+def _c_continuum_born():
     g = Grid1D(1.5, 6.5, 16384)
     x = g.cells
     psi = WaveFunction(g, free_gaussian(x, sigma0=0.5, x0=4.0)).normalized()
@@ -211,7 +209,7 @@ def _c_continuum_born(ov):
     )
 
 
-def _c_normality_gate(ov):
+def _c_normality_gate():
     good = check_normal(observable_matrix(fourier_device(8)))
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     bad = check_normal(jordan)
@@ -222,7 +220,7 @@ def _c_normality_gate(ov):
     )
 
 
-def _c_bayes_amplification(ov):
+def _c_bayes_amplification():
     rng = stream_rng(7, "state")
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi4 = v / np.linalg.norm(v)
@@ -296,7 +294,7 @@ def _read_tree(root):
     return out
 
 
-def _c_reproducibility(ov):
+def _c_reproducibility():
     from . import cli
 
     with tempfile.TemporaryDirectory() as td:
@@ -324,7 +322,7 @@ def _c_reproducibility(ov):
     )
 
 
-def _c_convergence_order(ov):
+def _c_convergence_order():
     ratio = _variance_err(1024) / _variance_err(2048)
     ok = 3.0 <= ratio <= 5.0
     return ok, f"variance error ratio {ratio:.2f} on dx halving (expected in [3, 5])"
@@ -363,15 +361,15 @@ def select_criteria(expr: str):
     return [n for n in CRITERIA if n in picked]
 
 
-def run_one(name: str, overrides=None) -> CriterionResult:
+def run_one(name: str) -> CriterionResult:
     if name not in _FNS:
         raise ValueError(f"unknown criterion '{name}'")
     try:
-        passed, detail = _FNS[name](overrides or {})
+        passed, detail = _FNS[name]()
     except SimulationError as e:
         return CriterionResult(name, False, f"{type(e).__name__}: {e}")
     return CriterionResult(name, passed, detail)
 
 
-def run_all(names=None, overrides=None):
-    return [run_one(n, overrides) for n in (names or CRITERIA)]
+def run_all(names=None):
+    return [run_one(n) for n in (names or CRITERIA)]

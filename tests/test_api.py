@@ -12,11 +12,13 @@ not need; it belongs in the tests or nowhere.
 
 import ast
 import dataclasses
+import importlib.util
 import inspect
 import re
 from pathlib import Path
 
 import edsim
+from edsim import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,3 +85,21 @@ def test_every_member_of_an_exported_class_has_a_user():
     unused = [f"{cls.__name__}.{name}" for cls in classes for name in _members(cls)
               if not _member_used(name)]
     assert unused == []
+
+
+def test_perfbench_tracer_installs_and_restores():
+    """perfbench/tracer.py wraps edsim names by attribute (cli.advance_ensemble,
+    cli.sample_initial, cli.chi2_gof, ...): a rename would break a traced
+    benchmark run, so install every patch and restore it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    originals = (cli.advance_ensemble, cli.sample_initial, cli.chi2_gof)
+    t = tracer.Tracer()
+    tracer.install(t)
+    try:
+        assert cli.advance_ensemble is not originals[0]
+    finally:
+        t.restore()
+    assert (cli.advance_ensemble, cli.sample_initial, cli.chi2_gof) == originals

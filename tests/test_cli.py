@@ -393,8 +393,9 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     # nan > 0 is false: a nan floor or step override would be ignored
     ("evolve", {"evolution__engine": "madelung", "evolution__node_floor": "nan"}),
     ("trajectories", {"evolution__node_floor": "inf"}),
-    ("validate", {"validate__madelung_dt": "nan"}),
-    ("validate", {"validate__madelung_dt": "-1e-4"}),
+    # validate takes no config, so [validate] is no section of one
+    ("evolve", {"validate__madelung_dt": "0"}),
+    ("trajectories", {"validate__madelung_dt": "1e-4"}),
     # sigma = 0 divides by zero; a non-finite packet writes NaN into JSON
     ("evolve", {"initial__sigma": 0}),
     ("measure", {"initial__sigma": "nan"}),
@@ -441,6 +442,9 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     ("measure", {"initial__preset": "plane_wave", "initial__k": repr(2 * math.pi * 33 / 16)}),
     # n_particles must stay below MAX_PARTICLES
     ("trajectories", {"sampler__n_particles": 4000000}),
+    # every snapshot time (0.005, 0.01) must be a whole number of sampler steps
+    ("trajectories", {"sampler__dt": "3e-3"}),
+    ("trajectories", {"sampler__dt": "2e-2"}),
 ])
 def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
     cfg = ini(**overrides)
@@ -896,6 +900,15 @@ def test_validate_filter_pass(tmp_path, capsys):
 def test_validate_filter_failing_criterion(capsys):
     assert run("validate", "--filter", "analytic_spreading") == 5
     assert "FAIL analytic_spreading" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option", ["--config", "--seed"])
+def test_validate_takes_no_config_or_seed(option, ini, capsys):
+    """The criteria pin their own configurations and seeds, so validate
+    refuses the options rather than ignore them."""
+    value = ini() if option == "--config" else "5"
+    assert run("validate", "--filter", "normality_gate", option, value) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_validate_unknown_filter(capsys):

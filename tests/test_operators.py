@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from edsim import Grid1D, gradient, hamiltonian
@@ -23,6 +26,19 @@ def test_gradient_second_order_convergence():
         errs.append(np.max(np.abs(g - np.exp(x))))
     assert 3.0 < errs[0] / errs[1] < 5.0
     assert 3.0 < errs[1] / errs[2] < 5.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    f=arrays(float, st.tuples(st.integers(1, 5), st.integers(3, 40)),
+             elements=st.floats(-1e6, 1e6)),
+    dx=st.floats(1e-3, 10.0),
+)
+def test_stacked_gradient_is_per_row_bitwise(f, dx):
+    """A stack of rows differentiates along its last axis, each row exactly
+    as on its own."""
+    rows = np.array([gradient(row, dx) for row in f])
+    assert gradient(f, dx).tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "hardwall"])

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -109,6 +110,25 @@ def test_split_advance_is_bitwise_single_advance():
                           restore_rng(single.rng_state).random(8))
 
 
+def test_drift_table_build_peaks_at_32_bytes_a_trace_value():
+    """from_trace holds the density stack and the two drift tables, and at
+    its peak one more array of the trace's size; beyond that only a few
+    arrays of one value per snapshot."""
+    g = Grid1D(-20.0, 20.0, 4096)
+    p = PhysicalParams()
+    psi = WaveFunction(g, free_gaussian(g.cells, sigma0=1.0, k0=1.0, x0=-1.0)).normalized()
+    trace = evolve(psi, p, EvolutionConfig(dt=1e-3, t_final=0.1, snapshot_stride=1))
+    values = len(trace.snapshots) * g.n
+    assert values == 101 * 4096
+    tracemalloc.start()
+    try:
+        TraceFields.from_trace(trace, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * values + 16 * 1024, peak / values
+
+
 def test_trace_coverage_errors():
     g, fields = make_trace(n=256, t_final=0.1, stride=10)
     ens = sample_initial(fields.rhos[0], g, 100, seed=1)
@@ -158,9 +178,9 @@ def test_positions_stay_in_domain():
     data=st.data(),
 )
 def test_grid_interp_is_np_interp_bitwise(n, x0, dx, data):
-    """Every table read through one shared bracket equals np.interp bit for
-    bit: below the first node, on and one ulp either side of every kind of
-    node, at and past the last node, with -0.0 entries and steep slopes."""
+    """Every table read equals np.interp bit for bit: below the first node,
+    on and one ulp either side of every kind of node, at and past the last
+    node, with -0.0 entries and steep slopes."""
     cells = x0 + (np.arange(n) + 0.5) * dx
     table = arrays(float, n, elements=st.one_of(
         st.just(-0.0), st.just(0.0), st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300)))
@@ -175,9 +195,8 @@ def test_grid_interp_is_np_interp_bitwise(n, x0, dx, data):
         np.nextafter(cells[[0, -1]], -np.inf), [cells[0] - 1e9, cells[-1] + 1e9], free,
     ))
     interp = GridInterp(cells, dx)
-    at = interp.locate(x)
     for fp in tables:
-        assert interp.values(at, fp).tobytes() == np.interp(x, cells, fp).tobytes()
+        assert interp(x, fp).tobytes() == np.interp(x, cells, fp).tobytes()
 
 
 NODE_FLOOR_MID_TRACE = 3e-3
@@ -254,6 +273,39 @@ def test_bitwise_cases_cross_walls_and_trip_node_floors(monkeypatch):
                              node_floor=NODE_FLOOR_MID_TRACE)
 
 
+@lru_cache(maxsize=None)
+def strided_fields(stride):
+    """A packet traced every stride steps of dt = 1e-2 up to t = 0.24."""
+    g = Grid1D(-8.0, 8.0, 64)
+    p = PhysicalParams()
+    psi = WaveFunction(g, free_gaussian(g.cells, sigma0=1.0, k0=1.0, x0=-1.0)).normalized()
+    tr = evolve(psi, p, EvolutionConfig(dt=1e-2, t_final=0.24, snapshot_stride=stride))
+    return g, TraceFields.from_trace(tr, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stride=st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]),
+    substeps=st.integers(1, 4),
+    mode=st.sampled_from(SAMPLER_MODES),
+    seed=st.integers(0, 2**32),
+    splits=st.sets(st.integers(1, 95), max_size=4),
+)
+def test_split_advances_are_bitwise_one_advance(stride, substeps, mode, seed, splits):
+    """Advances split at any whole steps, and the CLI's one advance per
+    snapshot interval, land on the positions and RNG state of one advance,
+    bit for bit, whatever the snapshot stride and the sampler dt."""
+    g, fields = strided_fields(stride)
+    dt = 1e-2 / substeps
+    ens = sample_initial(fields.rhos[0], g, 50, seed)
+    ts = fields.ts.tolist()
+    splits = [k * dt for k in sorted(splits) if k < 24 * substeps]
+    single, split, per_snapshot = (
+        _advance_or_error(advance_ensemble, ens, fields, targets, dt, mode, "periodic", 0.0)[-1]
+        for targets in ([ts[-1]], splits + [ts[-1]], ts[1:]))
+    assert split == single and per_snapshot == single
+
+
 _L_GRIDS = st.tuples(
     st.one_of(st.just(0.0), st.just(-0.0), st.floats(-50.0, 50.0)),
     st.floats(1e-3, 100.0),
@@ -281,9 +333,9 @@ def test_periodic_wrap_is_np_mod_bitwise(grid, data):
     assert x.tobytes() == expected.tobytes()
 
 
-# The stepping loop as it stood before GridInterp, verbatim but for the
-# names and the single TraceFields input: the reference of
-# test_advance_is_bitwise_np_interp_loop.
+# The stepping loop as it stood before GridInterp, but for the names, the
+# single TraceFields input, one drift table per law and the clock (step k at
+# t = k dt): the reference of test_advance_is_bitwise_np_interp_loop.
 
 
 def _ref_apply_boundary(x, grid, boundary):
@@ -315,7 +367,7 @@ def _ref_advance(
     """
     if mode not in SAMPLER_MODES:
         raise ValueError(f"mode must be one of {SAMPLER_MODES}")
-    ts, rhos, v_tab, u_tab, grid = f.ts, f.rhos, f.v_tab, f.u_tab, f.grid
+    ts, rhos, grid = f.ts, f.rhos, f.grid
     t_target = float(ts[-1]) if t_target is None else float(t_target)
     tol = 1e-9 * max(1.0, abs(float(ts[-1])))
     if ens.t < ts[0] - tol or t_target > ts[-1] + tol:
@@ -325,13 +377,13 @@ def _ref_advance(
     if t_target < ens.t - tol:
         raise TraceCoverageError("cannot advance backwards")
 
-    n_steps = int(round((t_target - ens.t) / dt))
-    if abs(ens.t + n_steps * dt - t_target) > tol:
-        raise ValueError("advance interval must be an integer number of dt steps")
+    first, end = int(round(ens.t / dt)), int(round(t_target / dt))
+    if abs(first * dt - ens.t) > tol or abs(end * dt - t_target) > tol:
+        raise ValueError("advance ends must be integer numbers of dt steps")
 
     cells = grid.cells
-    diffusion = f.hbar / (2.0 * f.m)
-    noise_amp = np.sqrt(2.0 * diffusion * dt)
+    tab = f.b_tab if mode == ENTROPIC_DIFFUSION else f.v_tab
+    noise_amp = np.sqrt(2.0 * f.diffusion * dt)
 
     def blend(tab, t):
         k = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2))
@@ -340,11 +392,10 @@ def _ref_advance(
 
     rng = restore_rng(ens.rng_state)
     x = ens.positions.copy()
-    for s in range(n_steps):
-        t = ens.t + s * dt
-        drift = np.interp(x, cells, blend(v_tab, t))
+    for s in range(first, end):
+        t = s * dt
+        drift = np.interp(x, cells, blend(tab, t))
         if mode == ENTROPIC_DIFFUSION:
-            drift = drift + diffusion * np.interp(x, cells, blend(u_tab, t))
             x = x + drift * dt + noise_amp * rng.standard_normal(len(x))
         else:
             x = x + drift * dt
