@@ -97,14 +97,13 @@ def cmd_evolve(args) -> int:
     psi = cfg.initial_state()
     node_floor = cfg["evolution", "node_floor"]
     # every engine's up-front checks pass before any engine takes a step
-    start = (madelung_start(psi, p, ecfgs["madelung"], node_floor)
-             if "madelung" in ecfgs else None)
+    if "madelung" in ecfgs:
+        madelung_start(psi, p, ecfgs["madelung"], node_floor)
 
     def run_engine(eng):
         # each engine writes only its own files, so the engines may run in
         # either process; only the densities come back, for compare_l1.csv
-        trace = evolve(psi, p, ecfgs[eng], node_floor=node_floor,
-                       start=start if eng == "madelung" else None)
+        trace = evolve(psi, p, ecfgs[eng], node_floor=node_floor)
         ts, rhos, phis = trace.field_arrays()
         iomod.write_snapshots(os.path.join(out, f"trace_{eng}.ndjson"), g, ts, rhos, phis)
         iomod.write_diagnostics(os.path.join(out, f"diagnostics_{eng}.csv"), trace.diagnostics)

@@ -47,12 +47,12 @@ import os
 import sys
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 import scipy
 
-from .errors import NodeError, SolverError, StabilityError
+from .errors import NodeError, SimulationError, SolverError, StabilityError
 from .operators import gradient, hamiltonian, log_gradient
 from .state import (
     DEFAULT_NODE_FLOOR,
@@ -171,12 +171,10 @@ class EvolutionTrace:
     snapshots: List[Tuple[float, HydroState]] = field(default_factory=list)
     diagnostics: List[DiagnosticsRow] = field(default_factory=list)
 
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.snapshots])
-
     def field_arrays(self):
         """Snapshots as (times, rho matrix, phi matrix) for interpolation."""
-        return (self.times(), np.array([h.rho for _, h in self.snapshots]),
+        return (np.array([t for t, _ in self.snapshots]),
+                np.array([h.rho for _, h in self.snapshots]),
                 np.array([h.phi for _, h in self.snapshots]))
 
 
@@ -446,15 +444,6 @@ class _MadelungEngine:
 # driver
 
 
-def _diag_row(t, h, p, norm, renorm):
-    return DiagnosticsRow(
-        t=t,
-        norm=norm,
-        energy=energy(h, p),
-        renorm_correction=renorm,
-    )
-
-
 def madelung_start(
     initial: WaveFunction,
     p: PhysicalParams,
@@ -473,59 +462,62 @@ def evolve(
     p: PhysicalParams,
     cfg: EvolutionConfig,
     node_floor: float = DEFAULT_NODE_FLOOR,
-    start: Optional[HydroState] = None,
 ) -> EvolutionTrace:
     """Run the configured engine over [0, t_final], recording snapshots.
 
-    Snapshots land every snapshot_stride steps, always including t = 0 and
-    t_final. The density-phase engine starts from madelung_start (dt bound,
-    node check active with the given floor), or from start when a caller
-    has already run it. Either engine records HydroState snapshots.
+    One loop steps either engine. An engine gives a start state, a step
+    state -> (state, renormalization correction) and a snapshot state ->
+    (HydroState, norm). The loop records a snapshot every snapshot_stride
+    steps, always including t = 0 and t_final, with a diagnostics row that
+    carries the worst correction since the previous snapshot, and adds
+    the t of the step it was taking to any SimulationError. The
+    density-phase engine starts from madelung_start (dt bound, node check
+    active with the given floor).
     """
-    grid = initial.grid
-    n_steps = _steps_for(cfg.t_final, cfg.dt)
+    grid, dt = initial.grid, cfg.dt
+    n_steps = _steps_for(cfg.t_final, dt)
     trace = EvolutionTrace(engine=cfg.engine, grid=grid)
 
     if cfg.engine == "schrodinger":
-        psi = initial.normalized()
-        solver = _cn_solver(grid, p, cfg.dt, cfg.boundary)
-        for step in range(n_steps + 1):
-            t = step * cfg.dt
-            if step % cfg.snapshot_stride == 0 or step == n_steps:
-                h = to_hydro(psi, node_floor=0.0)
-                trace.snapshots.append((t, h))
-                trace.diagnostics.append(_diag_row(t, h, p, psi.norm(), 0.0))
-            if step == n_steps:
-                break
-            try:
-                psi = schrodinger_step(psi, p, cfg.dt, cfg.boundary, solver)
-            except SolverError as e:
-                raise SolverError(f"{e} (t={t + cfg.dt:g})") from None
-        return trace
+        state = initial.normalized()
+        solver = _cn_solver(grid, p, dt, cfg.boundary)
 
-    h0 = start if start is not None else madelung_start(initial, p, cfg, node_floor)
-    eng = _MadelungEngine(grid, p, cfg.boundary)
-    rho, phi = h0.rho, h0.phi
+        def step(psi):
+            return schrodinger_step(psi, p, dt, cfg.boundary, solver), 0.0
+
+        def snapshot(psi):
+            return to_hydro(psi, node_floor=0.0), psi.norm()
+    else:
+        h0 = madelung_start(initial, p, cfg, node_floor)
+        state = h0.rho, h0.phi
+        eng = _MadelungEngine(grid, p, cfg.boundary)
+
+        def step(rho_phi):
+            rho, phi, dev = eng.step(*rho_phi, dt)
+            if not dev <= RENORM_LIMIT:
+                raise StabilityError(
+                    f"renormalization correction {dev:.3g} exceeds {RENORM_LIMIT:g}"
+                    if math.isfinite(dev) else "non-finite field")
+            if node_floor > 0 and float(np.min(rho)) < node_floor:
+                raise NodeError(f"density {float(np.min(rho)):.3e} below node floor")
+            return (rho, phi), dev
+
+        def snapshot(rho_phi):  # step returns new arrays
+            return HydroState(grid, *rho_phi), float(np.sum(rho_phi[0]) * grid.dx)
+
     worst_renorm = 0.0
-    for step in range(n_steps + 1):
-        t = step * cfg.dt
-        if step % cfg.snapshot_stride == 0 or step == n_steps:
-            h = HydroState(grid, rho, phi)  # step returns new arrays
+    for k in range(n_steps + 1):
+        t = k * dt
+        if k % cfg.snapshot_stride == 0 or k == n_steps:
+            h, norm = snapshot(state)
             trace.snapshots.append((t, h))
-            trace.diagnostics.append(
-                _diag_row(t, h, p, float(np.sum(rho) * grid.dx), worst_renorm)
-            )
+            trace.diagnostics.append(DiagnosticsRow(t, norm, energy(h, p), worst_renorm))
             worst_renorm = 0.0
-        if step == n_steps:
+        if k == n_steps:
             break
-        rho, phi, dev = eng.step(rho, phi, cfg.dt)
-        if not dev <= RENORM_LIMIT:
-            why = (f"renormalization correction {dev:.3g} exceeds {RENORM_LIMIT:g}"
-                   if math.isfinite(dev) else "non-finite field")
-            raise StabilityError(f"{why} (t={t + cfg.dt:g})")
-        if node_floor > 0 and float(np.min(rho)) < node_floor:
-            raise NodeError(
-                f"density {float(np.min(rho)):.3e} below node floor (t={t + cfg.dt:g})"
-            )
+        try:
+            state, dev = step(state)
+        except SimulationError as e:
+            raise type(e)(f"{e} (t={t + dt:g})") from None
         worst_renorm = max(worst_renorm, dev)
     return trace

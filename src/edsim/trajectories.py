@@ -85,12 +85,13 @@ def _apply_boundary(x, grid, boundary):
         x += 0.0
         x += grid.x_min
         return
-    # reflecting wall; displacements are small, but loop in case of corners
-    for _ in range(8):
+    # reflecting wall, once per particle and pass, until every particle is
+    # inside: each pass brings a finite outside position one box length closer
+    while True:
         over = x > grid.x_max
         under = x < grid.x_min
         if not (over.any() or under.any()):
-            break
+            return
         x[over] = 2.0 * grid.x_max - x[over]
         x[under] = 2.0 * grid.x_min - x[under]
 

@@ -12,13 +12,13 @@ not need; it belongs in the tests or nowhere.
 
 import ast
 import dataclasses
-import importlib.util
+import importlib
 import inspect
 import re
 from pathlib import Path
 
 import edsim
-from edsim import cli
+from edsim import cli, dynamics
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,19 +87,34 @@ def test_every_member_of_an_exported_class_has_a_user():
     assert unused == []
 
 
-def test_perfbench_tracer_installs_and_restores():
-    """perfbench/tracer.py wraps edsim names by attribute (cli.advance_ensemble,
-    cli.sample_initial, cli.chi2_gof, ...): a rename would break a traced
-    benchmark run, so install every patch and restore it."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    originals = (cli.advance_ensemble, cli.sample_initial, cli.chi2_gof)
+def test_perfbench_tracer_installs_and_restores(monkeypatch):
+    """perfbench/tracer.py wraps edsim names by attribute (cli.evolve,
+    dynamics.schrodinger_step, dynamics.energy, dynamics.to_hydro,
+    EvolutionTrace.field_arrays, cli.chi2_gof, ...): a rename would break a
+    traced benchmark run, so install every patch, trace one evolve and
+    restore. The evolve span counts the trace's snapshots, and the loop
+    calls the traced Crank-Nicolson step once per step."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    originals = (cli.evolve, cli.advance_ensemble, cli.sample_initial, cli.chi2_gof,
+                 dynamics.schrodinger_step, dynamics.energy, dynamics.to_hydro,
+                 vars(dynamics.EvolutionTrace)["field_arrays"])
+    g = edsim.Grid1D(-8.0, 8.0, 64)
+    psi = edsim.WaveFunction(g, edsim.free_gaussian(g.cells, sigma0=1.0))
+    cfg = edsim.EvolutionConfig(dt=1e-3, t_final=0.01, snapshot_stride=4)
     t = tracer.Tracer()
     tracer.install(t)
     try:
-        assert cli.advance_ensemble is not originals[0]
+        trace = cli.evolve(psi, edsim.PhysicalParams(), cfg)
+        trace.field_arrays()
     finally:
         t.restore()
-    assert (cli.advance_ensemble, cli.sample_initial, cli.chi2_gof) == originals
+    assert (cli.evolve, cli.advance_ensemble, cli.sample_initial, cli.chi2_gof,
+            dynamics.schrodinger_step, dynamics.energy, dynamics.to_hydro,
+            vars(dynamics.EvolutionTrace)["field_arrays"]) == originals
+    names = [name for name, *_ in t.spans]
+    evolve_info = t.spans[names.index("dynamics.evolve")][4]
+    assert evolve_info["snapshots"] == len(trace.snapshots) == cfg.n_snapshots() == 4
+    assert names.count("dynamics.schrodinger_step") == evolve_info["steps"] == 10
+    assert names.count("dynamics.energy") == 4
+    assert names.count("dynamics.field_arrays") == 1

@@ -10,9 +10,12 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from edsim import (
     NodeError,
@@ -706,6 +709,44 @@ def test_engine_both_checks_every_engine_before_stepping(
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error and message in err["message"]
     assert listdir(out) == ["resolved.ini"]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.sampled_from([8, 16, 32, 64]),
+    steps=st.integers(0, 6),
+    stride=st.integers(1, 4),
+    engine=st.sampled_from(["schrodinger", "madelung", "both"]),
+    boundary=st.sampled_from(["periodic", "hardwall"]),
+    # dt as a multiple of the Madelung bound 0.1 dx^2, on both sides of it
+    bound_share=st.sampled_from([0.05, 0.5, 0.99, 1.5, 40.0]),
+    node_floor=st.sampled_from(["0", "1e-12", "1e-3"]),
+    sigma=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    mu=st.floats(-8.0, 8.0),
+    k=st.floats(-4.0, 4.0),
+)
+def test_evolve_fuzz_exits_with_a_documented_code(n, steps, stride, engine, boundary,
+                                                  bound_share, node_floor, sigma, mu, k,
+                                                  monkeypatch, ini, tmp_path, capsys):
+    """Any small evolve config exits 0, 2, 3 or 4, never 1, with nothing on
+    stderr or exactly one JSON error line, and raises no numpy warning."""
+    take_path(monkeypatch, "inline")
+    dt = bound_share * 0.1 * (16.0 / n) ** 2
+    cfg = ini(grid__n=n, initial__sigma=repr(sigma), initial__mu=repr(mu),
+              initial__k=repr(k), evolution__engine=engine, evolution__boundary=boundary,
+              evolution__dt=repr(dt), evolution__t_final=repr(steps * dt),
+              evolution__snapshot_stride=stride, evolution__node_floor=node_floor)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = tmp_path / f"out_{os.path.basename(cfg)}"
+        code = run("evolve", "--config", cfg, "--out", str(out))
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), err
+    assert not caught, [str(w.message) for w in caught]
+    if err:
+        line, = err.splitlines()
+        assert set(json.loads(line)) == {"error", "message"}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

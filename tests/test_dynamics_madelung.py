@@ -177,6 +177,18 @@ def test_node_floor_guards_conversion():
         )
 
 
+def test_node_floor_mid_run_reports_its_step():
+    """A packet running into a wall thins its far tail from 2.8e-6 to 9.4e-7
+    in eight steps, so a floor of 1e-6 passes the up-front check and stops
+    the eighth step, which evolve reports with that step's t."""
+    g = Grid1D(-4.0, 4.0, 32)
+    psi = WaveFunction(g, free_gaussian(g.cells, sigma0=1.0, k0=5.0, x0=1.0)).normalized()
+    dt = 1.0 / 320.0
+    cfg = EvolutionConfig(dt=dt, t_final=20 * dt, engine="madelung", boundary="hardwall")
+    with pytest.raises(NodeError, match=r"^density 9\.4\d\de-07 below node floor \(t=0\.025\)$"):
+        evolve(psi, PhysicalParams(), cfg, node_floor=1e-6)
+
+
 def test_renormalization_stays_small():
     g = Grid1D(-3.5, 3.5, 256)
     _, psi0 = discrete_ground_state(g, HARMONIC, "periodic")

@@ -8,12 +8,14 @@ from edsim import (
     EvolutionConfig,
     Grid1D,
     PhysicalParams,
+    SolverError,
     WaveFunction,
     evolve,
     free_gaussian,
     l1_distance,
     schrodinger_step,
 )
+from edsim import dynamics
 from oracles import dense_hamiltonian, discrete_ground_state
 
 
@@ -110,9 +112,29 @@ def test_snapshot_schedule():
         PhysicalParams(),
         EvolutionConfig(dt=1e-3, t_final=0.01, engine="schrodinger", snapshot_stride=4),
     )
-    assert_allclose(tr.times(), [0.0, 0.004, 0.008, 0.01], atol=1e-12)
+    assert_allclose(tr.field_arrays()[0], [0.0, 0.004, 0.008, 0.01], atol=1e-12)
     assert len(tr.diagnostics) == 4
     assert all(d.norm == pytest.approx(1.0, abs=1e-12) for d in tr.diagnostics)
+
+
+def test_solver_error_reports_the_step_it_was_taking(monkeypatch):
+    """A step failing mid-run names the t that step was heading for."""
+    calls = []
+    real = dynamics.schrodinger_step
+
+    def third_fails(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise SolverError("linear solve returned non-finite amplitudes")
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "schrodinger_step", third_fails)
+    g = Grid1D(-15.0, 15.0, 256)
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.01, engine="schrodinger")
+    with pytest.raises(SolverError, match=r"^linear solve returned non-finite amplitudes "
+                                          r"\(t=0\.003\)$"):
+        evolve(packet(g), PhysicalParams(), cfg)
+    assert len(calls) == 3
 
 
 def test_non_integer_steps_rejected():

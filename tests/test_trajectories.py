@@ -333,6 +333,21 @@ def test_periodic_wrap_is_np_mod_bitwise(grid, data):
     assert x.tobytes() == expected.tobytes()
 
 
+def test_hard_wall_folds_any_overshoot_into_the_box():
+    """Particles 8.5 and 9.5 box lengths (and a bit) past either wall end
+    inside the box, where folding the line at both walls puts them; a
+    reflection that gave up after 8 passes left the 8.5 ones on +-20."""
+    g = Grid1D(-10.0, 10.0, 64)
+    L = g.length
+    past = np.array([8.5, 9.5, 8.5 + 0.3, 9.5 - 0.1]) * L
+    x = np.concatenate((g.x_max + past, g.x_min - past))
+    u = np.mod(x - g.x_min, 2.0 * L)
+    folded = g.x_min + np.where(u > L, 2.0 * L - u, u)
+    trajectories._apply_boundary(x, g, "hardwall")
+    assert np.all((g.x_min <= x) & (x <= g.x_max))
+    np.testing.assert_allclose(x, folded, rtol=0.0, atol=1e-12)
+
+
 # The stepping loop as it stood before GridInterp, but for the names, the
 # single TraceFields input, one drift table per law and the clock (step k at
 # t = k dt): the reference of test_advance_is_bitwise_np_interp_loop.
