@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _steps_for
-from .errors import NodeError, TraceCoverageError
+from .errors import NodeError, StabilityError, TraceCoverageError
 from .operators import _LOG_TINY, gradient, log_gradient
 from .seeding import restore_rng, stream_rng
 from .state import DEFAULT_NODE_FLOOR, Grid1D, PhysicalParams
@@ -85,15 +85,22 @@ def _apply_boundary(x, grid, boundary):
         x += 0.0
         x += grid.x_min
         return
-    # reflecting wall, once per particle and pass, until every particle is
-    # inside: each pass brings a finite outside position one box length closer
-    while True:
+    # reflecting wall, once per particle and pass; a float reflection may not
+    # bring a far position closer, so fold what is still outside after 8
+    for _ in range(8):
         over = x > grid.x_max
         under = x < grid.x_min
         if not (over.any() or under.any()):
             return
         x[over] = 2.0 * grid.x_max - x[over]
         x[under] = 2.0 * grid.x_min - x[under]
+    out = (x > grid.x_max) | (x < grid.x_min)
+    d = x[out] - grid.x_min
+    if not np.isfinite(d).all():
+        raise StabilityError("non-finite particle position")
+    u = np.mod(d, 2.0 * grid.length)
+    folded = grid.x_min + np.where(u > grid.length, 2.0 * grid.length - u, u)
+    x[out] = np.minimum(folded, grid.x_max)
 
 
 class GridInterp:

@@ -559,13 +559,17 @@ def test_trajectories_convert_each_snapshot_at_most_twice(ini, tmp_path, monkeyp
             assert sum(1 for _ in fh) == 1 + 200 * snapshots
 
 
-def test_evolve_both_converts_each_schrodinger_snapshot_at_most_twice(ini, tmp_path, monkeypatch):
+def test_evolve_both_converts_each_schrodinger_snapshot_at_most_twice(ini, tmp_path, monkeypatch,
+                                                                      forks):
     """evolve converts each wavefunction snapshot once, for its diagnostics
     row; the snapshot file and compare_l1.csv reuse it. The density-phase
-    engine converts only its initial state.
+    engine converts only its initial state, once for cmd_evolve's up-front
+    check and once inside evolve. This process counts the second one only
+    when that engine runs here, not in a forked worker: S + 1 conversions
+    on the forked path, S + 2 inline.
 
-    The count is exact (S + 1); the id still says "at most twice", the
-    bound it held before the trace kept its conversions, so that it stays
+    The count is exact; the id still says "at most twice", the bound it
+    held before the trace kept its conversions, so that it stays
     comparable with earlier runs of the suite."""
     real = dynamics.to_hydro
     calls = []
@@ -575,15 +579,33 @@ def test_evolve_both_converts_each_schrodinger_snapshot_at_most_twice(ini, tmp_p
         return real(*a, **kw)
 
     monkeypatch.setattr(dynamics, "to_hydro", counted)
-    for t_final, stride, snapshots in ((0.01, 5, 3), (0.04, 1, 41)):
+    paths = ("forked", "inline") if hasattr(os, "fork") else ("inline",)
+    for path, (t_final, stride, snapshots) in itertools.product(
+            paths, ((0.01, 5, 3), (0.04, 1, 41))):
+        take_path(monkeypatch, path)
         calls.clear()
+        forks.clear()
         cfg = ini(evolution__engine="both", evolution__node_floor=0,
                   evolution__t_final=t_final, evolution__snapshot_stride=stride)
-        out = tmp_path / f"s{snapshots}"
+        out = tmp_path / f"{path}{snapshots}"
         assert run("evolve", "--config", cfg, "--out", str(out)) == 0
-        assert len(calls) == snapshots + 1
+        assert len(forks) == (path == "forked")
+        assert len(calls) == snapshots + (1 if path == "forked" else 2)
         with open(out / "compare_l1.csv") as fh:
             assert sum(1 for _ in fh) == 1 + snapshots
+
+
+def test_hard_wall_trajectories_keep_far_flung_particles_inside(ini, tmp_path):
+    """At hbar = 1e10 one sampler step carries particles up to about 1e6 box
+    lengths past a hard wall. The run still exits 0, with every written
+    position inside the box."""
+    out = tmp_path / "out"
+    cfg = ini(physics__hbar="1e10", evolution__boundary="hardwall", evolution__node_floor=0)
+    assert run("trajectories", "--config", cfg, "--out", str(out)) == 0
+    with open(out / "ensemble_current_flow.csv") as fh:
+        xs = np.array([float(r["x"]) for r in csv.DictReader(fh)])
+    assert len(xs) == 200 * 3
+    assert np.all((-8.0 <= xs) & (xs <= 8.0))
 
 
 def test_trajectories_peak_does_not_grow_with_snapshots(ini, tmp_path):

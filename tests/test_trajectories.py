@@ -15,6 +15,7 @@ from edsim import (
     Grid1D,
     NodeError,
     PhysicalParams,
+    StabilityError,
     TraceCoverageError,
     TraceFields,
     WaveFunction,
@@ -346,6 +347,25 @@ def test_hard_wall_folds_any_overshoot_into_the_box():
     trajectories._apply_boundary(x, g, "hardwall")
     assert np.all((g.x_min <= x) & (x <= g.x_max))
     np.testing.assert_allclose(x, folded, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("far", [1e16, -1e16, 1e20, -1e20, 1e300, -1.7e308])
+def test_hard_wall_brings_far_positions_inside(far):
+    """Positions so far out that reflecting them at a wall rounds back to
+    about the same magnitude still end inside, in one call, and a
+    particle already inside keeps its position."""
+    g = Grid1D(-10.0, 10.0, 64)
+    x = np.array([0.25, far])
+    trajectories._apply_boundary(x, g, "hardwall")
+    assert x[0] == 0.25
+    assert g.x_min <= x[1] <= g.x_max
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_hard_wall_rejects_infinite_positions(bad):
+    g = Grid1D(-10.0, 10.0, 64)
+    with pytest.raises(StabilityError, match="non-finite particle position"):
+        trajectories._apply_boundary(np.array([0.0, bad]), g, "hardwall")
 
 
 # The stepping loop as it stood before GridInterp, but for the names, the
