@@ -50,8 +50,8 @@ def main():
     traces = {}
     for eng in ("schrodinger", "madelung"):
         cfg = EvolutionConfig(dt=dt, t_final=t_final, engine=eng,
-                              snapshot_stride=840)
-        traces[eng] = evolve(psi, p, cfg, node_floor=0.0)
+                              snapshot_stride=840, node_floor=0.0)
+        traces[eng] = evolve(psi, p, cfg)
 
     ts, rho_s, _ = traces["schrodinger"].field_arrays()
     _, rho_m, _ = traces["madelung"].field_arrays()

@@ -51,7 +51,7 @@ def main():
     psi = WaveFunction(g, free_gaussian(g.cells, k0=1.0, x0=-1.0)).normalized()
     cfg = EvolutionConfig(dt=2e-3, t_final=1.0, engine="schrodinger",
                           snapshot_stride=50)
-    fields = TraceFields.from_trace(evolve(psi, p, cfg), p)
+    fields = TraceFields.from_trace(evolve(psi, p, cfg))
     ts, rhos = fields.ts, fields.rhos
 
     finals = {}

@@ -95,15 +95,14 @@ def cmd_evolve(args) -> int:
     _check_trace(g, ecfgs[engines[0]])
     p = cfg.params()
     psi = cfg.initial_state()
-    node_floor = cfg["evolution", "node_floor"]
     # every engine's up-front checks pass before any engine takes a step
     if "madelung" in ecfgs:
-        madelung_start(psi, p, ecfgs["madelung"], node_floor)
+        madelung_start(psi, p, ecfgs["madelung"])
 
     def run_engine(eng):
         # each engine writes only its own files, so the engines may run in
         # either process; only the densities come back, for compare_l1.csv
-        trace = evolve(psi, p, ecfgs[eng], node_floor=node_floor)
+        trace = evolve(psi, p, ecfgs[eng])
         ts, rhos, phis = trace.field_arrays()
         iomod.write_snapshots(os.path.join(out, f"trace_{eng}.ndjson"), g, ts, rhos, phis)
         iomod.write_diagnostics(os.path.join(out, f"diagnostics_{eng}.csv"), trace.diagnostics)
@@ -177,23 +176,21 @@ def cmd_trajectories(args) -> int:
     cfg, out = _setup(args)
     g = cfg.grid()
     n_particles = cfg["sampler", "n_particles"]
-    sdt = cfg["sampler", "dt"]
     requested = cfg["evolution", "engine"]
     # particles read fields from one trace; the wavefunction engine is the
     # reference when the config asks for both
     ecfg = cfg.evolution_config(engine="schrodinger" if requested == "both" else requested)
     _check_trace(g, ecfg)
     p = cfg.params()
-    node_floor, seed = cfg["evolution", "node_floor"], cfg["run", "seed"]
-    fields = TraceFields.from_trace(evolve(cfg.initial_state(), p, ecfg, node_floor=node_floor), p)
-    ts, rhos = fields.ts, fields.rhos
-    sdt = sdt or ecfg.dt
+    sdt = cfg["sampler", "dt"] or ecfg.dt
     try:  # the advance runs step k at t = k sdt: every snapshot must be a step
-        steps = [_steps_for(t, sdt) for t in ts.tolist()]
+        steps = [_steps_for(t, sdt) for t in ecfg.snapshot_times()]
     except ValueError as e:
         raise ConfigError(f"sampler dt does not fit the snapshots: {e}") from None
     if any(a >= b for a, b in zip(steps, steps[1:])):
         raise ConfigError(f"sampler dt {sdt:g} is longer than a snapshot interval")
+    fields = TraceFields.from_trace(evolve(cfg.initial_state(), p, ecfg))
+    ts, rhos, seed = fields.ts, fields.rhos, cfg["run", "seed"]
     requested_mode = cfg["sampler", "mode"]
     modes = SAMPLER_MODES if requested_mode == "both" else (requested_mode,)
     final_cdf = cdf_from_density(g, rhos[-1])
@@ -209,9 +206,7 @@ def cmd_trajectories(args) -> int:
             nonlocal ens
             yield ens.t, ens.positions
             for t in ts[1:]:
-                ens = advance_ensemble(
-                    ens, fields, sdt, mode, boundary=ecfg.boundary,
-                    node_floor=node_floor, t_target=float(t))
+                ens = advance_ensemble(ens, fields, sdt, mode, t_target=float(t))
                 yield ens.t, ens.positions
 
         iomod.write_ensemble_csv(os.path.join(out, f"ensemble_{mode}.csv"), snapshots())

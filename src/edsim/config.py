@@ -167,9 +167,17 @@ class RunConfig:
             raise ConfigError(str(e)) from None
 
     def params(self) -> PhysicalParams:
-        """Physical constants and potential; a harmonic potential must be
-        finite on every grid cell."""
+        """Physical constants and potential; the kinetic scale hbar^2 / (2 m dx^2)
+        must be a finite float, and a harmonic potential finite on every grid cell."""
         hbar, m = self["physics", "hbar"], self["physics", "m"]
+        dx = self.grid().dx
+        try:  # ** raises on overflow, / on a divisor that underflows to 0
+            finite = math.isfinite(hbar**2 / (2.0 * m * dx**2))
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"[physics] the kinetic scale hbar^2 / (2 m dx^2) is not finite "
+                              f"(hbar {hbar:g}, m {m:g}, dx {dx:g})")
         if self["physics", "potential"] == "free":
             return PhysicalParams(hbar, m)
         omega, x0 = self["physics", "omega"], self["physics", "center"]
@@ -219,7 +227,8 @@ class RunConfig:
                 t_final=self["evolution", "t_final"],
                 engine=engine or self["evolution", "engine"],
                 snapshot_stride=self["evolution", "snapshot_stride"],
-                boundary=self["evolution", "boundary"])
+                boundary=self["evolution", "boundary"],
+                node_floor=self["evolution", "node_floor"])
         except ValueError as e:
             raise ConfigError(str(e)) from None
 

@@ -117,6 +117,7 @@ class EvolutionConfig:
     engine: str = "schrodinger"
     snapshot_stride: int = 1
     boundary: str = "periodic"
+    node_floor: float = DEFAULT_NODE_FLOOR  # <= 0 disables the node checks
 
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
@@ -129,12 +130,20 @@ class EvolutionConfig:
             raise ValueError(f"engine must be one of {_ENGINES}")
         if self.boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}")
+        if not math.isfinite(self.node_floor):
+            raise ValueError("node_floor must be finite")
         _steps_for(self.t_final, self.dt)
 
     def n_snapshots(self) -> int:
         """How many snapshots evolve records: every snapshot_stride steps
         from t = 0, plus t_final."""
         return -(-_steps_for(self.t_final, self.dt) // self.snapshot_stride) + 1
+
+    def snapshot_times(self) -> List[float]:
+        """The times evolve records snapshots at, without evolving:
+        t = k dt for every snapshot_stride-th step k and the last."""
+        n = _steps_for(self.t_final, self.dt)
+        return [k * self.dt for k in (*range(0, n, self.snapshot_stride), n)]
 
     def stability_limit(self, grid: Grid1D, p: PhysicalParams) -> float:
         """Largest admissible dt for the density-phase engine."""
@@ -164,9 +173,10 @@ class EvolutionTrace:
     """Snapshots as (t, HydroState): the engine's own state for the
     density-phase engine, and to_hydro(psi, node_floor=0.0) as evolve made
     it for the diagnostics row for the wavefunction engine, so field_arrays
-    never converts a snapshot a second time."""
+    never converts a snapshot a second time. cfg and p: what evolve ran with."""
 
-    engine: str
+    cfg: EvolutionConfig
+    p: PhysicalParams
     grid: Grid1D
     snapshots: List[Tuple[float, HydroState]] = field(default_factory=list)
     diagnostics: List[DiagnosticsRow] = field(default_factory=list)
@@ -444,25 +454,15 @@ class _MadelungEngine:
 # driver
 
 
-def madelung_start(
-    initial: WaveFunction,
-    p: PhysicalParams,
-    cfg: EvolutionConfig,
-    node_floor: float = DEFAULT_NODE_FLOOR,
-) -> HydroState:
+def madelung_start(initial: WaveFunction, p: PhysicalParams, cfg: EvolutionConfig) -> HydroState:
     """The density-phase engine's up-front checks, in order: the dt bound,
     then the conversion of the normalized initial state, which raises
-    NodeError below node_floor. Returns the converted state."""
+    NodeError below cfg.node_floor. Returns the converted state."""
     cfg.check_stability(initial.grid, p)
-    return to_hydro(initial.normalized(), node_floor)
+    return to_hydro(initial.normalized(), cfg.node_floor)
 
 
-def evolve(
-    initial: WaveFunction,
-    p: PhysicalParams,
-    cfg: EvolutionConfig,
-    node_floor: float = DEFAULT_NODE_FLOOR,
-) -> EvolutionTrace:
+def evolve(initial: WaveFunction, p: PhysicalParams, cfg: EvolutionConfig) -> EvolutionTrace:
     """Run the configured engine over [0, t_final], recording snapshots.
 
     One loop steps either engine. An engine gives a start state, a step
@@ -472,11 +472,11 @@ def evolve(
     carries the worst correction since the previous snapshot, and adds
     the t of the step it was taking to any SimulationError. The
     density-phase engine starts from madelung_start (dt bound, node check
-    active with the given floor).
+    active with cfg.node_floor).
     """
-    grid, dt = initial.grid, cfg.dt
+    grid, dt, node_floor = initial.grid, cfg.dt, cfg.node_floor
     n_steps = _steps_for(cfg.t_final, dt)
-    trace = EvolutionTrace(engine=cfg.engine, grid=grid)
+    trace = EvolutionTrace(cfg, p, grid)
 
     if cfg.engine == "schrodinger":
         state = initial.normalized()
@@ -488,7 +488,7 @@ def evolve(
         def snapshot(psi):
             return to_hydro(psi, node_floor=0.0), psi.norm()
     else:
-        h0 = madelung_start(initial, p, cfg, node_floor)
+        h0 = madelung_start(initial, p, cfg)
         state = h0.rho, h0.phi
         eng = _MadelungEngine(grid, p, cfg.boundary)
 

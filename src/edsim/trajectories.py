@@ -20,7 +20,7 @@ from .dynamics import _steps_for
 from .errors import NodeError, StabilityError, TraceCoverageError
 from .operators import _LOG_TINY, gradient, log_gradient
 from .seeding import restore_rng, stream_rng
-from .state import DEFAULT_NODE_FLOOR, Grid1D, PhysicalParams
+from .state import Grid1D
 
 CURRENT_FLOW = "current_flow"
 ENTROPIC_DIFFUSION = "entropic_diffusion"
@@ -74,7 +74,9 @@ def sample_initial(rho, grid: Grid1D, n: int, seed) -> Ensemble:
 
 
 def _apply_boundary(x, grid, boundary):
-    """Map positions back into the domain, in place."""
+    """Map positions back into the domain, in place; a non-finite one raises StabilityError."""
+    if not np.isfinite(x).all():
+        raise StabilityError("non-finite particle position")
     if boundary == "periodic":
         x -= grid.x_min
         # np.mod(x, L) bit for bit in about half its time: fmod keeps the
@@ -95,10 +97,7 @@ def _apply_boundary(x, grid, boundary):
         x[over] = 2.0 * grid.x_max - x[over]
         x[under] = 2.0 * grid.x_min - x[under]
     out = (x > grid.x_max) | (x < grid.x_min)
-    d = x[out] - grid.x_min
-    if not np.isfinite(d).all():
-        raise StabilityError("non-finite particle position")
-    u = np.mod(d, 2.0 * grid.length)
+    u = np.mod(x[out] - grid.x_min, 2.0 * grid.length)
     folded = grid.x_min + np.where(u > grid.length, 2.0 * grid.length - u, u)
     x[out] = np.minimum(folded, grid.x_max)
 
@@ -167,7 +166,7 @@ class TraceFields:
     ts, rhos: snapshot times and densities. v_tab: the current_flow drift,
     the current velocity (hbar/m) dphi/dx, per snapshot. b_tab: the
     entropic_diffusion drift v + D dlog(rho)/dx per snapshot. diffusion:
-    D = hbar/2m.
+    D = hbar/2m. boundary, node_floor: the trace's, kept to by the advance.
     """
 
     grid: Grid1D
@@ -176,11 +175,14 @@ class TraceFields:
     v_tab: np.ndarray
     b_tab: np.ndarray
     diffusion: float
+    boundary: str
+    node_floor: float
 
     @classmethod
-    def from_trace(cls, trace, p: PhysicalParams) -> "TraceFields":
-        """Each table is one stacked gradient; the build peaks at four
-        arrays of the trace's size, 32 bytes a trace value."""
+    def from_trace(cls, trace) -> "TraceFields":
+        """Each table is one stacked gradient at the trace's hbar and m; the
+        build peaks at four arrays of the trace's size, 32 bytes a value."""
+        p, cfg = trace.p, trace.cfg
         ts, rhos, phis = trace.field_arrays()
         dx = trace.grid.dx
         v_tab = gradient(phis, dx)
@@ -190,27 +192,20 @@ class TraceFields:
         b_tab = log_gradient(rhos, dx)
         b_tab *= diffusion
         b_tab += v_tab
-        return cls(trace.grid, ts, rhos, v_tab, b_tab, diffusion)
+        return cls(trace.grid, ts, rhos, v_tab, b_tab, diffusion, cfg.boundary, cfg.node_floor)
 
 
-def advance_ensemble(
-    ens: Ensemble,
-    fields: TraceFields,
-    dt: float,
-    mode: str,
-    boundary: str = "periodic",
-    node_floor: float = DEFAULT_NODE_FLOOR,
-    t_target=None,
-) -> Ensemble:
+def advance_ensemble(ens: Ensemble, fields: TraceFields, dt: float, mode: str,
+                     t_target=None) -> Ensemble:
     """Euler(-Maruyama) advance of every particle from ens.t to t_target
     (default: the end of the trace), reading the law's drift table with
     linear interpolation in time and space, with the values np.interp
-    gives, bit for bit. Step k runs at t = k dt; ens.t and t_target must be
-    whole numbers of dt steps.
+    gives, bit for bit, within the trace's boundary and node floor. Step k
+    runs at t = k dt; ens.t and t_target must be whole numbers of dt steps.
     """
     if mode not in SAMPLER_MODES:
         raise ValueError(f"mode must be one of {SAMPLER_MODES}")
-    ts, rhos, grid = fields.ts, fields.rhos, fields.grid
+    ts, rhos, grid, node_floor = fields.ts, fields.rhos, fields.grid, fields.node_floor
     t_target = float(ts[-1]) if t_target is None else float(t_target)
     tol = 1e-9 * max(1.0, abs(float(ts[-1])))
     if ens.t < ts[0] - tol or t_target > ts[-1] + tol:
@@ -242,7 +237,7 @@ def advance_ensemble(
             noise = rng.standard_normal(len(x))
             noise *= noise_amp
             x += noise
-        _apply_boundary(x, grid, boundary)
+        _apply_boundary(x, grid, fields.boundary)
         if diffusing and node_floor > 0:
             t = (k + 1) * dt
             idx = np.clip(

@@ -68,8 +68,8 @@ def _c_engine_equivalence():
     md = evolve(
         psi,
         p,
-        EvolutionConfig(dt=2.0 / 14000.0, t_final=2.0, engine="madelung", snapshot_stride=700),
-        node_floor=0.0,
+        EvolutionConfig(dt=2.0 / 14000.0, t_final=2.0, engine="madelung", snapshot_stride=700,
+                        node_floor=0.0),
     )
     ts_c, rh_c, _ = cn.field_arrays()
     ts_m, rh_m, _ = md.field_arrays()
@@ -150,7 +150,7 @@ def _c_trajectory_marginal():
         p,
         EvolutionConfig(dt=2e-3, t_final=1.0, engine="schrodinger", snapshot_stride=25),
     )
-    fields = TraceFields.from_trace(tr, p)
+    fields = TraceFields.from_trace(tr)
     ens0 = sample_initial(fields.rhos[0], g, 100000, seed=42)
     finals = {
         mode: advance_ensemble(ens0, fields, 2e-3, mode).positions

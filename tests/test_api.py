@@ -93,7 +93,9 @@ def test_perfbench_tracer_installs_and_restores(monkeypatch):
     EvolutionTrace.field_arrays, cli.chi2_gof, ...): a rename would break a
     traced benchmark run, so install every patch, trace one evolve and
     restore. The evolve span counts the trace's snapshots, and the loop
-    calls the traced Crank-Nicolson step once per step."""
+    calls the traced Crank-Nicolson step once per step. One traced advance
+    to t_target, whose dt the tracer reads by position, counts steps x
+    particles."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     tracer = importlib.import_module("tracer")
     originals = (cli.evolve, cli.advance_ensemble, cli.sample_initial, cli.chi2_gof,
@@ -106,7 +108,9 @@ def test_perfbench_tracer_installs_and_restores(monkeypatch):
     tracer.install(t)
     try:
         trace = cli.evolve(psi, edsim.PhysicalParams(), cfg)
-        trace.field_arrays()
+        fields = edsim.TraceFields.from_trace(trace)
+        ens = cli.sample_initial(fields.rhos[0], g, 50, 7)
+        cli.advance_ensemble(ens, fields, cfg.dt, edsim.CURRENT_FLOW, t_target=0.006)
     finally:
         t.restore()
     assert (cli.evolve, cli.advance_ensemble, cli.sample_initial, cli.chi2_gof,
@@ -118,3 +122,4 @@ def test_perfbench_tracer_installs_and_restores(monkeypatch):
     assert names.count("dynamics.schrodinger_step") == evolve_info["steps"] == 10
     assert names.count("dynamics.energy") == 4
     assert names.count("dynamics.field_arrays") == 1
+    assert t.spans[names.index("trajectories.advance_ensemble")][4] == {"particle_steps": 6 * 50}

@@ -380,6 +380,14 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+# an hbar whose square overflows, and a box eigenstate on cells 3e198 wide
+OVERFLOWING_KINETIC_SCALES = [
+    {"physics__hbar": "1e300"},
+    {"initial__preset": "eigenstate", "initial__well": "box", "grid__x_min": "-1e200",
+     "grid__x_max": "1e200"},
+]
+
+
 @pytest.mark.parametrize("command, overrides", [
     # t_final/dt must be an integer
     ("evolve", {"evolution__dt": "3e-3", "evolution__t_final": 0.01}),
@@ -448,11 +456,36 @@ def test_unknown_key_is_usage_error(ini, tmp_path, capsys):
     # every snapshot time (0.005, 0.01) must be a whole number of sampler steps
     ("trajectories", {"sampler__dt": "3e-3"}),
     ("trajectories", {"sampler__dt": "2e-2"}),
+    # the kinetic scale hbar^2 / (2 m dx^2) past a float: hbar^2 or dx^2 overflows
+    *((command, overrides) for overrides in OVERFLOWING_KINETIC_SCALES
+      for command in ("evolve", "trajectories")),
 ])
 def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
     cfg = ini(**overrides)
     assert run(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("overrides", OVERFLOWING_KINETIC_SCALES)
+@pytest.mark.parametrize("command", ["measure", "amplify"])
+def test_kinetic_scale_binds_only_the_dynamics_commands(command, overrides, ini, tmp_path):
+    """measure and amplify take no time step, so a kinetic scale past a
+    float does not stop them."""
+    assert run(command, "--config", ini(**overrides), "--out", str(tmp_path / "o")) == 0
+
+
+def test_sampler_clock_is_checked_before_evolving(ini, tmp_path, monkeypatch, capsys):
+    """A sampler dt that misses a snapshot time exits 2 before the initial
+    state is built or any step is taken."""
+    def evolve(*args, **kwargs):
+        raise AssertionError("evolve called")
+
+    monkeypatch.setattr(cli, "evolve", evolve)
+    monkeypatch.setattr(cli.RunConfig, "initial_state", None)  # never reached
+    cfg = ini(sampler__dt="3e-3")
+    assert run("trajectories", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "sampler dt" in err["message"]
 
 
 @pytest.mark.parametrize("mode", [32, -32])
@@ -763,6 +796,58 @@ def test_evolve_fuzz_exits_with_a_documented_code(n, steps, stride, engine, boun
         warnings.simplefilter("always")
         out = tmp_path / f"out_{os.path.basename(cfg)}"
         code = run("evolve", "--config", cfg, "--out", str(out))
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), err
+    assert not caught, [str(w.message) for w in caught]
+    if err:
+        line, = err.splitlines()
+        assert set(json.loads(line)) == {"error", "message"}
+
+
+@pytest.mark.parametrize("command", ["trajectories", "measure", "amplify"])
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.sampled_from([8, 16, 32, 64]),
+    steps=st.integers(0, 6),
+    stride=st.integers(1, 4),
+    engine=st.sampled_from(["schrodinger", "madelung", "both"]),
+    boundary=st.sampled_from(["periodic", "hardwall"]),
+    node_floor=st.sampled_from(["0", "1e-12", "1e-3"]),
+    mode=st.sampled_from(["current_flow", "entropic_diffusion", "both"]),
+    # the sampler dt as a share of the evolution dt: 0 takes the evolution
+    # dt, and 1.5 fits only snapshots a multiple of 3 steps in
+    sampler_share=st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]),
+    n_particles=st.integers(2, 300),
+    device=st.sampled_from(["identity", "fourier"]),
+    likelihood=st.sampled_from(["ideal", "noisy"]),
+    epsilon=st.floats(0.0, 1.0),
+    prior=st.sampled_from(["born", "uniform"]),
+    sigma=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    mu=st.floats(-8.0, 8.0),
+    k=st.floats(-4.0, 4.0),
+)
+def test_particle_and_readout_fuzz_exits_with_a_documented_code(
+        command, n, steps, stride, engine, boundary, node_floor, mode, sampler_share,
+        n_particles, device, likelihood, epsilon, prior, sigma, mu, k, monkeypatch, ini,
+        tmp_path, capsys):
+    """Any small trajectories, measure or amplify config exits 0, 2, 3 or
+    4, never 1, with nothing on stderr or exactly one JSON error line, and
+    raises no numpy warning."""
+    take_path(monkeypatch, "inline")
+    dt = 0.5 * 0.1 * (16.0 / n) ** 2  # half the Madelung bound
+    cfg = ini(grid__n=n, initial__sigma=repr(sigma), initial__mu=repr(mu),
+              initial__k=repr(k), evolution__engine=engine, evolution__boundary=boundary,
+              evolution__dt=repr(dt), evolution__t_final=repr(steps * dt),
+              evolution__snapshot_stride=stride, evolution__node_floor=node_floor,
+              sampler__mode=mode, sampler__dt=repr(sampler_share * dt),
+              sampler__n_particles=n_particles, device__preset=device,
+              amplify__likelihood=likelihood, amplify__epsilon=repr(epsilon),
+              amplify__prior=prior)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = tmp_path / f"out_{os.path.basename(cfg)}"
+        code = run(command, "--config", cfg, "--out", str(out))
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4), err
     assert not caught, [str(w.message) for w in caught]

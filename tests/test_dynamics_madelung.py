@@ -48,8 +48,8 @@ def test_discrete_ground_state_is_stationary():
     tr = evolve(
         psi0,
         HARMONIC,
-        EvolutionConfig(dt=dt, t_final=1.0, engine="madelung", snapshot_stride=steps),
-        node_floor=0.0,
+        EvolutionConfig(dt=dt, t_final=1.0, engine="madelung", snapshot_stride=steps,
+                        node_floor=0.0),
     )
     h1 = tr.snapshots[-1][1]
     assert float(np.max(np.abs(h1.rho - h0.rho))) < 1e-8
@@ -68,8 +68,8 @@ def test_agrees_with_wavefunction_engine():
     md = evolve(
         psi,
         p,
-        EvolutionConfig(dt=dt, t_final=0.5, engine="madelung", snapshot_stride=steps),
-        node_floor=0.0,
+        EvolutionConfig(dt=dt, t_final=0.5, engine="madelung", snapshot_stride=steps,
+                        node_floor=0.0),
     )
     rho_cn = cn.snapshots[-1][1].rho
     assert l1_distance(rho_cn, md.snapshots[-1][1].rho, g.dx) < 1e-3
@@ -91,8 +91,7 @@ def test_agrees_with_wavefunction_engine_hardwall():
         psi,
         p,
         EvolutionConfig(dt=dt, t_final=0.3, engine="madelung",
-                        snapshot_stride=steps, boundary="hardwall"),
-        node_floor=0.0,
+                        snapshot_stride=steps, boundary="hardwall", node_floor=0.0),
     )
     rho_cn = cn.snapshots[-1][1].rho
     assert l1_distance(rho_cn, md.snapshots[-1][1].rho, g.dx) < 1e-4
@@ -150,19 +149,19 @@ def test_finite_blow_up_raises():
     g = Grid1D(-8.0, 8.0, 8)
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=0.6, k0=0.0988, x0=0.6)).normalized()
     dt = 0.0988 * g.dx**2
-    cfg = EvolutionConfig(dt=dt, t_final=4 * dt, engine="madelung")
+    cfg = EvolutionConfig(dt=dt, t_final=4 * dt, engine="madelung", node_floor=0.0)
     assert dt < cfg.stability_limit(g, PhysicalParams())
     with pytest.raises(StabilityError,
                        match=r"renormalization correction 2\.68 exceeds 0\.001 \(t=0\.3952\)"):
-        evolve(psi, PhysicalParams(), cfg, node_floor=0.0)
+        evolve(psi, PhysicalParams(), cfg)
 
 
 def test_dt_bound_enforced_upfront():
     g = Grid1D(-15.0, 15.0, 512)
-    cfg = EvolutionConfig(dt=1e-2, t_final=0.1, engine="madelung")
+    cfg = EvolutionConfig(dt=1e-2, t_final=0.1, engine="madelung", node_floor=0.0)
     assert 1e-2 > cfg.stability_limit(g, PhysicalParams())
     with pytest.raises(StabilityError):
-        evolve(packet(g), PhysicalParams(), cfg, node_floor=0.0)
+        evolve(packet(g), PhysicalParams(), cfg)
 
 
 def test_node_floor_guards_conversion():
@@ -184,9 +183,10 @@ def test_node_floor_mid_run_reports_its_step():
     g = Grid1D(-4.0, 4.0, 32)
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=1.0, k0=5.0, x0=1.0)).normalized()
     dt = 1.0 / 320.0
-    cfg = EvolutionConfig(dt=dt, t_final=20 * dt, engine="madelung", boundary="hardwall")
+    cfg = EvolutionConfig(dt=dt, t_final=20 * dt, engine="madelung", boundary="hardwall",
+                          node_floor=1e-6)
     with pytest.raises(NodeError, match=r"^density 9\.4\d\de-07 below node floor \(t=0\.025\)$"):
-        evolve(psi, PhysicalParams(), cfg, node_floor=1e-6)
+        evolve(psi, PhysicalParams(), cfg)
 
 
 def test_renormalization_stays_small():
@@ -196,8 +196,8 @@ def test_renormalization_stays_small():
     tr = evolve(
         psi0,
         HARMONIC,
-        EvolutionConfig(dt=dt, t_final=0.5, engine="madelung", snapshot_stride=steps // 5),
-        node_floor=0.0,
+        EvolutionConfig(dt=dt, t_final=0.5, engine="madelung", snapshot_stride=steps // 5,
+                        node_floor=0.0),
     )
     worst = max(d.renorm_correction for d in tr.diagnostics)
     assert worst < 1e-10
@@ -214,8 +214,7 @@ def test_single_step_matches_driver():
     tr = evolve(
         psi0,
         HARMONIC,
-        EvolutionConfig(dt=dt, t_final=dt, engine="madelung"),
-        node_floor=0.0,
+        EvolutionConfig(dt=dt, t_final=dt, engine="madelung", node_floor=0.0),
     )
     h1 = tr.snapshots[-1][1]
     assert np.max(np.abs(rho - h1.rho)) < 1e-15
@@ -470,8 +469,7 @@ def test_step_results_are_not_engine_buffers():
         psi0,
         HARMONIC,
         EvolutionConfig(dt=1e-4, t_final=1e-3, engine="madelung", snapshot_stride=2,
-                        boundary="hardwall"),
-        node_floor=0.0,
+                        boundary="hardwall", node_floor=0.0),
     )
     arrays = [a for _, s in tr.snapshots for a in (s.rho, s.phi)]
     assert len(arrays) == 12

@@ -117,6 +117,28 @@ def test_snapshot_schedule():
     assert all(d.norm == pytest.approx(1.0, abs=1e-12) for d in tr.diagnostics)
 
 
+@pytest.mark.parametrize("dt, t_final, stride", [
+    (1e-3, 0.01, 5), (1e-3, 0.01, 3), (1e-3, 0.01, 20), (0.1, 0.7, 2), (1e-3, 0.0, 1),
+    (2.0 / 14000.0, 2.0, 700), (1.25e-4, 1.0, 800), (2e-3, 0.4, 2)])
+def test_snapshot_times_are_evolves_bit_for_bit(dt, t_final, stride):
+    """snapshot_times, worked out from the config alone (trajectories checks
+    the sampler dt against it before evolving), gives the times evolve
+    records, with their stride count."""
+    g = Grid1D(-8.0, 8.0, 16)
+    cfg = EvolutionConfig(dt=dt, t_final=t_final, snapshot_stride=stride)
+    ts = evolve(packet(g), PhysicalParams(), cfg).field_arrays()[0]
+    assert np.array(cfg.snapshot_times()).tobytes() == ts.tobytes()
+    assert len(ts) == cfg.n_snapshots()
+
+
+@pytest.mark.parametrize("floor", [np.nan, np.inf, -np.inf])
+def test_node_floor_must_be_finite(floor):
+    """A NaN floor would fail every "density < floor" check and switch the
+    node checks off."""
+    with pytest.raises(ValueError, match="node_floor must be finite"):
+        EvolutionConfig(dt=1e-3, t_final=1.0, node_floor=floor)
+
+
 def test_solver_error_reports_the_step_it_was_taking(monkeypatch):
     """A step failing mid-run names the t that step was heading for."""
     calls = []

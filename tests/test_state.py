@@ -132,7 +132,7 @@ def test_current_velocity_plane_wave():
     p = PhysicalParams(hbar=1.0, m=2.0)
     trace = evolve(plane_wave(g, 3), p, EvolutionConfig(dt=1e-3, t_final=0.0))
     k = 6.0 * np.pi / 10.0
-    assert_allclose(TraceFields.from_trace(trace, p).v_tab[0], k / 2.0, atol=1e-9)
+    assert_allclose(TraceFields.from_trace(trace).v_tab[0], k / 2.0, atol=1e-9)
 
 
 def test_physical_params_potential():

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -34,16 +35,17 @@ from edsim.state import DEFAULT_NODE_FLOOR
 from edsim.trajectories import SAMPLER_MODES, GridInterp
 
 
-def make_trace(n=512, t_final=1.0, dt=2e-3, stride=25, boundary="periodic"):
+def make_trace(n=512, t_final=1.0, dt=2e-3, stride=25, boundary="periodic",
+               node_floor=DEFAULT_NODE_FLOOR):
     g = Grid1D(-20.0, 20.0, n)
     p = PhysicalParams()
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=1.0, k0=1.0, x0=-1.0)).normalized()
     tr = evolve(
         psi, p,
         EvolutionConfig(dt=dt, t_final=t_final, engine="schrodinger",
-                        snapshot_stride=stride, boundary=boundary),
+                        snapshot_stride=stride, boundary=boundary, node_floor=node_floor),
     )
-    return g, TraceFields.from_trace(tr, p)
+    return g, TraceFields.from_trace(tr)
 
 
 def test_inverse_cdf_uniform_density():
@@ -123,7 +125,7 @@ def test_drift_table_build_peaks_at_32_bytes_a_trace_value():
     assert values == 101 * 4096
     tracemalloc.start()
     try:
-        TraceFields.from_trace(trace, p)
+        TraceFields.from_trace(trace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -152,17 +154,17 @@ def test_non_divisible_dt_rejected():
 
 def test_node_check_on_diffusive_drift():
     # absurdly high floor: every occupied cell trips the check immediately
-    g, fields = make_trace(n=256, t_final=0.1, stride=10)
+    g, fields = make_trace(n=256, t_final=0.1, stride=10, node_floor=10.0)
     ens = sample_initial(fields.rhos[0], g, 100, seed=1)
     with pytest.raises(NodeError):
-        advance_ensemble(ens, fields, 2e-3, ENTROPIC_DIFFUSION, node_floor=10.0)
+        advance_ensemble(ens, fields, 2e-3, ENTROPIC_DIFFUSION)
 
 
 def test_positions_stay_in_domain():
     for boundary in ("periodic", "hardwall"):
         g, fields = make_trace(n=256, t_final=0.5, stride=50, boundary=boundary)
         ens = sample_initial(fields.rhos[0], g, 2000, seed=8)
-        moved = advance_ensemble(ens, fields, 1e-2, ENTROPIC_DIFFUSION, boundary=boundary)
+        moved = advance_ensemble(ens, fields, 1e-2, ENTROPIC_DIFFUSION)
         assert moved.positions.min() >= g.x_min
         assert moved.positions.max() <= g.x_max
 
@@ -212,15 +214,14 @@ def narrow_fields(boundary):
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=1.0, k0=3.0, x0=1.0)).normalized()
     tr = evolve(psi, p, EvolutionConfig(dt=2e-3, t_final=0.12, snapshot_stride=10,
                                          boundary=boundary))
-    return g, TraceFields.from_trace(tr, p)
+    return g, TraceFields.from_trace(tr)
 
 
-def _advance_or_error(advance, ens, fields, targets, dt, mode, boundary, node_floor):
+def _advance_or_error(advance, ens, fields, targets, dt, mode):
     out = []
     try:
         for t in targets:
-            ens = advance(ens, fields, dt, mode, boundary=boundary,
-                          node_floor=node_floor, t_target=t)
+            ens = advance(ens, fields, dt, mode, t_target=t)
             out.append((ens.positions.tobytes(), ens.t, repr(ens.rng_state)))
     except NodeError as e:
         out.append(("NodeError", str(e)))
@@ -243,10 +244,11 @@ def test_advance_is_bitwise_np_interp_loop(boundary, mode, n_particles, seed, dt
     positions and RNG state of the np.interp loop bit for bit, and a node
     floor stops both at the same step with the same message."""
     g, fields = narrow_fields(boundary)
+    fields = replace(fields, node_floor=node_floor)
     ts = fields.ts.tolist()
     targets = ([ts[split]] if 0 < split < len(ts) - 1 else []) + [ts[-1]]
     ens = sample_initial(fields.rhos[0], g, n_particles, seed)
-    runs = [_advance_or_error(advance, ens, fields, targets, dt, mode, boundary, node_floor)
+    runs = [_advance_or_error(advance, ens, fields, targets, dt, mode)
             for advance in (advance_ensemble, _ref_advance)]
     assert runs[0] == runs[1]
 
@@ -266,12 +268,11 @@ def test_bitwise_cases_cross_walls_and_trip_node_floors(monkeypatch):
         g, fields = narrow_fields(boundary)
         ens = sample_initial(fields.rhos[0], g, 400, 5)
         crossed.clear()
-        advance_ensemble(ens, fields, 1e-3, ENTROPIC_DIFFUSION, boundary=boundary,
-                         node_floor=0.0)
+        advance_ensemble(ens, replace(fields, node_floor=0.0), 1e-3, ENTROPIC_DIFFUSION)
         assert any(crossed)
         with pytest.raises(NodeError, match=r"\(t=0\.0[1-9]"):
-            advance_ensemble(ens, fields, 1e-3, ENTROPIC_DIFFUSION, boundary=boundary,
-                             node_floor=NODE_FLOOR_MID_TRACE)
+            advance_ensemble(ens, replace(fields, node_floor=NODE_FLOOR_MID_TRACE), 1e-3,
+                             ENTROPIC_DIFFUSION)
 
 
 @lru_cache(maxsize=None)
@@ -281,7 +282,7 @@ def strided_fields(stride):
     p = PhysicalParams()
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=1.0, k0=1.0, x0=-1.0)).normalized()
     tr = evolve(psi, p, EvolutionConfig(dt=1e-2, t_final=0.24, snapshot_stride=stride))
-    return g, TraceFields.from_trace(tr, p)
+    return g, TraceFields.from_trace(tr)
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,12 +298,13 @@ def test_split_advances_are_bitwise_one_advance(stride, substeps, mode, seed, sp
     snapshot interval, land on the positions and RNG state of one advance,
     bit for bit, whatever the snapshot stride and the sampler dt."""
     g, fields = strided_fields(stride)
+    fields = replace(fields, node_floor=0.0)
     dt = 1e-2 / substeps
     ens = sample_initial(fields.rhos[0], g, 50, seed)
     ts = fields.ts.tolist()
     splits = [k * dt for k in sorted(splits) if k < 24 * substeps]
     single, split, per_snapshot = (
-        _advance_or_error(advance_ensemble, ens, fields, targets, dt, mode, "periodic", 0.0)[-1]
+        _advance_or_error(advance_ensemble, ens, fields, targets, dt, mode)[-1]
         for targets in ([ts[-1]], splits + [ts[-1]], ts[1:]))
     assert split == single and per_snapshot == single
 
@@ -361,16 +363,21 @@ def test_hard_wall_brings_far_positions_inside(far):
     assert g.x_min <= x[1] <= g.x_max
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf])
-def test_hard_wall_rejects_infinite_positions(bad):
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("boundary", ["periodic", "hardwall"])
+def test_boundaries_reject_non_finite_positions(boundary, bad):
+    """Neither boundary can map a non-finite position into the box: the
+    periodic wrap would turn it into NaN, and NaN is on neither side of a
+    wall."""
     g = Grid1D(-10.0, 10.0, 64)
     with pytest.raises(StabilityError, match="non-finite particle position"):
-        trajectories._apply_boundary(np.array([0.0, bad]), g, "hardwall")
+        trajectories._apply_boundary(np.array([0.0, bad]), g, boundary)
 
 
 # The stepping loop as it stood before GridInterp, but for the names, the
-# single TraceFields input, one drift table per law and the clock (step k at
-# t = k dt): the reference of test_advance_is_bitwise_np_interp_loop.
+# single TraceFields input (which carries the boundary and node floor), one
+# drift table per law and the clock (step k at t = k dt): the reference of
+# test_advance_is_bitwise_np_interp_loop.
 
 
 def _ref_apply_boundary(x, grid, boundary):
@@ -387,22 +394,14 @@ def _ref_apply_boundary(x, grid, boundary):
     return x
 
 
-def _ref_advance(
-    ens: Ensemble,
-    f: TraceFields,
-    dt: float,
-    mode: str,
-    boundary: str = "periodic",
-    node_floor: float = DEFAULT_NODE_FLOOR,
-    t_target=None,
-) -> Ensemble:
+def _ref_advance(ens: Ensemble, f: TraceFields, dt: float, mode: str, t_target=None) -> Ensemble:
     """Euler(-Maruyama) advance of every particle from ens.t to t_target
     (default: the end of the trace), reading fields from the trace with
     linear interpolation in time and space.
     """
     if mode not in SAMPLER_MODES:
         raise ValueError(f"mode must be one of {SAMPLER_MODES}")
-    ts, rhos, grid = f.ts, f.rhos, f.grid
+    ts, rhos, grid, boundary, node_floor = f.ts, f.rhos, f.grid, f.boundary, f.node_floor
     t_target = float(ts[-1]) if t_target is None else float(t_target)
     tol = 1e-9 * max(1.0, abs(float(ts[-1])))
     if ens.t < ts[0] - tol or t_target > ts[-1] + tol:

@@ -358,7 +358,8 @@ def hand_trace():
     rho = rho / (rho.sum() * g.dx)
     phi = np.array([-0.0, -5e-324, 0.1 + 0.2, 1.0 / 3.0, -1e300, 7.0, 0.0, -2.5])
     snaps = [(0.0, HydroState(g, rho, phi)), (0.1 + 0.2, HydroState(g, rho[::-1], -phi))]
-    return EvolutionTrace(engine="madelung", grid=g, snapshots=snaps)
+    cfg = EvolutionConfig(dt=0.1 + 0.2, t_final=0.1 + 0.2, engine="madelung")
+    return EvolutionTrace(cfg=cfg, p=PhysicalParams(), grid=g, snapshots=snaps)
 
 
 def small_trace():
