@@ -41,14 +41,14 @@ def main():
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    g = Grid1D(-8.0, 8.0, 512)
+    g = Grid1D(-8.0, 8.0, 512, boundary="hardwall")
     p = PhysicalParams()
     psi = WaveFunction(
         g, free_gaussian(g.cells, sigma0=0.7, k0=5.0, x0=2.0)).normalized()
 
     t_hit = 6.0 / 5.0  # distance to the wall over group velocity
     cfg = EvolutionConfig(dt=1e-3, t_final=2 * t_hit, engine="schrodinger",
-                          snapshot_stride=60, boundary="hardwall")
+                          snapshot_stride=60)
     trace = evolve(psi, p, cfg)
 
     ts, rhos, _ = trace.field_arrays()

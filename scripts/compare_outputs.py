@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Check that this checkout writes what another checkout writes, byte for byte.
+
+Usage, from any directory:
+
+    python3 scripts/compare_outputs.py BASE_CHECKOUT [--case NAME ...] [--seed N ...]
+
+Each case runs its commands through `python -m edsim.cli` once with
+PYTHONPATH at BASE_CHECKOUT/src and once at this checkout's src, on the same
+INI file and seed, each side in a fresh directory with the same relative
+--out. Output trees, stdout, stderr and exit codes must match. Every
+difference is printed, and any difference exits 1.
+
+Cases (default: all, at seed 11):
+  engines, particles, readout   the perfbench workloads, read as they are
+  periodic                      particles with periodic walls and node_floor 1e-9
+  madelung                      particles on the density-phase engine
+  both_hardwall                 particles with engine = both on hard walls
+The last two step at dt 5e-4 to t_final 0.2, inside the density-phase bound.
+"""
+
+import argparse
+import configparser
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads"
+
+# case -> (workload INI, commands, [evolution] overrides)
+CASES = {
+    "engines": ("engines", ("evolve",), {}),
+    "particles": ("particles", ("evolve", "trajectories"), {}),
+    "readout": ("readout", ("measure", "amplify"), {}),
+    "periodic": ("particles", ("evolve", "trajectories"),
+                 {"boundary": "periodic", "node_floor": "1e-9"}),
+    "madelung": ("particles", ("evolve", "trajectories"),
+                 {"engine": "madelung", "dt": "5e-4", "t_final": "0.2"}),
+    "both_hardwall": ("particles", ("evolve", "trajectories"),
+                      {"engine": "both", "boundary": "hardwall", "dt": "5e-4",
+                       "t_final": "0.2"}),
+}
+
+
+def write_ini(case, folder):
+    """The case's INI in folder: the workload file itself, or a copy with
+    its [evolution] overrides."""
+    name, _, overrides = CASES[case]
+    source = WORKLOADS / f"{name}.ini"
+    if not overrides:
+        return source
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(source)
+    cp.read_dict({"evolution": overrides})
+    path = Path(folder) / f"{case}.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return path
+
+
+def run_side(checkout, ini, commands, seed, folder):
+    """{command: (exit code, stdout, stderr)} and {relative path: bytes} of
+    one checkout's run in folder."""
+    env = {k: v for k, v in os.environ.items() if k != "EDSIM_OUT"}
+    env["PYTHONPATH"] = str(Path(checkout).resolve() / "src")
+    results = {}
+    for cmd in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "edsim.cli", cmd, "--config", str(ini),
+             "--out", os.path.join("out", cmd), "--seed", str(seed)],
+            cwd=folder, env=env, capture_output=True, timeout=600)
+        results[cmd] = (proc.returncode, proc.stdout, proc.stderr)
+    out = Path(folder) / "out"
+    tree = {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+    return results, tree
+
+
+def differences(label, base, this):
+    """One line per difference between two run_side results."""
+    (base_runs, base_tree), (runs, tree) = base, this
+    lines = []
+    for cmd, (code, out, err) in runs.items():
+        b_code, b_out, b_err = base_runs[cmd]
+        if code != b_code:
+            lines.append(f"{label} {cmd}: exit code {b_code} in base, {code} here")
+        if out != b_out:
+            lines.append(f"{label} {cmd}: stdout differs")
+        if err != b_err:
+            lines.append(f"{label} {cmd}: stderr differs")
+    for path in sorted(base_tree.keys() | tree.keys()):
+        if path not in tree:
+            lines.append(f"{label}: {path} only in base")
+        elif path not in base_tree:
+            lines.append(f"{label}: {path} only here")
+        elif tree[path] != base_tree[path]:
+            lines.append(f"{label}: {path} differs")
+    return lines
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", help="the other checkout (its src/ holds edsim)")
+    ap.add_argument("--case", nargs="+", choices=sorted(CASES), default=list(CASES))
+    ap.add_argument("--seed", nargs="+", type=int, default=[11])
+    args = ap.parse_args(argv)
+    failed = False
+    for case in args.case:
+        for seed in args.seed:
+            with tempfile.TemporaryDirectory() as tmp:
+                ini = write_ini(case, tmp)
+                commands = CASES[case][1]
+                sides = []
+                for side, checkout in (("base", args.base), ("here", ROOT)):
+                    os.mkdir(os.path.join(tmp, side))
+                    sides.append(run_side(checkout, ini, commands, seed,
+                                          os.path.join(tmp, side)))
+            label = f"{case} seed {seed}"
+            lines = differences(label, *sides)
+            codes = ", ".join(f"{cmd} {sides[1][0][cmd][0]}" for cmd in commands)
+            print(f"{label}: {len(sides[1][1])} files, exit codes {codes}: "
+                  f"{'DIFFERENT' if lines else 'identical'}")
+            for line in lines:
+                print("  " + line)
+            failed = failed or bool(lines)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,8 +18,9 @@ Errors are reported as a single JSON line on stderr: {"error": ..., "message": .
 Config values are read and checked through RunConfig (edsim.config); this
 module checks only what needs more than the config. Memory is bounded up
 front, with exit 2 before the initial state is built: a trace may hold at
-most MAX_TRACE_VALUES values (snapshots x cells), and the [sampler]
-n_particles rule keeps an ensemble below MAX_PARTICLES particles. trajectories
+most MAX_TRACE_VALUES values (snapshots x cells), the [sampler]
+n_particles rule keeps an ensemble below MAX_PARTICLES particles, and the
+n_trials rules keep measure and amplify below MAX_TRIALS trials. trajectories
 writes each snapshot's rows as the ensemble reaches it and holds only the
 current positions, so its memory does not grow with the snapshot count.
 Two jobs can run at once in a forked worker (_run_modes): with
@@ -275,7 +276,7 @@ def cmd_amplify(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    names = acceptance.select_criteria(args.filter) if args.filter else None
+    names = None if args.filter is None else acceptance.select_criteria(args.filter)
     results = acceptance.run_all(names)
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
     print("\n".join(lines))

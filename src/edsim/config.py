@@ -21,7 +21,7 @@ from .analytic import box_eigenstate, free_gaussian, harmonic_eigenstate, plane_
 from .dynamics import EvolutionConfig
 from .errors import ConfigError
 from .measurement import fourier_device, identity_device
-from .state import Grid1D, PhysicalParams, WaveFunction
+from .state import BOUNDARIES, Grid1D, PhysicalParams, WaveFunction
 
 # a preset device holds a few dense n x n complex matrices at once (16 n^2
 # bytes each, 256 MiB at n = 4096); measure at n = 2048 peaks at 512 MB
@@ -30,6 +30,9 @@ MAX_DEVICE_DIM = 4096
 # a time and peaks at about 80 bytes a particle per sampler mode, 0.32 GB
 # at 4e6; the CSV text is formatted in blocks of io.ENSEMBLE_BLOCK particles
 MAX_PARTICLES = 4 * 10**6
+# [device] and [amplify] n_trials stay below this: measure peaks at about
+# 115 bytes a trial and amplify at about 62, so 0.46 GB and 0.25 GB at 4e6
+MAX_TRIALS = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -74,16 +77,17 @@ _SCHEMA = {
     "evolution": {"engine": ("schrodinger", ("schrodinger", "madelung", "both")),
                   "dt": (None, _POSITIVE), "t_final": (None, _NON_NEGATIVE),
                   "snapshot_stride": ("1", Num(int, 1)),
-                  "boundary": ("periodic", ("periodic", "hardwall")),
+                  "boundary": ("periodic", BOUNDARIES),
                   # <= 0 disables the node check; nan would disable it silently
                   "node_floor": ("1e-12", _FINITE)},
     "sampler": {"mode": ("current_flow", ("current_flow", "entropic_diffusion", "both")),
                 "n_particles": ("10000", Num(int, 2, high=MAX_PARTICLES)),
                 "dt": ("0", _NON_NEGATIVE)},  # 0: the evolution dt
     "device": {"preset": ("fourier", ("identity", "fourier", "file")), "path": ("", None),
-               "n_trials": ("10000", Num(int, 1))},
+               "n_trials": ("10000", Num(int, 1, high=MAX_TRIALS))},
     "amplify": {"likelihood": ("noisy", ("ideal", "noisy", "file")),
-                "epsilon": ("0.1", Num(low=0, high=1)), "n_trials": ("10000", Num(int, 1)),
+                "epsilon": ("0.1", Num(low=0, high=1)),
+                "n_trials": ("10000", Num(int, 1, high=MAX_TRIALS)),
                 "prior": ("born", ("born", "uniform")), "path": ("", None)},
     "run": {"seed": ("0", Num(int, 0, high=2**64)), "out": ("", None)},
 }
@@ -162,7 +166,8 @@ class RunConfig:
 
     def grid(self) -> Grid1D:
         try:
-            return Grid1D(self["grid", "x_min"], self["grid", "x_max"], self["grid", "n"])
+            return Grid1D(self["grid", "x_min"], self["grid", "x_max"], self["grid", "n"],
+                          self["evolution", "boundary"])
         except ValueError as e:
             raise ConfigError(str(e)) from None
 
@@ -227,7 +232,6 @@ class RunConfig:
                 t_final=self["evolution", "t_final"],
                 engine=engine or self["evolution", "engine"],
                 snapshot_stride=self["evolution", "snapshot_stride"],
-                boundary=self["evolution", "boundary"],
                 node_floor=self["evolution", "node_floor"])
         except ValueError as e:
             raise ConfigError(str(e)) from None

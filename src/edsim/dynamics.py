@@ -96,7 +96,6 @@ HYDRO_FLOOR = 1e-12
 GUARD_SCALE = 1e-8
 
 _ENGINES = ("schrodinger", "madelung")
-_BOUNDARIES = ("periodic", "hardwall")
 
 
 def _steps_for(t, dt):
@@ -116,7 +115,6 @@ class EvolutionConfig:
     t_final: float
     engine: str = "schrodinger"
     snapshot_stride: int = 1
-    boundary: str = "periodic"
     node_floor: float = DEFAULT_NODE_FLOOR  # <= 0 disables the node checks
 
     def __post_init__(self):
@@ -128,8 +126,6 @@ class EvolutionConfig:
             raise ValueError("snapshot_stride must be >= 1")
         if self.engine not in _ENGINES:
             raise ValueError(f"engine must be one of {_ENGINES}")
-        if self.boundary not in _BOUNDARIES:
-            raise ValueError(f"boundary must be one of {_BOUNDARIES}")
         if not math.isfinite(self.node_floor):
             raise ValueError("node_floor must be finite")
         _steps_for(self.t_final, self.dt)
@@ -205,7 +201,7 @@ def l1_distance(rho_a: np.ndarray, rho_b: np.ndarray, dx: float) -> float:
 # wavefunction engine (Crank-Nicolson)
 
 
-def _cn_solver(grid: Grid1D, p: PhysicalParams, dt: float, boundary: str):
+def _cn_solver(grid: Grid1D, p: PhysicalParams, dt: float):
     """b -> A^-1 b for the Crank-Nicolson matrix A = I + i dt H/2hbar,
     factored once by LAPACK's gttrf.
 
@@ -215,7 +211,7 @@ def _cn_solver(grid: Grid1D, p: PhysicalParams, dt: float, boundary: str):
     is A's tridiagonal part with A[0, 0] - g and A[n-1, n-1] - c^2/g on its
     ends, and A^-1 b = y - (v.y / (1 + v.z)) z with T y = b and T z = u.
     """
-    diag, off, corner = hamiltonian(grid.n, grid.dx, p.potential_on(grid), p.hbar, p.m, boundary)
+    diag, off, corner = hamiltonian(grid, p)
     a = 0.5j * dt / p.hbar
     d = 1.0 + a * diag
     e = np.full(grid.n - 1, a * off)
@@ -235,9 +231,12 @@ def _cn_solver(grid: Grid1D, p: PhysicalParams, dt: float, boundary: str):
         return solve
     u = np.zeros(grid.n, dtype=complex)
     u[0], u[-1] = g, c
-    z = solve(u)
-    w = c / g
-    scale = 1.0 / (1.0 + z[0] + w * z[-1])
+    with np.errstate(all="ignore"):  # a non-finite correction is refused below
+        z = solve(u)
+        w = c / g
+        scale = 1.0 / (1.0 + z[0] + w * z[-1])
+    if not (np.isfinite(scale) and np.all(np.isfinite(z.view(float)))):
+        raise SolverError("Crank-Nicolson cyclic correction is not finite")
 
     def solve_cyclic(b):
         y = solve(b)
@@ -251,17 +250,16 @@ def schrodinger_step(
     psi: WaveFunction,
     p: PhysicalParams,
     dt: float,
-    boundary: str = "periodic",
     solver=None,
 ) -> WaveFunction:
     """One Crank-Nicolson step: solve (I + i dt H/2hbar) psi' = (I - i dt H/2hbar) psi.
 
     With A the left side, the right side is 2I - A, so psi' = 2 A^-1 psi - psi.
-    solver, when given, is b -> A^-1 b for exactly these psi.grid, p, dt and
-    boundary, built once by a caller that takes many steps; by default the
-    step factors A itself.
+    solver, when given, is b -> A^-1 b for exactly these psi.grid, p and dt,
+    built once by a caller that takes many steps; by default the step
+    factors A itself.
     """
-    solve = solver or _cn_solver(psi.grid, p, dt, boundary)
+    solve = solver or _cn_solver(psi.grid, p, dt)
     out = solve(psi.amplitudes)
     out *= 2.0
     out -= psi.amplitudes
@@ -307,11 +305,11 @@ class _MadelungEngine:
     msk (r2/4 d2f - r4/16 d4f).
     """
 
-    def __init__(self, grid: Grid1D, p: PhysicalParams, boundary: str):
+    def __init__(self, grid: Grid1D, p: PhysicalParams):
         self.dx = dx = grid.dx
         self.n = n = grid.n
         hbar, m = p.hbar, p.m
-        self.periodic = boundary == "periodic"
+        self.periodic = grid.boundary == "periodic"
         kr = (hbar / m) / (2.0 * dx) ** 2
         kg = -(hbar / (8.0 * m * dx**2))
         kq = hbar / (2.0 * m * dx**2)
@@ -480,17 +478,17 @@ def evolve(initial: WaveFunction, p: PhysicalParams, cfg: EvolutionConfig) -> Ev
 
     if cfg.engine == "schrodinger":
         state = initial.normalized()
-        solver = _cn_solver(grid, p, dt, cfg.boundary)
+        solver = _cn_solver(grid, p, dt)
 
         def step(psi):
-            return schrodinger_step(psi, p, dt, cfg.boundary, solver), 0.0
+            return schrodinger_step(psi, p, dt, solver), 0.0
 
         def snapshot(psi):
             return to_hydro(psi, node_floor=0.0), psi.norm()
     else:
         h0 = madelung_start(initial, p, cfg)
         state = h0.rho, h0.phi
-        eng = _MadelungEngine(grid, p, cfg.boundary)
+        eng = _MadelungEngine(grid, p)
 
         def step(rho_phi):
             rho, phi, dev = eng.step(*rho_phi, dt)

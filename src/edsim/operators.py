@@ -31,9 +31,9 @@ def log_gradient(rho, dx):
     return gradient(np.log(np.maximum(rho, _LOG_TINY)), dx)
 
 
-def hamiltonian(n, dx, potential, hbar=1.0, m=1.0, boundary="periodic"):
-    """Discrete Hamiltonian, 3-point kinetic term plus diagonal potential, as
-    its three bands (diagonal, off_diagonal, corner).
+def hamiltonian(grid, p):
+    """Discrete Hamiltonian of p on grid, 3-point kinetic term plus diagonal
+    potential, as its three bands (diagonal, off_diagonal, corner).
 
     diagonal is an array of n entries; off_diagonal, the entry next to the
     diagonal on both sides, and corner, the entries H[0, n-1] = H[n-1, 0]
@@ -42,11 +42,10 @@ def hamiltonian(n, dx, potential, hbar=1.0, m=1.0, boundary="periodic"):
     center. Odd reflection of the amplitude about that face gives a corner
     diagonal of -3 in the Laplacian.
     """
-    if boundary not in ("periodic", "hardwall"):
-        raise ValueError(f"unknown boundary '{boundary}'")
-    k = hbar**2 / (2.0 * m * dx**2)
-    diag = np.full(n, 2.0 * k)
-    if boundary == "hardwall":
+    periodic = grid.boundary == "periodic"
+    k = p.hbar**2 / (2.0 * p.m * grid.dx**2)
+    diag = np.full(grid.n, 2.0 * k)
+    if not periodic:
         diag[0] = diag[-1] = 3.0 * k
-    diag += np.asarray(potential, dtype=float)
-    return diag, -k, (-k if boundary == "periodic" else 0.0)
+    diag += p.potential_on(grid)
+    return diag, -k, (-k if periodic else 0.0)

@@ -23,20 +23,26 @@ DEFAULT_NODE_FLOOR = 1e-12
 
 _NORM_TOL = 1e-10
 
+BOUNDARIES = ("periodic", "hardwall")
+
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform cell-centered grid: cell j sits at x_min + (j + 1/2) dx."""
+    """Uniform cell-centered grid: cell j sits at x_min + (j + 1/2) dx, on a
+    ring ("periodic") or in a box with walls at x_min and x_max ("hardwall")."""
 
     x_min: float
     x_max: float
     n: int
+    boundary: str = "periodic"
 
     def __post_init__(self):
         if self.n < 8:
             raise ValueError(f"grid needs n >= 8, got {self.n}")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
+        if self.boundary not in BOUNDARIES:
+            raise ValueError(f"boundary must be one of {BOUNDARIES}")
 
     @property
     def dx(self) -> float:

@@ -73,11 +73,11 @@ def sample_initial(rho, grid: Grid1D, n: int, seed) -> Ensemble:
     return Ensemble(pos, 0.0, int(seed), rng.bit_generator.state)
 
 
-def _apply_boundary(x, grid, boundary):
+def _apply_boundary(x, grid):
     """Map positions back into the domain, in place; a non-finite one raises StabilityError."""
     if not np.isfinite(x).all():
         raise StabilityError("non-finite particle position")
-    if boundary == "periodic":
+    if grid.boundary == "periodic":
         x -= grid.x_min
         # np.mod(x, L) bit for bit in about half its time: fmod keeps the
         # sign of x, so lift negative remainders by L, and + 0.0 turns a
@@ -166,7 +166,7 @@ class TraceFields:
     ts, rhos: snapshot times and densities. v_tab: the current_flow drift,
     the current velocity (hbar/m) dphi/dx, per snapshot. b_tab: the
     entropic_diffusion drift v + D dlog(rho)/dx per snapshot. diffusion:
-    D = hbar/2m. boundary, node_floor: the trace's, kept to by the advance.
+    D = hbar/2m. node_floor: the trace's, kept to by the advance.
     """
 
     grid: Grid1D
@@ -175,7 +175,6 @@ class TraceFields:
     v_tab: np.ndarray
     b_tab: np.ndarray
     diffusion: float
-    boundary: str
     node_floor: float
 
     @classmethod
@@ -192,7 +191,7 @@ class TraceFields:
         b_tab = log_gradient(rhos, dx)
         b_tab *= diffusion
         b_tab += v_tab
-        return cls(trace.grid, ts, rhos, v_tab, b_tab, diffusion, cfg.boundary, cfg.node_floor)
+        return cls(trace.grid, ts, rhos, v_tab, b_tab, diffusion, cfg.node_floor)
 
 
 def advance_ensemble(ens: Ensemble, fields: TraceFields, dt: float, mode: str,
@@ -237,7 +236,7 @@ def advance_ensemble(ens: Ensemble, fields: TraceFields, dt: float, mode: str,
             noise = rng.standard_normal(len(x))
             noise *= noise_amp
             x += noise
-        _apply_boundary(x, grid, fields.boundary)
+        _apply_boundary(x, grid)
         if diffusing and node_floor > 0:
             t = (k + 1) * dt
             idx = np.clip(

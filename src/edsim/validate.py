@@ -347,7 +347,7 @@ _FNS = dict(_REGISTRY)
 
 def select_criteria(expr: str):
     """Comma-separated names or substrings, mapped to criterion names in
-    canonical order."""
+    canonical order; an expression that names nothing is a ConfigError."""
     picked = []
     for token in expr.split(","):
         token = token.strip()
@@ -358,6 +358,9 @@ def select_criteria(expr: str):
             raise ConfigError(f"--filter '{token}' matches no criterion; "
                               f"valid names: {', '.join(CRITERIA)}")
         picked.extend(hits)
+    if not picked:
+        raise ConfigError(f"--filter '{expr}' names no criterion; "
+                          f"valid names: {', '.join(CRITERIA)}")
     return [n for n in CRITERIA if n in picked]
 
 
@@ -372,4 +375,4 @@ def run_one(name: str) -> CriterionResult:
 
 
 def run_all(names=None):
-    return [run_one(n) for n in (names or CRITERIA)]
+    return [run_one(n) for n in (CRITERIA if names is None else names)]

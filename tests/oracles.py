@@ -14,28 +14,28 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from edsim import WaveFunction, hamiltonian
 
 
-def dense_hamiltonian(n, dx, potential, hbar=1.0, m=1.0, boundary="periodic"):
-    """The n x n matrix of hamiltonian(...)'s three bands."""
-    diag, off, corner = hamiltonian(n, dx, potential, hbar, m, boundary)
+def dense_hamiltonian(grid, p):
+    """The n x n matrix of hamiltonian(grid, p)'s three bands."""
+    n = grid.n
+    diag, off, corner = hamiltonian(grid, p)
     H = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
     H[0, -1] = H[-1, 0] = corner
     return H
 
 
-def discrete_ground_state(grid, p, boundary="periodic"):
+def discrete_ground_state(grid, p):
     """Ground state of the discretized Hamiltonian itself.
 
     Unlike the continuum eigenfunctions, this state is stationary for the
     grid dynamics down to roundoff, which is what discrete stationarity
     tests need. Returns (energy, WaveFunction).
     """
-    V = p.potential_on(grid)
-    if boundary == "hardwall":
-        diag, off, _ = hamiltonian(grid.n, grid.dx, V, p.hbar, p.m, boundary)
+    if grid.boundary == "hardwall":
+        diag, off, _ = hamiltonian(grid, p)
         energies, vecs = eigh_tridiagonal(diag, np.full(grid.n - 1, off),
                                           select="i", select_range=(0, 0))
     else:
-        H = dense_hamiltonian(grid.n, grid.dx, V, p.hbar, p.m, boundary)
+        H = dense_hamiltonian(grid, p)
         energies, vecs = eigh(H, subset_by_index=(0, 0))
     e0, u = float(energies[0]), vecs[:, 0]
     if u.sum() < 0:

@@ -57,9 +57,8 @@ def test_harmonic_eigenstates_orthonormal():
 
 
 def test_harmonic_eigenstate_solves_discrete_problem():
-    g = Grid1D(-10.0, 10.0, 1024)
-    p = PhysicalParams()
-    H = dense_hamiltonian(g.n, g.dx, 0.5 * g.cells**2, boundary="hardwall")
+    g = Grid1D(-10.0, 10.0, 1024, "hardwall")
+    H = dense_hamiltonian(g, PhysicalParams(potential=lambda x: 0.5 * x**2))
     for lv in (0, 2):
         u = harmonic_eigenstate(g.cells, lv).astype(complex)
         u /= np.sqrt(np.sum(np.abs(u) ** 2) * g.dx)
@@ -91,8 +90,8 @@ def test_box_eigenstate():
 
 
 def test_discrete_ground_state_hardwall_box():
-    g = Grid1D(0.0, 4.0, 512)
-    e0, psi0 = discrete_ground_state(g, PhysicalParams(), "hardwall")
+    g = Grid1D(0.0, 4.0, 512, "hardwall")
+    e0, psi0 = discrete_ground_state(g, PhysicalParams())
     # continuum value pi^2 hbar^2 / (2 m L^2); discrete is O(dx^2) below
     assert e0 == pytest.approx(np.pi**2 / 32.0, rel=1e-5)
     overlap = abs(np.vdot(psi0.amplitudes, box_eigenstate(g.cells, 0, 0.0, 4.0)) * g.dx)
@@ -103,9 +102,9 @@ def test_discrete_ground_state_hardwall_box():
 def test_discrete_ground_state_periodic_harmonic():
     g = Grid1D(-3.5, 3.5, 256)
     p = PhysicalParams(potential=lambda x: 0.5 * x**2)
-    e0, psi0 = discrete_ground_state(g, p, "periodic")
+    e0, psi0 = discrete_ground_state(g, p)
     assert e0 == pytest.approx(0.5, rel=1e-3)
-    H = dense_hamiltonian(g.n, g.dx, 0.5 * g.cells**2, boundary="periodic")
+    H = dense_hamiltonian(g, p)
     resid = np.max(np.abs(H @ psi0.amplitudes - e0 * psi0.amplitudes))
     assert resid < 1e-8  # it is the eigenvector of this exact matrix
     assert float(np.min(psi0.density())) > 1e-6  # no spurious node at the seam

@@ -459,6 +459,11 @@ OVERFLOWING_KINETIC_SCALES = [
     # the kinetic scale hbar^2 / (2 m dx^2) past a float: hbar^2 or dx^2 overflows
     *((command, overrides) for overrides in OVERFLOWING_KINETIC_SCALES
       for command in ("evolve", "trajectories")),
+    # n_trials must stay below MAX_TRIALS; 1e14 trials was a MemoryError (exit 1)
+    ("measure", {"device__n_trials": 4000000}),
+    ("amplify", {"amplify__n_trials": 4000000}),
+    ("measure", {"device__n_trials": 100000000000000}),
+    ("amplify", {"amplify__n_trials": 100000000000000}),
 ])
 def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
     cfg = ini(**overrides)
@@ -514,6 +519,23 @@ def test_numpy_warnings_stay_off_stderr(ini, tmp_path):
     assert len(lines) == 1, proc.stderr
     assert json.loads(lines[0]) == {
         "error": "ConfigError", "message": "[initial] the gaussian state has norm 0 on this grid"}
+
+
+@pytest.mark.parametrize("command", ["evolve", "trajectories"])
+def test_non_finite_cn_correction_exits_3_with_one_line(command, ini, tmp_path, capsys):
+    """At m = 1e-300 the periodic Crank-Nicolson corner correction is not
+    finite: the run exits 3 with one SolverError line on stderr, raised when
+    the matrix is factored and with no numpy warning ahead of it (pytest
+    turns a RuntimeWarning into an error). A hard wall has no corner, and
+    runs at the same m."""
+    cfg = ini(physics__m="1e-300")
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "o")) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "SolverError", "message": "Crank-Nicolson cyclic correction is not finite"}
+    cfg = ini(physics__m="1e-300", evolution__boundary="hardwall")
+    assert run(command, "--config", cfg, "--out", str(tmp_path / "h")) == 0
 
 
 def test_measure_with_zero_born_cells_writes_strict_json(ini, tmp_path):
@@ -978,8 +1000,8 @@ def test_n_trials_is_checked_before_any_file_is_read(command, section, overrides
                               f"{section}__n_trials": 0})
     assert run(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "ConfigError",
-                   "message": f"[{section}] n_trials must be an integer >= 1, got '0'"}
+    assert err == {"error": "ConfigError", "message": f"[{section}] n_trials must be an "
+                   "integer >= 1 and < 4000000, got '0'"}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -1062,6 +1084,20 @@ def test_validate_takes_no_config_or_seed(option, ini, capsys):
 def test_validate_unknown_filter(capsys):
     assert run("validate", "--filter", "no_such_criterion") == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_validate_filter_naming_nothing_runs_nothing(capsys, monkeypatch):
+    """A --filter with no name in it, "," or "", exits 2 before any
+    criterion runs; it used to run all ten."""
+    def run_one(name):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(cli.acceptance, "run_one", run_one)
+    for expr in (",", ""):
+        assert run("validate", "--filter", expr) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"--filter '{expr}' names no criterion")
 
 
 def test_usage_error_from_argparse(capsys):

@@ -42,7 +42,7 @@ def test_discrete_ground_state_is_stationary():
     """The ground eigenvector of the engine's own Hamiltonian should sit
     still: density frozen, phase ramping at -e0/hbar everywhere."""
     g = Grid1D(-3.5, 3.5, 256)
-    e0, psi0 = discrete_ground_state(g, HARMONIC, "periodic")
+    e0, psi0 = discrete_ground_state(g, HARMONIC)
     h0 = to_hydro(psi0, node_floor=0.0)
     dt, steps = stable_dt(g, 1.0)
     tr = evolve(
@@ -77,21 +77,21 @@ def test_agrees_with_wavefunction_engine():
 
 def test_agrees_with_wavefunction_engine_hardwall():
     # centered packet spreading toward walls; even/odd ghost handling
-    g = Grid1D(-8.0, 8.0, 256)
+    g = Grid1D(-8.0, 8.0, 256, "hardwall")
     p = PhysicalParams()
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=1.0)).normalized()
     cn = evolve(
         psi,
         p,
         EvolutionConfig(dt=1e-3, t_final=0.3, engine="schrodinger",
-                        snapshot_stride=300, boundary="hardwall"),
+                        snapshot_stride=300),
     )
     dt, steps = stable_dt(g, 0.3)
     md = evolve(
         psi,
         p,
         EvolutionConfig(dt=dt, t_final=0.3, engine="madelung",
-                        snapshot_stride=steps, boundary="hardwall", node_floor=0.0),
+                        snapshot_stride=steps, node_floor=0.0),
     )
     rho_cn = cn.snapshots[-1][1].rho
     assert l1_distance(rho_cn, md.snapshots[-1][1].rho, g.dx) < 1e-4
@@ -180,18 +180,17 @@ def test_node_floor_mid_run_reports_its_step():
     """A packet running into a wall thins its far tail from 2.8e-6 to 9.4e-7
     in eight steps, so a floor of 1e-6 passes the up-front check and stops
     the eighth step, which evolve reports with that step's t."""
-    g = Grid1D(-4.0, 4.0, 32)
+    g = Grid1D(-4.0, 4.0, 32, "hardwall")
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=1.0, k0=5.0, x0=1.0)).normalized()
     dt = 1.0 / 320.0
-    cfg = EvolutionConfig(dt=dt, t_final=20 * dt, engine="madelung", boundary="hardwall",
-                          node_floor=1e-6)
+    cfg = EvolutionConfig(dt=dt, t_final=20 * dt, engine="madelung", node_floor=1e-6)
     with pytest.raises(NodeError, match=r"^density 9\.4\d\de-07 below node floor \(t=0\.025\)$"):
         evolve(psi, PhysicalParams(), cfg)
 
 
 def test_renormalization_stays_small():
     g = Grid1D(-3.5, 3.5, 256)
-    _, psi0 = discrete_ground_state(g, HARMONIC, "periodic")
+    _, psi0 = discrete_ground_state(g, HARMONIC)
     dt, steps = stable_dt(g, 0.5)
     tr = evolve(
         psi0,
@@ -206,10 +205,10 @@ def test_renormalization_stays_small():
 
 def test_single_step_matches_driver():
     g = Grid1D(-3.5, 3.5, 256)
-    _, psi0 = discrete_ground_state(g, HARMONIC, "periodic")
+    _, psi0 = discrete_ground_state(g, HARMONIC)
     h0 = to_hydro(psi0, node_floor=0.0)
     dt = 5e-5
-    eng = _MadelungEngine(g, HARMONIC, "periodic")
+    eng = _MadelungEngine(g, HARMONIC)
     rho, phi, _ = eng.step(h0.rho, h0.phi, dt)
     tr = evolve(
         psi0,
@@ -352,11 +351,11 @@ EVEN_HARMONIC = PhysicalParams(potential=lambda x: 0.25 * (x**2 + x[::-1] ** 2))
 def _case(n, boundary, harmonic, mu, sigma, k0, c, even=False):
     """A Gaussian packet's (rho, phi), dt = c dx^2, the engine and the
     reference arguments for one drawn case."""
-    g = Grid1D(-8.0, 8.0, n)
+    g = Grid1D(-8.0, 8.0, n, boundary)
     p = (EVEN_HARMONIC if even else HARMONIC) if harmonic else PhysicalParams()
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=sigma, k0=k0, x0=mu)).normalized()
     h = to_hydro(psi, node_floor=0.0)
-    eng = _MadelungEngine(g, p, boundary)
+    eng = _MadelungEngine(g, p)
     args = (g, p, boundary == "periodic", HYDRO_FLOOR, GUARD_SCALE, True)
     return h.rho, h.phi, c * g.dx**2, eng, args
 
@@ -453,11 +452,11 @@ def test_step_commutes_with_parity(**case):
 
 
 def test_step_results_are_not_engine_buffers():
-    g = Grid1D(-3.5, 3.5, 64)
-    _, psi0 = discrete_ground_state(g, HARMONIC, "hardwall")
+    g = Grid1D(-3.5, 3.5, 64, "hardwall")
+    _, psi0 = discrete_ground_state(g, HARMONIC)
     h0 = to_hydro(psi0, node_floor=0.0)
     rho0, phi0 = h0.rho.copy(), h0.phi.copy()
-    eng = _MadelungEngine(g, HARMONIC, "hardwall")
+    eng = _MadelungEngine(g, HARMONIC)
     r1, p1, _ = eng.step(h0.rho, h0.phi, 1e-4)
     kept = r1.copy(), p1.copy()
     r2, p2, _ = eng.step(r1, p1, 1e-4)
@@ -469,7 +468,7 @@ def test_step_results_are_not_engine_buffers():
         psi0,
         HARMONIC,
         EvolutionConfig(dt=1e-4, t_final=1e-3, engine="madelung", snapshot_stride=2,
-                        boundary="hardwall", node_floor=0.0),
+                        node_floor=0.0),
     )
     arrays = [a for _, s in tr.snapshots for a in (s.rho, s.phi)]
     assert len(arrays) == 12

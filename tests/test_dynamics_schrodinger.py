@@ -49,21 +49,20 @@ def test_matches_closed_form_free_packet():
 
 @st.composite
 def cn_cases(draw):
-    """(psi, p, dt, boundary): a random normalized state and a random finite
-    potential on n cells, dt log-uniform in [1e-5, 1e-1], either boundary."""
+    """(psi, p, dt): a random normalized state and a random finite potential
+    on n cells, dt log-uniform in [1e-5, 1e-1], either boundary on psi's grid."""
     n = draw(st.integers(8, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     V = draw(st.floats(0.0, 100.0)) * rng.standard_normal(n)
-    g = Grid1D(-5.0, 5.0, n)
-    psi = WaveFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n)).normalized()
     dt = 10.0 ** draw(st.floats(-5.0, -1.0))
-    boundary = draw(st.sampled_from(["periodic", "hardwall"]))
-    return psi, PhysicalParams(potential=lambda x: V), dt, boundary
+    g = Grid1D(-5.0, 5.0, n, draw(st.sampled_from(["periodic", "hardwall"])))
+    psi = WaveFunction(g, rng.standard_normal(n) + 1j * rng.standard_normal(n)).normalized()
+    return psi, PhysicalParams(potential=lambda x: V), dt
 
 
 # a packet in a harmonic well, the case the time-reversal check was pinned on
 PINNED = (packet(Grid1D(-15.0, 15.0, 512)), PhysicalParams(potential=lambda x: 0.1 * x**2),
-          1e-3, "periodic")
+          1e-3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,28 +71,27 @@ PINNED = (packet(Grid1D(-15.0, 15.0, 512)), PhysicalParams(potential=lambda x: 0
 def test_step_is_the_unitary_time_symmetric_cn_solve(case):
     """One step keeps the norm, is undone by conjugate, step, conjugate, and
     equals a dense solve of (I + aH) psi' = (I - aH) psi, a = i dt/2hbar."""
-    psi, p, dt, boundary = case
+    psi, p, dt = case
     g = psi.grid
-    fwd = schrodinger_step(psi, p, dt, boundary)
+    fwd = schrodinger_step(psi, p, dt)
     assert abs(fwd.norm() - psi.norm()) <= 1e-13
-    back = schrodinger_step(WaveFunction(g, fwd.amplitudes.conj()), p, dt, boundary)
+    back = schrodinger_step(WaveFunction(g, fwd.amplitudes.conj()), p, dt)
     assert np.max(np.abs(back.amplitudes.conj() - psi.amplitudes)) <= 1e-12
-    aH = 0.5j * dt / p.hbar * dense_hamiltonian(g.n, g.dx, p.potential_on(g), p.hbar, p.m,
-                                                boundary)
+    aH = 0.5j * dt / p.hbar * dense_hamiltonian(g, p)
     eye = np.eye(g.n)
     ref = np.linalg.solve(eye + aH, (eye - aH) @ psi.amplitudes)
     assert np.max(np.abs(fwd.amplitudes - ref)) <= 1e-13
 
 
 def test_hardwall_discrete_ground_state_stationary():
-    g = Grid1D(-3.5, 3.5, 256)
+    g = Grid1D(-3.5, 3.5, 256, "hardwall")
     p = PhysicalParams(potential=lambda x: 0.5 * x**2)
-    e0, psi0 = discrete_ground_state(g, p, "hardwall")
+    e0, psi0 = discrete_ground_state(g, p)
     tr = evolve(
         psi0,
         p,
         EvolutionConfig(dt=1e-3, t_final=1.0, engine="schrodinger",
-                        snapshot_stride=1000, boundary="hardwall"),
+                        snapshot_stride=1000),
     )
     h = tr.snapshots[-1][1]
     assert np.max(np.abs(h.rho - psi0.density())) < 1e-10
@@ -177,5 +175,3 @@ def test_config_validation():
         EvolutionConfig(dt=1e-3, t_final=1.0, engine="spectral")
     with pytest.raises(ValueError):
         EvolutionConfig(dt=1e-3, t_final=1.0, snapshot_stride=0)
-    with pytest.raises(ValueError):
-        EvolutionConfig(dt=1e-3, t_final=1.0, boundary="absorbing")

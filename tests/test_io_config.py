@@ -249,9 +249,13 @@ def test_config_defaults(tmp_path):
     assert cfg["evolution", "snapshot_stride"] == 1 and cfg["run", "out"] == ""
     ecfg = cfg.evolution_config()
     assert ecfg.engine == "schrodinger"
-    assert ecfg.boundary == "periodic"
+    assert cfg.grid().boundary == "periodic"
     psi = cfg.initial_state()
     assert psi.norm() == pytest.approx(1.0, abs=1e-12)
+    # [evolution] boundary reaches the grid, and the state built on it
+    hard = RunConfig.load(write_ini(tmp_path, MINIMAL + "boundary = hardwall\n", "hard.ini"))
+    assert hard.grid().boundary == "hardwall"
+    assert hard.initial_state().grid.boundary == "hardwall"
 
 
 def test_config_missing_file():
@@ -328,7 +332,8 @@ def test_seed_override_takes_the_seed_rule(tmp_path):
     (("physics", "omega"), "inf", "[physics] omega must be a finite number, got 'inf'"),
     (("evolution", "t_final"), "-1", "[evolution] t_final must be a finite number >= 0, got '-1'"),
     (("amplify", "epsilon"), "1", "[amplify] epsilon must be a finite number >= 0 and < 1, got '1'"),
-    (("device", "n_trials"), "1.5", "[device] n_trials must be an integer >= 1, got '1.5'"),
+    (("device", "n_trials"), "1.5",
+     "[device] n_trials must be an integer >= 1 and < 4000000, got '1.5'"),
 ])
 def test_rule_messages(key, value, message):
     cp = configparser.ConfigParser(interpolation=None)

@@ -62,6 +62,26 @@ def test_fourier_born_is_fft():
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["identity", "fourier", "random"]), dim=st.integers(1, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_born_probabilities_sum_to_one(kind, dim, seed):
+    """Completeness makes the Born vector of any unit state sum to 1, within
+    the discrete_born tolerance of 1e-12, on either preset and on a random
+    QR unitary whose target cells are permuted."""
+    rng = np.random.default_rng(seed)
+    if kind == "identity":
+        dev = identity_device(dim)
+    elif kind == "fourier":
+        dev = fourier_device(dim)
+    else:
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        dev = build_device(q, rng.permutation(dim))
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi = v / np.linalg.norm(v)
+    assert abs(born_probabilities(dev, psi).sum() - 1.0) <= 1e-12
+
+
 def phase_table_basis(n):
     """The definition the preset states: entry (j, k) is table[jk mod n],
     with table[m] = exp(2 pi i m/n) / sqrt(n)."""

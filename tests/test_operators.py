@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from edsim import Grid1D, gradient, hamiltonian
+from edsim import Grid1D, PhysicalParams, gradient
 from oracles import dense_hamiltonian
 
 
@@ -43,9 +43,8 @@ def test_stacked_gradient_is_per_row_bitwise(f, dx):
 
 @pytest.mark.parametrize("boundary", ["periodic", "hardwall"])
 def test_hamiltonian_hermitian(boundary):
-    g = Grid1D(-2.0, 2.0, 32)
-    V = 0.3 * g.cells**2
-    H = dense_hamiltonian(g.n, g.dx, V, boundary=boundary)
+    g = Grid1D(-2.0, 2.0, 32, boundary)
+    H = dense_hamiltonian(g, PhysicalParams(potential=lambda x: 0.3 * x**2))
     assert_allclose(H, H.conj().T, atol=1e-14)
 
 
@@ -53,7 +52,7 @@ def test_hamiltonian_plane_wave_eigenvector():
     # periodic Laplacian eigenvalue: (2 - 2 cos(k dx)) / dx^2
     g = Grid1D(0.0, 2.0 * np.pi, 64)
     k = 3.0
-    H = dense_hamiltonian(g.n, g.dx, np.zeros(g.n), hbar=1.0, m=1.0, boundary="periodic")
+    H = dense_hamiltonian(g, PhysicalParams(hbar=1.0, m=1.0))
     v = np.exp(1j * k * g.cells)
     expect = (1.0 - np.cos(k * g.dx)) / g.dx**2
     assert_allclose(H @ v, expect * v, atol=1e-12)
@@ -62,13 +61,8 @@ def test_hamiltonian_plane_wave_eigenvector():
 def test_hamiltonian_hardwall_corner():
     # wall sits half a cell outside the last center: odd reflection adds one
     # unit to the corner diagonal
-    H = dense_hamiltonian(8, 0.5, np.zeros(8), boundary="hardwall")
+    H = dense_hamiltonian(Grid1D(0.0, 4.0, 8, "hardwall"), PhysicalParams())  # dx = 0.5
     scale = 1.0 / (2.0 * 0.25)
     assert_allclose(H[0, 0], 3.0 * scale)
     assert_allclose(H[4, 4], 2.0 * scale)
     assert H[0, -1] == 0.0
-
-
-def test_hamiltonian_unknown_boundary():
-    with pytest.raises(ValueError):
-        hamiltonian(8, 0.1, np.zeros(8), boundary="open")

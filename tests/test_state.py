@@ -41,6 +41,15 @@ def test_grid_validation():
         Grid1D(1.0, 1.0, 64)
 
 
+def test_grid_unknown_boundary():
+    """The grid carries the boundary, periodic by default, and refuses an
+    unknown name, "open" or "absorbing" alike."""
+    assert Grid1D(-1.0, 1.0, 8).boundary == "periodic"
+    for name in ("open", "absorbing"):
+        with pytest.raises(ValueError, match="boundary must be one of"):
+            Grid1D(-1.0, 1.0, 8, boundary=name)
+
+
 def test_wavefunction_normalization():
     g = grid()
     psi = WaveFunction(g, 3.0 * free_gaussian(g.cells))

@@ -37,13 +37,13 @@ from edsim.trajectories import SAMPLER_MODES, GridInterp
 
 def make_trace(n=512, t_final=1.0, dt=2e-3, stride=25, boundary="periodic",
                node_floor=DEFAULT_NODE_FLOOR):
-    g = Grid1D(-20.0, 20.0, n)
+    g = Grid1D(-20.0, 20.0, n, boundary)
     p = PhysicalParams()
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=1.0, k0=1.0, x0=-1.0)).normalized()
     tr = evolve(
         psi, p,
         EvolutionConfig(dt=dt, t_final=t_final, engine="schrodinger",
-                        snapshot_stride=stride, boundary=boundary, node_floor=node_floor),
+                        snapshot_stride=stride, node_floor=node_floor),
     )
     return g, TraceFields.from_trace(tr)
 
@@ -209,11 +209,10 @@ NODE_FLOOR_MID_TRACE = 3e-3
 def narrow_fields(boundary):
     """A packet in a short box, so that particles reflect or wrap within
     the trace and low-density cells lie within reach."""
-    g = Grid1D(-3.0, 3.0, 48)
+    g = Grid1D(-3.0, 3.0, 48, boundary)
     p = PhysicalParams()
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=1.0, k0=3.0, x0=1.0)).normalized()
-    tr = evolve(psi, p, EvolutionConfig(dt=2e-3, t_final=0.12, snapshot_stride=10,
-                                         boundary=boundary))
+    tr = evolve(psi, p, EvolutionConfig(dt=2e-3, t_final=0.12, snapshot_stride=10))
     return g, TraceFields.from_trace(tr)
 
 
@@ -259,9 +258,9 @@ def test_bitwise_cases_cross_walls_and_trip_node_floors(monkeypatch):
     real = trajectories._apply_boundary
     crossed = []
 
-    def spy(x, grid, boundary):
+    def spy(x, grid):
         crossed.append(bool(np.any((x < grid.x_min) | (x > grid.x_max))))
-        real(x, grid, boundary)
+        real(x, grid)
 
     monkeypatch.setattr(trajectories, "_apply_boundary", spy)
     for boundary in ("periodic", "hardwall"):
@@ -331,8 +330,8 @@ def test_periodic_wrap_is_np_mod_bitwise(grid, data):
     offsets = np.concatenate((special, data.draw(
         arrays(float, st.integers(0, 60), elements=st.floats(-3 * L, 4 * L)))))
     x = offsets if x_min == 0.0 else x_min + offsets
-    expected = _ref_apply_boundary(x.copy(), g, "periodic")
-    trajectories._apply_boundary(x, g, "periodic")
+    expected = _ref_apply_boundary(x.copy(), g)
+    trajectories._apply_boundary(x, g)
     assert x.tobytes() == expected.tobytes()
 
 
@@ -340,13 +339,13 @@ def test_hard_wall_folds_any_overshoot_into_the_box():
     """Particles 8.5 and 9.5 box lengths (and a bit) past either wall end
     inside the box, where folding the line at both walls puts them; a
     reflection that gave up after 8 passes left the 8.5 ones on +-20."""
-    g = Grid1D(-10.0, 10.0, 64)
+    g = Grid1D(-10.0, 10.0, 64, "hardwall")
     L = g.length
     past = np.array([8.5, 9.5, 8.5 + 0.3, 9.5 - 0.1]) * L
     x = np.concatenate((g.x_max + past, g.x_min - past))
     u = np.mod(x - g.x_min, 2.0 * L)
     folded = g.x_min + np.where(u > L, 2.0 * L - u, u)
-    trajectories._apply_boundary(x, g, "hardwall")
+    trajectories._apply_boundary(x, g)
     assert np.all((g.x_min <= x) & (x <= g.x_max))
     np.testing.assert_allclose(x, folded, rtol=0.0, atol=1e-12)
 
@@ -356,9 +355,9 @@ def test_hard_wall_brings_far_positions_inside(far):
     """Positions so far out that reflecting them at a wall rounds back to
     about the same magnitude still end inside, in one call, and a
     particle already inside keeps its position."""
-    g = Grid1D(-10.0, 10.0, 64)
+    g = Grid1D(-10.0, 10.0, 64, "hardwall")
     x = np.array([0.25, far])
-    trajectories._apply_boundary(x, g, "hardwall")
+    trajectories._apply_boundary(x, g)
     assert x[0] == 0.25
     assert g.x_min <= x[1] <= g.x_max
 
@@ -369,19 +368,19 @@ def test_boundaries_reject_non_finite_positions(boundary, bad):
     """Neither boundary can map a non-finite position into the box: the
     periodic wrap would turn it into NaN, and NaN is on neither side of a
     wall."""
-    g = Grid1D(-10.0, 10.0, 64)
+    g = Grid1D(-10.0, 10.0, 64, boundary)
     with pytest.raises(StabilityError, match="non-finite particle position"):
-        trajectories._apply_boundary(np.array([0.0, bad]), g, boundary)
+        trajectories._apply_boundary(np.array([0.0, bad]), g)
 
 
 # The stepping loop as it stood before GridInterp, but for the names, the
-# single TraceFields input (which carries the boundary and node floor), one
-# drift table per law and the clock (step k at t = k dt): the reference of
-# test_advance_is_bitwise_np_interp_loop.
+# single TraceFields input (which carries the grid, with its boundary, and the
+# node floor), one drift table per law and the clock (step k at t = k dt): the
+# reference of test_advance_is_bitwise_np_interp_loop.
 
 
-def _ref_apply_boundary(x, grid, boundary):
-    if boundary == "periodic":
+def _ref_apply_boundary(x, grid):
+    if grid.boundary == "periodic":
         return grid.x_min + np.mod(x - grid.x_min, grid.length)
     # reflecting wall; displacements are small, but loop in case of corners
     for _ in range(8):
@@ -401,7 +400,7 @@ def _ref_advance(ens: Ensemble, f: TraceFields, dt: float, mode: str, t_target=N
     """
     if mode not in SAMPLER_MODES:
         raise ValueError(f"mode must be one of {SAMPLER_MODES}")
-    ts, rhos, grid, boundary, node_floor = f.ts, f.rhos, f.grid, f.boundary, f.node_floor
+    ts, rhos, grid, node_floor = f.ts, f.rhos, f.grid, f.node_floor
     t_target = float(ts[-1]) if t_target is None else float(t_target)
     tol = 1e-9 * max(1.0, abs(float(ts[-1])))
     if ens.t < ts[0] - tol or t_target > ts[-1] + tol:
@@ -433,7 +432,7 @@ def _ref_advance(ens: Ensemble, f: TraceFields, dt: float, mode: str, t_target=N
             x = x + drift * dt + noise_amp * rng.standard_normal(len(x))
         else:
             x = x + drift * dt
-        x = _ref_apply_boundary(x, grid, boundary)
+        x = _ref_apply_boundary(x, grid)
         if mode == ENTROPIC_DIFFUSION and node_floor > 0:
             idx = np.clip(
                 np.floor((x - grid.x_min) / grid.dx).astype(int), 0, grid.n - 1
