@@ -84,8 +84,8 @@ def main():
     like = noisy_likelihood(3, 0.2)
     post = bayes_update(prior, like, observed_r=2)
     print("\nworked example: prior (0.7, 0.2, 0.1), epsilon 0.2, pointer reads 2")
-    print(f"  posterior ({', '.join(f'{v:.3f}' for v in post.probabilities)})"
-          f" -> MAP cell {int(np.argmax(post.probabilities))}")
+    print(f"  posterior ({', '.join(f'{v:.3f}' for v in post)})"
+          f" -> MAP cell {int(np.argmax(post))}")
     print(f"\nwrote {args.out}/born.csv and errors.csv")
 
 

@@ -48,12 +48,6 @@ class LikelihoodModel:
         return self.matrix.shape[1]
 
 
-@dataclass(frozen=True)
-class Posterior:
-    probabilities: np.ndarray
-    observed_r: int
-
-
 def ideal_likelihood(n: int) -> LikelihoodModel:
     """Perfect amplifier: the pointer reading determines the cell, P = identity."""
     if n < 1:
@@ -92,10 +86,9 @@ def _posterior_rows(prior, like: LikelihoodModel, readings) -> np.ndarray:
     return weights / evidence[:, None]
 
 
-def bayes_update(prior, like: LikelihoodModel, observed_r: int) -> Posterior:
-    """posterior[i] = prior[i] L[r, i] / sum_i prior[i] L[r, i]."""
-    r = int(observed_r)
-    return Posterior(_posterior_rows(_check_prior(prior), like, [r])[0], r)
+def bayes_update(prior, like: LikelihoodModel, observed_r: int) -> np.ndarray:
+    """The posterior vector: posterior[i] = prior[i] L[r, i] / sum_i prior[i] L[r, i]."""
+    return _posterior_rows(_check_prior(prior), like, [int(observed_r)])[0]
 
 
 @dataclass
@@ -151,12 +144,14 @@ def end_to_end(
     information, the experimenter's expectation IS the predicted outcome
     distribution. Pass an explicit prior to override. The Born vector is
     computed once, for the draw and the default prior; the Bayes update runs
-    once per distinct reading, not once per trial.
+    once per distinct reading, not once per trial. Only a prior passed in
+    is checked: the Born vector sums to 1 only within the basis tolerance,
+    and each posterior row is normalized by its own evidence.
     """
     if like.n_cells != dev.dim:
         raise ValueError("likelihood is not dimensioned to the device")
     born = born_probabilities(dev, psi)
-    prior = _check_prior(born if prior is None else prior)
+    prior = born if prior is None else _check_prior(prior)
 
     true_i = draw_outcomes(born, n_trials, seed)
     rng = stream_rng(seed, "pointer")

@@ -15,19 +15,19 @@ Exit codes:
 
 Errors are reported as a single JSON line on stderr: {"error": ..., "message": ...}.
 
-Config values are read and checked through RunConfig (edsim.config); this
-module checks only what needs more than the config. Memory is bounded up
-front, with exit 2 before the initial state is built: a trace may hold at
-most MAX_TRACE_VALUES values (snapshots x cells), the [sampler]
-n_particles rule keeps an ensemble below MAX_PARTICLES particles, and the
-n_trials rules keep measure and amplify below MAX_TRIALS trials. trajectories
+Config values are read and checked through RunConfig (edsim.config), which
+also states the run plan: the engines and sampler laws a run uses, and the
+rules that join keys. This module sequences the stages and checks only what
+needs more than the config. Memory is bounded up front, with exit 2 before
+the initial state is built, by the four caps that edsim.config states:
+MAX_TRACE_VALUES, MAX_PARTICLES, MAX_TRIALS and MAX_DEVICE_DIM. trajectories
 writes each snapshot's rows as the ensemble reaches it and holds only the
 current positions, so its memory does not grow with the snapshot count.
 Two jobs can run at once in a forked worker (_run_modes): with
 trajectories' mode = both the second sampler mode, which holds its own
 ensemble, and with evolve's engine = both the Madelung engine, which holds
-its own trace and sends back only its densities. Either limit then holds
-per process.
+its own trace and sends back only its densities. Either cap then holds per
+process.
 """
 
 import argparse
@@ -44,7 +44,7 @@ from . import io as iomod
 from . import validate as acceptance
 from .amplification import end_to_end
 from .config import RunConfig
-from .dynamics import _steps_for, evolve, l1_distance, madelung_start
+from .dynamics import evolve, l1_distance, madelung_start
 from .errors import ConfigError, SimulationError
 from .measurement import born_probabilities, device_state, draw_outcomes
 from .stats import (  # chi2_gof stays a cli name: perfbench/tracer.py patches it
@@ -56,11 +56,7 @@ from .stats import (  # chi2_gof stays a cli name: perfbench/tracer.py patches i
     make_test_record,
     pearson_statistic,
 )
-from .trajectories import SAMPLER_MODES, TraceFields, advance_ensemble, sample_initial
-
-# a trace keeps (rho, phi) per snapshot cell, and its field arrays and
-# drift tables two more pairs: up to 48 bytes a value, 0.48 GB at 1e7
-MAX_TRACE_VALUES = 10**7
+from .trajectories import TraceFields, advance_ensemble, sample_initial
 
 
 def _resolve_out(args, cfg, required=True):
@@ -79,21 +75,10 @@ def _setup(args):
     return cfg, out
 
 
-def _check_trace(g, ecfg):
-    snapshots = ecfg.n_snapshots()
-    if snapshots * g.n > MAX_TRACE_VALUES:
-        raise ConfigError(
-            f"snapshots x cells = {snapshots:g} x {g.n:g} exceeds the limit of "
-            f"{MAX_TRACE_VALUES:g} trace values")
-
-
 def cmd_evolve(args) -> int:
     cfg, out = _setup(args)
     g = cfg.grid()
-    requested = cfg["evolution", "engine"]
-    engines = ("schrodinger", "madelung") if requested == "both" else (requested,)
-    ecfgs = {eng: cfg.evolution_config(engine=eng) for eng in engines}
-    _check_trace(g, ecfgs[engines[0]])
+    ecfgs = {ecfg.engine: ecfg for ecfg in cfg.evolution_configs()}
     p = cfg.params()
     psi = cfg.initial_state()
     # every engine's up-front checks pass before any engine takes a step
@@ -109,7 +94,7 @@ def cmd_evolve(args) -> int:
         iomod.write_diagnostics(os.path.join(out, f"diagnostics_{eng}.csv"), trace.diagnostics)
         return ts, rhos
 
-    results = _run_modes(run_engine, engines)
+    results = _run_modes(run_engine, tuple(ecfgs))
     if len(results) == 2:
         (ts, r_s), (_, r_m) = results
         l1s = [l1_distance(a, b, g.dx) for a, b in zip(r_s, r_m)]
@@ -177,23 +162,13 @@ def cmd_trajectories(args) -> int:
     cfg, out = _setup(args)
     g = cfg.grid()
     n_particles = cfg["sampler", "n_particles"]
-    requested = cfg["evolution", "engine"]
-    # particles read fields from one trace; the wavefunction engine is the
-    # reference when the config asks for both
-    ecfg = cfg.evolution_config(engine="schrodinger" if requested == "both" else requested)
-    _check_trace(g, ecfg)
+    # particles read fields from one trace: the first engine's, CN for both
+    ecfg = cfg.evolution_configs()[0]
     p = cfg.params()
-    sdt = cfg["sampler", "dt"] or ecfg.dt
-    try:  # the advance runs step k at t = k sdt: every snapshot must be a step
-        steps = [_steps_for(t, sdt) for t in ecfg.snapshot_times()]
-    except ValueError as e:
-        raise ConfigError(f"sampler dt does not fit the snapshots: {e}") from None
-    if any(a >= b for a, b in zip(steps, steps[1:])):
-        raise ConfigError(f"sampler dt {sdt:g} is longer than a snapshot interval")
+    sdt = cfg.sampler_dt(ecfg)
     fields = TraceFields.from_trace(evolve(cfg.initial_state(), p, ecfg))
     ts, rhos, seed = fields.ts, fields.rhos, cfg["run", "seed"]
-    requested_mode = cfg["sampler", "mode"]
-    modes = SAMPLER_MODES if requested_mode == "both" else (requested_mode,)
+    modes = cfg.sampler_modes()
     final_cdf = cdf_from_density(g, rhos[-1])
 
     def run_mode(mode):

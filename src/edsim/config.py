@@ -6,9 +6,10 @@ rule lives in _SCHEMA beside its default: a tuple of choices, a Num, or None
 for free text. Choices, the grid, [run] seed and [amplify] epsilon are
 checked at load; any other number when it is read as cfg[section, key], so
 a key that a command never reads cannot fail it. Rules that join keys stay
-with the builders. The resolved configuration (all defaults filled in,
-output path excluded) can be rendered back to canonical text for archiving
-next to the results.
+with the builders, among them the trace cap (evolution_configs) and the
+sampler clock (sampler_dt). The resolved configuration (all defaults
+filled in, output path excluded) can be rendered back to canonical text
+for archiving next to the results.
 """
 
 import configparser
@@ -18,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import box_eigenstate, free_gaussian, harmonic_eigenstate, plane_wave
-from .dynamics import EvolutionConfig
+from .dynamics import ENGINES, EvolutionConfig, _steps_for
 from .errors import ConfigError
 from .measurement import fourier_device, identity_device
-from .state import BOUNDARIES, Grid1D, PhysicalParams, WaveFunction
+from .state import BOUNDARIES, DEFAULT_NODE_FLOOR, Grid1D, PhysicalParams, WaveFunction
+from .trajectories import SAMPLER_MODES
 
 # a preset device holds a few dense n x n complex matrices at once (16 n^2
 # bytes each, 256 MiB at n = 4096); measure at n = 2048 peaks at 512 MB
@@ -33,6 +35,8 @@ MAX_PARTICLES = 4 * 10**6
 # [device] and [amplify] n_trials stay below this: measure peaks at about
 # 115 bytes a trial and amplify at about 62, so 0.46 GB and 0.25 GB at 4e6
 MAX_TRIALS = 4 * 10**6
+# snapshots x cells per trace; (rho, phi), field arrays, drift tables: 48 B a value
+MAX_TRACE_VALUES = 10**7
 
 
 @dataclass(frozen=True)
@@ -74,13 +78,13 @@ _SCHEMA = {
     "initial": {"preset": (None, ("gaussian", "plane_wave", "eigenstate")),
                 "mu": ("0.0", _FINITE), "sigma": ("1.0", _POSITIVE), "k": ("0.0", _FINITE),
                 "well": ("harmonic", ("harmonic", "box")), "level": ("0", Num(int, 0))},
-    "evolution": {"engine": ("schrodinger", ("schrodinger", "madelung", "both")),
+    "evolution": {"engine": ("schrodinger", (*ENGINES, "both")),
                   "dt": (None, _POSITIVE), "t_final": (None, _NON_NEGATIVE),
                   "snapshot_stride": ("1", Num(int, 1)),
                   "boundary": ("periodic", BOUNDARIES),
                   # <= 0 disables the node check; nan would disable it silently
-                  "node_floor": ("1e-12", _FINITE)},
-    "sampler": {"mode": ("current_flow", ("current_flow", "entropic_diffusion", "both")),
+                  "node_floor": (repr(DEFAULT_NODE_FLOOR), _FINITE)},
+    "sampler": {"mode": ("current_flow", (*SAMPLER_MODES, "both")),
                 "n_particles": ("10000", Num(int, 2, high=MAX_PARTICLES)),
                 "dt": ("0", _NON_NEGATIVE)},  # 0: the evolution dt
     "device": {"preset": ("fourier", ("identity", "fourier", "file")), "path": ("", None),
@@ -225,16 +229,42 @@ class RunConfig:
             raise ConfigError(f"[initial] the {preset} state has norm {norm:g} on this grid")
         return state.normalized()
 
-    def evolution_config(self, engine=None) -> EvolutionConfig:
+    def _named(self, sect, key):
+        """The choices [sect] key names: its value, or for both every other choice of its rule."""
+        raw = self.values[sect][key]
+        return tuple(c for c in _SCHEMA[sect][key][1] if c != "both") if raw == "both" else (raw,)
+
+    def evolution_configs(self):
+        """One EvolutionConfig per engine [evolution] engine names, in ENGINES
+        order for both, whose trace holds at most MAX_TRACE_VALUES values."""
+        settings = {k: self["evolution", k]
+                    for k in ("dt", "t_final", "snapshot_stride", "node_floor")}
         try:
-            return EvolutionConfig(
-                dt=self["evolution", "dt"],
-                t_final=self["evolution", "t_final"],
-                engine=engine or self["evolution", "engine"],
-                snapshot_stride=self["evolution", "snapshot_stride"],
-                node_floor=self["evolution", "node_floor"])
+            ecfgs = tuple(EvolutionConfig(engine=engine, **settings)
+                          for engine in self._named("evolution", "engine"))
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        snapshots, cells = ecfgs[0].n_snapshots(), self.grid().n
+        if snapshots * cells > MAX_TRACE_VALUES:
+            raise ConfigError(
+                f"snapshots x cells = {snapshots:g} x {cells:g} exceeds the limit of "
+                f"{MAX_TRACE_VALUES:g} trace values")
+        return ecfgs
+
+    def sampler_modes(self):
+        """The sampler laws [sampler] mode names, in SAMPLER_MODES order for both."""
+        return self._named("sampler", "mode")
+
+    def sampler_dt(self, ecfg: EvolutionConfig) -> float:
+        """[sampler] dt (0: ecfg.dt); each snapshot time of ecfg is a later step of it."""
+        sdt = self["sampler", "dt"] or ecfg.dt
+        try:
+            steps = [_steps_for(t, sdt) for t in ecfg.snapshot_times()]
+        except ValueError as e:
+            raise ConfigError(f"sampler dt does not fit the snapshots: {e}") from None
+        if any(a >= b for a, b in zip(steps, steps[1:])):
+            raise ConfigError(f"sampler dt {sdt:g} is longer than a snapshot interval")
+        return sdt
 
     def device(self, grid):
         """The configured device on grid's cells: a preset of dimension

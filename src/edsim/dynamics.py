@@ -95,7 +95,7 @@ C_STAB = 0.1
 HYDRO_FLOOR = 1e-12
 GUARD_SCALE = 1e-8
 
-_ENGINES = ("schrodinger", "madelung")
+ENGINES = ("schrodinger", "madelung")
 
 
 def _steps_for(t, dt):
@@ -124,8 +124,8 @@ class EvolutionConfig:
             raise ValueError("t_final must be finite and non-negative")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
-        if self.engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}")
+        if self.engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}")
         if not math.isfinite(self.node_floor):
             raise ValueError("node_floor must be finite")
         _steps_for(self.t_final, self.dt)
@@ -144,16 +144,6 @@ class EvolutionConfig:
     def stability_limit(self, grid: Grid1D, p: PhysicalParams) -> float:
         """Largest admissible dt for the density-phase engine."""
         return C_STAB * p.m * grid.dx**2 / p.hbar
-
-    def check_stability(self, grid: Grid1D, p: PhysicalParams) -> None:
-        # the bound needs dx, so it cannot be checked before the grid is known
-        if self.engine == "madelung":
-            limit = self.stability_limit(grid, p)
-            if self.dt > limit * (1.0 + 1e-12):
-                raise StabilityError(
-                    f"dt={self.dt:g} exceeds the stability bound "
-                    f"{limit:g} = {C_STAB:g} m dx^2 / hbar"
-                )
 
 
 @dataclass(frozen=True)
@@ -456,7 +446,10 @@ def madelung_start(initial: WaveFunction, p: PhysicalParams, cfg: EvolutionConfi
     """The density-phase engine's up-front checks, in order: the dt bound,
     then the conversion of the normalized initial state, which raises
     NodeError below cfg.node_floor. Returns the converted state."""
-    cfg.check_stability(initial.grid, p)
+    limit = cfg.stability_limit(initial.grid, p)
+    if cfg.dt > limit * (1.0 + 1e-12):
+        raise StabilityError(
+            f"dt={cfg.dt:g} exceeds the stability bound {limit:g} = {C_STAB:g} m dx^2 / hbar")
     return to_hydro(initial.normalized(), cfg.node_floor)
 
 

@@ -222,11 +222,16 @@ def _distinct(a):
 
 def read_device(path) -> DiscreteDevice:
     """Load and re-validate a device. A file that does not decode, parse or
-    fit the write_device layout raises ConfigError naming it; a basis or
-    cells that fail build_device's checks raise BasisError/CellError."""
+    fit the write_device layout, dim included, raises ConfigError naming
+    it; a basis or cells that fail build_device's checks raise
+    BasisError/CellError."""
     try:
         with open(path) as fh:
             rec = json.load(fh)
+        # a bool is an int to Python, so its type is compared, not isinstance
+        if type(rec["dim"]) is not int or rec["dim"] != len(rec["basis"]):
+            raise ValueError(f"dim {json.dumps(rec['dim'])} is not the number of basis "
+                             f"rows, {len(rec['basis'])}")
         basis = np.array(
             [[complex(re, im) for re, im in row] for row in rec["basis"]]
         )
@@ -251,6 +256,10 @@ def write_likelihood_csv(path, like):
 
 
 def read_likelihood_csv(path):
+    """Inverse of write_likelihood_csv. The header must be the labels
+    write_likelihood_csv writes for the data rows' column count, and at
+    least one data row must follow it; a file that does not fit raises
+    ConfigError naming it."""
     from .amplification import LikelihoodModel
 
     try:
@@ -259,6 +268,11 @@ def read_likelihood_csv(path):
         if not lines:
             raise ConfigError(f"empty likelihood file {path}")
         rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=float)
+        if len(rows) == 0:
+            raise ValueError("no data rows follow the header")
+        k = rows.shape[1]
+        if lines[0] != ",".join("alpha_%d" % r for r in range(k)):
+            raise ValueError(f"the header must be alpha_0..alpha_{k - 1} for {k} columns")
     except ValueError as e:
         raise ConfigError(f"malformed likelihood file {path}: {e}") from None
     return LikelihoodModel(rows.T)

@@ -39,7 +39,6 @@ class Ensemble:
 
     positions: np.ndarray
     t: float
-    seed: int
     rng_state: dict
 
     def __post_init__(self):
@@ -70,7 +69,7 @@ def sample_initial(rho, grid: Grid1D, n: int, seed) -> Ensemble:
         raise ValueError("need at least one particle")
     rng = stream_rng(seed, "trajectories")
     pos = inverse_cdf_sample(rho, grid.x_min, grid.dx, int(n), rng)
-    return Ensemble(pos, 0.0, int(seed), rng.bit_generator.state)
+    return Ensemble(pos, 0.0, rng.bit_generator.state)
 
 
 def _apply_boundary(x, grid):
@@ -248,4 +247,4 @@ def advance_ensemble(ens: Ensemble, fields: TraceFields, dt: float, mode: str,
                     f"particle entered a cell with rho below {node_floor:g} "
                     f"(t={t:g}): drift d(log rho)/dx diverges there"
                 )
-    return Ensemble(x, t_target, ens.seed, rng.bit_generator.state)
+    return Ensemble(x, t_target, rng.bit_generator.state)

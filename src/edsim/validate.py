@@ -236,7 +236,7 @@ def _c_bayes_amplification():
     like = noisy_likelihood(3, 0.2)
     worst = 0.0
     for r in range(3):
-        post = bayes_update(prior, like, r).probabilities
+        post = bayes_update(prior, like, r)
         joint = prior * like.matrix[r, :]
         worst = max(worst, float(np.max(np.abs(post - joint / joint.sum()))))
     ok = ideal_err == 0.0 and map_dev <= four_sigma and worst <= 1e-12

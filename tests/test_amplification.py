@@ -60,11 +60,10 @@ def test_bayes_update_hand_case():
     # posterior ~ (0.9, 0.1)
     like = noisy_likelihood(2, 0.1)
     post = bayes_update(np.array([0.5, 0.5]), like, 0)
-    assert_allclose(post.probabilities, [0.9, 0.1], atol=1e-12)
-    assert post.observed_r == 0
+    assert_allclose(post, [0.9, 0.1], atol=1e-12)
     skewed = bayes_update(np.array([0.8, 0.2]), like, 1)
     expect = np.array([0.8 * 0.1, 0.2 * 0.9])
-    assert_allclose(skewed.probabilities, expect / expect.sum(), atol=1e-12)
+    assert_allclose(skewed, expect / expect.sum(), atol=1e-12)
 
 
 def test_bayes_update_validates_prior():
@@ -170,7 +169,7 @@ def test_end_to_end_posterior_properties(dim, seed, epsilon, prior_weights, n_tr
     for row in log.rows:
         assert abs(row.sum() - 1.0) <= 1e-12
     for r in readings:
-        expect = bayes_update(prior, like, r).probabilities
+        expect = bayes_update(prior, like, r)
         assert np.all(post[log.observed_r == r] == expect)
     assert np.array_equal(log.map_i, np.argmax(post, axis=1))
 

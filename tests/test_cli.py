@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from edsim import (
     NodeError,
+    build_device,
     chi2_critical,
     cli,
     config,
@@ -725,9 +726,9 @@ def test_trace_limit_counts_snapshots_times_cells(command, engine, ini, tmp_path
     10 dt) of 64 cells, per engine. Over it the run stops before the
     initial state is built."""
     cfg = ini(evolution__snapshot_stride=3, evolution__engine=engine, evolution__node_floor=0)
-    monkeypatch.setattr(cli, "MAX_TRACE_VALUES", 5 * 64)
+    monkeypatch.setattr(config, "MAX_TRACE_VALUES", 5 * 64)
     assert run(command, "--config", cfg, "--out", str(tmp_path / "a")) == 0
-    monkeypatch.setattr(cli, "MAX_TRACE_VALUES", 5 * 64 - 1)
+    monkeypatch.setattr(config, "MAX_TRACE_VALUES", 5 * 64 - 1)
     monkeypatch.setattr(cli.RunConfig, "initial_state", None)  # never reached
     assert run(command, "--config", cfg, "--out", str(tmp_path / "b")) == 2
     err = json.loads(capsys.readouterr().err)
@@ -926,6 +927,10 @@ MALFORMED_DEVICES = {
                                              lambda v: [0.9] + v[1:-1] + [63.99]),
     "cell_boolean": lambda text: _edit_json(text, "target_cells",
                                             lambda v: [True, False] + v[2:]),
+    # dim must be the integer count of basis rows; JSON true is not 1
+    "dim_mismatch": lambda text: _edit_json(text, "dim", lambda v: 3),
+    "dim_boolean": lambda text: _edit_json(
+        _edit_json(text, "basis", lambda v: v[:1]), "dim", lambda v: True),
 }
 
 
@@ -961,6 +966,25 @@ def test_target_cell_off_the_grid_exits_3(cell, ini, tmp_path, capsys):
         assert listdir(out) == ["resolved.ini"]
 
 
+def test_file_device_within_basis_tolerance_amplifies(ini, tmp_path):
+    """B = I + (sqrt(1 + 64 eps) - 1) u u^T with u = 1/sqrt(64) has Gram
+    deviation eps = 0.9e-10, under ORTHO_TOL, so build_device accepts it.
+    On the flat plane wave its Born vector sums to 1 + 64 eps, within
+    n x ORTHO_TOL: amplify's default Born prior takes it as it is, and each
+    posterior row is normalized by its own evidence."""
+    eps, n = 0.9e-10, 64
+    basis = np.eye(n) + (math.sqrt(1.0 + n * eps) - 1.0) / n
+    path = tmp_path / "device.json"
+    write_device(path, build_device(basis, np.arange(n)))
+    cfg = ini(initial__preset="plane_wave", initial__k=0, device__preset="file",
+              device__path=str(path))
+    assert run("measure", "--config", cfg, "--out", str(tmp_path / "m")) == 0
+    assert run("amplify", "--config", cfg, "--out", str(tmp_path / "a")) == 0
+    with open(tmp_path / "a" / "experiment.ndjson") as fh:
+        for line in fh:
+            assert abs(math.fsum(json.loads(line)["posterior"]) - 1.0) <= 1e-12
+
+
 def _edit_row(text, edit):
     lines = text.splitlines()
     lines[4] = edit(lines[4].split(","))
@@ -971,6 +995,11 @@ MALFORMED_LIKELIHOODS = {
     "non_numeric": lambda text: _edit_row(text, lambda row: ",".join(row[:-2] + ["0.5", "x"])),
     "short_row": lambda text: _edit_row(text, lambda row: ",".join(row[:-1])),
     "binary": lambda text: b"\xff\xfe\x00\x01" + text.encode(),
+    # the header must be the labels of the data rows' columns, and a data
+    # row must follow it
+    "header_only": lambda text: text.splitlines()[0].encode() + b"\n",
+    "header_short": lambda text: ("alpha_0,alpha_1,alpha_2\n"
+                                  + text.split("\n", 1)[1]).encode(),
 }
 
 

@@ -247,7 +247,7 @@ def test_config_defaults(tmp_path):
     assert cfg["run", "seed"] == 0
     assert cfg["evolution", "node_floor"] == pytest.approx(1e-12)
     assert cfg["evolution", "snapshot_stride"] == 1 and cfg["run", "out"] == ""
-    ecfg = cfg.evolution_config()
+    (ecfg,) = cfg.evolution_configs()
     assert ecfg.engine == "schrodinger"
     assert cfg.grid().boundary == "periodic"
     psi = cfg.initial_state()
@@ -383,7 +383,7 @@ def test_config_fuzz_raises_only_config_error(numbers, preset, well, potential):
     except ConfigError:
         return
     steps = [lambda where=where: cfg[where] for where in NUMBER_KEYS]
-    for step in steps + [cfg.grid, cfg.params, cfg.initial_state, cfg.evolution_config]:
+    for step in steps + [cfg.grid, cfg.params, cfg.initial_state, cfg.evolution_configs]:
         try:
             step()
         except ConfigError:

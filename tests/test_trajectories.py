@@ -65,7 +65,7 @@ def test_sample_initial_reproducible():
     c = sample_initial(rho0, g, 1000, seed=10)
     assert np.array_equal(a.positions, b.positions)
     assert not np.array_equal(a.positions, c.positions)
-    assert a.t == 0.0 and a.seed == 9
+    assert a.t == 0.0
 
 
 def test_current_flow_tracks_density():
@@ -137,10 +137,10 @@ def test_trace_coverage_errors():
     ens = sample_initial(fields.rhos[0], g, 100, seed=1)
     with pytest.raises(TraceCoverageError):
         advance_ensemble(ens, fields, 2e-3, CURRENT_FLOW, t_target=0.2)
-    early = Ensemble(ens.positions, -0.5, ens.seed, ens.rng_state)
+    early = Ensemble(ens.positions, -0.5, ens.rng_state)
     with pytest.raises(TraceCoverageError):
         advance_ensemble(early, fields, 2e-3, CURRENT_FLOW)
-    late = Ensemble(ens.positions, 0.08, ens.seed, ens.rng_state)
+    late = Ensemble(ens.positions, 0.08, ens.rng_state)
     with pytest.raises(TraceCoverageError):
         advance_ensemble(late, fields, 2e-3, CURRENT_FLOW, t_target=0.04)
 
@@ -443,4 +443,4 @@ def _ref_advance(ens: Ensemble, f: TraceFields, dt: float, mode: str, t_target=N
                     f"particle entered a cell with rho below {node_floor:g} "
                     f"(t={t + dt:g}): drift d(log rho)/dx diverges there"
                 )
-    return Ensemble(x, t_target, ens.seed, rng.bit_generator.state)
+    return Ensemble(x, t_target, rng.bit_generator.state)
