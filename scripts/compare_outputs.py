@@ -16,7 +16,13 @@ Cases (default: all, at seed 11):
   periodic                      particles with periodic walls and node_floor 1e-9
   madelung                      particles on the density-phase engine
   both_hardwall                 particles with engine = both on hard walls
-The last two step at dt 5e-4 to t_final 0.2, inside the density-phase bound.
+  readout_identity              readout with the identity device, the ideal
+                                likelihood and a uniform prior
+  readout_files                 readout, then readout again with the device
+                                and likelihood files the first pass wrote
+The madelung and both_hardwall cases step at dt 5e-4 to t_final 0.2,
+inside the density-phase bound. readout_files' second pass writes to
+out/reread_measure and out/reread_amplify.
 """
 
 import argparse
@@ -30,49 +36,68 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads"
 
-# case -> (workload INI, commands, [evolution] overrides)
+# case -> (workload INI, commands, overrides by section[, second-pass overrides])
 CASES = {
     "engines": ("engines", ("evolve",), {}),
     "particles": ("particles", ("evolve", "trajectories"), {}),
     "readout": ("readout", ("measure", "amplify"), {}),
     "periodic": ("particles", ("evolve", "trajectories"),
-                 {"boundary": "periodic", "node_floor": "1e-9"}),
+                 {"evolution": {"boundary": "periodic", "node_floor": "1e-9"}}),
     "madelung": ("particles", ("evolve", "trajectories"),
-                 {"engine": "madelung", "dt": "5e-4", "t_final": "0.2"}),
+                 {"evolution": {"engine": "madelung", "dt": "5e-4", "t_final": "0.2"}}),
     "both_hardwall": ("particles", ("evolve", "trajectories"),
-                      {"engine": "both", "boundary": "hardwall", "dt": "5e-4",
-                       "t_final": "0.2"}),
+                      {"evolution": {"engine": "both", "boundary": "hardwall", "dt": "5e-4",
+                                     "t_final": "0.2"}}),
+    "readout_identity": ("readout", ("measure", "amplify"),
+                         {"device": {"preset": "identity"},
+                          "amplify": {"likelihood": "ideal", "prior": "uniform"}}),
+    "readout_files": ("readout", ("measure", "amplify"), {},
+                      {"device": {"preset": "file",
+                                  "path": os.path.join("out", "measure", "device.json")},
+                       "amplify": {"likelihood": "file",
+                                   "path": os.path.join("out", "amplify", "likelihood.csv")}}),
 }
+REREAD = "reread_"
 
 
-def write_ini(case, folder):
-    """The case's INI in folder: the workload file itself, or a copy with
-    its [evolution] overrides."""
-    name, _, overrides = CASES[case]
+def write_ini(name, overrides, path):
+    """The workload INI: the workload file itself, or a copy with overrides
+    written to path."""
     source = WORKLOADS / f"{name}.ini"
     if not overrides:
         return source
     cp = configparser.ConfigParser(interpolation=None)
     cp.read(source)
-    cp.read_dict({"evolution": overrides})
-    path = Path(folder) / f"{case}.ini"
+    cp.read_dict(overrides)
     with open(path, "w") as fh:
         cp.write(fh)
     return path
 
 
-def run_side(checkout, ini, commands, seed, folder):
-    """{command: (exit code, stdout, stderr)} and {relative path: bytes} of
-    one checkout's run in folder."""
+def passes(case, folder):
+    """[(INI path, commands, out prefix)] of the case: one pass, or two when
+    the case reads back what its first pass wrote."""
+    name, commands, overrides, *second = CASES[case]
+    runs = [(write_ini(name, overrides, Path(folder) / f"{case}.ini"), commands, "")]
+    if second:
+        runs.append((write_ini(name, second[0], Path(folder) / f"{REREAD}{case}.ini"),
+                     commands, REREAD))
+    return runs
+
+
+def run_side(checkout, runs, seed, folder):
+    """{out name: (exit code, stdout, stderr)} and {relative path: bytes} of
+    one checkout's run in folder; each command writes to out/<prefix><command>."""
     env = {k: v for k, v in os.environ.items() if k != "EDSIM_OUT"}
     env["PYTHONPATH"] = str(Path(checkout).resolve() / "src")
     results = {}
-    for cmd in commands:
-        proc = subprocess.run(
-            [sys.executable, "-m", "edsim.cli", cmd, "--config", str(ini),
-             "--out", os.path.join("out", cmd), "--seed", str(seed)],
-            cwd=folder, env=env, capture_output=True, timeout=600)
-        results[cmd] = (proc.returncode, proc.stdout, proc.stderr)
+    for ini, commands, prefix in runs:
+        for cmd in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "edsim.cli", cmd, "--config", str(ini),
+                 "--out", os.path.join("out", prefix + cmd), "--seed", str(seed)],
+                cwd=folder, env=env, capture_output=True, timeout=600)
+            results[prefix + cmd] = (proc.returncode, proc.stdout, proc.stderr)
     out = Path(folder) / "out"
     tree = {str(p.relative_to(out)): p.read_bytes()
             for p in sorted(out.rglob("*")) if p.is_file()}
@@ -111,16 +136,14 @@ def main(argv=None):
     for case in args.case:
         for seed in args.seed:
             with tempfile.TemporaryDirectory() as tmp:
-                ini = write_ini(case, tmp)
-                commands = CASES[case][1]
+                runs = passes(case, tmp)
                 sides = []
                 for side, checkout in (("base", args.base), ("here", ROOT)):
                     os.mkdir(os.path.join(tmp, side))
-                    sides.append(run_side(checkout, ini, commands, seed,
-                                          os.path.join(tmp, side)))
+                    sides.append(run_side(checkout, runs, seed, os.path.join(tmp, side)))
             label = f"{case} seed {seed}"
             lines = differences(label, *sides)
-            codes = ", ".join(f"{cmd} {sides[1][0][cmd][0]}" for cmd in commands)
+            codes = ", ".join(f"{cmd} {code}" for cmd, (code, _, _) in sides[1][0].items())
             print(f"{label}: {len(sides[1][1])} files, exit codes {codes}: "
                   f"{'DIFFERENT' if lines else 'identical'}")
             for line in lines:

@@ -25,8 +25,9 @@ from .measurement import fourier_device, identity_device
 from .state import BOUNDARIES, DEFAULT_NODE_FLOOR, Grid1D, PhysicalParams, WaveFunction
 from .trajectories import SAMPLER_MODES
 
-# a preset device holds a few dense n x n complex matrices at once (16 n^2
-# bytes each, 256 MiB at n = 4096); measure at n = 2048 peaks at 512 MB
+# a device build holds the n x n complex basis and one Gram product (16 n^2
+# bytes each, 256 MiB at n = 4096) and the product's magnitudes (8 n^2);
+# measure at n = 2048 peaks at about 210 MB of RSS, amplify likewise
 MAX_DEVICE_DIM = 4096
 # [sampler] n_particles stays below this: trajectories holds one ensemble at
 # a time and peaks at about 80 bytes a particle per sampler mode, 0.32 GB
@@ -37,6 +38,11 @@ MAX_PARTICLES = 4 * 10**6
 MAX_TRIALS = 4 * 10**6
 # snapshots x cells per trace; (rho, phi), field arrays, drift tables: 48 B a value
 MAX_TRACE_VALUES = 10**7
+# steps of the evolution clock (t_final / [evolution] dt) and of the sampler
+# clock (t_final / [sampler] dt) stay at or below this. The cheapest step,
+# Crank-Nicolson at n = 8, takes about 14 us on a 2-core x86-64 host, so
+# 1e8 steps run for about 25 minutes, and for about 70 at n = 1024
+MAX_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,12 @@ _SCHEMA = {
                 "prior": ("born", ("born", "uniform")), "path": ("", None)},
     "run": {"seed": ("0", Num(int, 0, high=2**64)), "out": ("", None)},
 }
+
+
+def _check_steps(clock, steps):
+    if steps > MAX_STEPS:
+        raise ConfigError(f"t_final / [{clock}] dt = {steps:g} steps exceeds the limit of "
+                          f"{MAX_STEPS:g} steps")
 
 
 class RunConfig:
@@ -236,7 +248,8 @@ class RunConfig:
 
     def evolution_configs(self):
         """One EvolutionConfig per engine [evolution] engine names, in ENGINES
-        order for both, whose trace holds at most MAX_TRACE_VALUES values."""
+        order for both, which takes at most MAX_STEPS steps and whose trace
+        holds at most MAX_TRACE_VALUES values."""
         settings = {k: self["evolution", k]
                     for k in ("dt", "t_final", "snapshot_stride", "node_floor")}
         try:
@@ -244,6 +257,7 @@ class RunConfig:
                           for engine in self._named("evolution", "engine"))
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        _check_steps("evolution", _steps_for(ecfgs[0].t_final, ecfgs[0].dt))
         snapshots, cells = ecfgs[0].n_snapshots(), self.grid().n
         if snapshots * cells > MAX_TRACE_VALUES:
             raise ConfigError(
@@ -256,7 +270,8 @@ class RunConfig:
         return self._named("sampler", "mode")
 
     def sampler_dt(self, ecfg: EvolutionConfig) -> float:
-        """[sampler] dt (0: ecfg.dt); each snapshot time of ecfg is a later step of it."""
+        """[sampler] dt (0: ecfg.dt); each snapshot time of ecfg is a later step
+        of it, and t_final is at most MAX_STEPS steps of it."""
         sdt = self["sampler", "dt"] or ecfg.dt
         try:
             steps = [_steps_for(t, sdt) for t in ecfg.snapshot_times()]
@@ -264,6 +279,7 @@ class RunConfig:
             raise ConfigError(f"sampler dt does not fit the snapshots: {e}") from None
         if any(a >= b for a, b in zip(steps, steps[1:])):
             raise ConfigError(f"sampler dt {sdt:g} is longer than a snapshot interval")
+        _check_steps("sampler", steps[-1])
         return sdt
 
     def device(self, grid):
@@ -280,10 +296,7 @@ class RunConfig:
         if preset == "fourier":
             return fourier_device(grid.n)
         from .io import read_device
-        dev = read_device(self["device", "path"])
-        if dev.dim != grid.n:
-            raise ConfigError(f"device dimension {dev.dim} must equal grid n {grid.n}")
-        return dev
+        return read_device(self["device", "path"], grid.n)
 
     def likelihood(self, dev):
         kind = self["amplify", "likelihood"]

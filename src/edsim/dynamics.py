@@ -64,27 +64,28 @@ from .state import (
 )
 
 
-def _load_flapack():
-    """scipy.linalg's compiled LAPACK module, loaded from its file.
+def load_linalg(module):
+    """scipy.linalg's compiled module scipy.linalg.<module> (_flapack for
+    LAPACK, _fblas for BLAS), loaded from its file.
 
     `import scipy.linalg.lapack` would run scipy.linalg's package init,
     which sets up scipy's array-API layer and loads numpy.f2py,
-    numpy.testing and numpy.ma, about 0.3 s of start-up for two wrappers.
-    scipy.linalg.lapack re-exports this module's zgttrf and zgttrs, so the
-    solver calls the same objects either way. `import scipy` above runs
-    its _distributor_init, which sets up bundled-library paths."""
-    name = "scipy.linalg._flapack"
+    numpy.testing and numpy.ma, about 0.3 s of start-up for a few wrappers.
+    scipy.linalg.lapack and scipy.linalg.blas re-export these modules'
+    wrappers, so callers get the same objects either way. `import scipy`
+    above runs its _distributor_init, which sets up bundled-library paths."""
+    name = "scipy.linalg." + module
     if name not in sys.modules:
-        stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+        stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", module)
         path = next(stem + s for s in EXTENSION_SUFFIXES if os.path.exists(stem + s))
         spec = importlib.util.spec_from_loader(name, ExtensionFileLoader(name, path))
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
+        loaded = importlib.util.module_from_spec(spec)
+        sys.modules[name] = loaded
+        spec.loader.exec_module(loaded)
     return sys.modules[name]
 
 
-_flapack = _load_flapack()
+_flapack = load_linalg("_flapack")
 zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 
 # largest |Z - 1| one density-phase step may renormalize away; see above

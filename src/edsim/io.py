@@ -165,15 +165,22 @@ def write_device(path, dev: DiscreteDevice):
 
     The bytes are those of json.dumps({"dim": ..., "basis": ...,
     "target_cells": ..., "eigenvalues": ...}) + "\n", with the basis
-    streamed one row at a time from a table of its distinct pairs."""
-    basis = _pair_text(dev.basis)
+    streamed one row at a time. A device with a phase table formats the
+    table's n pairs once and writes row j as their texts at (j k) mod n;
+    any other basis is formatted from a table of its distinct pairs."""
+    n = dev.dim
+    if dev.phase_table is None:
+        rows = (row.tolist() for row in _pair_text(dev.basis))
+    else:
+        texts, k = _pair_text(dev.phase_table), np.arange(n)
+        rows = (texts[j * k % n].tolist() for j in range(n))
     eigenvalues = ", ".join(_pair_text(dev.eigenvalues).tolist())
     cells = json.dumps([int(c) for c in dev.target_cells])
 
     def chunks():
-        yield '{"dim": %s, "basis": [' % json.dumps(dev.dim)
-        for i, row in enumerate(basis):
-            yield ("[%s]" if i == 0 else ", [%s]") % ", ".join(row.tolist())
+        yield '{"dim": %s, "basis": [' % json.dumps(n)
+        for i, row in enumerate(rows):
+            yield ("[%s]" if i == 0 else ", [%s]") % ", ".join(row)
         yield '], "target_cells": %s, "eigenvalues": [%s]}\n' % (cells, eigenvalues)
 
     atomic_write(path, chunks())
@@ -220,11 +227,33 @@ def _distinct(a):
     return values, inverse
 
 
-def read_device(path) -> DiscreteDevice:
-    """Load and re-validate a device. A file that does not decode, parse or
-    fit the write_device layout, dim included, raises ConfigError naming
-    it; a basis or cells that fail build_device's checks raise
-    BasisError/CellError."""
+# the longest json.dumps spelling of a float64, as in "-1.2345678901234567e-308"
+_FLOAT_CHARS = 24
+
+
+def device_file_bound(n) -> int:
+    """The most bytes write_device writes for an n-cell device: each of the
+    n^2 + n [re, im] pairs at 2 _FLOAT_CHARS + 6 with its brackets and
+    separator, each target cell at the width of n, and the keys."""
+    return (n * n + n) * (2 * _FLOAT_CHARS + 6) + n * (len(str(n)) + 6) + 64
+
+
+def read_device(path, dim) -> DiscreteDevice:
+    """Load and re-validate a device of dimension dim, the grid's n. A file
+    that does not decode, parse or fit the write_device layout, its dim
+    included, raises ConfigError naming it; a basis or cells that fail
+    build_device's checks raise BasisError/CellError; a device of another
+    dimension raises ConfigError. A file longer than device_file_bound(dim)
+    is refused before it is parsed, with the dimension its head states
+    when that is another one."""
+    size, bound = os.path.getsize(path), device_file_bound(dim)
+    if size > bound:
+        with open(path, "rb") as fh:
+            stated = fh.read(64).partition(b",")[0].removeprefix(b'{"dim": ')
+        if stated.isdigit() and int(stated) != dim:
+            raise ConfigError(f"device dimension {int(stated)} must equal grid n {dim}")
+        raise ConfigError(f"device file {path} is {size} bytes, more than a valid "
+                          f"{dim}-cell device file ({bound} bytes)")
     try:
         with open(path) as fh:
             rec = json.load(fh)
@@ -241,9 +270,12 @@ def read_device(path) -> DiscreteDevice:
             raise ValueError(f"target cell {json.dumps(bad[0])} is not an integer")
         cells = np.array(rec["target_cells"], dtype=int)
         eig = np.array([complex(re, im) for re, im in rec["eigenvalues"]])
-        return build_device(basis, cells, eig)
+        dev = build_device(basis, cells, eig)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"malformed device file {path}: {e}") from None
+    if dev.dim != dim:
+        raise ConfigError(f"device dimension {dev.dim} must equal grid n {dim}")
+    return dev
 
 
 def write_likelihood_csv(path, like):
@@ -251,8 +283,25 @@ def write_likelihood_csv(path, like):
     P(r | cell i) across the columns."""
     m = like.matrix
     header = ",".join("alpha_%d" % r for r in range(m.shape[0])) + "\n"
-    rows = (",".join(row.tolist()) + "\n" for row in _f_table(m.T))
-    atomic_write(path, itertools.chain((header,), rows))
+    atomic_write(path, itertools.chain((header,), _likelihood_rows(m)))
+
+
+def _likelihood_rows(m):
+    """The data rows of write_likelihood_csv, one text per cell. A square
+    matrix with one bit pattern on its diagonal and one off it (the ideal
+    and noisy likelihoods) formats its two values once and builds each row
+    from them; any other matrix formats each distinct value once, by
+    _f_table."""
+    n = m.shape[0]
+    bits = m.view(np.uint64)
+    if m.shape == (n, n) and n > 1:
+        on, off = bits[0, 0], bits[0, 1]
+        if (np.all(np.diagonal(bits) == on)
+                and np.count_nonzero(bits == off) == (n * n if on == off else n * n - n)):
+            diag, rest = _f(m[0, 0]), _f(m[0, 1])
+            before, after = rest + ",", "," + rest
+            return (before * i + diag + after * (n - 1 - i) + "\n" for i in range(n))
+    return (",".join(row.tolist()) + "\n" for row in _f_table(m.T))
 
 
 def read_likelihood_csv(path):

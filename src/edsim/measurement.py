@@ -10,11 +10,12 @@ identity is what the tests assert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 
+from .dynamics import load_linalg
 from .errors import BasisError, CellError, MonotonicityError
 from .seeding import stream_rng
 from .state import WaveFunction
@@ -29,6 +30,9 @@ class DiscreteDevice:
     basis: np.ndarray  # rows are the eigenvectors a_i
     eigenvalues: np.ndarray
     target_cells: np.ndarray
+    # the Fourier preset's n entries, basis[j, k] = phase_table[(j k) mod n];
+    # None for a basis with no such table
+    phase_table: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
@@ -45,12 +49,19 @@ def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
         # nan fails every "> ORTHO_TOL" comparison and would pass the checks
         raise BasisError("basis entries must be finite")
     dim = basis.shape[0]
-    # the Gram matrix B B^H is freed before B^H B is formed
-    deviation = _identity_deviation(basis @ basis.conj().T)
+    # zherk forms one triangle of a Gram matrix, at half the work of a general
+    # product, and leaves the other zero, so the deviation reads the same
+    # maximum. On B^T, a Fortran-ordered view of B, trans 2 gives
+    # conj(B B^H) and trans 0 conj(B^H B), with no copy of B; conjugation
+    # leaves every |entry| as it is.
+    zherk = load_linalg("_fblas").zherk
+    deviation = _identity_deviation(zherk(1.0, basis.T, trans=2))
     if deviation > ORTHO_TOL:
         raise BasisError(f"basis not orthonormal: max Gram deviation {deviation:.2e}")
-    comp = basis.conj().T @ basis  # sum_i |a_i><a_i|
-    if _identity_deviation(comp) > ORTHO_TOL:
+    # sum_i |a_i><a_i| = B^H B, which for a symmetric B is conj(B B^H): the
+    # completeness check is then the one above
+    if not np.array_equal(basis, basis.T) and (
+            _identity_deviation(zherk(1.0, basis.T, trans=0)) > ORTHO_TOL):
         raise BasisError("basis not complete")
     cells = np.asarray(target_cells, dtype=int)
     if cells.shape != (dim,):
@@ -69,7 +80,7 @@ def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
     if not np.all(np.isfinite(eigenvalues)):
         raise BasisError("eigenvalues must be finite")
     # the device unitary U = sum_i |x_i><a_i| in slot order is conj(B). Its
-    # unitarity and U a_i = e_i are the checks above: U^H U = conj(comp) and
+    # unitarity and U a_i = e_i are the checks above: U^H U = conj(B^H B) and
     # U B^T = conj(B B^H), and _identity_deviation reads only abs(m) and
     # abs(diag(m) - 1), which conjugation leaves bit for bit.
     return DiscreteDevice(dim, basis, eigenvalues, cells)
@@ -95,14 +106,15 @@ def fourier_device(dim: int) -> DiscreteDevice:
     distinct values at (jk mod n): the basis holds exactly n distinct
     entries, and no phase loses digits to a large jk. The n x n index
     matrix is the only temporary beside the basis, and it is freed before
-    build_device forms its products."""
+    build_device forms its product. The device keeps the table, from
+    which write_device formats the basis."""
     j = np.arange(dim)
     table = np.exp(2j * np.pi * j / dim) / np.sqrt(dim)
     jk = np.outer(j, j)
     np.remainder(jk, dim, out=jk)
     basis = table[jk]
     del jk
-    return build_device(basis, j, j.astype(complex))
+    return replace(build_device(basis, j, j.astype(complex)), phase_table=table)
 
 
 def observable_matrix(dev: DiscreteDevice) -> np.ndarray:

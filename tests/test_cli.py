@@ -27,7 +27,8 @@ from edsim import (
     fourier_device,
     noisy_likelihood,
 )
-from edsim.io import read_snapshots, write_device, write_likelihood_csv
+import edsim.io as iomod
+from edsim.io import device_file_bound, read_snapshots, write_device, write_likelihood_csv
 from edsim.trajectories import ENTROPIC_DIFFUSION, SAMPLER_MODES
 
 DEFAULTS = {
@@ -465,6 +466,11 @@ OVERFLOWING_KINETIC_SCALES = [
     ("amplify", {"amplify__n_trials": 4000000}),
     ("measure", {"device__n_trials": 100000000000000}),
     ("amplify", {"amplify__n_trials": 100000000000000}),
+    # more than MAX_STEPS steps: 1e298 of dt 1e-300, on either clock; a
+    # stride past every step keeps the trace at two snapshots
+    *((command, {"evolution__dt": "1e-300", "evolution__snapshot_stride": str(10**300)})
+      for command in ("evolve", "trajectories")),
+    ("trajectories", {"sampler__dt": "1e-300"}),
 ])
 def test_config_rule_exit_2(command, overrides, ini, tmp_path, capsys):
     cfg = ini(**overrides)
@@ -492,6 +498,33 @@ def test_sampler_clock_is_checked_before_evolving(ini, tmp_path, monkeypatch, ca
     assert run("trajectories", "--config", cfg, "--out", str(tmp_path / "o")) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "sampler dt" in err["message"]
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("evolve", {"evolution__dt": "1e-300", "evolution__snapshot_stride": str(10**300)}),
+    ("trajectories", {"evolution__dt": "1e-300", "evolution__snapshot_stride": str(10**300)}),
+    ("trajectories", {"sampler__dt": "1e-300"}),
+    # MAX_STEPS + 2 steps to t_final 0.01, each snapshot time a whole number of them
+    ("trajectories", {"sampler__dt": repr(0.01 / (config.MAX_STEPS + 2))}),
+])
+def test_step_cap_is_checked_before_evolving(command, overrides, ini, tmp_path, monkeypatch,
+                                              capsys):
+    """A clock of more than MAX_STEPS steps exits 2 before the initial
+    state is built or any step is taken."""
+    def evolve(*args, **kwargs):
+        raise AssertionError("evolve called")
+
+    monkeypatch.setattr(cli, "evolve", evolve)
+    monkeypatch.setattr(cli.RunConfig, "initial_state", None)  # never reached
+    assert run(command, "--config", ini(**overrides), "--out", str(tmp_path / "o")) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].endswith(f"steps exceeds the limit of {config.MAX_STEPS:g} steps")
+
+
+def test_step_cap_admits_max_steps(ini):
+    cfg = config.RunConfig.load(ini(sampler__dt=repr(0.01 / config.MAX_STEPS)))
+    assert cfg.sampler_dt(cfg.evolution_configs()[0]) == 0.01 / config.MAX_STEPS
 
 
 @pytest.mark.parametrize("mode", [32, -32])
@@ -905,6 +938,45 @@ def test_file_device_dimension_must_equal_grid_n(ini, tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError",
                        "message": "device dimension 64 must equal grid n 32"}
+
+
+def test_oversized_device_file_exits_2_before_it_is_parsed(ini, tmp_path, monkeypatch, capsys):
+    """A valid n = 8 device file padded with whitespace past the longest
+    file write_device can make for 8 cells exits 2, naming the file,
+    without json.load reading it; one byte less is parsed and runs."""
+    path = tmp_path / "device.json"
+    write_device(path, fourier_device(8))
+    text = path.read_text()
+    bound = device_file_bound(8)
+    assert len(text) < bound
+    cfg = ini(grid__n=8, device__preset="file", device__path=str(path))
+    path.write_text(" " * (bound - len(text)) + text)
+    assert run("measure", "--config", cfg, "--out", str(tmp_path / "fits")) == 0
+
+    def load(fh):
+        raise AssertionError("json.load called")
+
+    path.write_text(" " * (bound + 1 - len(text)) + text)
+    monkeypatch.setattr(iomod.json, "load", load)
+    for command in ("measure", "amplify"):
+        out = tmp_path / command
+        assert run(command, "--config", cfg, "--out", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError",
+                       "message": f"device file {path} is {bound + 1} bytes, more than a "
+                                  f"valid 8-cell device file ({bound} bytes)"}
+        assert listdir(out) == ["resolved.ini"]
+
+
+def test_smaller_device_file_of_another_dimension_exits_2(ini, tmp_path, capsys):
+    """A 16-cell device file fits under the 32-cell bound, so it is parsed,
+    and its dimension is refused after."""
+    path = tmp_path / "device.json"
+    write_device(path, fourier_device(16))
+    cfg = ini(grid__n=32, device__preset="file", device__path=str(path))
+    assert run("measure", "--config", cfg, "--out", str(tmp_path / "m")) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError", "message": "device dimension 16 must equal grid n 32"}
 
 
 def _edit_json(text, key, edit):

@@ -8,7 +8,8 @@ call, imports scipy.special, when it is called. The Crank-Nicolson step
 solves its banded system with zgttrf and zgttrs from scipy.linalg's
 compiled LAPACK module, which edsim.dynamics loads from its file: the
 scipy.linalg package init, with scipy's array-API layer and the numpy.f2py
-it loads, is not run, and scipy.sparse is not loaded either. The worker
+it loads, is not run, and scipy.sparse is not loaded either. build_device
+loads the compiled BLAS module for zherk the same way, on its first call. The worker
 that runs the second sampler mode of trajectories, or the Madelung engine
 of evolve, is a plain os.fork, so no process-pool machinery is loaded
 either. These are structural checks rather than timing ones, so they do
@@ -72,6 +73,12 @@ def test_cli_import_leaves_scipy_linalg_package_unloaded():
     assert loaded_by_cli_import(LINALG) == []
 
 
+def test_cli_import_leaves_compiled_blas_unloaded():
+    """build_device loads scipy.linalg's compiled BLAS module on its first
+    call, so start-up does not pay for it."""
+    assert loaded_by_cli_import(("scipy.linalg._fblas",)) == []
+
+
 def test_cli_import_leaves_process_pools_unloaded():
     assert loaded_by_cli_import(POOLS) == []
 
@@ -87,6 +94,17 @@ def test_evolve_and_measure_runs_leave_scipy_linalg_and_special_unloaded(tmp_pat
         assert fresh_python(code + loaded(("scipy.linalg", "scipy.special"))).split() == []
 
 
+def test_measure_loads_compiled_blas_without_the_linalg_package(tmp_path):
+    """A measure run, in a fresh interpreter, checks its device with zherk
+    from scipy.linalg._fblas and loads none of the LINALG modules."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG)
+    argv = ["measure", "--config", str(cfg), "--out", str(tmp_path / "measure")]
+    code = f"import edsim.cli; assert edsim.cli.main({argv!r}) == 0; "
+    assert fresh_python(code + loaded(LINALG + ("scipy.linalg._fblas",))).split() == [
+        "scipy.linalg._fblas"]
+
+
 def test_lapack_wrappers_are_scipy_linalg_lapack_objects():
     """The solver's zgttrf and zgttrs are the objects scipy.linalg.lapack
     exports, whether edsim or scipy.linalg is imported first."""
@@ -95,3 +113,12 @@ def test_lapack_wrappers_are_scipy_linalg_lapack_objects():
     for imports in ("import edsim.dynamics, scipy.linalg.lapack",
                     "import scipy.linalg.lapack, edsim.dynamics"):
         assert fresh_python(f"{imports}; {same}").split() == ["True", "True"]
+
+
+def test_blas_wrapper_is_the_scipy_linalg_blas_object():
+    """build_device's zherk is the object scipy.linalg.blas exports, whether
+    edsim or scipy.linalg is imported first."""
+    same = "print(load_linalg('_fblas').zherk is scipy.linalg.blas.zherk)"
+    for imports in ("from edsim.dynamics import load_linalg; import scipy.linalg.blas",
+                    "import scipy.linalg.blas; from edsim.dynamics import load_linalg"):
+        assert fresh_python(f"{imports}; {same}").split() == ["True"]

@@ -131,7 +131,7 @@ def test_device_round_trip(tmp_path):
     dev = fourier_device(6)
     path = tmp_path / "device.json"
     iomod.write_device(path, dev)
-    back = iomod.read_device(path)
+    back = iomod.read_device(path, 6)
     assert back.dim == 6
     assert_allclose(back.basis, dev.basis, atol=1e-16)
     assert_allclose(back.eigenvalues, dev.eigenvalues, atol=1e-16)
@@ -146,7 +146,20 @@ def test_read_device_revalidates(tmp_path):
     rec["basis"][0][0] = [3.0, 0.0]  # corrupt one amplitude
     path.write_text(json.dumps(rec))
     with pytest.raises(BasisError):
-        iomod.read_device(path)
+        iomod.read_device(path, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 100, 101])
+def test_device_file_bound_holds_the_longest_file(n):
+    """Every float at the longest json.dumps spelling, 24 characters, and
+    every target cell as wide as n - 1: the bound holds that file, with at
+    most 8 n + 64 bytes to spare."""
+    widest = -2.2250738585072014e-308
+    assert len(json.dumps(widest)) == 24
+    pairs = [[widest, widest]] * n
+    text = json.dumps({"dim": n, "basis": [pairs] * n, "target_cells": [n - 1] * n,
+                       "eigenvalues": pairs}) + "\n"
+    assert len(text) <= iomod.device_file_bound(n) <= len(text) + 8 * n + 64
 
 
 def test_likelihood_round_trip(tmp_path):
@@ -190,7 +203,7 @@ def edge_devices(draw):
 def test_device_round_trips_every_bit(tmp_path, dev):
     path = tmp_path / "device.json"
     iomod.write_device(path, dev)
-    back = iomod.read_device(path)
+    back = iomod.read_device(path, dev.dim)
     assert back.basis.tobytes() == dev.basis.tobytes()
     assert back.eigenvalues.tobytes() == dev.eigenvalues.tobytes()
     assert np.array_equal(back.target_cells, dev.target_cells)

@@ -362,6 +362,44 @@ def test_build_device_matches_four_product_checks(dim, seed, perturbation, shape
         assert str(err.value) == want
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    perturbation=st.sampled_from([0.0, 1e-12, 3e-11, 1e-9, 1e-3]),
+    symmetric=st.booleans(),
+)
+def test_build_device_matches_four_product_checks_on_symmetric_bases(dim, seed, perturbation,
+                                                                     symmetric):
+    """Q D Q^T, with Q real orthogonal and D unit-modulus diagonal, is a
+    symmetric unitary: build_device forms one product for it, and the
+    verdicts are still the four products'. A perturbation that breaks the
+    symmetry sends the basis through both products."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    u = (q * np.exp(2j * np.pi * rng.random(dim))) @ q.T
+    u = (u + u.T) / 2  # symmetric bit for bit
+    e = perturbation * (rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape))
+    basis = u + ((e + e.T) / 2 if symmetric else e)
+    assert np.array_equal(basis, basis.T) == (symmetric or perturbation == 0.0 or dim == 1)
+    want = four_product_verdict(basis)
+    if want is None:
+        dev = build_device(basis, np.arange(dim))
+        assert np.array_equal(dev.basis.view(np.uint64), basis.view(np.uint64))
+    else:
+        with pytest.raises(BasisError) as err:
+            build_device(basis, np.arange(dim))
+        assert str(err.value) == want
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 255, 512])
+@pytest.mark.parametrize("preset", [fourier_device, identity_device])
+def test_presets_pass_the_four_product_checks(preset, n):
+    """The presets are symmetric, so build_device checks them with one
+    product; the four products pass them as well."""
+    assert four_product_verdict(preset(n).basis) is None
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_build_device_rejects_non_finite(value):
     basis = np.eye(4, dtype=complex)

@@ -4,6 +4,7 @@ Each reference below is the straightforward encoding the file format is
 defined by; the writers must produce exactly the same bytes.
 """
 
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -98,10 +99,39 @@ def hand_likelihood():
     ]))
 
 
-LIKELIHOODS = {
+def negative_zero_likelihood():
+    """Two-valued: 1.0 on the diagonal and -0.0 off it."""
+    m = np.full((6, 6), -0.0)
+    np.fill_diagonal(m, 1.0)
+    return LikelihoodModel(m)
+
+
+def broken_noisy_likelihood(where):
+    """noisy_likelihood(8, 0.1) with one entry off its two-valued pattern:
+    a diagonal entry swapped with an off-diagonal one in its column, or
+    two off-diagonal entries of a column moved apart."""
+    m = noisy_likelihood(8, 0.1).matrix.copy()
+    if where == "diagonal":
+        m[[0, 3], 3] = m[[3, 0], 3]
+    else:
+        m[1, 0] += 1e-3
+        m[2, 0] -= 1e-3
+    return LikelihoodModel(m)
+
+
+# the first five have one bit pattern on the diagonal and one off it
+TWO_VALUED = {
     "ideal": lambda: ideal_likelihood(32),
     "noisy": lambda: noisy_likelihood(32, 0.1),
+    "noisy_eps0": lambda: noisy_likelihood(32, 0.0),
+    "noisy_eps0.6": lambda: noisy_likelihood(9, 0.6),
+    "negative_zero": negative_zero_likelihood,
+}
+LIKELIHOODS = {
+    **TWO_VALUED,
     "hand": hand_likelihood,
+    "broken_diagonal": lambda: broken_noisy_likelihood("diagonal"),
+    "broken_off_diagonal": lambda: broken_noisy_likelihood("off_diagonal"),
 }
 
 
@@ -113,6 +143,18 @@ def test_likelihood_csv_matches_reference(name, tmp_path):
     assert path.read_text() == ref_likelihood(like)
     back = iomod.read_likelihood_csv(path)
     assert np.array_equal(back.matrix.view(np.uint64), like.matrix.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", sorted(LIKELIHOODS))
+def test_likelihood_csv_formats_two_values_once(name, tmp_path, monkeypatch):
+    """A two-valued likelihood is written from its two texts, with no
+    _f_table over the matrix; any other one goes through _f_table."""
+    tables = []
+    f_table = iomod._f_table
+    monkeypatch.setattr(iomod, "_f_table", lambda a: tables.append(a) or f_table(a))
+    like = LIKELIHOODS[name]()
+    iomod.write_likelihood_csv(tmp_path / "like.csv", like)
+    assert len(tables) == (0 if name in TWO_VALUED else 1)
 
 
 def test_likelihood_csv_keeps_negative_zero(tmp_path):
@@ -222,7 +264,7 @@ def random_unitary_device(dim=12, seed=5):
 def check_device_file(dev, path):
     iomod.write_device(path, dev)
     assert path.read_text() == ref_device(dev)
-    back = iomod.read_device(path)
+    back = iomod.read_device(path, dev.dim)
     assert np.array_equal(back.basis, dev.basis)
     assert np.array_equal(back.eigenvalues, dev.eigenvalues)
     assert np.array_equal(back.target_cells, dev.target_cells)
@@ -244,6 +286,17 @@ DEVICES = {
 @pytest.mark.parametrize("name", sorted(DEVICES))
 def test_more_devices_match_reference_and_round_trip(name, tmp_path):
     check_device_file(DEVICES[name](), tmp_path / "device.json")
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 512])
+def test_fourier_device_text_from_its_phase_table(n, tmp_path):
+    """The Fourier preset's rows, written from its n-entry phase table, are
+    the bytes of the distinct-pair path on the same basis with no table."""
+    dev = fourier_device(n)
+    assert len(dev.phase_table) == n
+    iomod.write_device(tmp_path / "table.json", dev)
+    iomod.write_device(tmp_path / "pairs.json", dataclasses.replace(dev, phase_table=None))
+    assert (tmp_path / "table.json").read_bytes() == (tmp_path / "pairs.json").read_bytes()
 
 
 def test_hand_device_keeps_special_values(tmp_path):
