@@ -12,8 +12,9 @@ base goes first in even pairs and this checkout in odd ones, so a slow
 spell of the host falls on both sides alike. For each end-to-end metric
 of this checkout's BENCHMARK.json it prints the median and quartiles on
 each side, how many pairs the change won (a tie counts for neither side),
-and whether the change's median is worse than the base's by more than the
-metric's bound, read as a fraction of the base median. A run that fails
+the signed relative change of the median, (change - base) / |base|, as a
+percent, and whether the change's median is worse than the base's by more
+than the metric's bound, read as a fraction of the base median. A run that fails
 stops the script with exit 1; otherwise it exits 0, whatever the numbers.
 """
 
@@ -44,9 +45,10 @@ def run_once(checkout, workload, seed, seconds):
 def summarize(metrics, base, here):
     """One dict per metric of metrics (BENCHMARK.json's end_to_end entries)
     from base and here, lists of {metric: value} in pair order: the median
-    and quartiles of each side, the pairs the change won, and whether the
-    change's median is worse than the base's by more than bound x |base
-    median|."""
+    and quartiles of each side, the pairs the change won, the relative
+    change of the median, (change - base) / |base| (nan for a base median
+    of 0), and whether the change's median is worse than the base's by
+    more than bound x |base median|."""
     rows = []
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -61,6 +63,7 @@ def summarize(metrics, base, here):
             "base": (float(b_med), float(b_q1), float(b_q3)),
             "here": (float(h_med), float(h_q1), float(h_q3)),
             "won": won,
+            "median_change": float((h_med - b_med) / abs(b_med)) if b_med else float("nan"),
             "beyond_bound": bool(worse > m["bound"] * abs(b_med)),
         })
     return rows
@@ -73,7 +76,8 @@ def report(rows):
         (bm, b1, b3), (hm, h1, h3) = r["base"], r["here"]
         lines.append(
             f"{r['name']} ({r['unit']}): base {bm:.4g} [{b1:.4g}, {b3:.4g}], "
-            f"change {hm:.4g} [{h1:.4g}, {h3:.4g}]; change won {r['won']}/{r['pairs']}; "
+            f"change {hm:.4g} [{h1:.4g}, {h3:.4g}]; change won {r['won']}/{r['pairs']}, "
+            f"median {r['median_change']:+.1%}; "
             f"{'WORSE than' if r['beyond_bound'] else 'within'} the {r['bound']:g} bound")
     return "\n".join(lines)
 

@@ -29,9 +29,15 @@ from .trajectories import SAMPLER_MODES
 # bytes each, 256 MiB at n = 4096) and the product's magnitudes (8 n^2);
 # measure at n = 2048 peaks at about 210 MB of RSS, amplify likewise
 MAX_DEVICE_DIM = 4096
+# a likelihood file holds at most this many pointer readings (columns);
+# io.likelihood_file_bound turns it into a size that read_likelihood_csv
+# checks before it parses, since the parse holds a Python float per value
+MAX_POINTERS = 4096
 # [sampler] n_particles stays below this: trajectories holds one ensemble at
 # a time and peaks at about 80 bytes a particle per sampler mode, 0.32 GB
-# at 4e6; the CSV text is formatted in blocks of io.ENSEMBLE_BLOCK particles
+# at 4e6; the CSV writer spells io.ENSEMBLE_BLOCK particles at a time and
+# holds about 220 traced bytes a particle of one block (1.7 MB), whatever
+# the particle count
 MAX_PARTICLES = 4 * 10**6
 # [device] and [amplify] n_trials stay below this: measure peaks at about
 # 115 bytes a trial and amplify at about 62, so 0.46 GB and 0.25 GB at 4e6
@@ -306,7 +312,7 @@ class RunConfig:
         if kind == "noisy":
             return noisy_likelihood(dev.dim, self["amplify", "epsilon"])
         from .io import read_likelihood_csv
-        like = read_likelihood_csv(self["amplify", "path"])
+        like = read_likelihood_csv(self["amplify", "path"], dev.dim)
         if like.n_cells != dev.dim:
             raise ConfigError(
                 f"likelihood has {like.n_cells} cells but device has {dev.dim}")

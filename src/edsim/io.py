@@ -4,6 +4,15 @@ All floats are serialized with 17 significant digits, enough to round-trip
 binary64 exactly, and every writer goes through a temp-file rename so
 readers never see partial output. No writer embeds timestamps or absolute
 paths: identical inputs give byte-identical files.
+
+Files are written in binary mode: writers yield bytes chunks, and
+atomic_write encodes any str chunk as UTF-8. The "%.17g" writers (snapshots,
+diagnostics, ensemble, outcomes, likelihood and compare files) spell whole
+arrays of floats at once with floattext, whose bytes are those of
+b"%.17g" % v for every float64, computed with numpy integer arithmetic for
+1e-11 < |v| < 1e17 and by Python's own "%.17g" for zeros, infinities, NaN
+and the magnitudes outside that range. They build a block of up to
+ENSEMBLE_BLOCK lines at a time.
 """
 
 import glob
@@ -14,6 +23,7 @@ import tempfile
 
 import numpy as np
 
+from . import config, floattext
 from .errors import ConfigError
 from .measurement import DiscreteDevice, build_device
 
@@ -22,35 +32,33 @@ def _f(v) -> str:
     return format(float(v), ".17g")
 
 
-def _f_table(a) -> np.ndarray:
-    """_f of every entry of a float array, as an object array of the same
-    shape. Each distinct value is formatted once; values are keyed on their
-    bit pattern, so -0.0 keeps its sign."""
-    a = np.ascontiguousarray(a, dtype=float)
-    bits, inv = _distinct(a.ravel().view(np.uint64))
-    text = np.array([_f(v) for v in bits.view(float)], dtype=object)
-    return text[inv.reshape(a.shape)]
-
-
 def _umask() -> int:
     mask = os.umask(0o022)
     os.umask(mask)
     return mask
 
 
+# bytes buffered before a write: the experiment log's trials are three
+# pieces each, the largest a 12 KB posterior row, and 8 KB buffers wrote
+# most of them with a system call of their own
+_WRITE_BUFFER = 1 << 16
+
+
 def atomic_write(path, text):
-    """Write text, a str or an iterable of str chunks, to path via a temp
-    file, path + ".<random>.tmp", and a rename. The file gets the mode a
-    plain open() would give it: 0o666 less the umask."""
-    if isinstance(text, str):
+    """Write text, a str, bytes or an iterable of str or bytes chunks, to
+    path via a temp file, path + ".<random>.tmp", and a rename. The file is
+    written in binary mode and each str chunk is encoded as UTF-8. It gets
+    the mode a plain open() would give it: 0o666 less the umask."""
+    if isinstance(text, (str, bytes)):
         text = (text,)
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb", buffering=_WRITE_BUFFER) as fh:
             os.fchmod(fh.fileno(), 0o666 & ~_umask())
-            fh.writelines(text)
+            for chunk in text:
+                fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -65,23 +73,40 @@ def remove_temps(path):
         os.unlink(tmp)
 
 
+# particles per spelled block of write_ensemble_csv, and trials per block of
+# write_outcomes_csv: the ensemble writer holds about 220 traced bytes a
+# particle of one block, not of a whole snapshot. The writers of float
+# matrices spell about a quarter as many values a block (_lines_per_block).
+ENSEMBLE_BLOCK = 8192
+
+
+def _lines_per_block(values_per_line) -> int:
+    """Lines of values_per_line floats per block: about ENSEMBLE_BLOCK / 4
+    values, and at least one line."""
+    return max(1, ENSEMBLE_BLOCK // (4 * values_per_line))
+
+
+def _csv_rows(m):
+    """The rows of the 2-d float array m as CSV lines of "%.17g" values, in
+    blocks of _lines_per_block lines, as a generator."""
+    per = _lines_per_block(m.shape[1])
+    for start in range(0, len(m), per):
+        yield floattext.text(floattext.joined(m[start:start + per], b","), b"\n")
+
+
 def write_snapshots(path, grid, ts, rhos, phis):
     """NDJSON, one record per snapshot: t, x, rho, phi, from the arrays of
     EvolutionTrace.field_arrays() on grid. The cell centres are the same in
-    every record and are formatted once. Each array fills a
-    "%.17g, %.17g, ..." template with a single % ("%.17g" of a float is
-    exactly _f)."""
-    x = _f_join(grid.cells)
+    every record and are spelled once; the records are spelled in blocks
+    of _lines_per_block lines."""
+    ts, rhos, phis = (np.asarray(a, dtype=float) for a in (ts, rhos, phis))
+    x_field = b', "x": [%s], "rho": [' % floattext.text(floattext.joined(grid.cells[None], b", "))
+    per = _lines_per_block(2 * len(grid.cells))
     atomic_write(path, (
-        '{"t": %s, "x": [%s], "rho": [%s], "phi": [%s]}\n'
-        % (_f(t), x, _f_join(rho), _f_join(phi))
-        for t, rho, phi in zip(ts, rhos, phis)))
-
-
-def _f_join(a) -> str:
-    """", ".join(_f(v) for v in a), by one % on a template."""
-    values = np.asarray(a, dtype=float).tolist()
-    return ", ".join(["%.17g"] * len(values)) % tuple(values)
+        floattext.text(b'{"t": ', ts[start:start + per], x_field,
+                       floattext.joined(rhos[start:start + per], b", "), b'], "phi": [',
+                       floattext.joined(phis[start:start + per], b", "), b"]}\n")
+        for start in range(0, len(ts), per)))
 
 
 def read_snapshots(path):
@@ -105,41 +130,29 @@ def read_snapshots(path):
 
 
 def write_diagnostics(path, rows):
-    lines = ["t,norm,energy,renorm_correction"]
-    for r in rows:
-        lines.append(",".join((_f(r.t), _f(r.norm), _f(r.energy), _f(r.renorm_correction))))
-    atomic_write(path, "\n".join(lines) + "\n")
-
-
-# particles per formatted block of write_ensemble_csv: the writer holds
-# about 190 B a particle of one block, not of a whole snapshot
-ENSEMBLE_BLOCK = 8192
+    m = np.array([(r.t, r.norm, r.energy, r.renorm_correction) for r in rows],
+                 dtype=float).reshape(-1, 4)
+    atomic_write(path, itertools.chain((b"t,norm,energy,renorm_correction\n",), _csv_rows(m)))
 
 
 def write_ensemble_csv(path, snapshots):
     """CSV particle_id,t,x: one row per particle per snapshot, from an
     iterable of (t, positions) pairs, read one pair at a time as its rows
     are written. A snapshot is written in blocks of ENSEMBLE_BLOCK
-    particles. Each block is one line template, the "%d," id prefixes
-    joined by "<t>,%.17g\n", filled by a single % operation; "%.17g" of a
-    float is exactly _f. The first block's id prefixes are kept across
+    particles, each one line matrix of id, the snapshot's t and x, made
+    bytes by one mask. The id digits of the first block are kept across
     snapshots."""
 
     def chunks():
-        yield "particle_id,t,x\n"
-        first_ids = []
+        yield b"particle_id,t,x\n"
+        first = floattext.cells(range(ENSEMBLE_BLOCK))
         for t, xs in snapshots:
             xs = np.asarray(xs, dtype=float)
-            tail = _f(t) + ",%.17g\n"
+            t_text = b",%.17g," % t
             for start in range(0, len(xs), ENSEMBLE_BLOCK):
-                block = xs[start:start + ENSEMBLE_BLOCK].tolist()
-                if start:
-                    ids = ["%d," % i for i in range(start, start + len(block))]
-                elif len(first_ids) >= len(block):
-                    ids = first_ids[:len(block)]
-                else:
-                    ids = first_ids = ["%d," % i for i in range(len(block))]
-                yield (tail.join(ids) + tail) % tuple(block)
+                block = xs[start:start + ENSEMBLE_BLOCK]
+                ids = range(start, start + len(block)) if start else first[:len(block)]
+                yield floattext.text(ids, t_text, block, b"\n")
 
     atomic_write(path, chunks())
 
@@ -150,14 +163,20 @@ def write_test_record(path, record: dict):
 
 def write_outcomes_csv(path, trials, dev: DiscreteDevice):
     """CSV trial,index,eigenvalue_re,eigenvalue_im,cell: one row per trial.
-    Each outcome index's "index,eigenvalue_re,eigenvalue_im,cell" text is
-    formatted once, and a trial's row is its number and that text."""
-    text = ["%d,%s,%s,%d" % (i, _f(lam.real), _f(lam.imag), cell)
-            for i, (lam, cell) in enumerate(zip(dev.eigenvalues.tolist(),
-                                                dev.target_cells.tolist()))]
-    lines = ["trial,index,eigenvalue_re,eigenvalue_im,cell"]
-    lines.extend("%d,%s" % (k, text[i]) for k, i in enumerate(np.asarray(trials).tolist()))
-    atomic_write(path, "\n".join(lines) + "\n")
+    Each outcome index's "index,eigenvalue_re,eigenvalue_im,cell" line is
+    spelled once, and a trial's row is its number and that line."""
+    lam = dev.eigenvalues
+    lines = floattext.cells(np.arange(dev.dim), b",", lam.real, b",", lam.imag, b",",
+                            dev.target_cells, b"\n")
+    trials = np.asarray(trials)
+
+    def chunks():
+        yield b"trial,index,eigenvalue_re,eigenvalue_im,cell\n"
+        for start in range(0, len(trials), ENSEMBLE_BLOCK):
+            index = trials[start:start + ENSEMBLE_BLOCK]
+            yield floattext.text(range(start, start + len(index)), b",", lines[index])
+
+    atomic_write(path, chunks())
 
 
 def write_device(path, dev: DiscreteDevice):
@@ -227,15 +246,11 @@ def _distinct(a):
     return values, inverse
 
 
-# the longest json.dumps spelling of a float64, as in "-1.2345678901234567e-308"
-_FLOAT_CHARS = 24
-
-
 def device_file_bound(n) -> int:
     """The most bytes write_device writes for an n-cell device: each of the
-    n^2 + n [re, im] pairs at 2 _FLOAT_CHARS + 6 with its brackets and
+    n^2 + n [re, im] pairs at 2 floattext.FLOAT_CHARS + 6 with its brackets and
     separator, each target cell at the width of n, and the keys."""
-    return (n * n + n) * (2 * _FLOAT_CHARS + 6) + n * (len(str(n)) + 6) + 64
+    return (n * n + n) * (2 * floattext.FLOAT_CHARS + 6) + n * (len(str(n)) + 6) + 64
 
 
 def read_device(path, dim) -> DiscreteDevice:
@@ -287,30 +302,46 @@ def write_likelihood_csv(path, like):
 
 
 def _likelihood_rows(m):
-    """The data rows of write_likelihood_csv, one text per cell. A square
-    matrix with one bit pattern on its diagonal and one off it (the ideal
-    and noisy likelihoods) formats its two values once and builds each row
-    from them; any other matrix formats each distinct value once, by
-    _f_table."""
+    """The data rows of write_likelihood_csv, one chunk per row or block of
+    rows. A square matrix with one bit pattern on its diagonal and one off
+    it (the ideal and noisy likelihoods) spells its two values once and
+    builds each row from them; any other matrix is spelled in blocks of
+    about ENSEMBLE_BLOCK values."""
     n = m.shape[0]
     bits = m.view(np.uint64)
     if m.shape == (n, n) and n > 1:
         on, off = bits[0, 0], bits[0, 1]
         if (np.all(np.diagonal(bits) == on)
                 and np.count_nonzero(bits == off) == (n * n if on == off else n * n - n)):
-            diag, rest = _f(m[0, 0]), _f(m[0, 1])
-            before, after = rest + ",", "," + rest
-            return (before * i + diag + after * (n - 1 - i) + "\n" for i in range(n))
-    return (",".join(row.tolist()) + "\n" for row in _f_table(m.T))
+            diag, rest = b"%.17g" % m[0, 0], b"%.17g" % m[0, 1]
+            before, after = rest + b",", b"," + rest
+            return (before * i + diag + after * (n - 1 - i) + b"\n" for i in range(n))
+    return _csv_rows(m.T)
 
 
-def read_likelihood_csv(path):
-    """Inverse of write_likelihood_csv. The header must be the labels
-    write_likelihood_csv writes for the data rows' column count, and at
-    least one data row must follow it; a file that does not fit raises
-    ConfigError naming it."""
+def likelihood_file_bound(n) -> int:
+    """The most bytes write_likelihood_csv writes for a likelihood over n
+    cells with at most config.MAX_POINTERS pointer readings: each header
+    label at the width of the largest, and each of the n rows' values at
+    floattext.FLOAT_CHARS with its separator."""
+    p = config.MAX_POINTERS
+    return p * (len("alpha_,") + len(str(p - 1))) + n * p * (floattext.FLOAT_CHARS + 1)
+
+
+def read_likelihood_csv(path, n_cells):
+    """Inverse of write_likelihood_csv, for a likelihood meant for n_cells
+    cells. The header must be the labels write_likelihood_csv writes for
+    the data rows' column count, and at least one data row must follow it;
+    a file that does not fit raises ConfigError naming it. A file longer
+    than likelihood_file_bound(n_cells) is refused before it is parsed, and
+    one of more than config.MAX_POINTERS readings after. The caller checks
+    the cell count of what it reads."""
     from .amplification import LikelihoodModel
 
+    size, bound = os.path.getsize(path), likelihood_file_bound(n_cells)
+    if size > bound:
+        raise ConfigError(f"likelihood file {path} is {size} bytes, more than a valid "
+                          f"likelihood file over {n_cells} cells ({bound} bytes)")
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -324,6 +355,9 @@ def read_likelihood_csv(path):
             raise ValueError(f"the header must be alpha_0..alpha_{k - 1} for {k} columns")
     except ValueError as e:
         raise ConfigError(f"malformed likelihood file {path}: {e}") from None
+    if k > config.MAX_POINTERS:
+        raise ConfigError(f"likelihood file {path} has {k} pointer readings, more than "
+                          f"the limit of {config.MAX_POINTERS}")
     return LikelihoodModel(rows.T)
 
 
@@ -331,23 +365,22 @@ def write_experiment_log(path, log):
     """NDJSON, one record per trial with its keys sorted. The bytes are
     those of json.dumps of each trial's record: each distinct posterior
     float is formatted once, by _json_floats, each distinct posterior row is
-    joined once from that table and spliced into every trial that shares
-    it, and the lines are streamed to disk."""
+    joined and encoded once from that table, and each trial is streamed as
+    three pieces: the keys before the posterior, its row, and the keys
+    after."""
     floats, idx = _json_floats(log.rows)
     floats = np.array(floats, dtype=object)
-    posts = ["[%s]" % ", ".join(floats[row].tolist())
+    posts = [("[%s]" % ", ".join(floats[row].tolist())).encode()
              for row in idx.reshape(np.shape(log.rows))]
     del floats, idx
     trials = zip(log.map_i.tolist(), log.observed_r.tolist(),
                  log.row_of.tolist(), log.true_i.tolist())
-    atomic_write(path, (
-        '{"map_i": %d, "observed_r": %d, "posterior": %s, "trial": %d, "true_i": %d}\n'
-        % (map_i, r, posts[j], k, true_i)
+    atomic_write(path, itertools.chain.from_iterable(
+        (b'{"map_i": %d, "observed_r": %d, "posterior": ' % (map_i, r), posts[j],
+         b', "trial": %d, "true_i": %d}\n' % (k, true_i))
         for k, (map_i, r, j, true_i) in enumerate(trials)))
 
 
 def write_compare_csv(path, times, l1s):
-    lines = ["t,l1"]
-    for t, v in zip(times, l1s):
-        lines.append("%s,%s" % (_f(t), _f(v)))
-    atomic_write(path, "\n".join(lines) + "\n")
+    m = np.column_stack([np.asarray(times, dtype=float), np.asarray(l1s, dtype=float)])
+    atomic_write(path, itertools.chain((b"t,l1\n",), _csv_rows(m)))

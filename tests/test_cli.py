@@ -28,7 +28,13 @@ from edsim import (
     noisy_likelihood,
 )
 import edsim.io as iomod
-from edsim.io import device_file_bound, read_snapshots, write_device, write_likelihood_csv
+from edsim.io import (
+    device_file_bound,
+    likelihood_file_bound,
+    read_snapshots,
+    write_device,
+    write_likelihood_csv,
+)
 from edsim.trajectories import ENTROPIC_DIFFUSION, SAMPLER_MODES
 
 DEFAULTS = {
@@ -966,6 +972,39 @@ def test_oversized_device_file_exits_2_before_it_is_parsed(ini, tmp_path, monkey
                        "message": f"device file {path} is {bound + 1} bytes, more than a "
                                   f"valid 8-cell device file ({bound} bytes)"}
         assert listdir(out) == ["resolved.ini"]
+
+
+@pytest.mark.parametrize("pointers, message", [
+    # 64 pointer readings over the 64 cells; the bound is for 64 readings
+    (64, "likelihood file {path} is {size} bytes, more than a valid likelihood "
+         "file over 64 cells ({bound} bytes)"),
+    # the same file under a cap of 63 readings fits the size bound of 63
+    # readings and is refused for its 64 readings once parsed
+    (63, "likelihood file {path} has 64 pointer readings, more than the limit of 63"),
+])
+def test_likelihood_file_over_its_caps_exits_2(pointers, message, ini, tmp_path, monkeypatch,
+                                              capsys):
+    """A likelihood file is refused with exit 2 when it is longer than
+    likelihood_file_bound(n) for the device's n cells, before it is parsed,
+    or when it has more than MAX_POINTERS readings. Padded with blank lines
+    (which the reader skips) to exactly the bound, it runs."""
+    monkeypatch.setattr(config, "MAX_POINTERS", 64)
+    path = tmp_path / "likelihood.csv"
+    write_likelihood_csv(path, noisy_likelihood(64, 0.1))
+    text = path.read_text()
+    bound = likelihood_file_bound(64)
+    cfg = ini(amplify__likelihood="file", amplify__path=str(path))
+    path.write_text(text + "\n" * (bound - len(text)))
+    assert run("amplify", "--config", cfg, "--out", str(tmp_path / "fits")) == 0
+    size = bound + 1 if pointers == 64 else len(text)
+    path.write_text(text + "\n" * (size - len(text)))
+    monkeypatch.setattr(config, "MAX_POINTERS", pointers)
+    bound = likelihood_file_bound(64)
+    out = tmp_path / "o"
+    assert run("amplify", "--config", cfg, "--out", str(out)) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError", "message": message.format(path=path, size=size, bound=bound)}
+    assert listdir(out) == ["resolved.ini"]
 
 
 def test_smaller_device_file_of_another_dimension_exits_2(ini, tmp_path, capsys):

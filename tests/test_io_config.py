@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import edsim.io as iomod
+from edsim import config
 from edsim.config import _SCHEMA, Num
 from edsim import (
     BasisError,
@@ -162,11 +163,26 @@ def test_device_file_bound_holds_the_longest_file(n):
     assert len(text) <= iomod.device_file_bound(n) <= len(text) + 8 * n + 64
 
 
+@pytest.mark.parametrize("n, pointers", [(1, 1), (3, 10), (9, 11), (64, 100), (5, 1001)])
+def test_likelihood_file_bound_holds_the_longest_file(n, pointers, monkeypatch):
+    """Every value at the longest "%.17g" spelling, 24 characters, in each
+    of n rows of MAX_POINTERS readings: the bound holds that file. It
+    reads every label at the width of the last one, so it spares at most
+    that width per label."""
+    monkeypatch.setattr(config, "MAX_POINTERS", pointers)
+    widest = b"%.17g" % -2.2250738585072014e-308
+    assert len(widest) == 24
+    header = ",".join("alpha_%d" % r for r in range(pointers)) + "\n"
+    text = header.encode() + (b",".join([widest] * pointers) + b"\n") * n
+    spare = pointers * len(str(pointers - 1))
+    assert len(text) <= iomod.likelihood_file_bound(n) <= len(text) + spare
+
+
 def test_likelihood_round_trip(tmp_path):
     like = noisy_likelihood(5, 0.25)
     path = tmp_path / "like.csv"
     iomod.write_likelihood_csv(path, like)
-    back = iomod.read_likelihood_csv(path)
+    back = iomod.read_likelihood_csv(path, like.n_cells)
     assert_allclose(back.matrix, like.matrix, atol=1e-16)
 
 
@@ -230,7 +246,7 @@ def edge_likelihoods(draw):
 def test_likelihood_round_trips_every_bit(tmp_path, like):
     path = tmp_path / "like.csv"
     iomod.write_likelihood_csv(path, like)
-    assert iomod.read_likelihood_csv(path).matrix.tobytes() == like.matrix.tobytes()
+    assert iomod.read_likelihood_csv(path, like.n_cells).matrix.tobytes() == like.matrix.tobytes()
 
 
 MINIMAL = """

@@ -6,15 +6,18 @@ defined by; the writers must produce exactly the same bytes.
 
 import dataclasses
 import json
+import math
 import os
 import tracemalloc
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import edsim.floattext as floattext
 import edsim.io as iomod
 from edsim import (
     EvolutionConfig,
@@ -141,20 +144,21 @@ def test_likelihood_csv_matches_reference(name, tmp_path):
     path = tmp_path / "like.csv"
     iomod.write_likelihood_csv(path, like)
     assert path.read_text() == ref_likelihood(like)
-    back = iomod.read_likelihood_csv(path)
+    back = iomod.read_likelihood_csv(path, like.n_cells)
     assert np.array_equal(back.matrix.view(np.uint64), like.matrix.view(np.uint64))
 
 
 @pytest.mark.parametrize("name", sorted(LIKELIHOODS))
 def test_likelihood_csv_formats_two_values_once(name, tmp_path, monkeypatch):
-    """A two-valued likelihood is written from its two texts, with no
-    _f_table over the matrix; any other one goes through _f_table."""
-    tables = []
-    f_table = iomod._f_table
-    monkeypatch.setattr(iomod, "_f_table", lambda a: tables.append(a) or f_table(a))
+    """A two-valued likelihood is written from its two texts, with no array
+    of the matrix's floats encoded; any other one encodes each entry once."""
+    lengths = []
+    put_floats = floattext.put_floats
+    monkeypatch.setattr(floattext, "put_floats",
+                        lambda a, chars: lengths.append(len(a)) or put_floats(a, chars))
     like = LIKELIHOODS[name]()
     iomod.write_likelihood_csv(tmp_path / "like.csv", like)
-    assert len(tables) == (0 if name in TWO_VALUED else 1)
+    assert sum(lengths) == (0 if name in TWO_VALUED else like.matrix.size)
 
 
 def test_likelihood_csv_keeps_negative_zero(tmp_path):
@@ -440,3 +444,105 @@ def test_snapshots_match_reference(make, tmp_path):
     path = tmp_path / "trace.ndjson"
     iomod.write_snapshots(path, *fields)
     assert path.read_text() == ref_snapshots(*fields)
+
+
+def encoded(values):
+    """floattext's "%.17g" text of each float of values, as a list of bytes."""
+    return floattext.text(np.asarray(values, dtype=float), b"\n").split(b"\n")[:-1]
+
+
+def spelled(values):
+    """b"%.17g" % v of each float of values, by Python itself."""
+    return [b"%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(), max_size=64))
+def test_floattext_matches_python_on_drawn_floats(values):
+    """Any float, nan and +-inf included, spells as b"%.17g" % v does."""
+    assert encoded(values) == spelled(values)
+
+
+# -0.0, the subnormals' ends, the normals' ends, +-inf, and nans with and
+# without the sign bit and with payloads
+EDGE_BITS = [0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x0010000000000000,
+             0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+             0xFFF8000000000000, 0xFFF8000000000001, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(EDGE_BITS)), max_size=64))
+def test_floattext_matches_python_on_drawn_bit_patterns(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(float)
+    assert encoded(values) == spelled(values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**63))
+def test_floattext_matches_python_on_40000_random_bit_patterns(seed):
+    """25 examples of 40,000 floats, 1e6 in all: uniform bit patterns, which
+    hold every exponent, sign, subnormals and nans, and three times as
+    many patterns whose exponent lies in the integer path's range."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, 40000, dtype=np.uint64)
+    # biased exponents 986..1080: 2^-37 < |v| < 2^58, about 7e-12 to 3e17
+    exponents = rng.integers(986, 1081, 30000, dtype=np.uint64)
+    bits[10000:] = (bits[10000:] & np.uint64(0x800FFFFFFFFFFFFF)) | (exponents << np.uint64(52))
+    values = bits.view(float)
+    assert encoded(values) == spelled(values)
+
+
+@pytest.mark.parametrize("k", range(-12, 18))
+def test_floattext_matches_python_within_3_ulps_of_powers_of_ten(k):
+    """log10 rounds across a power of ten, and the digits carry to 10^17,
+    only within a few ulps of 10^k: both signs, 3 ulps each way."""
+    near = [10.0**k]
+    for _ in range(3):
+        near = [np.nextafter(near[0], -np.inf), *near, np.nextafter(near[-1], np.inf)]
+    values = np.array(near + [-v for v in near])
+    assert encoded(values) == spelled(values)
+
+
+@st.composite
+def exact_ties(draw):
+    """(x, s): x = odd / 2^(s+1) with 10^k <= x < 10^(k+1) and s = 16 - k,
+    so that x 10^s lies exactly half-way between two integers, as
+    (1e15 + 0.25) 10 does. Below k = -8 no such float exists."""
+    k = draw(st.integers(-8, 15))
+    s = 16 - k
+    lo = math.ceil(Fraction(10)**k * 2**(s + 1))
+    hi = min(math.ceil(Fraction(10)**(k + 1) * 2**(s + 1)), 2**53)
+    odd = draw(st.integers(lo // 2, (hi - 2) // 2)) * 2 + 1
+    assume(lo <= odd < hi)
+    return math.ldexp(odd, -(s + 1)), s
+
+
+@settings(max_examples=400, deadline=None)
+@given(exact_ties())
+def test_floattext_rounds_exact_ties_half_to_even(tie):
+    x, s = tie
+    assert Fraction(x) * 10**s % 1 == Fraction(1, 2)
+    assert encoded([x, -x]) == spelled([x, -x])
+
+
+def test_floattext_ties_near_1e15():
+    values = [1e15 + 0.25, 1e15 + 0.75, 1e15 + 1.25, 2.0**-20 + 1.0, 1.0 + 2.0**-17]
+    assert encoded(values) == spelled(values) == [
+        b"1000000000000000.2", b"1000000000000000.8", b"1000000000000001.2",
+        b"1.0000009536743164", b"1.0000076293945312"]
+
+
+def test_gaussian_samples_take_no_python_fallback(monkeypatch):
+    """N(0, 3) samples, the particle positions' scale, are all spelled by the
+    integer path: Python's own "%.17g" is reached only for values outside
+    1e-11 < |v| < 1e17 and for zeros, infinities and nan."""
+    fallback = []
+    python_spelling = floattext._python_spelling
+    monkeypatch.setattr(floattext, "_python_spelling",
+                        lambda v: fallback.append(v) or python_spelling(v))
+    samples = np.random.default_rng(3).normal(0.0, 3.0, 100000)
+    assert encoded(samples) == spelled(samples)
+    assert fallback == []
+    edges = [0.0, 1e-11, 1e17, np.inf, 2e-11, 9e16]
+    assert encoded(edges) == spelled(edges)
+    assert fallback == edges[:4]
