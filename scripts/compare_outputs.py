@@ -9,7 +9,9 @@ Each case runs its commands through `python -m edsim.cli` once with
 PYTHONPATH at BASE_CHECKOUT/src and once at this checkout's src, on the same
 INI file and seed, each side in a fresh directory with the same relative
 --out. Output trees, stdout, stderr and exit codes must match. Every
-difference is printed, and any difference exits 1.
+difference is printed, and any difference exits 1. A file whose text
+matches once every number in it is masked is reported with how many of its
+numbers differ and the largest absolute and relative change among them.
 
 Cases (default: all, at seed 11):
   engines, particles, readout   the perfbench workloads, read as they are
@@ -28,6 +30,7 @@ out/reread_measure and out/reread_amplify.
 import argparse
 import configparser
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -104,6 +107,37 @@ def run_side(checkout, runs, seed, folder):
     return results, tree
 
 
+# a decimal number as the writers spell it: "%.17g", repr and integers
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def number_changes(base, this):
+    """How two file texts differ in their numbers: (numbers that differ,
+    numbers in this, largest absolute change, largest relative change), or
+    None when the texts differ elsewhere too. Compared line by line, so no
+    list of a whole file's numbers is built."""
+    base_lines, lines = base.split(b"\n"), this.split(b"\n")
+    if len(base_lines) != len(lines):
+        return None
+    changed = total = 0
+    big_abs = big_rel = 0.0
+    for b_line, line in zip(base_lines, lines):
+        numbers = NUMBER.findall(line)
+        total += len(numbers)
+        if b_line == line:
+            continue
+        if NUMBER.sub(b"0", b_line) != NUMBER.sub(b"0", line):
+            return None
+        for b_text, text in zip(NUMBER.findall(b_line), numbers):
+            if b_text != text:
+                a, b = float(b_text), float(text)
+                changed += 1
+                big_abs = max(big_abs, abs(a - b))
+                scale = max(abs(a), abs(b))
+                big_rel = max(big_rel, abs(a - b) / scale if scale else 0.0)
+    return changed, total, big_abs, big_rel
+
+
 def differences(label, base, this):
     """One line per difference between two run_side results."""
     (base_runs, base_tree), (runs, tree) = base, this
@@ -122,7 +156,10 @@ def differences(label, base, this):
         elif path not in base_tree:
             lines.append(f"{label}: {path} only here")
         elif tree[path] != base_tree[path]:
-            lines.append(f"{label}: {path} differs")
+            moved = number_changes(base_tree[path], tree[path])
+            lines.append(f"{label}: {path} differs" + (
+                "" if moved is None else ": %d of %d numbers, by at most %.3g absolute, "
+                "%.3g relative" % moved))
     return lines
 
 

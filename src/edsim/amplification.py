@@ -116,21 +116,19 @@ class ExperimentLog:
         return float(np.mean(self.map_i != self.true_i))
 
 
-def draw_by_column(cum, cols, u) -> np.ndarray:
-    """Categorical draws from the columns of a cumulative table.
+def draw_by_column(m, cols, u) -> np.ndarray:
+    """Categorical draws from the columns of a likelihood matrix m.
 
-    Entry k is draw_cells(cum[:, cols[k]], u[k]): the number of entries of
-    that column below u[k], capped at the last row, the same integers as
-    np.minimum((u[None, :] > cum[:, cols]).sum(axis=0), rows - 1) for
-    columns that never decrease. Trials are grouped by column and each
-    distinct column is searched once, so nothing of size rows x trials is
-    built.
+    Entry k is draw_cells(np.cumsum(m[:, cols[k]]), u[k]): the number of
+    entries of that cumulative column below u[k], capped at the last row.
+    Each distinct column is summed, to the bits of np.cumsum(m, axis=0), and
+    searched once, so no table of rows x cells or rows x trials is built.
     """
     out = np.empty(len(cols), dtype=np.intp)
     order = np.argsort(cols, kind="stable")
     cells, starts = np.unique(cols[order], return_index=True)
     for c, idx in zip(cells.tolist(), np.split(order, starts[1:])):
-        out[idx] = draw_cells(cum[:, c], u[idx])
+        out[idx] = draw_cells(np.cumsum(m[:, c]), u[idx])
     return out
 
 
@@ -155,9 +153,8 @@ def end_to_end(
 
     true_i = draw_outcomes(born, n_trials, seed)
     rng = stream_rng(seed, "pointer")
-    cum = np.cumsum(like.matrix, axis=0)
     u = rng.random(len(true_i))
-    observed_r = draw_by_column(cum, true_i, u)
+    observed_r = draw_by_column(like.matrix, true_i, u)
 
     readings, row_of = np.unique(observed_r, return_inverse=True)
     rows = _posterior_rows(prior, like, readings)

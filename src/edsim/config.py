@@ -25,9 +25,9 @@ from .measurement import fourier_device, identity_device
 from .state import BOUNDARIES, DEFAULT_NODE_FLOOR, Grid1D, PhysicalParams, WaveFunction
 from .trajectories import SAMPLER_MODES
 
-# a device build holds the n x n complex basis and one Gram product (16 n^2
-# bytes each, 256 MiB at n = 4096) and the product's magnitudes (8 n^2);
-# measure at n = 2048 peaks at about 210 MB of RSS, amplify likewise
+# a file device's checks hold its n x n basis and one Gram product (16 n^2
+# bytes each, 256 MiB at n = 4096) and its magnitudes (8 n^2); every
+# device.json holds n^2 [re, im] pairs; a preset stores at most np.eye
 MAX_DEVICE_DIM = 4096
 # a likelihood file holds at most this many pointer readings (columns);
 # io.likelihood_file_bound turns it into a size that read_likelihood_csv

@@ -25,11 +25,7 @@ import numpy as np
 
 from . import config, floattext
 from .errors import ConfigError
-from .measurement import DiscreteDevice, build_device
-
-
-def _f(v) -> str:
-    return format(float(v), ".17g")
+from .measurement import DiscreteDevice, build_device, phase_table
 
 
 def _umask() -> int:
@@ -184,14 +180,14 @@ def write_device(path, dev: DiscreteDevice):
 
     The bytes are those of json.dumps({"dim": ..., "basis": ...,
     "target_cells": ..., "eigenvalues": ...}) + "\n", with the basis
-    streamed one row at a time. A device with a phase table formats the
-    table's n pairs once and writes row j as their texts at (j k) mod n;
-    any other basis is formatted from a table of its distinct pairs."""
+    streamed one row at a time. A dense basis is formatted from a table of
+    its distinct pairs; the Fourier preset formats the n pairs of its phase
+    table once and writes row j as their texts at (j k) mod n."""
     n = dev.dim
-    if dev.phase_table is None:
-        rows = (row.tolist() for row in _pair_text(dev.basis))
+    if dev.dense is not None:
+        rows = (row.tolist() for row in _pair_text(dev.dense))
     else:
-        texts, k = _pair_text(dev.phase_table), np.arange(n)
+        texts, k = _pair_text(phase_table(n)), np.arange(n)
         rows = (texts[j * k % n].tolist() for j in range(n))
     eigenvalues = ", ".join(_pair_text(dev.eigenvalues).tolist())
     cells = json.dumps([int(c) for c in dev.target_cells])

@@ -10,7 +10,7 @@ identity is what the tests assert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,12 +27,18 @@ ORTHO_TOL = 1e-10
 @dataclass(frozen=True)
 class DiscreteDevice:
     dim: int
-    basis: np.ndarray  # rows are the eigenvectors a_i
+    dense: Optional[np.ndarray]  # the basis; None for the Fourier preset
     eigenvalues: np.ndarray
     target_cells: np.ndarray
-    # the Fourier preset's n entries, basis[j, k] = phase_table[(j k) mod n];
-    # None for a basis with no such table
-    phase_table: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Rows are the eigenvectors a_i; the Fourier preset's are built on
+        each read, entry (j, k) from phase_table at (jk mod n)."""
+        if self.dense is not None:
+            return self.dense
+        j = np.arange(self.dim)
+        return phase_table(self.dim)[np.outer(j, j) % self.dim]
 
 
 def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
@@ -58,10 +64,8 @@ def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
     deviation = _identity_deviation(zherk(1.0, basis.T, trans=2))
     if deviation > ORTHO_TOL:
         raise BasisError(f"basis not orthonormal: max Gram deviation {deviation:.2e}")
-    # sum_i |a_i><a_i| = B^H B, which for a symmetric B is conj(B B^H): the
-    # completeness check is then the one above
-    if not np.array_equal(basis, basis.T) and (
-            _identity_deviation(zherk(1.0, basis.T, trans=0)) > ORTHO_TOL):
+    # sum_i |a_i><a_i| = B^H B
+    if _identity_deviation(zherk(1.0, basis.T, trans=0)) > ORTHO_TOL:
         raise BasisError("basis not complete")
     cells = np.asarray(target_cells, dtype=int)
     if cells.shape != (dim,):
@@ -70,11 +74,7 @@ def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
         raise CellError("target cells must be pairwise distinct")
     if cells.min() < 0 or cells.max() >= dim:
         raise CellError(f"target cells must lie in [0, {dim})")
-    eigenvalues = (
-        np.arange(dim, dtype=complex)
-        if eigenvalues is None
-        else np.asarray(eigenvalues, dtype=complex)
-    )
+    eigenvalues = np.asarray(np.arange(dim) if eigenvalues is None else eigenvalues, dtype=complex)
     if eigenvalues.shape != (dim,):
         raise ValueError("need one eigenvalue per basis vector")
     if not np.all(np.isfinite(eigenvalues)):
@@ -94,32 +94,35 @@ def _identity_deviation(m) -> float:
     return np.max(dev)
 
 
+def _preset(dim, dense) -> DiscreteDevice:
+    """A preset device: a_i targets cell i, with eigenvalue i. Its basis is
+    a closed form, so build_device's O(n^3) checks are left to the tests."""
+    if dim < 1:
+        raise ValueError("device dimension must be at least 1")
+    cells = np.arange(dim)
+    return DiscreteDevice(dim, dense, cells.astype(complex), cells)
+
+
 def identity_device(dim: int) -> DiscreteDevice:
     """Position measured directly: the basis is the cell indicators."""
-    return build_device(np.eye(dim, dtype=complex), np.arange(dim))
+    return _preset(dim, np.eye(dim, dtype=complex))
 
 
 def fourier_device(dim: int) -> DiscreteDevice:
-    """Momentum-like device: discrete Fourier vectors as the basis.
+    """Momentum-like device: the unitary is the DFT, applied with np.fft."""
+    return _preset(dim, None)
 
-    Entry (j, k) is exp(2 pi i jk/n) / sqrt(n), read from a table of the n
-    distinct values at (jk mod n): the basis holds exactly n distinct
-    entries, and no phase loses digits to a large jk. The n x n index
-    matrix is the only temporary beside the basis, and it is freed before
-    build_device forms its product. The device keeps the table, from
-    which write_device formats the basis."""
-    j = np.arange(dim)
-    table = np.exp(2j * np.pi * j / dim) / np.sqrt(dim)
-    jk = np.outer(j, j)
-    np.remainder(jk, dim, out=jk)
-    basis = table[jk]
-    del jk
-    return replace(build_device(basis, j, j.astype(complex)), phase_table=table)
+
+def phase_table(n) -> np.ndarray:
+    """The n distinct entries exp(2 pi i m/n) / sqrt(n) of the Fourier basis,
+    entry (j, k) at m = jk mod n, so no phase loses digits to a large jk."""
+    return np.exp(2j * np.pi * np.arange(n) / n) / np.sqrt(n)
 
 
 def observable_matrix(dev: DiscreteDevice) -> np.ndarray:
     """A = sum_i lambda_i |a_i><a_i|."""
-    return (dev.basis.T * dev.eigenvalues) @ dev.basis.conj()
+    basis = dev.basis
+    return (basis.T * dev.eigenvalues) @ basis.conj()
 
 
 def check_normal(a) -> bool:
@@ -136,15 +139,17 @@ def device_state(psi: WaveFunction) -> np.ndarray:
     return psi.amplitudes * np.sqrt(psi.grid.dx)
 
 
-def born_probabilities(dev: DiscreteDevice, psi) -> np.ndarray:
-    """p_i = |<a_i|psi>|^2; sums to 1 by completeness."""
-    return np.abs(dev.basis @ np.conj(psi)) ** 2  # |<a_i|psi>| = |a_i . conj(psi)|
-
-
 def apply_device(dev: DiscreteDevice, psi) -> np.ndarray:
     """psi' = U psi with U = conj(B); component i of psi' lives at target
-    cell x_i."""
-    return np.conj(dev.basis @ np.conj(psi))
+    cell x_i. The Fourier preset's U is the orthonormal DFT."""
+    if dev.dense is None:
+        return np.fft.fft(psi, norm="ortho")
+    return np.conj(dev.dense @ np.conj(psi))
+
+
+def born_probabilities(dev: DiscreteDevice, psi) -> np.ndarray:
+    """p_i = |<a_i|psi>|^2 = |(U psi)_i|^2; sums to 1 by completeness."""
+    return np.abs(apply_device(dev, psi)) ** 2
 
 
 def draw_outcomes(probs, n_trials, seed) -> np.ndarray:

@@ -114,8 +114,8 @@ class WaveFunction:
 class HydroState:
     """Density rho and unwrapped phase phi on a grid.
 
-    rho must be non-negative and integrate to 1 within 1e-10. phi is NOT
-    reduced modulo 2*pi.
+    rho must be non-negative and integrate to 1 within 1e-10, and phi must
+    be finite; NaN fails both. phi is NOT reduced modulo 2*pi.
     """
 
     grid: Grid1D
@@ -127,10 +127,12 @@ class HydroState:
         phi = np.asarray(self.phi, dtype=float)
         if rho.shape != (self.grid.n,) or phi.shape != (self.grid.n,):
             raise ValueError("rho and phi must have one value per cell")
-        if np.any(rho < 0):
-            raise ValueError("rho must be non-negative")
+        if not np.all(rho >= 0):
+            raise ValueError("rho must be non-negative and not NaN")
+        if not np.all(np.isfinite(phi)):
+            raise ValueError("phi must be finite")
         total = float(rho.sum() * self.grid.dx)
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:
             raise ValueError(f"rho must integrate to 1, got {total!r}")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "phi", phi)

@@ -177,7 +177,7 @@ def _c_discrete_born():
     psi = v / np.linalg.norm(v)
     probs = born_probabilities(dev, psi)
     after = apply_device(dev, psi)
-    exact = float(np.max(np.abs(np.abs(after) ** 2 - probs)))
+    exact = float(np.max(np.abs(np.abs(after) ** 2 - np.abs(dev.basis @ np.conj(psi)) ** 2)))
     outcomes = draw_outcomes(probs, 100000, seed=42)
     counts = np.bincount(outcomes, minlength=dev.dim)
     _, pval = chi2_gof(counts, probs)

@@ -208,7 +208,7 @@ def test_draw_by_column_matches_dense_draw(n_pointers, n_cells, kind, seed, n_tr
     # and such a draw must land in the last row
     past = rng.random(n_trials) < 0.1
     u[past] = np.nextafter(cum[-1, cols], np.inf)[past]
-    got = draw_by_column(cum, cols, u)
+    got = draw_by_column(like.matrix, cols, u)
     want = np.minimum(dense_draw(cum, cols, u), like.n_pointers - 1)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)

@@ -579,10 +579,10 @@ def test_non_finite_cn_correction_exits_3_with_one_line(command, ini, tmp_path, 
 
 
 def test_measure_with_zero_born_cells_writes_strict_json(ini, tmp_path):
-    """A packet whose Born vector has exact zeros (cells 68 and 70 here)
-    exits 0 with nothing on stderr, and chi2.json is strict JSON: the zero
-    cells are left out of Pearson's sum and of the degrees of freedom. Run
-    in a fresh interpreter, where warnings print as they would for a user."""
+    """A packet whose Born vector has exact zeros (cell 67 here) exits 0
+    with nothing on stderr, and chi2.json is strict JSON: the zero cells
+    are left out of Pearson's sum and of the degrees of freedom. Run in a
+    fresh interpreter, where warnings print as they would for a user."""
     out = tmp_path / "o"
     cfg = ini(grid__x_min=-20, grid__x_max=20, grid__n=128, initial__sigma=1)
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -593,7 +593,7 @@ def test_measure_with_zero_born_cells_writes_strict_json(ini, tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     probs = json.loads((out / "born.json").read_text())["probabilities"]
     zeros = [i for i, p in enumerate(probs) if p == 0.0]
-    assert zeros == [68, 70]
+    assert zeros == [67]
 
     def no_constants(name):
         raise ValueError(f"chi2.json holds {name}")

@@ -8,11 +8,11 @@ call, imports scipy.special, when it is called. The Crank-Nicolson step
 solves its banded system with zgttrf and zgttrs from scipy.linalg's
 compiled LAPACK module, which edsim.dynamics loads from its file: the
 scipy.linalg package init, with scipy's array-API layer and the numpy.f2py
-it loads, is not run, and scipy.sparse is not loaded either. build_device
-loads the compiled BLAS module for zherk the same way, on its first call. The worker
-that runs the second sampler mode of trajectories, or the Madelung engine
-of evolve, is a plain os.fork, so no process-pool machinery is loaded
-either. These are structural checks rather than timing ones, so they do
+it loads, is not run, and scipy.sparse is not loaded either. build_device,
+which checks file devices, loads the compiled BLAS module for zherk the
+same way, on its first call. The worker that runs the second sampler mode
+of trajectories, or the Madelung engine of evolve, is a plain os.fork, so
+no process-pool machinery is loaded either. These are structural checks rather than timing ones, so they do
 not depend on the machine.
 """
 
@@ -95,14 +95,22 @@ def test_evolve_and_measure_runs_leave_scipy_linalg_and_special_unloaded(tmp_pat
 
 
 def test_measure_loads_compiled_blas_without_the_linalg_package(tmp_path):
-    """A measure run, in a fresh interpreter, checks its device with zherk
-    from scipy.linalg._fblas and loads none of the LINALG modules."""
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(CONFIG)
-    argv = ["measure", "--config", str(cfg), "--out", str(tmp_path / "measure")]
-    code = f"import edsim.cli; assert edsim.cli.main({argv!r}) == 0; "
-    assert fresh_python(code + loaded(LINALG + ("scipy.linalg._fblas",))).split() == [
-        "scipy.linalg._fblas"]
+    """A measure run on a file device, in a fresh interpreter, checks the
+    device with zherk from scipy.linalg._fblas and loads none of the LINALG
+    modules. The Fourier preset is not checked by build_device, so a
+    measure on it loads neither."""
+    from edsim import identity_device
+    from edsim.io import write_device
+
+    device = tmp_path / "device.json"
+    write_device(device, identity_device(64))
+    names = LINALG + ("scipy.linalg._fblas",)
+    for preset, blas in (("fourier", []), ("file", ["scipy.linalg._fblas"])):
+        cfg = tmp_path / f"{preset}.ini"
+        cfg.write_text(CONFIG + f"preset = {preset}\npath = {device}\n")
+        argv = ["measure", "--config", str(cfg), "--out", str(tmp_path / preset)]
+        code = f"import edsim.cli; assert edsim.cli.main({argv!r}) == 0; "
+        assert fresh_python(code + loaded(names)).split() == blas
 
 
 def test_lapack_wrappers_are_scipy_linalg_lapack_objects():

@@ -101,12 +101,16 @@ def test_fourier_device_is_the_phase_table(n):
 
 @pytest.mark.parametrize("n", [512, 2048])
 def test_fourier_born_is_fft_to_roundoff(n):
-    """The phase table keeps every phase exact to one rounding, so the Born
-    vector matches |fft(psi)|^2 / n to 5e-16; exp(2 pi i jk/n) evaluated at
-    each jk misses that bound by its lost digits."""
+    """The preset's Born vector, |fft(psi)|^2 with the orthonormal DFT,
+    matches the projection onto its phase-table basis, built on demand by
+    dev.basis, to 5e-16: the table keeps every phase exact to one rounding,
+    where exp(2 pi i jk/n) evaluated at each jk misses that bound by its
+    lost digits."""
     psi = random_state(n, seed=1)
-    probs = born_probabilities(fourier_device(n), psi)
-    assert np.max(np.abs(probs - np.abs(np.fft.fft(psi)) ** 2 / n)) < 5e-16
+    dev = fourier_device(n)
+    dense = np.abs(dev.basis @ np.conj(psi)) ** 2
+    probs = born_probabilities(dev, psi)
+    assert np.max(np.abs(probs - dense)) < 5e-16
 
 
 def _random_unitary_device(dim, seed):
@@ -120,13 +124,17 @@ def _random_unitary_device(dim, seed):
     _random_unitary_device(12, 5), _random_unitary_device(40, 9),
 ], ids=["fourier8", "fourier64", "identity16", "random12", "random40"])
 def test_born_probabilities_read_the_unitary_bitwise(dev):
-    """born_probabilities computes |B conj(psi)|^2 from the stored basis B:
-    the same bits as projecting with the device unitary U = conj(B), which
-    apply_device computes as conj(B conj(psi))."""
+    """born_probabilities is |U psi|^2 for the device unitary U, the same
+    bits as apply_device: the orthonormal DFT for the Fourier preset, which
+    stores no basis, and conj(B conj(psi)), the product with U = conj(B),
+    for a stored basis B."""
     psi = random_state(dev.dim, seed=4)
-    ref = np.abs(dev.basis.conj() @ psi) ** 2
-    assert born_probabilities(dev, psi).tobytes() == ref.tobytes()
-    assert apply_device(dev, psi).tobytes() == (dev.basis.conj() @ psi).tobytes()
+    if dev.dense is None:
+        ref = np.fft.fft(psi, norm="ortho")
+    else:
+        ref = dev.basis.conj() @ psi
+    assert born_probabilities(dev, psi).tobytes() == (np.abs(ref) ** 2).tobytes()
+    assert apply_device(dev, psi).tobytes() == ref.tobytes()
 
 
 def test_born_probabilities_allocate_no_matrix():
@@ -134,7 +142,7 @@ def test_born_probabilities_allocate_no_matrix():
     would show as 16 n^2 bytes in the traced peak."""
     import tracemalloc
 
-    dev = fourier_device(256)
+    dev = identity_device(256)
     psi = random_state(256)
     tracemalloc.start()
     try:
@@ -145,24 +153,21 @@ def test_born_probabilities_allocate_no_matrix():
     assert peak < 16 * 256 * 256 // 4
 
 
-def test_fourier_device_frees_its_index_matrix():
-    """The preset's traced peak is build_device's own peak plus the 16 n^2
-    bytes of the basis: the 8 n^2-byte index matrix is freed before the
-    n x n products are formed."""
+def test_fourier_preset_and_its_born_vector_hold_no_matrix():
+    """fourier_device stores no basis, and its Born vector is an FFT: the
+    two together peak below n^2 bytes, where the n x n complex basis alone
+    is 16 n^2."""
     import tracemalloc
 
-    def peak(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    n = 256
-    basis = fourier_device(n).basis
-    checks = peak(lambda: build_device(basis, np.arange(n)))
-    assert peak(lambda: fourier_device(n)) < checks + 16 * n * n + 2 * n * n
+    n = 1024
+    psi = random_state(n)
+    tracemalloc.start()
+    try:
+        born_probabilities(fourier_device(n), psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
 
 
 def test_build_device_frees_gram_before_completeness_check():
@@ -372,9 +377,8 @@ def test_build_device_matches_four_product_checks(dim, seed, perturbation, shape
 def test_build_device_matches_four_product_checks_on_symmetric_bases(dim, seed, perturbation,
                                                                      symmetric):
     """Q D Q^T, with Q real orthogonal and D unit-modulus diagonal, is a
-    symmetric unitary: build_device forms one product for it, and the
-    verdicts are still the four products'. A perturbation that breaks the
-    symmetry sends the basis through both products."""
+    symmetric unitary, with or without a symmetric perturbation: its
+    verdicts are the four products', as any other basis's are."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     u = (q * np.exp(2j * np.pi * rng.random(dim))) @ q.T
@@ -395,9 +399,27 @@ def test_build_device_matches_four_product_checks_on_symmetric_bases(dim, seed, 
 @pytest.mark.parametrize("n", [8, 9, 64, 255, 512])
 @pytest.mark.parametrize("preset", [fourier_device, identity_device])
 def test_presets_pass_the_four_product_checks(preset, n):
-    """The presets are symmetric, so build_device checks them with one
-    product; the four products pass them as well."""
+    """The presets do not go through build_device: their bases are closed
+    forms, and the four products pass them."""
     assert four_product_verdict(preset(n).basis) is None
+
+
+@pytest.mark.parametrize("preset", [fourier_device, identity_device])
+def test_presets_refuse_an_empty_dimension(preset):
+    for dim in (0, -1):
+        with pytest.raises(ValueError):
+            preset(dim)
+
+
+@pytest.mark.parametrize("preset", [fourier_device, identity_device])
+def test_presets_pass_build_device_at_the_served_size(preset):
+    """At n = 2048, a size the CLI serves, the bases that the presets build
+    on demand pass both of build_device's Gram checks."""
+    n = 2048
+    dev = preset(n)
+    built = build_device(dev.basis, dev.target_cells, dev.eigenvalues)
+    assert np.array_equal(built.target_cells, dev.target_cells)
+    assert np.array_equal(built.eigenvalues, dev.eigenvalues)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

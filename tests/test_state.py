@@ -68,6 +68,14 @@ def test_hydrostate_validation():
         HydroState(g, -rho, np.zeros(g.n))
     with pytest.raises(ValueError):
         HydroState(g, 2.0 * rho, np.zeros(g.n))
+    # NaN fails every comparison, so each check is written to refuse it
+    with pytest.raises(ValueError, match="rho must be non-negative"):
+        HydroState(Grid1D(0.0, 1.0, 8), np.full(8, np.nan), np.zeros(8))
+    with pytest.raises(ValueError, match="rho must integrate to 1"):
+        HydroState(g, np.where(np.arange(g.n) == 3, np.inf, rho), np.zeros(g.n))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            HydroState(g, rho, np.where(np.arange(g.n) == 5, bad, 0.0))
 
 
 def test_hydro_round_trip_preserves_state():
