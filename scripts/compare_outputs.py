@@ -22,6 +22,9 @@ Cases (default: all, at seed 11):
                                 likelihood and a uniform prior
   readout_files                 readout, then readout again with the device
                                 and likelihood files the first pass wrote
+  readout_flat                  readout with the identity device and the
+                                noisy likelihood at epsilon 511/512, where
+                                its two values are both 1/512
 The madelung and both_hardwall cases step at dt 5e-4 to t_final 0.2,
 inside the density-phase bound. readout_files' second pass writes to
 out/reread_measure and out/reread_amplify.
@@ -59,6 +62,10 @@ CASES = {
                                   "path": os.path.join("out", "measure", "device.json")},
                        "amplify": {"likelihood": "file",
                                    "path": os.path.join("out", "amplify", "likelihood.csv")}}),
+    "readout_flat": ("readout", ("measure", "amplify"),
+                     {"device": {"preset": "identity"},
+                      "amplify": {"likelihood": "noisy", "epsilon": "0.998046875",
+                                  "prior": "born"}}),
 }
 REREAD = "reread_"
 

@@ -23,12 +23,18 @@ _COLUMN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LikelihoodModel:
-    """matrix[r, i] = P(pointer r | cell i); columns sum to 1."""
+    """matrix[r, i] = P(pointer r | cell i); columns sum to 1. A file's matrix
+    is kept in dense; a preset (dense None) is n x n, on on its diagonal, off elsewhere."""
 
-    matrix: np.ndarray
+    dense: np.ndarray | None
+    n: int = 0
+    on: float = 1.0
+    off: float = 0.0
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        if self.dense is None:
+            return
+        m = np.asarray(self.dense, dtype=float)
         if m.ndim != 2:
             raise RangeError("likelihood must be a matrix")
         # written so that nan fails too: every comparison with nan is false
@@ -37,22 +43,38 @@ class LikelihoodModel:
         colsums = m.sum(axis=0)
         if np.max(np.abs(colsums - 1.0)) > _COLUMN_TOL:
             raise RangeError("likelihood columns must each sum to 1")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "dense", m)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix; a preset's is built on each read."""
+        return self.dense if self.dense is not None else self.rows(np.arange(self.n))
+
+    def rows(self, readings) -> np.ndarray:
+        """matrix[readings, :]; a preset forms only these rows."""
+        if self.dense is not None:
+            return self.dense[readings, :]
+        k = np.arange(self.n)  # k[readings] wraps and bounds them as dense would
+        return np.where(k == k[readings][..., None], self.on, self.off)
+
+    def column(self, i) -> np.ndarray:
+        """matrix[:, i]; a preset is symmetric, so its column i is its row i."""
+        return self.dense[:, i] if self.dense is not None else self.rows(i)
 
     @property
     def n_pointers(self) -> int:
-        return self.matrix.shape[0]
+        return self.n if self.dense is None else self.dense.shape[0]
 
     @property
     def n_cells(self) -> int:
-        return self.matrix.shape[1]
+        return self.n if self.dense is None else self.dense.shape[1]
 
 
 def ideal_likelihood(n: int) -> LikelihoodModel:
     """Perfect amplifier: the pointer reading determines the cell, P = identity."""
     if n < 1:
         raise RangeError("n must be >= 1")
-    return LikelihoodModel(np.eye(n))
+    return LikelihoodModel(None, n, 1.0, 0.0)
 
 
 def noisy_likelihood(n: int, epsilon: float) -> LikelihoodModel:
@@ -62,9 +84,7 @@ def noisy_likelihood(n: int, epsilon: float) -> LikelihoodModel:
         raise RangeError("epsilon must lie in [0, 1)")
     if n < 2:
         raise RangeError("need n >= 2 pointer values")
-    m = np.full((n, n), epsilon / (n - 1))
-    np.fill_diagonal(m, 1.0 - epsilon)
-    return LikelihoodModel(m)
+    return LikelihoodModel(None, n, 1.0 - epsilon, epsilon / (n - 1))
 
 
 def _check_prior(prior) -> np.ndarray:
@@ -78,7 +98,7 @@ def _check_prior(prior) -> np.ndarray:
 
 def _posterior_rows(prior, like: LikelihoodModel, readings) -> np.ndarray:
     """Row k is the posterior given pointer reading readings[k]."""
-    weights = prior[None, :] * like.matrix[readings, :]
+    weights = prior[None, :] * like.rows(readings)
     evidence = weights.sum(axis=1)
     if np.any(evidence <= 0.0):
         r = int(readings[np.argmax(evidence <= 0.0)])
@@ -116,19 +136,19 @@ class ExperimentLog:
         return float(np.mean(self.map_i != self.true_i))
 
 
-def draw_by_column(m, cols, u) -> np.ndarray:
-    """Categorical draws from the columns of a likelihood matrix m.
+def draw_by_column(like: LikelihoodModel, cols, u) -> np.ndarray:
+    """Categorical draws from the columns of a likelihood.
 
-    Entry k is draw_cells(np.cumsum(m[:, cols[k]]), u[k]): the number of
-    entries of that cumulative column below u[k], capped at the last row.
-    Each distinct column is summed, to the bits of np.cumsum(m, axis=0), and
-    searched once, so no table of rows x cells or rows x trials is built.
+    Entry k is draw_cells(np.cumsum(like.column(cols[k])), u[k]): the number
+    of entries of that cumulative column below u[k], capped at the last row.
+    Each distinct column is formed, summed to the bits of np.cumsum(matrix,
+    axis=0), and searched once: no rows x cells or rows x trials table.
     """
     out = np.empty(len(cols), dtype=np.intp)
     order = np.argsort(cols, kind="stable")
     cells, starts = np.unique(cols[order], return_index=True)
     for c, idx in zip(cells.tolist(), np.split(order, starts[1:])):
-        out[idx] = draw_cells(np.cumsum(m[:, c]), u[idx])
+        out[idx] = draw_cells(np.cumsum(like.column(c)), u[idx])
     return out
 
 
@@ -154,7 +174,7 @@ def end_to_end(
     true_i = draw_outcomes(born, n_trials, seed)
     rng = stream_rng(seed, "pointer")
     u = rng.random(len(true_i))
-    observed_r = draw_by_column(like.matrix, true_i, u)
+    observed_r = draw_by_column(like, true_i, u)
 
     readings, row_of = np.unique(observed_r, return_inverse=True)
     rows = _posterior_rows(prior, like, readings)

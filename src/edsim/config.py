@@ -27,7 +27,7 @@ from .trajectories import SAMPLER_MODES
 
 # a file device's checks hold its n x n basis and one Gram product (16 n^2
 # bytes each, 256 MiB at n = 4096) and its magnitudes (8 n^2); every
-# device.json holds n^2 [re, im] pairs; a preset stores at most np.eye
+# device.json holds n^2 [re, im] pairs; a preset stores no n x n array
 MAX_DEVICE_DIM = 4096
 # a likelihood file holds at most this many pointer readings (columns);
 # io.likelihood_file_bound turns it into a size that read_likelihood_csv

@@ -180,25 +180,34 @@ def write_device(path, dev: DiscreteDevice):
 
     The bytes are those of json.dumps({"dim": ..., "basis": ...,
     "target_cells": ..., "eigenvalues": ...}) + "\n", with the basis
-    streamed one row at a time. A dense basis is formatted from a table of
-    its distinct pairs; the Fourier preset formats the n pairs of its phase
-    table once and writes row j as their texts at (j k) mod n."""
+    streamed one row at a time: a stored basis from a table of its distinct
+    pairs, the identity's rows from the texts of 1 and 0, and the Fourier
+    preset's row j from its phase table's n pair texts at (j k) mod n."""
     n = dev.dim
-    if dev.dense is not None:
-        rows = (row.tolist() for row in _pair_text(dev.dense))
-    else:
+    if dev.preset == "identity":
+        rows = _diagonal_rows(n, *_pair_text(np.array([1, 0], dtype=complex)), ", ", "")
+    elif dev.preset == "fourier":
         texts, k = _pair_text(phase_table(n)), np.arange(n)
-        rows = (texts[j * k % n].tolist() for j in range(n))
+        rows = (", ".join(texts[j * k % n].tolist()) for j in range(n))
+    else:
+        rows = (", ".join(row.tolist()) for row in _pair_text(dev.dense))
     eigenvalues = ", ".join(_pair_text(dev.eigenvalues).tolist())
     cells = json.dumps([int(c) for c in dev.target_cells])
 
     def chunks():
         yield '{"dim": %s, "basis": [' % json.dumps(n)
         for i, row in enumerate(rows):
-            yield ("[%s]" if i == 0 else ", [%s]") % ", ".join(row)
+            yield ("[%s]" if i == 0 else ", [%s]") % row
         yield '], "target_cells": %s, "eigenvalues": [%s]}\n' % (cells, eigenvalues)
 
     atomic_write(path, chunks())
+
+
+def _diagonal_rows(n, on, off, sep, end):
+    """Rows of the n x n matrix spelled on at (i, i) and off elsewhere, each
+    row's texts joined by sep and followed by end: str or bytes, as they are."""
+    before, after = off + sep, sep + off
+    return (before * i + on + after * (n - 1 - i) + end for i in range(n))
 
 
 def _pair_text(z) -> np.ndarray:
@@ -208,7 +217,7 @@ def _pair_text(z) -> np.ndarray:
     joined once, keyed on the indices of its two floats."""
     floats, idx = _json_floats(np.ascontiguousarray(z, dtype=complex).view(float))
     n = len(floats)
-    pairs, pair_of = _distinct(idx[0::2] * n + idx[1::2])
+    pairs, pair_of = np.unique(idx[0::2] * n + idx[1::2], return_inverse=True)
     del idx  # 2 n^2 indices: free them before the strings are built
     re, im = np.divmod(pairs, n)
     text = np.array(["[%s, %s]" % (floats[a], floats[b])
@@ -221,25 +230,9 @@ def _json_floats(a):
     of the k-th distinct float64 bit pattern of a (repr digits, -0.0, NaN,
     Infinity), and a.ravel()[i] is spelled text[inverse[i]]. The distinct
     floats go through one json.dumps call, so each is formatted once."""
-    bits, inverse = _distinct(np.ascontiguousarray(a, dtype=float).view(np.uint64).ravel())
+    bits, inverse = np.unique(np.ascontiguousarray(a, dtype=float).view(np.uint64).ravel(),
+                              return_inverse=True)
     return json.dumps(bits.view(float).tolist())[1:-1].split(", "), inverse
-
-
-def _distinct(a):
-    """np.unique(a, return_inverse=True) for a flat array, with at most three
-    full-size temporaries alive at once where np.unique has six: it sorts
-    through a view of a, not a flattened copy."""
-    order = np.argsort(a)
-    ordered = a[order]
-    first = np.empty(len(a), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    values = ordered[first]
-    del ordered
-    inverse = np.empty(len(a), dtype=np.intp)
-    inverse[order] = np.cumsum(first)
-    inverse -= 1
-    return values, inverse
 
 
 def device_file_bound(n) -> int:
@@ -291,28 +284,13 @@ def read_device(path, dim) -> DiscreteDevice:
 
 def write_likelihood_csv(path, like):
     """Matrix with a header row of pointer labels; data row i holds
-    P(r | cell i) across the columns."""
-    m = like.matrix
-    header = ",".join("alpha_%d" % r for r in range(m.shape[0])) + "\n"
-    atomic_write(path, itertools.chain((header,), _likelihood_rows(m)))
-
-
-def _likelihood_rows(m):
-    """The data rows of write_likelihood_csv, one chunk per row or block of
-    rows. A square matrix with one bit pattern on its diagonal and one off
-    it (the ideal and noisy likelihoods) spells its two values once and
-    builds each row from them; any other matrix is spelled in blocks of
-    about ENSEMBLE_BLOCK values."""
-    n = m.shape[0]
-    bits = m.view(np.uint64)
-    if m.shape == (n, n) and n > 1:
-        on, off = bits[0, 0], bits[0, 1]
-        if (np.all(np.diagonal(bits) == on)
-                and np.count_nonzero(bits == off) == (n * n if on == off else n * n - n)):
-            diag, rest = b"%.17g" % m[0, 0], b"%.17g" % m[0, 1]
-            before, after = rest + b",", b"," + rest
-            return (before * i + diag + after * (n - 1 - i) + b"\n" for i in range(n))
-    return _csv_rows(m.T)
+    P(r | cell i) across the columns, a preset's built from its two texts."""
+    header = ",".join("alpha_%d" % r for r in range(like.n_pointers)) + "\n"
+    if like.dense is None:
+        rows = _diagonal_rows(like.n, b"%.17g" % like.on, b"%.17g" % like.off, b",", b"\n")
+    else:
+        rows = _csv_rows(like.dense.T)
+    atomic_write(path, itertools.chain((header,), rows))
 
 
 def likelihood_file_bound(n) -> int:

@@ -27,18 +27,25 @@ ORTHO_TOL = 1e-10
 @dataclass(frozen=True)
 class DiscreteDevice:
     dim: int
-    dense: Optional[np.ndarray]  # the basis; None for the Fourier preset
+    dense: Optional[np.ndarray]  # the stored basis; None for a preset
     eigenvalues: np.ndarray
     target_cells: np.ndarray
+    preset: Optional[str] = None  # "identity" or "fourier"
 
     @property
     def basis(self) -> np.ndarray:
-        """Rows are the eigenvectors a_i; the Fourier preset's are built on
-        each read, entry (j, k) from phase_table at (jk mod n)."""
+        """Rows are the eigenvectors a_i; a preset's are built on each read."""
+        return self.dense if self.dense is not None else self.rows(np.arange(self.dim))
+
+    def rows(self, i) -> np.ndarray:
+        """A copy of basis[i], for an index or index array; a preset forms only
+        those rows: cell indicators, or phase_table at (ik mod n)."""
         if self.dense is not None:
-            return self.dense
-        j = np.arange(self.dim)
-        return phase_table(self.dim)[np.outer(j, j) % self.dim]
+            return self.dense[i].copy()
+        i, k = np.asarray(i)[..., None], np.arange(self.dim)
+        if self.preset == "identity":
+            return (i == k).astype(complex)
+        return phase_table(self.dim)[i * k % self.dim]
 
 
 def build_device(basis, target_cells, eigenvalues=None) -> DiscreteDevice:
@@ -94,23 +101,23 @@ def _identity_deviation(m) -> float:
     return np.max(dev)
 
 
-def _preset(dim, dense) -> DiscreteDevice:
+def _preset(dim, preset) -> DiscreteDevice:
     """A preset device: a_i targets cell i, with eigenvalue i. Its basis is
     a closed form, so build_device's O(n^3) checks are left to the tests."""
     if dim < 1:
         raise ValueError("device dimension must be at least 1")
     cells = np.arange(dim)
-    return DiscreteDevice(dim, dense, cells.astype(complex), cells)
+    return DiscreteDevice(dim, None, cells.astype(complex), cells, preset)
 
 
 def identity_device(dim: int) -> DiscreteDevice:
-    """Position measured directly: the basis is the cell indicators."""
-    return _preset(dim, np.eye(dim, dtype=complex))
+    """Position measured directly: the unitary is the identity."""
+    return _preset(dim, "identity")
 
 
 def fourier_device(dim: int) -> DiscreteDevice:
     """Momentum-like device: the unitary is the DFT, applied with np.fft."""
-    return _preset(dim, None)
+    return _preset(dim, "fourier")
 
 
 def phase_table(n) -> np.ndarray:
@@ -141,9 +148,11 @@ def device_state(psi: WaveFunction) -> np.ndarray:
 
 def apply_device(dev: DiscreteDevice, psi) -> np.ndarray:
     """psi' = U psi with U = conj(B); component i of psi' lives at target
-    cell x_i. The Fourier preset's U is the orthonormal DFT."""
-    if dev.dense is None:
+    cell x_i. A preset's U is the orthonormal DFT or the identity."""
+    if dev.preset == "fourier":
         return np.fft.fft(psi, norm="ortho")
+    if dev.preset == "identity":
+        return np.array(psi, dtype=complex)
     return np.conj(dev.dense @ np.conj(psi))
 
 
@@ -174,7 +183,7 @@ def collapse_update(dev: DiscreteDevice, observed_cell: int):
     if len(hits) == 0:
         raise CellError(f"cell {observed_cell} is not a target of this device")
     i = int(hits[0])
-    return i, dev.basis[i].copy()
+    return i, dev.rows(i)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 The Hamiltonian references work on dense or eigen-decomposed forms of its
 bands, where scipy's general solvers are fine; the experiment log
-reference encodes one plain dict per trial. None of this is on the
-package's run path.
+reference encodes one plain dict per trial, and the likelihood reference
+one float at a time. None of this is on the package's run path.
 """
 
 import json
@@ -53,3 +53,12 @@ def experiment_log_text(log) -> str:
                     "posterior": [float(v) for v in posterior[k]],
                     "map_i": int(log.map_i[k])}, sort_keys=True) + "\n"
         for k in range(len(log.true_i)))
+
+
+def ref_likelihood(like) -> str:
+    """likelihood.csv as the plain join of each column's "%.17g" texts."""
+    m = like.matrix
+    lines = [",".join("alpha_%d" % r for r in range(m.shape[0]))]
+    for i in range(m.shape[1]):
+        lines.append(",".join(format(float(v), ".17g") for v in m[:, i]))
+    return "\n".join(lines) + "\n"

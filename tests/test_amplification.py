@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import edsim.io as iomod
 from edsim import (
     LikelihoodModel,
     RangeError,
     ZeroEvidenceError,
     bayes_update,
+    born_probabilities,
     build_device,
     end_to_end,
     fourier_device,
@@ -16,8 +20,9 @@ from edsim import (
     identity_device,
     noisy_likelihood,
 )
-from edsim.amplification import draw_by_column
+from edsim.amplification import _posterior_rows, draw_by_column
 from edsim.seeding import stream_rng
+from oracles import ref_likelihood
 
 
 def random_state(dim, seed=0):
@@ -208,7 +213,7 @@ def test_draw_by_column_matches_dense_draw(n_pointers, n_cells, kind, seed, n_tr
     # and such a draw must land in the last row
     past = rng.random(n_trials) < 0.1
     u[past] = np.nextafter(cum[-1, cols], np.inf)[past]
-    got = draw_by_column(like.matrix, cols, u)
+    got = draw_by_column(like, cols, u)
     want = np.minimum(dense_draw(cum, cols, u), like.n_pointers - 1)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -220,3 +225,75 @@ def test_end_to_end_readings_match_dense_draw():
     u = stream_rng(5, "pointer").random(3000)
     want = np.minimum(dense_draw(np.cumsum(like.matrix, axis=0), log.true_i, u), 15)
     assert np.array_equal(log.observed_r, want)
+
+
+def dense_preset(n, epsilon):
+    """The n x n matrix a preset stands for, built as the presets once were:
+    np.eye for the ideal likelihood (epsilon None), and np.full with its
+    diagonal filled for the noisy one."""
+    if epsilon is None:
+        return np.eye(n)
+    m = np.full((n, n), epsilon / (n - 1))
+    np.fill_diagonal(m, 1.0 - epsilon)
+    return m
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(2, 64),
+    kind=st.sampled_from(["ideal", "zero", "random", "flat"]),
+    drawn=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=512, kind="ideal", drawn=0.0, seed=1)
+@example(n=512, kind="zero", drawn=0.0, seed=2)
+@example(n=512, kind="random", drawn=0.1, seed=3)
+@example(n=512, kind="flat", drawn=0.0, seed=4)
+def test_preset_likelihoods_match_their_dense_matrices(tmp_path, n, kind, drawn, seed):
+    """A preset stores (n, on, off) and builds rows and columns from them;
+    each consumer gets the bits the dense matrix gave. "flat" is
+    epsilon = (n - 1)/n, where on and off are equal up to rounding."""
+    epsilon = {"ideal": None, "zero": 0.0, "random": drawn, "flat": (n - 1) / n}[kind]
+    like = ideal_likelihood(n) if epsilon is None else noisy_likelihood(n, epsilon)
+    m = dense_preset(n, epsilon)
+    assert like.dense is None
+    assert like.matrix.dtype == m.dtype and like.matrix.tobytes() == m.tobytes()
+
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(m, axis=0)
+    cols = rng.integers(n, size=500)
+    u = rng.random(500)
+    tied = rng.random(500) < 0.2
+    u[tied] = cum[rng.integers(n, size=500), cols][tied]
+    past = rng.random(500) < 0.1
+    u[past] = np.nextafter(cum[-1, cols], np.inf)[past]
+    want = np.minimum(dense_draw(cum, cols, u), n - 1)
+    assert np.array_equal(draw_by_column(like, cols, u), want)
+
+    prior = rng.random(n) + 0.01
+    prior /= prior.sum()
+    readings = np.unique(rng.integers(n, size=min(n, 40)))
+    weights = prior[None, :] * m[readings]
+    want = weights / weights.sum(axis=1)[:, None]
+    assert _posterior_rows(prior, like, readings).tobytes() == want.tobytes()
+
+    path = tmp_path / "like.csv"
+    iomod.write_likelihood_csv(path, like)
+    assert path.read_text() == ref_likelihood(like)
+
+
+def test_presets_allocate_no_matrix():
+    """The identity device, its Born vector and both likelihood presets at
+    n = 1024 peak below n^2 traced bytes: one np.eye(n) of floats is 8 n^2."""
+    n = 1024
+    psi = random_state(n)
+    tracemalloc.start()
+    try:
+        born_probabilities(identity_device(n), psi)
+        ideal_likelihood(n)
+        noisy_likelihood(n, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n

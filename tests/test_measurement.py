@@ -125,12 +125,14 @@ def _random_unitary_device(dim, seed):
 ], ids=["fourier8", "fourier64", "identity16", "random12", "random40"])
 def test_born_probabilities_read_the_unitary_bitwise(dev):
     """born_probabilities is |U psi|^2 for the device unitary U, the same
-    bits as apply_device: the orthonormal DFT for the Fourier preset, which
-    stores no basis, and conj(B conj(psi)), the product with U = conj(B),
-    for a stored basis B."""
+    bits as apply_device: the orthonormal DFT for the Fourier preset and
+    psi itself for the identity preset, which store no basis, and
+    conj(B conj(psi)), the product with U = conj(B), for a stored basis B."""
     psi = random_state(dev.dim, seed=4)
-    if dev.dense is None:
+    if dev.preset == "fourier":
         ref = np.fft.fft(psi, norm="ortho")
+    elif dev.preset == "identity":
+        ref = psi
     else:
         ref = dev.basis.conj() @ psi
     assert born_probabilities(dev, psi).tobytes() == (np.abs(ref) ** 2).tobytes()
@@ -291,6 +293,33 @@ def test_collapse_update():
     assert_allclose(post, dev.basis[3])
     with pytest.raises(CellError):
         collapse_update(dev, observed_cell=12)
+
+
+@pytest.mark.parametrize("dev", [
+    fourier_device(12), identity_device(12),
+    build_device(_random_unitary_device(12, 7).basis, np.roll(np.arange(12), 5)),
+], ids=["fourier", "identity", "file"])
+def test_collapse_update_returns_the_basis_row_bitwise(dev):
+    for cell in range(dev.dim):
+        i, post = collapse_update(dev, cell)
+        assert dev.target_cells[i] == cell
+        assert post.dtype == complex and post.tobytes() == dev.basis[i].tobytes()
+
+
+def test_collapse_update_forms_one_row_of_a_preset():
+    """The Fourier preset's a_i comes from its closed form: the n x n basis
+    would show as 16 n^2 traced bytes."""
+    import tracemalloc
+
+    n = 1024
+    dev = fourier_device(n)
+    tracemalloc.start()
+    try:
+        collapse_update(dev, 700)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
 
 
 def test_continuum_pdf_linear_map():

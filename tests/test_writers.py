@@ -38,7 +38,7 @@ from edsim import (
     noisy_likelihood,
 )
 from edsim.seeding import stream_rng
-from oracles import experiment_log_text
+from oracles import experiment_log_text, ref_likelihood
 
 
 def _c(z):
@@ -53,14 +53,6 @@ def ref_device(dev) -> str:
         "eigenvalues": [_c(v) for v in dev.eigenvalues],
     }
     return json.dumps(rec) + "\n"
-
-
-def ref_likelihood(like) -> str:
-    m = like.matrix
-    lines = [",".join("alpha_%d" % r for r in range(m.shape[0]))]
-    for i in range(m.shape[1]):
-        lines.append(",".join(format(float(v), ".17g") for v in m[:, i]))
-    return "\n".join(lines) + "\n"
 
 
 def ref_ensemble_csv(snapshots) -> str:
@@ -102,7 +94,7 @@ def hand_likelihood():
 
 
 def negative_zero_likelihood():
-    """Two-valued: 1.0 on the diagonal and -0.0 off it."""
+    """A dense matrix with 1.0 on the diagonal and -0.0 off it."""
     m = np.full((6, 6), -0.0)
     np.fill_diagonal(m, 1.0)
     return LikelihoodModel(m)
@@ -121,16 +113,18 @@ def broken_noisy_likelihood(where):
     return LikelihoodModel(m)
 
 
-# the first five have one bit pattern on the diagonal and one off it
-TWO_VALUED = {
+# the presets store their two values, on the diagonal and off it; the rest
+# are dense matrices, two-valued (negative_zero) or not
+PRESETS = {
     "ideal": lambda: ideal_likelihood(32),
     "noisy": lambda: noisy_likelihood(32, 0.1),
     "noisy_eps0": lambda: noisy_likelihood(32, 0.0),
     "noisy_eps0.6": lambda: noisy_likelihood(9, 0.6),
-    "negative_zero": negative_zero_likelihood,
+    "noisy_flat": lambda: noisy_likelihood(4, 0.75),  # on == off == 0.25
 }
 LIKELIHOODS = {
-    **TWO_VALUED,
+    **PRESETS,
+    "negative_zero": negative_zero_likelihood,
     "hand": hand_likelihood,
     "broken_diagonal": lambda: broken_noisy_likelihood("diagonal"),
     "broken_off_diagonal": lambda: broken_noisy_likelihood("off_diagonal"),
@@ -149,15 +143,17 @@ def test_likelihood_csv_matches_reference(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(LIKELIHOODS))
 def test_likelihood_csv_formats_two_values_once(name, tmp_path, monkeypatch):
-    """A two-valued likelihood is written from its two texts, with no array
-    of the matrix's floats encoded; any other one encodes each entry once."""
+    """A preset is written from the texts of its two values, with no array
+    of floats encoded; a dense matrix, two-valued or not, encodes each
+    entry once."""
     lengths = []
     put_floats = floattext.put_floats
     monkeypatch.setattr(floattext, "put_floats",
                         lambda a, chars: lengths.append(len(a)) or put_floats(a, chars))
     like = LIKELIHOODS[name]()
+    assert (like.dense is None) == (name in PRESETS)
     iomod.write_likelihood_csv(tmp_path / "like.csv", like)
-    assert sum(lengths) == (0 if name in TWO_VALUED else like.matrix.size)
+    assert sum(lengths) == (0 if name in PRESETS else like.matrix.size)
 
 
 def test_likelihood_csv_keeps_negative_zero(tmp_path):
