@@ -15,6 +15,8 @@ numbers differ and the largest absolute and relative change among them.
 
 Cases (default: all, at seed 11):
   engines, particles, readout   the perfbench workloads, read as they are
+  engines_harmonic              engines in the harmonic potential between hard
+                                walls, to t_final 0.25 with snapshot_stride 200
   periodic                      particles with periodic walls and node_floor 1e-9
   madelung                      particles on the density-phase engine
   both_hardwall                 particles with engine = both on hard walls
@@ -45,6 +47,10 @@ WORKLOADS = ROOT / "perfbench" / "workloads"
 # case -> (workload INI, commands, overrides by section[, second-pass overrides])
 CASES = {
     "engines": ("engines", ("evolve",), {}),
+    "engines_harmonic": ("engines", ("evolve",),
+                         {"physics": {"potential": "harmonic"},
+                          "evolution": {"boundary": "hardwall", "t_final": "0.25",
+                                        "snapshot_stride": "200"}}),
     "particles": ("particles", ("evolve", "trajectories"), {}),
     "readout": ("readout", ("measure", "amplify"), {}),
     "periodic": ("particles", ("evolve", "trajectories"),

@@ -254,7 +254,7 @@ def schrodinger_step(
     out = solve(psi.amplitudes)
     out *= 2.0
     out -= psi.amplitudes
-    if not np.all(np.isfinite(out.view(float))):
+    if not np.isfinite(out).all():  # a complex value is finite when both parts are
         raise SolverError("linear solve returned non-finite amplitudes")
     return WaveFunction(psi.grid, out)
 
@@ -266,12 +266,15 @@ def schrodinger_step(
 class _MadelungEngine:
     """RK4 stepper for the density-phase pair on buffers built once.
 
-    rho and phi are the two rows of one (2, n + 4) buffer, and the flux and
-    sqrt(rho + floor) live in (n + 4) buffers; the two ghost cells per side
-    are written by index before each stencil. Every term goes through out=
-    ufuncs into preallocated work arrays, and the terms that rho and phi
-    share (the weight and mask division, the dissipation stencils and the
-    RK4 stages) act on both rows at once. A step allocates only the two
+    The padded state is one flat buffer of 2(n + 4) values, padded rho
+    then padded phi, two ghost cells per side. The two interiors and the
+    four ghosts between them form one contiguous slice of 2n + 4 values, as
+    do the stage buffers, so each term that rho and phi share (the
+    dissipation stencil, the RK4 stages and their sums) is one 1-d call.
+    The four values between the rows are junk that no stencil reads: every
+    ghost is written by index before its stencil. The flux and
+    sqrt(rho + floor) live in (n + 4) buffers. Every term goes through out=
+    ufuncs into preallocated work arrays, and a step allocates only the two
     arrays it returns.
 
     The grid constants are folded so that one right-hand side makes 26
@@ -282,8 +285,9 @@ class _MadelungEngine:
         drho = (fe_w - fe_e) * (hbar/m)/(2dx)^2,  fe = rho * gp
         dphi = w * (-(hbar/(8 m dx^2)) gp^2 + (-V/hbar - 2 kq) + kq * (se_e + se_w) / sq)
 
-    where the -2 kq is the -2 sq of the curvature stencil. The phase weight
-    and the dissipation mask come from one (2, n) division,
+    where the -2 kq is the -2 sq of the curvature stencil. gp^2 and rp^2
+    are one square of the adjacent [gp, rp], and the phase weight and the
+    dissipation mask come from one (2, n) division,
 
         [w, r4s msk] = [rp^2, r4s g^2] / (rp^2 + [floor^2, g^2]),
 
@@ -314,28 +318,33 @@ class _MadelungEngine:
         c0 = (r2 / 2.0 + 3.0 * r4 / 8.0) / r4s
         # scalar operands as 0-d arrays: a ufunc converts a Python float on
         # every call, which costs about as much as the arithmetic at n = 1024
-        self._consts = (*(np.array(v) for v in (kr, kq, kg, c1, c0, HYDRO_FLOOR, 0.0)), vq)
+        self._consts = (*(np.array(v) for v in (kr, kq, kg, c1, c0, HYDRO_FLOOR, 0.0, 2.0)), vq)
 
-        # padded state (rows rho, phi), flux and sqrt(rho + floor) buffers,
-        # and the views the stencils read: interior, east and west neighbours
-        pad, fe, se = np.zeros((2, n + 4)), np.zeros(n + 4), np.zeros(n + 4)
-        y, ye, yw = pad[:, 2:-2], pad[:, 3:-1], pad[:, 1:-3]
-        self._y = y
-        self._views = (pad[0], pad[1], y[0], y[1], ye[1], yw[1],
+        # padded state, rho in pad[:s] and phi in pad[s:]; flux and
+        # sqrt(rho + floor) buffers; and the views the stencils read:
+        # interior, east and west neighbours. y spans both interiors and the
+        # ghosts between them, and a row of any 2n + 4 buffer b is b[:n] or b[s:].
+        s = n + 4
+        pad, fe, se = np.zeros(2 * s), np.zeros(s), np.zeros(s)
+        self._y = y = pad[2:-2]
+        self._views = (pad[:s], pad[s:], y[:n], y[s:], pad[s + 3:-1], pad[s + 1:-3],
                        fe, fe[2:-2], fe[3:-1], fe[1:-3], se, se[2:-2], se[3:-1], se[1:-3],
-                       y, ye, yw, pad[:, 4:], pad[:, :-4])
-        self._y0 = np.empty((2, n))
-        self._k = [np.empty((2, n)) for _ in range(4)]
-        self._k_rows = [(k, k[0], k[1]) for k in self._k]
-        # weight (row 0) and mask (row 1) division: numerator [rp^2, r4s g^2],
-        # denominator rp^2 + [floor^2, g^2]
+                       y, pad[3:-1], pad[1:-3], pad[4:], pad[:-4])
+        self._y0 = np.empty(2 * n + 4)
+        self._k = [np.empty(2 * n + 4) for _ in range(4)]
+        self._k_rows = [(k, k[:n], k[s:]) for k in self._k]
+        # [gp, rp] and its square [gp^2, rp^2, r4s g^2], whose last 2n values
+        # are the numerator of the weight (row 0) and mask (row 1) division;
+        # the denominator is rp^2 + [floor^2, g^2]
         g2 = GUARD_SCALE * GUARD_SCALE
-        num, wm = np.empty((2, n)), np.empty((2, n))
-        num[1] = r4s * g2
+        gr, sq2, wm = np.empty(2 * n), np.empty(3 * n), np.empty((2, n))
+        sq2[2 * n:] = r4s * g2
         fg = np.array([[HYDRO_FLOOR * HYDRO_FLOOR], [g2]])
-        self._a2 = np.empty((2, n))
-        self._work = (np.empty(n), np.empty(n), np.empty(n), self._a2, np.empty((2, n)),
-                      num[0], num, fg, wm, wm[0], wm[1])
+        self._a2 = a2 = np.empty(2 * n + 4)
+        self._rows = (self._y0[:n], self._y0[s:], a2[:n], a2[s:])
+        self._work = (gr, gr[:n], gr[n:], sq2[:2 * n], sq2[:n], sq2[n:2 * n],
+                      sq2[n:].reshape(2, n), np.empty(n), a2, a2[:n], a2[s:],
+                      np.empty(2 * n + 4), fg, wm, wm[0], wm[1])
 
     def _winding(self, phi):
         # unwrapped phase of a periodic state advances by an exact multiple
@@ -358,12 +367,13 @@ class _MadelungEngine:
             buf[0], buf[1], buf[n + 2], buf[n + 3] = buf[3], buf[2], buf[n + 1], buf[n]
 
     def _rhs(self, i):
-        """Time derivatives of the state in the padded buffer's interior,
-        written into stage buffer i: row 0 drho/dt, row 1 dphi/dt."""
+        """Time derivatives of the state in the padded buffer's interiors,
+        written into stage buffer i: drho/dt in its first n values, dphi/dt
+        in its last n."""
         (re, pe, rho, phi, pe_e, pe_w, fe, flux, fe_e, fe_w, se, sq, se_e, se_w,
          y, ye, yw, yee, yww) = self._views
-        gp, rp, a, a2, c2, rp2, num, fg, wm, w, msk = self._work
-        kr, kq, kg, c1, c0, floor, zero, vq = self._consts
+        gr, gp, rp, gr2, gp2, rp2, num, a, a2, a2_rho, a2_phi, c2, fg, wm, w, msk = self._work
+        kr, kq, kg, c1, c0, floor, zero, _, vq = self._consts
         k, drho, dphi = self._k_rows[i]
 
         # gp = pe_e - pe_w, 2 dx times the phase gradient
@@ -386,13 +396,12 @@ class _MadelungEngine:
         np.add(se_e, se_w, out=a)
         np.multiply(a, kq, out=a)
         np.divide(a, sq, out=a)
-        np.multiply(gp, gp, out=dphi)
-        np.multiply(dphi, kg, out=dphi)
+        np.multiply(gr, gr, out=gr2)  # [gp^2, rp^2]
+        np.multiply(gp2, kg, out=dphi)
         np.add(dphi, vq, out=dphi)
         np.add(dphi, a, out=dphi)
 
         # [w, r4s msk] = [rp^2, r4s g^2] / (rp^2 + [floor^2, g^2])
-        np.multiply(rp, rp, out=rp2)
         np.add(rp2, fg, out=wm)
         np.divide(num, wm, out=wm)
         np.multiply(dphi, w, out=dphi)
@@ -406,16 +415,19 @@ class _MadelungEngine:
         np.subtract(a2, c2, out=a2)
         np.add(yee, yww, out=c2)
         np.subtract(a2, c2, out=a2)
-        np.multiply(a2, msk, out=a2)
+        np.multiply(a2_rho, msk, out=a2_rho)
+        np.multiply(a2_phi, msk, out=a2_phi)
         np.add(k, a2, out=k)
 
     def step(self, rho, phi, dt):
         """One RK4 step plus renormalization. Returns (rho, phi, |Z - 1|) in
         new arrays; the inputs are left untouched."""
         k, y, y0, a2 = self._k, self._y, self._y0, self._a2
+        y0_rho, y0_phi, a2_rho, a2_phi = self._rows
+        zero, two = self._consts[6:8]
         with np.errstate(all="ignore"):  # a diverging substep is caught below
-            np.copyto(y0[0], rho)
-            np.copyto(y0[1], phi)
+            np.copyto(y0_rho, rho)
+            np.copyto(y0_phi, phi)
             np.copyto(y, y0)
             self._rhs(0)
             # stage i integrates from y0 + h k_(i-1)
@@ -425,15 +437,15 @@ class _MadelungEngine:
                 self._rhs(i)
             # y0 + (dt/6) (2 (k2 + k3) + k1 + k4)
             np.add(k[1], k[2], out=a2)
-            np.multiply(a2, 2.0, out=a2)
+            np.multiply(a2, two, out=a2)
             np.add(a2, k[0], out=a2)
             np.add(a2, k[3], out=a2)
             np.multiply(a2, dt / 6.0, out=a2)
-            rho = np.add(rho, a2[0])
-            phi = np.add(phi, a2[1])
-        np.maximum(rho, 0.0, out=rho)
+            rho = np.add(rho, a2_rho)
+            phi = np.add(phi, a2_phi)
+        np.maximum(rho, zero, out=rho)
         z = float(rho.sum() * self.dx)
-        if not (math.isfinite(z) and z > 0.0 and np.all(np.isfinite(phi))):
+        if not (math.isfinite(z) and z > 0.0 and np.isfinite(phi).all()):
             return rho, phi, np.inf
         rho /= z
         return rho, phi, abs(z - 1.0)

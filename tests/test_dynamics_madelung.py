@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edsim import (
@@ -364,6 +364,42 @@ def _case(n, boundary, harmonic, mu, sigma, k0, c, even=False):
 @given(steps=st.integers(1, 8), **_CASES)
 def test_step_is_bitwise_plain_formulation(steps, **case):
     rho, phi, dt, eng, args = _case(**case)
+    rho_ref, phi_ref = rho.copy(), phi.copy()
+    for _ in range(steps):
+        rho, phi, dev = eng.step(rho, phi, dt)
+        rho_ref, phi_ref, dev_ref = _ref_step(rho_ref, phi_ref, dt, *args)
+        blown = not np.isfinite(dev_ref)
+        assert _same(rho, rho_ref, blown)
+        assert _same(phi, phi_ref, blown)
+        assert dev == dev_ref or (blown and not np.isfinite(dev))
+        if blown:
+            break
+
+
+def _poison(eng):
+    """Fill every work buffer of eng with NaN: the padded state with the
+    cells between its rows, the padded flux and sqrt(rho + floor), y0, the
+    stage buffers, [gp, rp] and its square, a, a2, c2 and the weight-mask
+    denominator. The constants keep their values."""
+    fe, se = eng._views[6], eng._views[10]
+    gr, _, _, gr2, _, _, _, a, a2, _, _, c2, _, wm, _, _ = eng._work
+    for buf in (eng._y.base, fe, se, eng._y0, *eng._k, gr, gr2, a, a2, c2, wm):
+        buf.fill(np.nan)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.integers(1, 4), **_CASES)
+@example(steps=2, n=1024, boundary="periodic", harmonic=False, mu=-1.0, sigma=1.0, k0=1.0,
+         c=0.1)
+@example(steps=2, n=1024, boundary="hardwall", harmonic=True, mu=-1.0, sigma=1.0, k0=1.0,
+         c=0.1)
+def test_step_reads_no_junk(steps, **case):
+    """A step writes every work value before it reads it: an engine whose
+    work buffers start as NaN still steps to the bits of the plain
+    formulation. The cells between the state's rows and the ghost cells
+    take stage values no stencil may see."""
+    rho, phi, dt, eng, args = _case(**case)
+    _poison(eng)
     rho_ref, phi_ref = rho.copy(), phi.copy()
     for _ in range(steps):
         rho, phi, dev = eng.step(rho, phi, dt)

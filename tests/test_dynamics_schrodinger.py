@@ -157,6 +157,28 @@ def test_solver_error_reports_the_step_it_was_taking(monkeypatch):
     assert len(calls) == 3
 
 
+def _all_nan(b):
+    return np.full(b.shape, np.nan, dtype=complex)
+
+
+def _one_infinite_imaginary_part(b):
+    out = b.copy()
+    out[3] = complex(out[3].real, np.inf)
+    return out
+
+
+@pytest.mark.parametrize("solver", [_all_nan, _one_infinite_imaginary_part])
+def test_non_finite_solve_raises(solver):
+    """A solve that returns a NaN, or an inf in one imaginary part while
+    every real part stays finite, fails the step. (Doubling x + inf i is a
+    complex product, 0 * inf in its real part, so numpy flags an invalid
+    value on the way.)"""
+    psi = packet(Grid1D(-5.0, 5.0, 16))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            SolverError, match=r"^linear solve returned non-finite amplitudes$"):
+        schrodinger_step(psi, PhysicalParams(), 1e-3, solver)
+
+
 def test_non_integer_steps_rejected():
     g = Grid1D(-15.0, 15.0, 256)
     with pytest.raises(ValueError):
