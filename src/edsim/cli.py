@@ -23,11 +23,14 @@ the initial state is built, by the four caps that edsim.config states:
 MAX_TRACE_VALUES, MAX_PARTICLES, MAX_TRIALS and MAX_DEVICE_DIM. trajectories
 writes each snapshot's rows as the ensemble reaches it and holds only the
 current positions, so its memory does not grow with the snapshot count.
-Two jobs can run at once in a forked worker (_run_modes): with
+Two jobs run at once, the second in a forked worker (_run_modes): with
 trajectories' mode = both the second sampler mode, which holds its own
 ensemble, and with evolve's engine = both the Madelung engine, which holds
 its own trace and sends back only its densities. Either cap then holds per
-process.
+process. The CLI forks whenever it has two jobs, whatever the CPU count:
+pinned to one CPU, forking cost trajectories 1-7% of its wall time on the
+perfbench particles set-up and cost evolve nothing measurable on the
+engines set-up. Without os.fork both jobs run here, one after the other.
 """
 
 import argparse
@@ -102,25 +105,19 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_modes(run, modes):
     """[run(mode) for mode in modes], with the outcome of running them in order.
 
-    With two modes, os.fork and at least two usable CPUs, the first mode
-    runs in this process while the second runs in one forked worker;
-    otherwise every mode runs here, one after the other. The worker sends
-    its pickled (value, None) or (None, exception) back over a pipe and
-    always ends with os._exit, and this process always reaps it, also when
-    the first mode fails. Errors keep mode order: the first mode's error,
-    else the worker's, else a RuntimeError naming how the worker died.
+    With two modes and os.fork, the first mode runs in this process while
+    the second runs in one forked worker; with one mode, or without
+    os.fork, every mode runs here, one after the other, and a first-mode
+    error stops the second. The worker sends its pickled (value, None) or
+    (None, exception) back over a pipe and always ends with os._exit, and
+    this process always reaps it, also when the first mode fails. Errors
+    keep mode order: the first mode's error, else the worker's, else a
+    RuntimeError naming how the worker died.
     """
-    if len(modes) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
+    if len(modes) < 2 or not hasattr(os, "fork"):
         return [run(mode) for mode in modes]
     first, second = modes
     rfd, wfd = os.pipe()

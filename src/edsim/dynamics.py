@@ -252,7 +252,9 @@ def schrodinger_step(
     """
     solve = solver or _cn_solver(psi.grid, p, dt)
     out = solve(psi.amplitudes)
-    out *= 2.0
+    # doubling as a sum, not a product with 2 + 0i: x + inf i stays x + inf i,
+    # with no 0 * inf in its real part, and the check below reports it
+    np.add(out, out, out=out)
     out -= psi.amplitudes
     if not np.isfinite(out).all():  # a complex value is finite when both parts are
         raise SolverError("linear solve returned non-finite amplitudes")

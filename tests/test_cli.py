@@ -32,6 +32,7 @@ from edsim.io import (
     device_file_bound,
     likelihood_file_bound,
     read_snapshots,
+    write_compare_csv,
     write_device,
     write_likelihood_csv,
 )
@@ -151,30 +152,21 @@ def forks(monkeypatch):
     return pids
 
 
-def take_path(monkeypatch, path):
-    """Make _run_modes, and so cmd_trajectories and cmd_evolve, take the
-    "forked" or the "inline" path, through its CPU probe alone."""
-    cpus = 2 if path == "forked" else 1
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 @needs_fork
-@pytest.mark.parametrize("path", ["forked", "inline"])
 @pytest.mark.parametrize("seed", [3, 17])
-def test_both_modes_match_single_mode_runs(seed, path, forks, monkeypatch, ini, tmp_path):
-    """mode = both writes each mode's ensemble and KS record byte for byte
-    as a run of that mode alone does, whether the second mode runs in a
-    forked worker or in-process."""
-    take_path(monkeypatch, path)
+def test_both_modes_match_single_mode_runs(seed, forks, ini, tmp_path):
+    """mode = both runs the second mode in one forked worker, and writes
+    each mode's ensemble and KS record byte for byte as a run of that mode
+    alone does."""
     both = tmp_path / "both"
     assert run("trajectories", "--config", ini(sampler__mode="both"),
                "--out", str(both), "--seed", str(seed)) == 0
-    assert len(forks) == (path == "forked")
+    assert len(forks) == 1
     assert_no_child_left()
     assert listdir(both) == sorted(
         ["resolved.ini"] + [f"{kind}_{m}.{ext}" for m in SAMPLER_MODES
@@ -185,7 +177,7 @@ def test_both_modes_match_single_mode_runs(seed, path, forks, monkeypatch, ini, 
                    "--out", str(single), "--seed", str(seed)) == 0
         for name in (f"ensemble_{mode}.csv", f"ks_{mode}.json"):
             assert (both / name).read_bytes() == (single / name).read_bytes()
-    assert len(forks) == (path == "forked")
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("case, code, error", [
@@ -197,30 +189,33 @@ def test_both_modes_match_single_mode_runs(seed, path, forks, monkeypatch, ini, 
     ("both_fail", 4, "IsADirectoryError"),
 ])
 @needs_fork
-def test_worker_errors_match_inline(case, code, error, forks, monkeypatch, ini, tmp_path,
-                                    capsys):
-    """An error in either mode gives the same exit code, JSON stderr line
-    and files on the forked path as in-process, and leaves no temp file
-    and no child process behind."""
+def test_worker_errors_match_inline(case, code, error, forks, ini, tmp_path, capsys):
+    """An error in either mode of a forked mode = both run gives the exit
+    code and JSON stderr line of the failing mode run alone, in-process. The
+    files of a mode that finished stay, and no temp file and no child
+    process is left behind."""
     floor = {"evolution__node_floor": 0.05} if case != "squatter" else {}
     squat = {"node_error": None, "squatter": ENTROPIC_DIFFUSION,
              "both_fail": "current_flow"}[case]
-    cfg = ini(sampler__mode="both", **floor)
+    failing = "current_flow" if case == "both_fail" else ENTROPIC_DIFFUSION
     seen = {}
-    for path in ("forked", "inline"):
-        take_path(monkeypatch, path)
-        out = tmp_path / path
+    for mode in ("both", failing):
+        out = tmp_path / mode
         out.mkdir()
         if squat:
             (out / f"ensemble_{squat}.csv").mkdir()
-        assert run("trajectories", "--config", cfg, "--out", str(out)) == code
+        assert run("trajectories", "--config", ini(sampler__mode=mode, **floor),
+                   "--out", str(out)) == code
         assert_no_child_left()
         assert not list(out.glob("*.tmp"))
         err = capsys.readouterr().err.replace(str(out), "<out>")
         assert json.loads(err)["error"] == error
-        # the temp file's name is random on either path
-        seen[path] = re.sub(r"\.\w+\.tmp'", ".<tmp>'", err), listdir(out)
-    assert seen["forked"] == seen["inline"]
+        # the temp file's name is random in each run
+        seen[mode] = re.sub(r"\.\w+\.tmp'", ".<tmp>'", err)
+    assert seen["both"] == seen[failing]
+    finished = [] if case == "both_fail" else ["ensemble_current_flow.csv", "ks_current_flow.json"]
+    assert listdir(tmp_path / "both") == sorted(
+        ["resolved.ini"] + finished + ([f"ensemble_{squat}.csv"] if squat else []))
     assert len(forks) == 1
 
 
@@ -235,7 +230,6 @@ def test_killed_worker_exits_1_naming_mode_and_signal(forks, monkeypatch, ini, t
         return real(ens, fields, dt, mode, *args, **kwargs)
 
     monkeypatch.setattr(cli, "advance_ensemble", advance)
-    take_path(monkeypatch, "forked")
     out = tmp_path / "o"
     assert run("trajectories", "--config", ini(sampler__mode="both"), "--out", str(out)) == 1
     assert len(forks) == 1
@@ -248,18 +242,17 @@ def test_killed_worker_exits_1_naming_mode_and_signal(forks, monkeypatch, ini, t
 
 
 @needs_fork
-@pytest.mark.parametrize("path", ["forked", "inline"])
-def test_run_modes_returns_each_value_in_mode_order(path, forks, monkeypatch):
+def test_run_modes_returns_each_value_in_mode_order(forks):
     """A numpy array from each mode comes back bit for bit, in mode order,
-    whichever process ran the mode."""
-    take_path(monkeypatch, path)
+    from this process and from the forked worker; one mode runs here."""
     special = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, np.pi]
     values = {"a": np.array(special), "b": np.array(special[::-1]) * -1.0}
     got = cli._run_modes(values.__getitem__, ("a", "b"))
-    assert len(forks) == (path == "forked")
+    assert len(forks) == 1
     assert_no_child_left()
     assert [v.tobytes() for v in got] == [values["a"].tobytes(), values["b"].tobytes()]
     assert cli._run_modes(values.__getitem__, ("b",))[0].tobytes() == values["b"].tobytes()
+    assert len(forks) == 1
 
 
 ENGINE_FILES = [f"{kind}_{eng}.{ext}" for eng in ("madelung", "schrodinger")
@@ -268,21 +261,32 @@ ENGINE_FILES = [f"{kind}_{eng}.{ext}" for eng in ("madelung", "schrodinger")
 
 @needs_fork
 @pytest.mark.parametrize("boundary", ["periodic", "hardwall"])
-def test_engine_both_forked_matches_inline(boundary, forks, monkeypatch, ini, tmp_path):
-    """engine = both writes the same bytes whether the Madelung engine runs
-    in a forked worker or in-process, with one fork on the forked path."""
-    cfg = ini(evolution__engine="both", evolution__node_floor=0,
-              evolution__boundary=boundary)
-    files = {}
-    for path in ("forked", "inline"):
-        take_path(monkeypatch, path)
-        out = tmp_path / path
-        assert run("evolve", "--config", cfg, "--out", str(out)) == 0
-        assert len(forks) == 1
-        assert_no_child_left()
-        assert listdir(out) == sorted(["compare_l1.csv", "resolved.ini"] + ENGINE_FILES)
-        files[path] = {name: (out / name).read_bytes() for name in listdir(out)}
-    assert files["forked"] == files["inline"]
+def test_engine_both_forked_matches_inline(boundary, forks, ini, tmp_path):
+    """engine = both, with the Madelung engine in one forked worker, writes
+    each engine's files byte for byte as a run of that engine alone does,
+    in-process, and compare_l1.csv as the L1 distances between the two
+    single-engine traces."""
+    overrides = dict(evolution__node_floor=0, evolution__boundary=boundary)
+    both = tmp_path / "both"
+    assert run("evolve", "--config", ini(evolution__engine="both", **overrides),
+               "--out", str(both)) == 0
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert listdir(both) == sorted(["compare_l1.csv", "resolved.ini"] + ENGINE_FILES)
+    rhos = {}
+    for eng in ("schrodinger", "madelung"):
+        cfg = ini(evolution__engine=eng, **overrides)
+        single = tmp_path / eng
+        assert run("evolve", "--config", cfg, "--out", str(single)) == 0
+        for name in (f"trace_{eng}.ndjson", f"diagnostics_{eng}.csv"):
+            assert (both / name).read_bytes() == (single / name).read_bytes()
+        snaps = read_snapshots(single / f"trace_{eng}.ndjson")
+        ts, rhos[eng] = [t for t, *_ in snaps], [rho for _, _, rho, _ in snaps]
+    assert len(forks) == 1
+    dx = config.RunConfig.load(cfg).grid().dx
+    l1s = [dynamics.l1_distance(a, b, dx) for a, b in zip(rhos["schrodinger"], rhos["madelung"])]
+    write_compare_csv(tmp_path / "compare_l1.csv", ts, l1s)
+    assert (both / "compare_l1.csv").read_bytes() == (tmp_path / "compare_l1.csv").read_bytes()
 
 
 @pytest.mark.parametrize("overrides, error", [
@@ -294,25 +298,24 @@ def test_engine_both_forked_matches_inline(boundary, forks, monkeypatch, ini, tm
       "evolution__snapshot_stride": 1, "evolution__node_floor": 0}, "StabilityError"),
 ], ids=["node_floor", "blow_up"])
 @needs_fork
-def test_madelung_errors_match_inline(overrides, error, forks, monkeypatch, ini, tmp_path,
-                                      capsys):
-    """A Madelung failure mid-run gives the same exit 3, JSON stderr line and
-    files on the forked path as in-process, and leaves no temp file and no
-    child process behind."""
-    cfg = ini(evolution__engine="both", **overrides)
+def test_madelung_errors_match_inline(overrides, error, forks, ini, tmp_path, capsys):
+    """A Madelung failure mid-run in the forked worker gives the exit 3 and
+    JSON stderr line of a Madelung run alone, in-process. The Schrodinger
+    engine's files stay, and no temp file and no child process is left
+    behind."""
     seen = {}
-    for path in ("forked", "inline"):
-        take_path(monkeypatch, path)
-        out = tmp_path / path
-        assert run("evolve", "--config", cfg, "--out", str(out)) == 3
+    for engine in ("both", "madelung"):
+        out = tmp_path / engine
+        assert run("evolve", "--config", ini(evolution__engine=engine, **overrides),
+                   "--out", str(out)) == 3
         assert_no_child_left()
         assert not list(out.glob("*.tmp"))
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == error
-        seen[path] = err, listdir(out)
-    assert seen["forked"] == seen["inline"]
-    assert seen["inline"][1] == ["diagnostics_schrodinger.csv", "resolved.ini",
-                                 "trace_schrodinger.ndjson"]
+        seen[engine] = err
+    assert seen["both"] == seen["madelung"]
+    assert listdir(tmp_path / "both") == ["diagnostics_schrodinger.csv", "resolved.ini",
+                                          "trace_schrodinger.ndjson"]
     assert len(forks) == 1
 
 
@@ -328,7 +331,6 @@ def test_killed_madelung_worker_exits_1_naming_engine_and_signal(forks, monkeypa
         return real(psi, p, ecfg, *args, **kwargs)
 
     monkeypatch.setattr(cli, "evolve", evolve)
-    take_path(monkeypatch, "forked")
     out = tmp_path / "o"
     cfg = ini(evolution__engine="both", evolution__node_floor=0)
     assert run("evolve", "--config", cfg, "--out", str(out)) == 1
@@ -340,6 +342,77 @@ def test_killed_madelung_worker_exits_1_naming_engine_and_signal(forks, monkeypa
     assert "madelung" in err["message"] and f"signal {int(signal.SIGKILL)}" in err["message"]
     assert listdir(out) == ["diagnostics_schrodinger.csv", "resolved.ini",
                             "trace_schrodinger.ndjson"]
+
+
+# per command: the config, the stage function each job calls, the job that
+# call's arguments name, the two jobs in order and the first job's last file
+NO_FORK_CASES = {
+    "trajectories": ({"sampler__mode": "both"}, "advance_ensemble", lambda args: args[3],
+                     ("current_flow", ENTROPIC_DIFFUSION), "ks_current_flow.json"),
+    "evolve": ({"evolution__engine": "both", "evolution__node_floor": 0}, "evolve",
+               lambda args: args[2].engine, ("schrodinger", "madelung"),
+               "diagnostics_schrodinger.csv"),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("command", sorted(NO_FORK_CASES))
+def test_without_fork_both_jobs_run_here_in_order(command, monkeypatch, ini, tmp_path, capsys):
+    """Without os.fork, mode = both and engine = both run both jobs in this
+    process, the first to its end before the second starts, and write the
+    bytes of a forked run. A first-job error stops the run: exit 4, its JSON
+    line, and the second job neither starts nor writes a file."""
+    overrides, stage, job_of, (first, second), first_last_file = NO_FORK_CASES[command]
+    cfg = ini(**overrides)
+    forked, here, stopped = tmp_path / "forked", tmp_path / "here", tmp_path / "stopped"
+    assert run(command, "--config", cfg, "--out", str(forked)) == 0
+    monkeypatch.delattr(os, "fork")
+    real, jobs = getattr(cli, stage), []
+
+    def recorded(*args, **kwargs):
+        jobs.append(job_of(args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, stage, recorded)
+    assert run(command, "--config", cfg, "--out", str(here)) == 0
+    assert set(jobs) == {first, second}
+    assert jobs == sorted(jobs, key=(first, second).index)  # first ends before second starts
+    assert listdir(here) == listdir(forked)
+    for name in listdir(here):
+        assert (here / name).read_bytes() == (forked / name).read_bytes()
+    jobs.clear()
+    stopped.mkdir()
+    (stopped / first_last_file).mkdir()
+    assert run(command, "--config", cfg, "--out", str(stopped)) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "IsADirectoryError" and first_last_file in err["message"]
+    assert set(jobs) == {first}
+    assert not [name for name in listdir(stopped) if second in name]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_one_cpu_child_writes_the_bytes_of_an_unpinned_one(ini, tmp_path):
+    """trajectories with mode = both and evolve with engine = both, run as a
+    child process pinned to one CPU, write the trees of an unpinned child
+    byte for byte; both fork their second job whatever the CPU count. Only
+    the child is pinned: preexec_fn runs in it, after the fork and before it
+    starts edsim."""
+    cpu = min(os.sched_getaffinity(0))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    cases = (("trajectories", ini(sampler__mode="both")),
+             ("evolve", ini(evolution__engine="both", evolution__node_floor=0)))
+    for command, cfg in cases:
+        trees = []
+        for pin in (None, lambda: os.sched_setaffinity(0, {cpu})):
+            out = tmp_path / f"{command}{len(trees)}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "edsim.cli", command, "--config", cfg, "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=src), preexec_fn=pin, capture_output=True,
+                text=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            trees.append({name: (out / name).read_bytes() for name in listdir(out)})
+        assert len(trees[0]) == (5 if command == "trajectories" else 6)
+        assert trees[0] == trees[1]
 
 
 def test_measure(ini, tmp_path):
@@ -654,14 +727,14 @@ def test_trajectories_convert_each_snapshot_at_most_twice(ini, tmp_path, monkeyp
             assert sum(1 for _ in fh) == 1 + 200 * snapshots
 
 
+@needs_fork
 def test_evolve_both_converts_each_schrodinger_snapshot_at_most_twice(ini, tmp_path, monkeypatch,
                                                                       forks):
     """evolve converts each wavefunction snapshot once, for its diagnostics
     row; the snapshot file and compare_l1.csv reuse it. The density-phase
     engine converts only its initial state, once for cmd_evolve's up-front
-    check and once inside evolve. This process counts the second one only
-    when that engine runs here, not in a forked worker: S + 1 conversions
-    on the forked path, S + 2 inline.
+    check in this process and once inside evolve in the forked worker,
+    which this process does not count: S + 1 conversions.
 
     The count is exact; the id still says "at most twice", the bound it
     held before the trace kept its conversions, so that it stays
@@ -674,18 +747,15 @@ def test_evolve_both_converts_each_schrodinger_snapshot_at_most_twice(ini, tmp_p
         return real(*a, **kw)
 
     monkeypatch.setattr(dynamics, "to_hydro", counted)
-    paths = ("forked", "inline") if hasattr(os, "fork") else ("inline",)
-    for path, (t_final, stride, snapshots) in itertools.product(
-            paths, ((0.01, 5, 3), (0.04, 1, 41))):
-        take_path(monkeypatch, path)
+    for t_final, stride, snapshots in ((0.01, 5, 3), (0.04, 1, 41)):
         calls.clear()
         forks.clear()
         cfg = ini(evolution__engine="both", evolution__node_floor=0,
                   evolution__t_final=t_final, evolution__snapshot_stride=stride)
-        out = tmp_path / f"{path}{snapshots}"
+        out = tmp_path / f"s{snapshots}"
         assert run("evolve", "--config", cfg, "--out", str(out)) == 0
-        assert len(forks) == (path == "forked")
-        assert len(calls) == snapshots + (1 if path == "forked" else 2)
+        assert len(forks) == 1
+        assert len(calls) == snapshots + 1
         with open(out / "compare_l1.csv") as fh:
             assert sum(1 for _ in fh) == 1 + snapshots
 
@@ -847,8 +917,10 @@ def test_evolve_fuzz_exits_with_a_documented_code(n, steps, stride, engine, boun
                                                   bound_share, node_floor, sigma, mu, k,
                                                   monkeypatch, ini, tmp_path, capsys):
     """Any small evolve config exits 0, 2, 3 or 4, never 1, with nothing on
-    stderr or exactly one JSON error line, and raises no numpy warning."""
-    take_path(monkeypatch, "inline")
+    stderr or exactly one JSON error line, and raises no numpy warning.
+    Without os.fork every job runs in this process, where the warnings and
+    stderr are seen."""
+    monkeypatch.delattr(os, "fork", raising=False)
     dt = bound_share * 0.1 * (16.0 / n) ** 2
     cfg = ini(grid__n=n, initial__sigma=repr(sigma), initial__mu=repr(mu),
               initial__k=repr(k), evolution__engine=engine, evolution__boundary=boundary,
@@ -895,8 +967,9 @@ def test_particle_and_readout_fuzz_exits_with_a_documented_code(
         tmp_path, capsys):
     """Any small trajectories, measure or amplify config exits 0, 2, 3 or
     4, never 1, with nothing on stderr or exactly one JSON error line, and
-    raises no numpy warning."""
-    take_path(monkeypatch, "inline")
+    raises no numpy warning. Without os.fork every job runs in this
+    process, where the warnings and stderr are seen."""
+    monkeypatch.delattr(os, "fork", raising=False)
     dt = 0.5 * 0.1 * (16.0 / n) ** 2  # half the Madelung bound
     cfg = ini(grid__n=n, initial__sigma=repr(sigma), initial__mu=repr(mu),
               initial__k=repr(k), evolution__engine=engine, evolution__boundary=boundary,
