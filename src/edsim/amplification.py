@@ -127,11 +127,6 @@ class ExperimentLog:
     map_i: np.ndarray       # per-trial MAP estimates
 
     @property
-    def posterior(self) -> np.ndarray:
-        """Per-trial posteriors, one row per trial."""
-        return self.rows[self.row_of]
-
-    @property
     def error_rate(self) -> float:
         return float(np.mean(self.map_i != self.true_i))
 

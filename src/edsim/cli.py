@@ -202,16 +202,14 @@ def cmd_trajectories(args) -> int:
 def cmd_measure(args) -> int:
     cfg, out = _setup(args)
     n_trials = cfg["device", "n_trials"]
-    g = cfg.grid()
-    dev = cfg.device(g)
+    dev = cfg.device(cfg.grid())
     psi_dev = device_state(cfg.initial_state())
     probs = born_probabilities(dev, psi_dev)
     outcomes = draw_outcomes(probs, n_trials, cfg["run", "seed"])
     iomod.write_outcomes_csv(os.path.join(out, "outcomes.csv"), outcomes, dev)
     iomod.write_device(os.path.join(out, "device.json"), dev)
-    iomod.atomic_write(
-        os.path.join(out, "born.json"),
-        json.dumps({"probabilities": [float(v) for v in probs]}, sort_keys=True) + "\n")
+    iomod.atomic_write(os.path.join(out, "born.json"),
+                       json.dumps({"probabilities": probs.tolist()}) + "\n")
     counts = np.bincount(outcomes, minlength=dev.dim)
     stat = pearson_statistic(counts, probs)
     # zero-probability cells are out of the sum and of the degrees of freedom
@@ -230,18 +228,14 @@ def cmd_measure(args) -> int:
 def cmd_amplify(args) -> int:
     cfg, out = _setup(args)
     n_trials = cfg["amplify", "n_trials"]
-    g = cfg.grid()
-    dev = cfg.device(g)
+    dev = cfg.device(cfg.grid())
     psi_dev = device_state(cfg.initial_state())
     like = cfg.likelihood(dev)
     log = end_to_end(psi_dev, dev, like, n_trials, cfg["run", "seed"], prior=cfg.prior(dev.dim))
     iomod.write_experiment_log(os.path.join(out, "experiment.ndjson"), log)
+    iomod.write_posteriors(os.path.join(out, "posteriors.ndjson"), log)
     iomod.write_likelihood_csv(os.path.join(out, "likelihood.csv"), like)
-    summary = {
-        "n_trials": n_trials,
-        "n_pointers": like.n_pointers,
-        "error_rate": log.error_rate,
-    }
+    summary = {"n_trials": n_trials, "n_pointers": like.n_pointers, "error_rate": log.error_rate}
     iomod.atomic_write(
         os.path.join(out, "summary.json"), json.dumps(summary, sort_keys=True) + "\n")
     return 0

@@ -40,7 +40,7 @@ MAX_POINTERS = 4096
 # the particle count
 MAX_PARTICLES = 4 * 10**6
 # [device] and [amplify] n_trials stay below this: measure peaks at about
-# 115 bytes a trial and amplify at about 62, so 0.46 GB and 0.25 GB at 4e6
+# 115 bytes a trial and amplify at about 66, so 0.46 GB and 0.26 GB at 4e6
 MAX_TRIALS = 4 * 10**6
 # snapshots x cells per trace; (rho, phi), field arrays, drift tables: 48 B a value
 MAX_TRACE_VALUES = 10**7
@@ -314,8 +314,7 @@ class RunConfig:
         from .io import read_likelihood_csv
         like = read_likelihood_csv(self["amplify", "path"], dev.dim)
         if like.n_cells != dev.dim:
-            raise ConfigError(
-                f"likelihood has {like.n_cells} cells but device has {dev.dim}")
+            raise ConfigError(f"likelihood has {like.n_cells} cells but device has {dev.dim}")
         return like
 
     def prior(self, dim):

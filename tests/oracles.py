@@ -2,7 +2,8 @@
 
 The Hamiltonian references work on dense or eigen-decomposed forms of its
 bands, where scipy's general solvers are fine; the experiment log
-reference encodes one plain dict per trial, and the likelihood reference
+reference encodes one plain dict per trial, the join of its two files
+reads them back into that form, and the likelihood reference
 one float at a time. None of this is on the package's run path.
 """
 
@@ -45,14 +46,28 @@ def discrete_ground_state(grid, p):
 
 
 def experiment_log_text(log) -> str:
-    """experiment.ndjson as json.dumps of one dict per trial, keys sorted."""
-    posterior = log.posterior
+    """The log as json.dumps of one dict per trial, keys sorted, each with
+    its whole posterior: the join of experiment.ndjson and posteriors.ndjson."""
+    posterior = log.rows[log.row_of]
     return "".join(
         json.dumps({"trial": k, "true_i": int(log.true_i[k]),
                     "observed_r": int(log.observed_r[k]),
                     "posterior": [float(v) for v in posterior[k]],
                     "map_i": int(log.map_i[k])}, sort_keys=True) + "\n"
         for k in range(len(log.true_i)))
+
+
+def join_experiment_log(trials: str, posteriors: str) -> str:
+    """The texts of experiment.ndjson and posteriors.ndjson joined: each
+    trial line with its "row" replaced by that line of posteriors.ndjson as
+    "posterior", re-encoded by json.dumps with its keys sorted."""
+    rows = [json.loads(line) for line in posteriors.splitlines()]
+    out = []
+    for line in trials.splitlines():
+        rec = json.loads(line)
+        rec["posterior"] = rows[rec.pop("row")]
+        out.append(json.dumps(rec, sort_keys=True) + "\n")
+    return "".join(out)
 
 
 def ref_likelihood(like) -> str:

@@ -107,8 +107,8 @@ def test_end_to_end_log_shape():
     psi = random_state(8, seed=5)
     dev = fourier_device(8)
     log = end_to_end(psi, dev, noisy_likelihood(8, 0.2), 500, seed=4)
-    assert log.posterior.shape == (500, 8)
-    assert_allclose(log.posterior.sum(axis=1), np.ones(500), atol=1e-9)
+    assert log.rows[log.row_of].shape == (500, 8)
+    assert_allclose(log.rows[log.row_of].sum(axis=1), np.ones(500), atol=1e-9)
     for per_trial in (log.true_i, log.observed_r, log.row_of, log.map_i):
         assert per_trial.shape == (500,)
     assert np.array_equal(np.unique(log.observed_r), np.arange(len(log.rows)))
@@ -133,7 +133,7 @@ def test_end_to_end_prior_override():
     log = end_to_end(psi, dev, like, 200, seed=1, prior=np.full(4, 0.25))
     # under a uniform prior the posterior is the reading's likelihood row,
     # which sums to 1 for the symmetric noisy model; the Born prior is not
-    assert_allclose(log.posterior, like.matrix[log.observed_r], atol=1e-15)
+    assert_allclose(log.rows[log.row_of], like.matrix[log.observed_r], atol=1e-15)
     with pytest.raises(ValueError):
         end_to_end(psi, dev, like, 200, seed=1, prior=np.array([0.9, 0.0, 0.0, 0.0]))
 
@@ -167,7 +167,7 @@ def test_end_to_end_posterior_properties(dim, seed, epsilon, prior_weights, n_tr
     prior /= prior.sum()
     log = end_to_end(random_state(dim, seed), dev, like, n_trials, seed, prior=prior)
 
-    post = log.posterior
+    post = log.rows[log.row_of]
     assert post.shape == (n_trials, dim)
     readings = np.unique(log.observed_r)
     assert len(log.rows) == len(readings)  # one stored row per distinct reading

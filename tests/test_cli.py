@@ -1,6 +1,7 @@
 """End-to-end checks of the command line driver, run in-process."""
 
 import csv
+import importlib
 import itertools
 import json
 import math
@@ -10,7 +11,9 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +40,9 @@ from edsim.io import (
     write_likelihood_csv,
 )
 from edsim.trajectories import ENTROPIC_DIFFUSION, SAMPLER_MODES
+from oracles import join_experiment_log
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DEFAULTS = {
     "grid": {"x_min": -8, "x_max": 8, "n": 64},
@@ -435,16 +441,35 @@ def test_amplify(ini, tmp_path):
     out = tmp_path / "out"
     assert run("amplify", "--config", ini(), "--out", str(out)) == 0
     assert listdir(out) == [
-        "experiment.ndjson", "likelihood.csv", "resolved.ini", "summary.json",
+        "experiment.ndjson", "likelihood.csv", "posteriors.ndjson", "resolved.ini",
+        "summary.json",
     ]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_trials"] == 500
     assert summary["n_pointers"] == 64
     assert 0.0 <= summary["error_rate"] <= 1.0
-    lines = (out / "experiment.ndjson").read_text().splitlines()
-    assert len(lines) == 500
-    first = json.loads(lines[0])
-    assert set(first) >= {"trial", "true_i", "observed_r", "map_i"}
+    trials = [json.loads(line) for line in (out / "experiment.ndjson").read_text().splitlines()]
+    assert len(trials) == 500
+    assert set(trials[0]) == {"map_i", "observed_r", "row", "trial", "true_i"}
+    posteriors = (out / "posteriors.ndjson").read_text().splitlines()
+    # one posterior per distinct reading, in ascending order of reading
+    readings = sorted({t["observed_r"] for t in trials})
+    assert len(posteriors) == len(readings)
+    assert all(t["row"] == readings.index(t["observed_r"]) for t in trials)
+
+
+def test_distinct_readings_counts_the_posteriors(ini, tmp_path, monkeypatch):
+    """The benchmark's amplification.distinct_readings, read from the
+    "observed_r" keys of experiment.ndjson, is the line count of
+    posteriors.ndjson and the count of distinct readings."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    distinct_readings = importlib.import_module("run").distinct_readings
+    out = tmp_path / "amplify"
+    assert run("amplify", "--config", ini(amplify__epsilon=0.5), "--out", str(out)) == 0
+    trials = (out / "experiment.ndjson").read_text().splitlines()
+    observed = {json.loads(line)["observed_r"] for line in trials}
+    posteriors = (out / "posteriors.ndjson").read_text().splitlines()
+    assert 1 < distinct_readings(tmp_path) == len(posteriors) == len(observed)
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):
@@ -1022,7 +1047,7 @@ def test_file_device_dimension_must_equal_grid_n(ini, tmp_path, capsys):
 def test_oversized_device_file_exits_2_before_it_is_parsed(ini, tmp_path, monkeypatch, capsys):
     """A valid n = 8 device file padded with whitespace past the longest
     file write_device can make for 8 cells exits 2, naming the file,
-    without json.load reading it; one byte less is parsed and runs."""
+    without json.loads reading it; one byte less is parsed and runs."""
     path = tmp_path / "device.json"
     write_device(path, fourier_device(8))
     text = path.read_text()
@@ -1032,11 +1057,11 @@ def test_oversized_device_file_exits_2_before_it_is_parsed(ini, tmp_path, monkey
     path.write_text(" " * (bound - len(text)) + text)
     assert run("measure", "--config", cfg, "--out", str(tmp_path / "fits")) == 0
 
-    def load(fh):
-        raise AssertionError("json.load called")
+    def loads(text):
+        raise AssertionError("json.loads called")
 
     path.write_text(" " * (bound + 1 - len(text)) + text)
-    monkeypatch.setattr(iomod.json, "load", load)
+    monkeypatch.setattr(iomod, "json", types.SimpleNamespace(loads=loads))
     for command in ("measure", "amplify"):
         out = tmp_path / command
         assert run(command, "--config", cfg, "--out", str(out)) == 2
@@ -1080,6 +1105,25 @@ def test_likelihood_file_over_its_caps_exits_2(pointers, message, ini, tmp_path,
     assert listdir(out) == ["resolved.ini"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("kind, overrides, commands", [
+    ("device", {"device__preset": "file", "device__path": "/dev/zero"}, ("measure", "amplify")),
+    ("likelihood", {"amplify__likelihood": "file", "amplify__path": "/dev/zero"},
+     ("amplify",)),
+])
+def test_endless_special_file_exits_2(kind, overrides, commands, ini, tmp_path, capsys):
+    """os.path.getsize reads 0 for /dev/zero, which never ends: a reader
+    stops one byte past its size bound and exits 2, naming the file."""
+    bound = device_file_bound(64) if kind == "device" else likelihood_file_bound(64)
+    for command in commands:
+        out = tmp_path / command
+        assert run(command, "--config", ini(**overrides), "--out", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{kind} file /dev/zero is over {bound} bytes, ")
+        assert listdir(out) == ["resolved.ini"]
+
+
 def test_smaller_device_file_of_another_dimension_exits_2(ini, tmp_path, capsys):
     """A 16-cell device file fits under the 32-cell bound, so it is parsed,
     and its dimension is refused after."""
@@ -1115,6 +1159,8 @@ MALFORMED_DEVICES = {
     "dim_mismatch": lambda text: _edit_json(text, "dim", lambda v: 3),
     "dim_boolean": lambda text: _edit_json(
         _edit_json(text, "basis", lambda v: v[:1]), "dim", lambda v: True),
+    # json's RecursionError: 100 KB, under the size bound of 225,216 bytes
+    "deep_nesting": lambda text: b"[" * 50_000 + b"]" * 50_000,
 }
 
 
@@ -1164,9 +1210,10 @@ def test_file_device_within_basis_tolerance_amplifies(ini, tmp_path):
               device__path=str(path))
     assert run("measure", "--config", cfg, "--out", str(tmp_path / "m")) == 0
     assert run("amplify", "--config", cfg, "--out", str(tmp_path / "a")) == 0
-    with open(tmp_path / "a" / "experiment.ndjson") as fh:
-        for line in fh:
-            assert abs(math.fsum(json.loads(line)["posterior"]) - 1.0) <= 1e-12
+    joined = join_experiment_log((tmp_path / "a" / "experiment.ndjson").read_text(),
+                                 (tmp_path / "a" / "posteriors.ndjson").read_text())
+    for line in joined.splitlines():
+        assert abs(math.fsum(json.loads(line)["posterior"]) - 1.0) <= 1e-12
 
 
 def _edit_row(text, edit):

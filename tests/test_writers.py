@@ -38,7 +38,7 @@ from edsim import (
     noisy_likelihood,
 )
 from edsim.seeding import stream_rng
-from oracles import experiment_log_text, ref_likelihood
+from oracles import experiment_log_text, join_experiment_log, ref_likelihood
 
 
 def _c(z):
@@ -164,6 +164,18 @@ def test_likelihood_csv_keeps_negative_zero(tmp_path):
     assert "4.9406564584124654e-324" in path.read_text()
 
 
+def written_log(tmp_path, log) -> str:
+    """The join of the log's two files as the writers write them. Each trial
+    line holds no posterior, and posteriors.ndjson one line per stored row."""
+    iomod.write_experiment_log(tmp_path / "experiment.ndjson", log)
+    iomod.write_posteriors(tmp_path / "posteriors.ndjson", log)
+    trials = (tmp_path / "experiment.ndjson").read_text()
+    posteriors = (tmp_path / "posteriors.ndjson").read_text()
+    assert '"posterior"' not in trials
+    assert len(posteriors.splitlines()) == len(log.rows)
+    return join_experiment_log(trials, posteriors)
+
+
 @pytest.mark.parametrize("dim, like, prior", [
     (16, ideal_likelihood(16), None),
     (16, noisy_likelihood(16, 0.3), None),
@@ -174,9 +186,7 @@ def test_experiment_log_matches_reference(dim, like, prior, tmp_path):
     log = end_to_end(random_state(dim, 3), identity_device(dim), like, 2000, seed=9,
                      prior=prior)
     assert len(log.rows) < len(log.observed_r)  # readings repeat across trials
-    path = tmp_path / "experiment.ndjson"
-    iomod.write_experiment_log(path, log)
-    assert path.read_text() == experiment_log_text(log)
+    assert written_log(tmp_path, log) == experiment_log_text(log)
 
 
 # -0.0, subnormals, values that need all 17 digits, and the spellings json
@@ -210,15 +220,14 @@ def experiment_logs(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(experiment_logs())
 def test_experiment_log_matches_reference_on_generated_logs(tmp_path, log):
-    path = tmp_path / "experiment.ndjson"
-    iomod.write_experiment_log(path, log)
-    assert path.read_text() == experiment_log_text(log)
+    assert written_log(tmp_path, log) == experiment_log_text(log)
 
 
 def test_experiment_log_formats_each_distinct_float_once(tmp_path, monkeypatch):
-    """The writer hands json.dumps one float per distinct bit pattern of the
-    posterior rows, not one per entry: rows of readings whose Born prior is
-    tiny share their values (here 3,537 distinct floats in 13,696 entries)."""
+    """write_posteriors hands json.dumps one float per distinct bit pattern
+    of the posterior rows, not one per entry: rows of readings whose Born
+    prior is tiny share their values (here 3,537 distinct floats in 13,696
+    entries)."""
     formatted = []
 
     def dumps(obj, **kwargs):
@@ -230,7 +239,7 @@ def test_experiment_log_formats_each_distinct_float_once(tmp_path, monkeypatch):
     log = end_to_end(device_state(psi), fourier_device(128), noisy_likelihood(128, 0.1),
                      2000, seed=9)
     monkeypatch.setattr(iomod, "json", types.SimpleNamespace(dumps=dumps))
-    iomod.write_experiment_log(tmp_path / "experiment.ndjson", log)
+    iomod.write_posteriors(tmp_path / "posteriors.ndjson", log)
     distinct = len(np.unique(log.rows.view(np.uint64)))
     assert len(formatted) == distinct < log.rows.size
 
