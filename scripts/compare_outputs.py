@@ -23,23 +23,33 @@ Cases (default: all, at seed 11):
   readout_identity              readout with the identity device, the ideal
                                 likelihood and a uniform prior
   readout_files                 readout, then readout again with the device
-                                and likelihood files the first pass wrote
+                                and likelihood files the first pass wrote,
+                                which name their presets
   readout_flat                  readout with the identity device and the
                                 noisy likelihood at epsilon 511/512, where
                                 its two values are both 1/512
+  readout_dense                 readout on a 512-cell device.json and
+                                likelihood.csv spelled entry by entry: a
+                                unitary basis (complex QR) with permuted
+                                cells, and a column-stochastic likelihood
 The madelung and both_hardwall cases step at dt 5e-4 to t_final 0.2,
 inside the density-phase bound. readout_files' second pass writes to
-out/reread_measure and out/reread_amplify.
+out/reread_measure and out/reread_amplify. readout_dense's files are
+written into the case folder once, with numpy alone from a fixed seed,
+so they do not depend on either checkout.
 """
 
 import argparse
 import configparser
+import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads"
@@ -72,6 +82,11 @@ CASES = {
                      {"device": {"preset": "identity"},
                       "amplify": {"likelihood": "noisy", "epsilon": "0.998046875",
                                   "prior": "born"}}),
+    # each side runs in a folder inside the case folder that holds the files
+    "readout_dense": ("readout", ("measure", "amplify"),
+                      {"device": {"preset": "file", "path": os.path.join(os.pardir, "device.json")},
+                       "amplify": {"likelihood": "file",
+                                   "path": os.path.join(os.pardir, "likelihood.csv")}}),
 }
 REREAD = "reread_"
 
@@ -90,10 +105,32 @@ def write_ini(name, overrides, path):
     return path
 
 
+def write_dense_files(folder, n=512, seed=20):
+    """device.json and likelihood.csv for n cells in folder, in the layouts
+    of a file device and a file likelihood: the unitary Q of the QR of a
+    complex normal matrix, with permuted target cells and normal complex
+    eigenvalues, and a matrix of uniform draws with each column scaled to
+    sum to 1. Every float is spelled by repr, which round-trips it."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    eigenvalues = rng.normal(size=n) + 1j * rng.normal(size=n)
+    device = {"dim": n, "basis": np.stack([q.real, q.imag], axis=-1).tolist(),
+              "target_cells": rng.permutation(n).tolist(),
+              "eigenvalues": np.stack([eigenvalues.real, eigenvalues.imag], axis=-1).tolist()}
+    Path(folder, "device.json").write_text(json.dumps(device) + "\n")
+    likelihood = rng.random((n, n))
+    likelihood /= likelihood.sum(axis=0)
+    lines = [",".join("alpha_%d" % r for r in range(n))]
+    lines.extend(",".join(map(repr, column)) for column in likelihood.T.tolist())
+    Path(folder, "likelihood.csv").write_text("\n".join(lines) + "\n")
+
+
 def passes(case, folder):
     """[(INI path, commands, out prefix)] of the case: one pass, or two when
     the case reads back what its first pass wrote."""
     name, commands, overrides, *second = CASES[case]
+    if case == "readout_dense":
+        write_dense_files(folder)
     runs = [(write_ini(name, overrides, Path(folder) / f"{case}.ini"), commands, "")]
     if second:
         runs.append((write_ini(name, second[0], Path(folder) / f"{REREAD}{case}.ini"),

@@ -33,17 +33,19 @@ class LikelihoodModel:
 
     def __post_init__(self):
         if self.dense is None:
-            return
-        m = np.asarray(self.dense, dtype=float)
-        if m.ndim != 2:
-            raise RangeError("likelihood must be a matrix")
+            entries = np.array([self.on, self.off], dtype=float)
+            colsums = entries[0] + (self.n - 1) * entries[1]
+        else:
+            entries = np.asarray(self.dense, dtype=float)
+            if entries.ndim != 2:
+                raise RangeError("likelihood must be a matrix")
+            colsums = entries.sum(axis=0)
+            object.__setattr__(self, "dense", entries)
         # written so that nan fails too: every comparison with nan is false
-        if not np.all((m >= 0) & (m <= 1)):
+        if not np.all((entries >= 0) & (entries <= 1)):
             raise RangeError("likelihood entries must lie in [0, 1]")
-        colsums = m.sum(axis=0)
         if np.max(np.abs(colsums - 1.0)) > _COLUMN_TOL:
             raise RangeError("likelihood columns must each sum to 1")
-        object.__setattr__(self, "dense", m)
 
     @property
     def matrix(self) -> np.ndarray:

@@ -21,12 +21,12 @@ import numpy as np
 from .analytic import box_eigenstate, free_gaussian, harmonic_eigenstate, plane_wave
 from .dynamics import ENGINES, EvolutionConfig, _steps_for
 from .errors import ConfigError
-from .measurement import fourier_device, identity_device
+from .measurement import DEVICE_PRESETS, fourier_device, identity_device
 from .state import BOUNDARIES, DEFAULT_NODE_FLOOR, Grid1D, PhysicalParams, WaveFunction
 from .trajectories import SAMPLER_MODES
 
 # a file device's checks hold its n x n basis and one Gram product (16 n^2
-# bytes each, 256 MiB at n = 4096) and its magnitudes (8 n^2); every
+# bytes each, 256 MiB at n = 4096) and its magnitudes (8 n^2), and its
 # device.json holds n^2 [re, im] pairs; a preset stores no n x n array
 MAX_DEVICE_DIM = 4096
 # a likelihood file holds at most this many pointer readings (columns);
@@ -99,7 +99,7 @@ _SCHEMA = {
     "sampler": {"mode": ("current_flow", (*SAMPLER_MODES, "both")),
                 "n_particles": ("10000", Num(int, 2, high=MAX_PARTICLES)),
                 "dt": ("0", _NON_NEGATIVE)},  # 0: the evolution dt
-    "device": {"preset": ("fourier", ("identity", "fourier", "file")), "path": ("", None),
+    "device": {"preset": ("fourier", (*DEVICE_PRESETS, "file")), "path": ("", None),
                "n_trials": ("10000", Num(int, 1, high=MAX_TRIALS))},
     "amplify": {"likelihood": ("noisy", ("ideal", "noisy", "file")),
                 "epsilon": ("0.1", Num(low=0, high=1)),
@@ -297,10 +297,8 @@ class RunConfig:
                 f"device dimension {grid.n} exceeds the limit of {MAX_DEVICE_DIM} "
                 "(dense n x n complex matrices)")
         preset = self["device", "preset"]
-        if preset == "identity":
-            return identity_device(grid.n)
-        if preset == "fourier":
-            return fourier_device(grid.n)
+        if preset != "file":
+            return {"identity": identity_device, "fourier": fourier_device}[preset](grid.n)
         from .io import read_device
         return read_device(self["device", "path"], grid.n)
 
@@ -312,10 +310,7 @@ class RunConfig:
         if kind == "noisy":
             return noisy_likelihood(dev.dim, self["amplify", "epsilon"])
         from .io import read_likelihood_csv
-        like = read_likelihood_csv(self["amplify", "path"], dev.dim)
-        if like.n_cells != dev.dim:
-            raise ConfigError(f"likelihood has {like.n_cells} cells but device has {dev.dim}")
-        return like
+        return read_likelihood_csv(self["amplify", "path"], dev.dim)
 
     def prior(self, dim):
         """The [amplify] prior over dim cells for end_to_end: None for born,

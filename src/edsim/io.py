@@ -25,19 +25,13 @@ import numpy as np
 
 from . import config, floattext
 from .errors import ConfigError
-from .measurement import DiscreteDevice, build_device, phase_table
+from .measurement import DiscreteDevice, build_device, preset_device
 
 
 def _umask() -> int:
     mask = os.umask(0o022)
     os.umask(mask)
     return mask
-
-
-# bytes buffered before a write: the preset likelihood.csv writer yields a
-# line at a time, and at n = 512 took a median 9-10 ms with the default 8 KB
-# buffer against 7.5 ms with this one (2-core x86-64 host)
-_WRITE_BUFFER = 1 << 16
 
 
 def atomic_write(path, text):
@@ -51,7 +45,7 @@ def atomic_write(path, text):
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb", buffering=_WRITE_BUFFER) as fh:
+        with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~_umask())
             for chunk in text:
                 fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
@@ -176,21 +170,15 @@ def write_outcomes_csv(path, trials, dev: DiscreteDevice):
 
 
 def write_device(path, dev: DiscreteDevice):
-    """JSON: dim, basis rows and eigenvalues as [re, im] pairs, target cells.
-
-    The bytes are those of json.dumps({"dim": ..., "basis": ...,
-    "target_cells": ..., "eigenvalues": ...}) + "\n", with the basis
-    streamed one row at a time: a stored basis from a table of its distinct
-    pairs, the identity's rows from the texts of 1 and 0, and the Fourier
-    preset's row j from its phase table's n pair texts at (j k) mod n."""
+    """The bytes of json.dumps({"dim": ..., "preset": ...}) + "\n" for a preset,
+    else of json.dumps({"dim": ..., "basis": ..., "target_cells": ...,
+    "eigenvalues": ...}) + "\n" with [re, im] pairs, the basis streamed a
+    row at a time from a table of its distinct pairs."""
     n = dev.dim
-    if dev.preset == "identity":
-        rows = _diagonal_rows(n, *_pair_text(np.array([1, 0], dtype=complex)), ", ", "")
-    elif dev.preset == "fourier":
-        texts, k = _pair_text(phase_table(n)), np.arange(n)
-        rows = (", ".join(texts[j * k % n].tolist()) for j in range(n))
-    else:
-        rows = (", ".join(row.tolist()) for row in _pair_text(dev.dense))
+    if dev.preset is not None:
+        atomic_write(path, json.dumps({"dim": n, "preset": dev.preset}) + "\n")
+        return
+    rows = (", ".join(row.tolist()) for row in _pair_text(dev.dense))
     eigenvalues = ", ".join(_pair_text(dev.eigenvalues).tolist())
     cells = json.dumps([int(c) for c in dev.target_cells])
 
@@ -201,13 +189,6 @@ def write_device(path, dev: DiscreteDevice):
         yield '], "target_cells": %s, "eigenvalues": [%s]}\n' % (cells, eigenvalues)
 
     atomic_write(path, chunks())
-
-
-def _diagonal_rows(n, on, off, sep, end):
-    """Rows of the n x n matrix spelled on at (i, i) and off elsewhere, each
-    row's texts joined by sep and followed by end: str or bytes, as they are."""
-    before, after = off + sep, sep + off
-    return (before * i + on + after * (n - 1 - i) + end for i in range(n))
 
 
 def _pair_text(z) -> np.ndarray:
@@ -254,13 +235,13 @@ def device_file_bound(n) -> int:
 
 
 def read_device(path, dim) -> DiscreteDevice:
-    """Load and re-validate a device of dimension dim, the grid's n. A file
-    that does not decode, parse or fit the write_device layout, its dim
-    included, raises ConfigError naming it; a basis or cells that fail
-    build_device's checks raise BasisError/CellError; a device of another
-    dimension raises ConfigError. A file longer than device_file_bound(dim)
-    is refused before it is parsed, with the dimension its head states
-    when that is another one."""
+    """Load a device of dimension dim, the grid's n: a preset by its name, or a
+    stored basis, re-validated. A file that does not decode, parse or fit a
+    write_device layout, its dim included, raises ConfigError naming it, and
+    a stated dim other than dim raises ConfigError before anything is built;
+    a basis or cells that fail build_device's checks raise BasisError/CellError.
+    A file longer than device_file_bound(dim) is refused unparsed, with the
+    dimension its head states when that is another one."""
     bound = device_file_bound(dim)
     data, size = _read_at_most(path, bound)
     if size:
@@ -271,10 +252,20 @@ def read_device(path, dim) -> DiscreteDevice:
                           f"{dim}-cell device file ({bound} bytes)")
     try:
         rec = json.loads(data.decode())
+        stated = rec["dim"]
         # a bool is an int to Python, so its type is compared, not isinstance
-        if type(rec["dim"]) is not int or rec["dim"] != len(rec["basis"]):
-            raise ValueError(f"dim {json.dumps(rec['dim'])} is not the number of basis "
-                             f"rows, {len(rec['basis'])}")
+        if type(stated) is not int:
+            raise ValueError(f"dim {json.dumps(stated)} is not an integer")
+        if "preset" not in rec and stated != len(rec["basis"]):
+            raise ValueError(f"dim {stated} is not the number of basis rows, {len(rec['basis'])}")
+        if stated != dim:
+            raise ConfigError(f"device dimension {stated} must equal grid n {dim}")
+        if "preset" in rec:
+            return preset_device(dim, rec["preset"])
+        # complex() reads true as 1; the entries' types are gathered in C
+        pairs = itertools.chain(itertools.chain.from_iterable(rec["basis"]), rec["eigenvalues"])
+        if bool in set(map(type, itertools.chain.from_iterable(pairs))):
+            raise ValueError("a basis entry or eigenvalue is true or false, not a number")
         basis = np.array([[complex(re, im) for re, im in row] for row in rec["basis"]])
         # np.array(..., dtype=int) would truncate 7.99 and read true as 1
         bad = [c for c in rec["target_cells"] if type(c) is not int]
@@ -282,23 +273,20 @@ def read_device(path, dim) -> DiscreteDevice:
             raise ValueError(f"target cell {json.dumps(bad[0])} is not an integer")
         cells = np.array(rec["target_cells"], dtype=int)
         eig = np.array([complex(re, im) for re, im in rec["eigenvalues"]])
-        dev = build_device(basis, cells, eig)
+        return build_device(basis, cells, eig)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
         raise ConfigError(f"malformed device file {path}: {e}") from None
-    if dev.dim != dim:
-        raise ConfigError(f"device dimension {dev.dim} must equal grid n {dim}")
-    return dev
 
 
 def write_likelihood_csv(path, like):
-    """Matrix with a header row of pointer labels; data row i holds
-    P(r | cell i) across the columns, a preset's built from its two texts."""
-    header = ",".join("alpha_%d" % r for r in range(like.n_pointers)) + "\n"
+    """CSV. A preset is the header "n,on,off" and one line of its three
+    values. A matrix has a header row of pointer labels, and data row i
+    holds P(r | cell i) across the columns."""
     if like.dense is None:
-        rows = _diagonal_rows(like.n, b"%.17g" % like.on, b"%.17g" % like.off, b",", b"\n")
-    else:
-        rows = _csv_rows(like.dense.T)
-    atomic_write(path, itertools.chain((header,), rows))
+        atomic_write(path, b"n,on,off\n%d,%.17g,%.17g\n" % (like.n, like.on, like.off))
+        return
+    header = ",".join("alpha_%d" % r for r in range(like.n_pointers)) + "\n"
+    atomic_write(path, itertools.chain((header,), _csv_rows(like.dense.T)))
 
 
 def likelihood_file_bound(n) -> int:
@@ -311,13 +299,12 @@ def likelihood_file_bound(n) -> int:
 
 
 def read_likelihood_csv(path, n_cells):
-    """Inverse of write_likelihood_csv, for a likelihood meant for n_cells
-    cells. The header must be the labels write_likelihood_csv writes for
-    the data rows' column count, and at least one data row must follow it;
-    a file that does not fit raises ConfigError naming it. A file longer
-    than likelihood_file_bound(n_cells) is refused before it is parsed, and
-    one of more than config.MAX_POINTERS readings after. The caller checks
-    the cell count of what it reads."""
+    """Inverse of write_likelihood_csv, for a likelihood over n_cells cells:
+    a preset's line holds a positive integer n and two floats; a matrix's
+    header is the labels of its data rows' columns, with a row under it. A
+    file that does not fit, or is over another number of cells, raises
+    ConfigError before the model is built; so does one longer than
+    likelihood_file_bound(n_cells), unparsed, or of over MAX_POINTERS readings."""
     from .amplification import LikelihoodModel
 
     bound = likelihood_file_bound(n_cells)
@@ -330,18 +317,30 @@ def read_likelihood_csv(path, n_cells):
         lines = [ln.strip() for ln in data.decode().replace("\r", "\n").split("\n") if ln.strip()]
         if not lines:
             raise ConfigError(f"empty likelihood file {path}")
-        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=float)
-        if len(rows) == 0:
-            raise ValueError("no data rows follow the header")
-        k = rows.shape[1]
-        if lines[0] != ",".join("alpha_%d" % r for r in range(k)):
-            raise ValueError(f"the header must be alpha_0..alpha_{k - 1} for {k} columns")
+        if lines[0] == "n,on,off":
+            if len(lines) != 2:
+                raise ValueError("a preset likelihood has one line under its header")
+            n, on, off = lines[1].split(",")
+            if not n.isdigit() or int(n) < 1:
+                raise ValueError(f"n {n} is not a positive integer")
+            k = cells = int(n)
+            args = None, k, float(on), float(off)
+        else:
+            rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=float)
+            if len(rows) == 0:
+                raise ValueError("no data rows follow the header")
+            cells, k = rows.shape
+            args = (rows.T,)
+            if lines[0] != ",".join("alpha_%d" % r for r in range(k)):
+                raise ValueError(f"the header must be alpha_0..alpha_{k - 1} for {k} columns")
     except ValueError as e:
         raise ConfigError(f"malformed likelihood file {path}: {e}") from None
+    if cells != n_cells:
+        raise ConfigError(f"likelihood has {cells} cells but device has {n_cells}")
     if k > config.MAX_POINTERS:
         raise ConfigError(f"likelihood file {path} has {k} pointer readings, more than "
                           f"the limit of {config.MAX_POINTERS}")
-    return LikelihoodModel(rows.T)
+    return LikelihoodModel(*args)
 
 
 def write_experiment_log(path, log):

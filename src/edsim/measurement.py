@@ -22,6 +22,8 @@ from .state import WaveFunction
 from .trajectories import draw_cells
 
 ORTHO_TOL = 1e-10
+# the devices a name stands for, each a closed form (preset_device)
+DEVICE_PRESETS = ("identity", "fourier")
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,7 @@ class DiscreteDevice:
     dense: Optional[np.ndarray]  # the stored basis; None for a preset
     eigenvalues: np.ndarray
     target_cells: np.ndarray
-    preset: Optional[str] = None  # "identity" or "fourier"
+    preset: Optional[str] = None  # one of DEVICE_PRESETS
 
     @property
     def basis(self) -> np.ndarray:
@@ -101,9 +103,11 @@ def _identity_deviation(m) -> float:
     return np.max(dev)
 
 
-def _preset(dim, preset) -> DiscreteDevice:
-    """A preset device: a_i targets cell i, with eigenvalue i. Its basis is
-    a closed form, so build_device's O(n^3) checks are left to the tests."""
+def preset_device(dim, preset) -> DiscreteDevice:
+    """The DEVICE_PRESETS device named preset: a_i targets cell i, with eigenvalue i.
+    Its basis is a closed form, so build_device's O(n^3) checks are left to the tests."""
+    if preset not in DEVICE_PRESETS:
+        raise ValueError(f"unknown device preset {preset!r}")
     if dim < 1:
         raise ValueError("device dimension must be at least 1")
     cells = np.arange(dim)
@@ -112,12 +116,12 @@ def _preset(dim, preset) -> DiscreteDevice:
 
 def identity_device(dim: int) -> DiscreteDevice:
     """Position measured directly: the unitary is the identity."""
-    return _preset(dim, "identity")
+    return preset_device(dim, "identity")
 
 
 def fourier_device(dim: int) -> DiscreteDevice:
     """Momentum-like device: the unitary is the DFT, applied with np.fft."""
-    return _preset(dim, "fourier")
+    return preset_device(dim, "fourier")
 
 
 def phase_table(n) -> np.ndarray:

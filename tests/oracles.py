@@ -4,7 +4,9 @@ The Hamiltonian references work on dense or eigen-decomposed forms of its
 bands, where scipy's general solvers are fine; the experiment log
 reference encodes one plain dict per trial, the join of its two files
 reads them back into that form, and the likelihood reference
-one float at a time. None of this is on the package's run path.
+one float at a time. dense_copy stores a preset's closed form entry by
+entry, as a file device or file likelihood does. None of this is on the
+package's run path.
 """
 
 import json
@@ -12,7 +14,7 @@ import json
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from edsim import WaveFunction, hamiltonian
+from edsim import LikelihoodModel, WaveFunction, build_device, hamiltonian
 
 
 def dense_hamiltonian(grid, p):
@@ -70,8 +72,21 @@ def join_experiment_log(trials: str, posteriors: str) -> str:
     return "".join(out)
 
 
+def dense_copy(model):
+    """A preset device or likelihood stored dense: the same basis, target
+    cells and eigenvalues, or the same matrix, which the writers spell
+    entry by entry and the readers re-validate."""
+    if isinstance(model, LikelihoodModel):
+        return LikelihoodModel(model.matrix)
+    return build_device(model.basis, model.target_cells, model.eigenvalues)
+
+
 def ref_likelihood(like) -> str:
-    """likelihood.csv as the plain join of each column's "%.17g" texts."""
+    """likelihood.csv: a preset as "n,on,off" and the line of its n and the
+    "%.17g" texts of its two values; a matrix as the plain join of each
+    column's "%.17g" texts."""
+    if like.dense is None:
+        return "n,on,off\n%d,%s,%s\n" % (like.n, format(like.on, ".17g"), format(like.off, ".17g"))
     m = like.matrix
     lines = [",".join("alpha_%d" % r for r in range(m.shape[0]))]
     for i in range(m.shape[1]):

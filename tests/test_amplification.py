@@ -281,6 +281,7 @@ def test_preset_likelihoods_match_their_dense_matrices(tmp_path, n, kind, drawn,
     path = tmp_path / "like.csv"
     iomod.write_likelihood_csv(path, like)
     assert path.read_text() == ref_likelihood(like)
+    assert iomod.read_likelihood_csv(path, n).matrix.tobytes() == m.tobytes()
 
 
 def test_presets_allocate_no_matrix():

@@ -40,7 +40,7 @@ from edsim.io import (
     write_likelihood_csv,
 )
 from edsim.trajectories import ENTROPIC_DIFFUSION, SAMPLER_MODES
-from oracles import join_experiment_log
+from oracles import dense_copy, join_experiment_log
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -1022,7 +1022,7 @@ def test_non_finite_file_device_maps_to_exit_3(field, value, ini, tmp_path, caps
     """nan fails every "deviation > tolerance" check, so without a finiteness
     check a nan device would run and write NaN into born.json and chi2.json."""
     path = tmp_path / "device.json"
-    write_device(path, fourier_device(64))
+    write_device(path, dense_copy(fourier_device(64)))
     rec = json.loads(path.read_text())
     entry = rec["basis"][3] if field == "basis" else rec["eigenvalues"]
     entry[5][0] = float(value)
@@ -1128,7 +1128,7 @@ def test_smaller_device_file_of_another_dimension_exits_2(ini, tmp_path, capsys)
     """A 16-cell device file fits under the 32-cell bound, so it is parsed,
     and its dimension is refused after."""
     path = tmp_path / "device.json"
-    write_device(path, fourier_device(16))
+    write_device(path, dense_copy(fourier_device(16)))
     cfg = ini(grid__n=32, device__preset="file", device__path=str(path))
     assert run("measure", "--config", cfg, "--out", str(tmp_path / "m")) == 2
     assert json.loads(capsys.readouterr().err) == {
@@ -1155,6 +1155,12 @@ MALFORMED_DEVICES = {
                                              lambda v: [0.9] + v[1:-1] + [63.99]),
     "cell_boolean": lambda text: _edit_json(text, "target_cells",
                                             lambda v: [True, False] + v[2:]),
+    # a basis or eigenvalue entry must be a number; JSON true is not 1, and
+    # the identity spelled with true and false would run as it
+    "basis_boolean": lambda text: _edit_json(
+        text, "basis", lambda v: [[[i == j, False] for j in range(64)] for i in range(64)]),
+    "eigenvalue_boolean": lambda text: _edit_json(text, "eigenvalues",
+                                                  lambda v: [[True, False]] + v[1:]),
     # dim must be the integer count of basis rows; JSON true is not 1
     "dim_mismatch": lambda text: _edit_json(text, "dim", lambda v: 3),
     "dim_boolean": lambda text: _edit_json(
@@ -1167,7 +1173,7 @@ MALFORMED_DEVICES = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_DEVICES))
 def test_malformed_device_file_exits_2_naming_it(case, ini, tmp_path, capsys):
     path = tmp_path / "device.json"
-    write_device(path, fourier_device(64))
+    write_device(path, dense_copy(fourier_device(64)))
     path.write_bytes(MALFORMED_DEVICES[case](path.read_text()))
     for command in ("measure", "amplify"):
         out = tmp_path / command
@@ -1184,7 +1190,7 @@ def test_target_cell_off_the_grid_exits_3(cell, ini, tmp_path, capsys):
     """Cells are indices into the 64-cell grid: 99 would be tallied in
     outcomes.csv as a cell that does not exist."""
     path = tmp_path / "device.json"
-    write_device(path, fourier_device(64))
+    write_device(path, dense_copy(fourier_device(64)))
     path.write_bytes(_edit_json(path.read_text(), "target_cells",
                                 lambda v: v[:-1] + [cell]))
     for command in ("measure", "amplify"):
@@ -1237,7 +1243,7 @@ MALFORMED_LIKELIHOODS = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_LIKELIHOODS))
 def test_malformed_likelihood_file_exits_2_naming_it(case, ini, tmp_path, capsys):
     path = tmp_path / "likelihood.csv"
-    write_likelihood_csv(path, noisy_likelihood(64, 0.1))
+    write_likelihood_csv(path, dense_copy(noisy_likelihood(64, 0.1)))
     path.write_bytes(MALFORMED_LIKELIHOODS[case](path.read_text()))
     out = tmp_path / "o"
     cfg = ini(amplify__likelihood="file", amplify__path=str(path))
@@ -1267,7 +1273,7 @@ def test_n_trials_is_checked_before_any_file_is_read(command, section, overrides
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_file_likelihood_maps_to_exit_3(value, ini, tmp_path, capsys):
     path = tmp_path / "likelihood.csv"
-    write_likelihood_csv(path, noisy_likelihood(64, 0.1))
+    write_likelihood_csv(path, dense_copy(noisy_likelihood(64, 0.1)))
     lines = path.read_text().splitlines()
     row = lines[4].split(",")
     row[7] = value
@@ -1276,6 +1282,117 @@ def test_non_finite_file_likelihood_maps_to_exit_3(value, ini, tmp_path, capsys)
     cfg = ini(amplify__likelihood="file", amplify__path=str(path))
     assert run("amplify", "--config", cfg, "--out", str(tmp_path / "o")) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "RangeError"
+
+
+@pytest.mark.parametrize("device, likelihood", [("fourier", "noisy"), ("identity", "ideal")])
+def test_rerun_on_its_own_files_writes_its_tree(device, likelihood, ini, tmp_path):
+    """measure and amplify on the device.json and likelihood.csv a first run
+    wrote write that run's files byte for byte: each file rereads as the
+    preset it names. Only resolved.ini, which names the files, differs."""
+    first = tmp_path / "first"
+    cfg = ini(device__preset=device, amplify__likelihood=likelihood)
+    again = ini(device__preset="file", device__path=str(first / "measure" / "device.json"),
+                amplify__likelihood="file",
+                amplify__path=str(first / "amplify" / "likelihood.csv"))
+    for command in ("measure", "amplify"):
+        assert run(command, "--config", cfg, "--out", str(first / command)) == 0
+    for command in ("measure", "amplify"):
+        out = tmp_path / "again" / command
+        assert run(command, "--config", again, "--out", str(out)) == 0
+        assert listdir(out) == listdir(first / command)
+        for name in listdir(out):
+            same = (out / name).read_bytes() == (first / command / name).read_bytes()
+            assert same == (name != "resolved.ini"), name
+
+
+MALFORMED_PRESET_DEVICES = {
+    "unknown_name": {"dim": 64, "preset": "fft"},
+    "file_name": {"dim": 64, "preset": "file"},
+    "no_name": {"dim": 64, "preset": None},
+    "dim_boolean": {"dim": True, "preset": "identity"},
+    "dim_fraction": {"dim": 64.0, "preset": "fourier"},
+    "dim_missing": {"preset": "fourier"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PRESET_DEVICES))
+def test_malformed_preset_device_file_exits_2_naming_it(case, ini, tmp_path, capsys):
+    path = tmp_path / "device.json"
+    path.write_text(json.dumps(MALFORMED_PRESET_DEVICES[case]) + "\n")
+    for command in ("measure", "amplify"):
+        out = tmp_path / command
+        cfg = ini(device__preset="file", device__path=str(path))
+        assert run(command, "--config", cfg, "--out", str(out)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"malformed device file {path}: ")
+        assert listdir(out) == ["resolved.ini"]
+
+
+@pytest.mark.parametrize("dim", [8, 65, 10**12])
+def test_preset_device_file_of_another_dimension_exits_2_unbuilt(dim, ini, tmp_path, capsys):
+    """The stated dim is checked against the grid before the preset is
+    built: a trillion-cell identity exits 2 with a small traced peak."""
+    path = tmp_path / "device.json"
+    path.write_text(json.dumps({"dim": dim, "preset": "identity"}) + "\n")
+    cfg = ini(device__preset="file", device__path=str(path))
+    tracemalloc.start()
+    try:
+        code = run("measure", "--config", cfg, "--out", str(tmp_path / "m"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError", "message": f"device dimension {dim} must equal grid n 64"}
+    assert peak < 2**20
+
+
+MALFORMED_PRESET_LIKELIHOODS = {
+    "n_fraction": "64.0,1,0",
+    "n_inf": "inf,1,0",
+    "n_zero": "0,1,0",
+    "n_negative": "-64,1,0",
+    "on_text": "64,one,0",
+    "two_values": "64,1",
+    "four_values": "64,1,0,0",
+    "no_line": "",
+    "two_lines": "64,1,0\n64,1,0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PRESET_LIKELIHOODS))
+def test_malformed_preset_likelihood_file_exits_2_naming_it(case, ini, tmp_path, capsys):
+    path = tmp_path / "likelihood.csv"
+    path.write_text("n,on,off\n" + MALFORMED_PRESET_LIKELIHOODS[case] + "\n")
+    out = tmp_path / "o"
+    assert run("amplify", "--config", ini(amplify__likelihood="file", amplify__path=str(path)),
+               "--out", str(out)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(f"malformed likelihood file {path}: ")
+    assert listdir(out) == ["resolved.ini"]
+
+
+@pytest.mark.parametrize("line, code, error", [
+    ("64,1.5,0", 3, "RangeError"),  # on above 1
+    ("64,1.0625,-0.00099206349206349201", 3, "RangeError"),  # off below 0, sum 1
+    ("64,nan,0", 3, "RangeError"),
+    ("64,0.90000000000000002,0.10000000000000001", 3, "RangeError"),  # sum 7.2
+    ("64,1,1e-13", 3, "RangeError"),  # sum 1 + 6.3e-12, past _COLUMN_TOL
+    ("64,1,1e-15", 0, None),  # sum 1 + 6.3e-14, within it
+    ("32,1,0", 2, "ConfigError"),  # 32 cells under a 64-cell device
+])
+def test_preset_likelihood_file_is_checked_as_a_dense_one(line, code, error, ini, tmp_path,
+                                                          capsys):
+    """A preset's two values meet the range and column-sum checks of a dense
+    file, with the same exit codes, and its n must be the device's."""
+    path = tmp_path / "likelihood.csv"
+    path.write_text("n,on,off\n" + line + "\n")
+    cfg = ini(amplify__likelihood="file", amplify__path=str(path))
+    assert run("amplify", "--config", cfg, "--out", str(tmp_path / "o")) == code
+    err = capsys.readouterr().err
+    assert (json.loads(err)["error"] if err else None) == error
 
 
 def test_blocked_out_dir_maps_to_exit_4(ini, tmp_path, capsys):

@@ -101,9 +101,10 @@ def test_measure_loads_compiled_blas_without_the_linalg_package(tmp_path):
     measure on it loads neither."""
     from edsim import identity_device
     from edsim.io import write_device
+    from oracles import dense_copy
 
     device = tmp_path / "device.json"
-    write_device(device, identity_device(64))
+    write_device(device, dense_copy(identity_device(64)))
     names = LINALG + ("scipy.linalg._fblas",)
     for preset, blas in (("fourier", []), ("file", ["scipy.linalg._fblas"])):
         cfg = tmp_path / f"{preset}.ini"

@@ -29,8 +29,11 @@ from edsim import (
     evolve,
     fourier_device,
     free_gaussian,
+    ideal_likelihood,
+    identity_device,
     noisy_likelihood,
 )
+from oracles import dense_copy
 
 
 def small_trace():
@@ -140,7 +143,7 @@ def test_device_round_trip(tmp_path):
 
 
 def test_read_device_revalidates(tmp_path):
-    dev = fourier_device(4)
+    dev = dense_copy(fourier_device(4))
     path = tmp_path / "device.json"
     iomod.write_device(path, dev)
     rec = json.loads(path.read_text())
@@ -184,6 +187,45 @@ def test_likelihood_round_trip(tmp_path):
     iomod.write_likelihood_csv(path, like)
     back = iomod.read_likelihood_csv(path, like.n_cells)
     assert_allclose(back.matrix, like.matrix, atol=1e-16)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(8, 4096), preset=st.sampled_from(["identity", "fourier"]),
+       rows=st.lists(st.integers(0, 4095), min_size=1, max_size=4))
+def test_preset_device_file_is_its_name(tmp_path, n, preset, rows):
+    """A preset device's file is one line at any n, and reads back as that
+    preset: the rows it forms are bit for bit the written device's."""
+    dev = identity_device(n) if preset == "identity" else fourier_device(n)
+    path = tmp_path / "device.json"
+    iomod.write_device(path, dev)
+    assert path.read_text() == '{"dim": %d, "preset": "%s"}\n' % (n, preset)
+    back = iomod.read_device(path, n)
+    assert back.preset == preset and back.dense is None
+    i = np.array(rows) % n
+    assert back.rows(i).tobytes() == dev.rows(i).tobytes()
+    assert back.eigenvalues.tobytes() == dev.eigenvalues.tobytes()
+    assert np.array_equal(back.target_cells, dev.target_cells)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(8, 4096),
+       epsilon=st.one_of(st.none(), st.sampled_from([0.0, 0.1, 0.5]),
+                         st.floats(0.0, 1.0, exclude_max=True)),
+       readings=st.lists(st.integers(0, 4095), min_size=1, max_size=4))
+def test_preset_likelihood_file_is_its_line(tmp_path, n, epsilon, readings):
+    """The ideal likelihood (epsilon None) and a noisy one are written as
+    their n and two values, two lines at any n, and read back as that
+    preset: the rows it forms are bit for bit the written model's."""
+    like = ideal_likelihood(n) if epsilon is None else noisy_likelihood(n, epsilon)
+    path = tmp_path / "like.csv"
+    iomod.write_likelihood_csv(path, like)
+    assert path.read_text() == "n,on,off\n%d,%.17g,%.17g\n" % (n, like.on, like.off)
+    back = iomod.read_likelihood_csv(path, n)
+    assert back.dense is None and back.n == n
+    r = np.array(readings) % n
+    assert back.rows(r).tobytes() == like.rows(r).tobytes()
 
 
 def _complex(re, im):

@@ -38,7 +38,7 @@ from edsim import (
     noisy_likelihood,
 )
 from edsim.seeding import stream_rng
-from oracles import experiment_log_text, join_experiment_log, ref_likelihood
+from oracles import dense_copy, experiment_log_text, join_experiment_log, ref_likelihood
 
 
 def _c(z):
@@ -46,6 +46,8 @@ def _c(z):
 
 
 def ref_device(dev) -> str:
+    if dev.preset is not None:
+        return json.dumps({"dim": dev.dim, "preset": dev.preset}) + "\n"
     rec = {
         "dim": dev.dim,
         "basis": [[_c(v) for v in row] for row in dev.basis],
@@ -298,15 +300,17 @@ def test_more_devices_match_reference_and_round_trip(name, tmp_path):
 
 @pytest.mark.parametrize("n", [8, 9, 64, 512])
 def test_fourier_device_text_from_its_phase_table(n, tmp_path):
-    """The Fourier preset's rows, written from its n-entry phase table, are
-    the bytes of the distinct-pair path on a dense device built from the
-    basis that dev.basis builds on demand."""
+    """The Fourier preset's file is its name, and its basis, built from the
+    n-entry phase table and stored dense, is spelled entry by entry in
+    json.dumps's text and reads back bit for bit as a stored basis."""
     dev = fourier_device(n)
-    assert dev.dense is None
-    iomod.write_device(tmp_path / "table.json", dev)
-    dense = build_device(dev.basis, dev.target_cells, dev.eigenvalues)
-    iomod.write_device(tmp_path / "pairs.json", dense)
-    assert (tmp_path / "table.json").read_bytes() == (tmp_path / "pairs.json").read_bytes()
+    iomod.write_device(tmp_path / "preset.json", dev)
+    assert (tmp_path / "preset.json").read_text() == '{"dim": %d, "preset": "fourier"}\n' % n
+    dense = dense_copy(dev)
+    iomod.write_device(tmp_path / "dense.json", dense)
+    assert (tmp_path / "dense.json").read_text() == ref_device(dense)
+    back = iomod.read_device(tmp_path / "dense.json", n)
+    assert back.preset is None and back.basis.tobytes() == dev.basis.tobytes()
 
 
 def test_hand_device_keeps_special_values(tmp_path):
@@ -332,7 +336,7 @@ def _peak_bytes(fn):
 def test_device_writer_streams_in_bounded_memory(tmp_path):
     """The streamed writer peaks at no more than half of what one json.dumps
     over the nested [re, im] lists needs for the same device."""
-    dev = fourier_device(256)
+    dev = dense_copy(fourier_device(256))
     streamed = _peak_bytes(lambda: iomod.write_device(tmp_path / "device.json", dev))
     nested = _peak_bytes(lambda: ref_device(dev))
     assert streamed <= nested / 2
