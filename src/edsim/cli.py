@@ -13,7 +13,9 @@ Exit codes:
     4  filesystem problem
     5  validate ran and at least one criterion failed
 
-Errors are reported as a single JSON line on stderr: {"error": ..., "message": ...}.
+Errors are reported as a single JSON line on stderr: {"error": ..., "message": ...},
+plus "stage" (the engine), "step" and "t" for a failure at a known step of
+evolve.
 
 Config values are read and checked through RunConfig (edsim.config), which
 also states the run plan: the engines and sampler laws a run uses, and the
@@ -278,7 +280,8 @@ def _build_parser():
 
 
 def _report(e) -> None:
-    print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
+    where = e.context() if isinstance(e, SimulationError) else {}
+    print(json.dumps({"error": type(e).__name__, "message": str(e), **where}), file=sys.stderr)
 
 
 def main(argv=None) -> int:

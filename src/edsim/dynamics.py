@@ -41,10 +41,16 @@ its fields are still finite.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import importlib.util
 import math
 import os
+import platform
+import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import List, Tuple
@@ -262,6 +268,89 @@ def schrodinger_step(
 
 
 # ---------------------------------------------------------------------------
+# the density-phase step, compiled
+
+KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_madelung.c")
+# -ffp-contract=off keeps each a * b + c two rounded operations: GCC's default
+# in its GNU C mode fuses them into one FMA where the host has one, which
+# moves bits. No flag may let the compiler reorder or approximate arithmetic.
+KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# beside the package's bytecode: written by whoever runs the package first
+KERNEL_CACHE = os.path.join(os.path.dirname(KERNEL_SOURCE), "__pycache__")
+_DIGEST = 32  # a cached library ends with the sha256 of the bytes before it
+
+
+def kernel_command(source, target, flags=KERNEL_FLAGS):
+    """The command that compiles the C file source into the library target."""
+    return ["cc", *flags, source, "-o", target, "-lm"]
+
+
+def kernel_path(source, flags=KERNEL_FLAGS):
+    """Where the library built from the C text source (bytes) with flags is
+    cached: named by the sha256 of the text, the build command and the
+    machine."""
+    words = (*kernel_command("", "", flags), platform.machine())
+    key = hashlib.sha256(b"\0".join((source, *(w.encode() for w in words))))
+    return os.path.join(KERNEL_CACHE, f"_madelung.{key.hexdigest()[:16]}.so")
+
+
+def build_kernel(source, path, flags=KERNEL_FLAGS):
+    """Compile the C file source into path. cc writes into a temp directory
+    beside path; the library gets its sha256 appended and is renamed into
+    place, so a reader finds a whole library or none, also while another
+    process builds the same one."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as d:
+        tmp = os.path.join(d, os.path.basename(path))
+        subprocess.run(kernel_command(source, tmp, flags), check=True, capture_output=True,
+                       timeout=300)
+        with open(tmp, "r+b") as fh:
+            fh.write(hashlib.sha256(fh.read()).digest())
+        os.replace(tmp, path)
+
+
+def _intact(path):
+    """Whether path holds a library that ends with its own sha256, as
+    build_kernel leaves it: a truncated or damaged file is never loaded."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return False
+    return len(data) > _DIGEST and data[-_DIGEST:] == hashlib.sha256(data[:-_DIGEST]).digest()
+
+
+@functools.cache
+def madelung_kernel():
+    """(madelung_rk4, madelung_work_size) of the compiled step, built into
+    KERNEL_CACHE on first use and rebuilt once if the cached file is not
+    intact; or None, after one line on stderr, when it cannot be built or
+    loaded (no compiler, a cache that cannot be written, a failed compile).
+    Then _MadelungEngine steps with numpy, to the same bits."""
+    try:
+        with open(KERNEL_SOURCE, "rb") as fh:
+            path = kernel_path(fh.read())
+        if not _intact(path):
+            build_kernel(KERNEL_SOURCE, path)
+        lib = ctypes.CDLL(path)
+    except (OSError, subprocess.SubprocessError) as e:
+        print(f"edsim: no compiled density-phase step ({e}); the numpy step runs instead",
+              file=sys.stderr, flush=True)
+        return None
+    rk4, size = lib.madelung_rk4, lib.madelung_work_size
+    ptr, long = ctypes.c_void_p, ctypes.c_long
+    rk4.argtypes = (ptr, ptr, ptr, long, ctypes.c_int, ptr, ptr, ctypes.c_double, ptr, ptr)
+    rk4.restype = None
+    size.argtypes = (long,)
+    size.restype = ctypes.c_size_t
+    return rk4, size
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+# ---------------------------------------------------------------------------
 # density-phase engine
 
 
@@ -300,9 +389,14 @@ class _MadelungEngine:
 
     c1 = r2/4 + r4/4 and c0 = r2/2 + 3 r4/8, the 5-point form of
     msk (r2/4 d2f - r4/16 d4f).
+
+    With compiled (the default) and the kernel of _madelung.c at hand
+    (madelung_kernel), the RK4 sums run in C, one call a step, through the
+    same operations in the same order, to the same bits; self.compiled says
+    which path runs. The renormalization is numpy's on both.
     """
 
-    def __init__(self, grid: Grid1D, p: PhysicalParams):
+    def __init__(self, grid: Grid1D, p: PhysicalParams, compiled: bool = True):
         self.dx = dx = grid.dx
         self.n = n = grid.n
         hbar, m = p.hbar, p.m
@@ -321,6 +415,22 @@ class _MadelungEngine:
         # scalar operands as 0-d arrays: a ufunc converts a Python float on
         # every call, which costs about as much as the arithmetic at n = 1024
         self._consts = (*(np.array(v) for v in (kr, kq, kg, c1, c0, HYDRO_FLOOR, 0.0, 2.0)), vq)
+        g2 = GUARD_SCALE * GUARD_SCALE
+        kernel = madelung_kernel() if compiled else None
+        self.compiled = kernel is not None
+        if self.compiled:
+            # the constants in the kernel's order, and its work buffer; the
+            # step passes raw addresses, as ndpointer argument checks would
+            # cost a third of the step at n = 1024
+            rk4, size = kernel
+            self._kconsts = np.array([kr, kq, kg, c1, c0, HYDRO_FLOOR,
+                                      HYDRO_FLOOR * HYDRO_FLOOR, g2, r4s * g2])
+            self._kwork = np.empty(size(n))
+            self._kernel = functools.partial(  # vq stays alive in self._consts
+                rk4, *map(_address, (self._kconsts, vq, self._kwork)), n, self.periodic)
+            self._rk4 = self._compiled_rk4
+            return
+        self._rk4 = self._numpy_rk4
 
         # padded state, rho in pad[:s] and phi in pad[s:]; flux and
         # sqrt(rho + floor) buffers; and the views the stencils read:
@@ -338,7 +448,6 @@ class _MadelungEngine:
         # [gp, rp] and its square [gp^2, rp^2, r4s g^2], whose last 2n values
         # are the numerator of the weight (row 0) and mask (row 1) division;
         # the denominator is rp^2 + [floor^2, g^2]
-        g2 = GUARD_SCALE * GUARD_SCALE
         gr, sq2, wm = np.empty(2 * n), np.empty(3 * n), np.empty((2, n))
         sq2[2 * n:] = r4s * g2
         fg = np.array([[HYDRO_FLOOR * HYDRO_FLOOR], [g2]])
@@ -424,10 +533,28 @@ class _MadelungEngine:
     def step(self, rho, phi, dt):
         """One RK4 step plus renormalization. Returns (rho, phi, |Z - 1|) in
         new arrays; the inputs are left untouched."""
+        rho, phi = self._rk4(rho, phi, dt)
+        np.maximum(rho, self._consts[6], out=rho)
+        z = float(rho.sum() * self.dx)
+        if not (math.isfinite(z) and z > 0.0 and np.isfinite(phi).all()):
+            return rho, phi, np.inf
+        rho /= z
+        return rho, phi, abs(z - 1.0)
+
+    def _compiled_rk4(self, rho, phi, dt):
+        rho = np.ascontiguousarray(rho, dtype=np.float64)
+        phi = np.ascontiguousarray(phi, dtype=np.float64)
+        if rho.shape != (self.n,) or phi.shape != (self.n,):
+            raise ValueError(f"rho and phi must hold {self.n} values")
+        rho_out, phi_out = np.empty(self.n), np.empty(self.n)
+        self._kernel(_address(rho), _address(phi), dt, _address(rho_out), _address(phi_out))
+        return rho_out, phi_out
+
+    def _numpy_rk4(self, rho, phi, dt):
         k, y, y0, a2 = self._k, self._y, self._y0, self._a2
         y0_rho, y0_phi, a2_rho, a2_phi = self._rows
-        zero, two = self._consts[6:8]
-        with np.errstate(all="ignore"):  # a diverging substep is caught below
+        two = self._consts[7]
+        with np.errstate(all="ignore"):  # a diverging substep is caught by step
             np.copyto(y0_rho, rho)
             np.copyto(y0_phi, phi)
             np.copyto(y, y0)
@@ -443,14 +570,7 @@ class _MadelungEngine:
             np.add(a2, k[0], out=a2)
             np.add(a2, k[3], out=a2)
             np.multiply(a2, dt / 6.0, out=a2)
-            rho = np.add(rho, a2_rho)
-            phi = np.add(phi, a2_phi)
-        np.maximum(rho, zero, out=rho)
-        z = float(rho.sum() * self.dx)
-        if not (math.isfinite(z) and z > 0.0 and np.isfinite(phi).all()):
-            return rho, phi, np.inf
-        rho /= z
-        return rho, phi, abs(z - 1.0)
+            return np.add(rho, a2_rho), np.add(phi, a2_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +595,10 @@ def evolve(initial: WaveFunction, p: PhysicalParams, cfg: EvolutionConfig) -> Ev
     state -> (state, renormalization correction) and a snapshot state ->
     (HydroState, norm). The loop records a snapshot every snapshot_stride
     steps, always including t = 0 and t_final, with a diagnostics row that
-    carries the worst correction since the previous snapshot, and adds
-    the t of the step it was taking to any SimulationError. The
+    carries the worst correction since the previous snapshot. To any
+    SimulationError of a step it adds the t that step was taking the run
+    to, in the message, and the engine, the step and that t as the error's
+    stage, step and t. The
     density-phase engine starts from madelung_start (dt bound, node check
     active with cfg.node_floor).
     """
@@ -524,6 +646,7 @@ def evolve(initial: WaveFunction, p: PhysicalParams, cfg: EvolutionConfig) -> Ev
         try:
             state, dev = step(state)
         except SimulationError as e:
-            raise type(e)(f"{e} (t={t + dt:g})") from None
+            raise type(e)(f"{e} (t={t + dt:g})", stage=cfg.engine, step=k + 1,
+                          t=t + dt) from None
         worst_renorm = max(worst_renorm, dev)
     return trace

@@ -2,7 +2,20 @@
 
 
 class SimulationError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    stage (the engine), step (counted from 1) and t (the time that step
+    was taking the run to), when known, say where a run failed; the CLI's
+    JSON error line carries them as keys beside error and message."""
+
+    def __init__(self, *args, stage=None, step=None, t=None):
+        super().__init__(*args)
+        self.stage, self.step, self.t = stage, step, t
+
+    def context(self):
+        """{name: value} of the known ones of stage, step and t."""
+        where = {"stage": self.stage, "step": self.step, "t": self.t}
+        return {k: v for k, v in where.items() if v is not None}
 
 
 class NodeError(SimulationError):

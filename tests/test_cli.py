@@ -54,6 +54,11 @@ DEFAULTS = {
     "run": {"seed": 3},
 }
 
+# the keys of every JSON error line, and the three that a failure at a known
+# step of evolve adds
+ERROR_KEYS = {"error", "message"}
+STEP_KEYS = {"stage", "step", "t"}
+
 
 @pytest.fixture
 def ini(tmp_path):
@@ -295,20 +300,21 @@ def test_engine_both_forked_matches_inline(boundary, forks, ini, tmp_path):
     assert (both / "compare_l1.csv").read_bytes() == (tmp_path / "compare_l1.csv").read_bytes()
 
 
-@pytest.mark.parametrize("overrides, error", [
+@pytest.mark.parametrize("overrides, error, t", [
     # the initial tail (3.1e-18) clears the floor; the first step clips it to 0
-    ({"evolution__node_floor": "1e-18"}, "NodeError"),
+    ({"evolution__node_floor": "1e-18"}, "NodeError", 1e-3),
     # four steps inside the dt bound that renormalize by 2.68, 0.64, 8.1, 1.8e12
     ({"grid__n": 8, "initial__mu": 0.6, "initial__sigma": 0.6, "initial__k": 0.0988,
       "evolution__dt": 0.3952, "evolution__t_final": 1.5808,
-      "evolution__snapshot_stride": 1, "evolution__node_floor": 0}, "StabilityError"),
+      "evolution__snapshot_stride": 1, "evolution__node_floor": 0}, "StabilityError", 0.3952),
 ], ids=["node_floor", "blow_up"])
 @needs_fork
-def test_madelung_errors_match_inline(overrides, error, forks, ini, tmp_path, capsys):
+def test_madelung_errors_match_inline(overrides, error, t, forks, ini, tmp_path, capsys):
     """A Madelung failure mid-run in the forked worker gives the exit 3 and
-    JSON stderr line of a Madelung run alone, in-process. The Schrodinger
-    engine's files stay, and no temp file and no child process is left
-    behind."""
+    JSON stderr line of a Madelung run alone, in-process, with the engine,
+    the first step and its t as the line's stage, step and t. The
+    Schrodinger engine's files stay, and no temp file and no child process
+    is left behind."""
     seen = {}
     for engine in ("both", "madelung"):
         out = tmp_path / engine
@@ -317,7 +323,9 @@ def test_madelung_errors_match_inline(overrides, error, forks, ini, tmp_path, ca
         assert_no_child_left()
         assert not list(out.glob("*.tmp"))
         err = capsys.readouterr().err
-        assert json.loads(err)["error"] == error
+        line = json.loads(err)
+        assert line["error"] == error
+        assert (line["stage"], line["step"], line["t"]) == ("madelung", 1, t)
         seen[engine] = err
     assert seen["both"] == seen["madelung"]
     assert listdir(tmp_path / "both") == ["diagnostics_schrodinger.csv", "resolved.ini",
@@ -896,6 +904,8 @@ def test_finite_madelung_blow_up_maps_to_exit_3(ini, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "StabilityError"
     assert "renormalization correction" in err["message"] and "(t=0.3952)" in err["message"]
+    assert list(err) == ["error", "message", "stage", "step", "t"]
+    assert (err["stage"], err["step"], err["t"]) == ("madelung", 1, 0.3952)
 
 
 def test_node_error_maps_to_exit_3(ini, tmp_path, capsys):
@@ -960,7 +970,8 @@ def test_evolve_fuzz_exits_with_a_documented_code(n, steps, stride, engine, boun
     assert not caught, [str(w.message) for w in caught]
     if err:
         line, = err.splitlines()
-        assert set(json.loads(line)) == {"error", "message"}
+        keys = set(json.loads(line))
+        assert keys == ERROR_KEYS or (code == 3 and keys == ERROR_KEYS | STEP_KEYS), keys
 
 
 @pytest.mark.parametrize("command", ["trajectories", "measure", "amplify"])
@@ -1013,7 +1024,8 @@ def test_particle_and_readout_fuzz_exits_with_a_documented_code(
     assert not caught, [str(w.message) for w in caught]
     if err:
         line, = err.splitlines()
-        assert set(json.loads(line)) == {"error", "message"}
+        keys = set(json.loads(line))
+        assert keys == ERROR_KEYS or (code == 3 and keys == ERROR_KEYS | STEP_KEYS), keys
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -1,7 +1,11 @@
 """Density-phase engine: stationary states, cross-engine agreement, guard
-behavior, and the documented failure mode of the unguarded scheme."""
+behavior, and the documented failure mode of the unguarded scheme. The step
+properties run on both of the engine's paths, the compiled kernel and the
+numpy step, and hold the kernel to the numpy step bit for bit."""
 
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +25,22 @@ from edsim import (
     plane_wave,
     to_hydro,
 )
+from edsim.config import RunConfig
 from edsim.dynamics import GUARD_SCALE, HYDRO_FLOOR, _MadelungEngine
 from oracles import discrete_ground_state
 
 HARMONIC = PhysicalParams(potential=lambda x: 0.5 * x**2)
+ENGINES_INI = Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / "engines.ini"
+# the engine's paths under test: compiled (the kernel of _madelung.c) and
+# numpy; a host without a C compiler has only the numpy one
+PATHS = (True, False) if shutil.which("cc") else (False,)
+
+
+def engines(grid, p):
+    """One engine on each of PATHS, each checked to run that path."""
+    out = [_MadelungEngine(grid, p, compiled=compiled) for compiled in PATHS]
+    assert [eng.compiled for eng in out] == list(PATHS)
+    return out
 
 
 def packet(grid):
@@ -137,8 +153,9 @@ def test_non_finite_field_raises():
     p = PhysicalParams(potential=lambda x: 1e300 * (1.0 + x**2 / 64.0))
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=2.0)).normalized()
     dt = 0.05 * g.dx**2
-    with pytest.raises(StabilityError, match=r"non-finite field \(t=0\.2\)"):
+    with pytest.raises(StabilityError, match=r"non-finite field \(t=0\.2\)") as info:
         evolve(psi, p, EvolutionConfig(dt=dt, t_final=dt, engine="madelung"))
+    assert info.value.context() == {"stage": "madelung", "step": 1, "t": dt}
 
 
 def test_finite_blow_up_raises():
@@ -152,8 +169,10 @@ def test_finite_blow_up_raises():
     cfg = EvolutionConfig(dt=dt, t_final=4 * dt, engine="madelung", node_floor=0.0)
     assert dt < cfg.stability_limit(g, PhysicalParams())
     with pytest.raises(StabilityError,
-                       match=r"renormalization correction 2\.68 exceeds 0\.001 \(t=0\.3952\)"):
+                       match=r"renormalization correction 2\.68 exceeds 0\.001 \(t=0\.3952\)"
+                       ) as info:
         evolve(psi, PhysicalParams(), cfg)
+    assert info.value.context() == {"stage": "madelung", "step": 1, "t": dt}
 
 
 def test_dt_bound_enforced_upfront():
@@ -179,13 +198,16 @@ def test_node_floor_guards_conversion():
 def test_node_floor_mid_run_reports_its_step():
     """A packet running into a wall thins its far tail from 2.8e-6 to 9.4e-7
     in eight steps, so a floor of 1e-6 passes the up-front check and stops
-    the eighth step, which evolve reports with that step's t."""
+    the eighth step, which evolve reports with that step's t, and as the
+    error's stage, step and t."""
     g = Grid1D(-4.0, 4.0, 32, "hardwall")
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=1.0, k0=5.0, x0=1.0)).normalized()
     dt = 1.0 / 320.0
     cfg = EvolutionConfig(dt=dt, t_final=20 * dt, engine="madelung", node_floor=1e-6)
-    with pytest.raises(NodeError, match=r"^density 9\.4\d\de-07 below node floor \(t=0\.025\)$"):
+    with pytest.raises(NodeError,
+                       match=r"^density 9\.4\d\de-07 below node floor \(t=0\.025\)$") as info:
         evolve(psi, PhysicalParams(), cfg)
+    assert info.value.context() == {"stage": "madelung", "step": 8, "t": pytest.approx(0.025)}
 
 
 def test_renormalization_stays_small():
@@ -208,16 +230,16 @@ def test_single_step_matches_driver():
     _, psi0 = discrete_ground_state(g, HARMONIC)
     h0 = to_hydro(psi0, node_floor=0.0)
     dt = 5e-5
-    eng = _MadelungEngine(g, HARMONIC)
-    rho, phi, _ = eng.step(h0.rho, h0.phi, dt)
     tr = evolve(
         psi0,
         HARMONIC,
         EvolutionConfig(dt=dt, t_final=dt, engine="madelung", node_floor=0.0),
     )
     h1 = tr.snapshots[-1][1]
-    assert np.max(np.abs(rho - h1.rho)) < 1e-15
-    assert np.max(np.abs(phi - h1.phi)) < 1e-15
+    for eng in engines(g, HARMONIC):
+        rho, phi, _ = eng.step(h0.rho, h0.phi, dt)
+        assert np.max(np.abs(rho - h1.rho)) < 1e-15
+        assert np.max(np.abs(phi - h1.phi)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -349,21 +371,18 @@ EVEN_HARMONIC = PhysicalParams(potential=lambda x: 0.25 * (x**2 + x[::-1] ** 2))
 
 
 def _case(n, boundary, harmonic, mu, sigma, k0, c, even=False):
-    """A Gaussian packet's (rho, phi), dt = c dx^2, the engine and the
-    reference arguments for one drawn case."""
+    """A Gaussian packet's (rho, phi), dt = c dx^2, an engine on each path
+    and the reference arguments for one drawn case."""
     g = Grid1D(-8.0, 8.0, n, boundary)
     p = (EVEN_HARMONIC if even else HARMONIC) if harmonic else PhysicalParams()
     psi = WaveFunction(g, free_gaussian(g.cells, sigma0=sigma, k0=k0, x0=mu)).normalized()
     h = to_hydro(psi, node_floor=0.0)
-    eng = _MadelungEngine(g, p)
     args = (g, p, boundary == "periodic", HYDRO_FLOOR, GUARD_SCALE, True)
-    return h.rho, h.phi, c * g.dx**2, eng, args
+    return h.rho, h.phi, c * g.dx**2, engines(g, p), args
 
 
-@settings(max_examples=60, deadline=None)
-@given(steps=st.integers(1, 8), **_CASES)
-def test_step_is_bitwise_plain_formulation(steps, **case):
-    rho, phi, dt, eng, args = _case(**case)
+def _bitwise_plain(eng, rho, phi, dt, args, steps):
+    """eng steps to the bits of _ref_step, and blows up on its step."""
     rho_ref, phi_ref = rho.copy(), phi.copy()
     for _ in range(steps):
         rho, phi, dev = eng.step(rho, phi, dt)
@@ -376,11 +395,23 @@ def test_step_is_bitwise_plain_formulation(steps, **case):
             break
 
 
+@settings(max_examples=60, deadline=None)
+@given(steps=st.integers(1, 8), **_CASES)
+def test_step_is_bitwise_plain_formulation(steps, **case):
+    rho, phi, dt, engs, args = _case(**case)
+    for eng in engs:
+        _bitwise_plain(eng, rho, phi, dt, args, steps)
+
+
 def _poison(eng):
-    """Fill every work buffer of eng with NaN: the padded state with the
-    cells between its rows, the padded flux and sqrt(rho + floor), y0, the
-    stage buffers, [gp, rp] and its square, a, a2, c2 and the weight-mask
-    denominator. The constants keep their values."""
+    """Fill every work buffer of eng with NaN. The compiled path has one;
+    the numpy path has the padded state with the cells between its rows,
+    the padded flux and sqrt(rho + floor), y0, the stage buffers, [gp, rp]
+    and its square, a, a2, c2 and the weight-mask denominator. The
+    constants keep their values."""
+    if eng.compiled:
+        eng._kwork.fill(np.nan)
+        return
     fe, se = eng._views[6], eng._views[10]
     gr, _, _, gr2, _, _, _, a, a2, _, _, c2, _, wm, _, _ = eng._work
     for buf in (eng._y.base, fe, se, eng._y0, *eng._k, gr, gr2, a, a2, c2, wm):
@@ -398,18 +429,10 @@ def test_step_reads_no_junk(steps, **case):
     work buffers start as NaN still steps to the bits of the plain
     formulation. The cells between the state's rows and the ghost cells
     take stage values no stencil may see."""
-    rho, phi, dt, eng, args = _case(**case)
-    _poison(eng)
-    rho_ref, phi_ref = rho.copy(), phi.copy()
-    for _ in range(steps):
-        rho, phi, dev = eng.step(rho, phi, dt)
-        rho_ref, phi_ref, dev_ref = _ref_step(rho_ref, phi_ref, dt, *args)
-        blown = not np.isfinite(dev_ref)
-        assert _same(rho, rho_ref, blown)
-        assert _same(phi, phi_ref, blown)
-        assert dev == dev_ref or (blown and not np.isfinite(dev))
-        if blown:
-            break
+    rho, phi, dt, engs, args = _case(**case)
+    for eng in engs:
+        _poison(eng)
+        _bitwise_plain(eng, rho, phi, dt, args, steps)
 
 
 # Largest engine-vs-unfused deviation over about 43,000 drawn cases in the
@@ -426,17 +449,20 @@ UNFUSED_TOL_RHO, UNFUSED_TOL_PHI, UNFUSED_TOL_DEV = 4e-11, 1.6e-10, 5e-12
 def test_step_matches_unfused_formulation(steps, **case):
     """The folded constants change only roundoff: the engine tracks the
     expressions it integrated before they were folded, step for step."""
-    rho, phi, dt, eng, args = _case(**case)
-    rho_ref, phi_ref = rho.copy(), phi.copy()
-    for _ in range(steps):
-        rho, phi, dev = eng.step(rho, phi, dt)
-        rho_ref, phi_ref, dev_ref = _ref_step(rho_ref, phi_ref, dt, *args, unfused=True)
-        assert np.isfinite(dev) == np.isfinite(dev_ref)  # blow up on the same step
-        if not np.isfinite(dev_ref):
-            break
-        assert np.max(np.abs(rho - rho_ref)) <= UNFUSED_TOL_RHO * np.max(rho_ref)
-        assert np.max(np.abs(phi - phi_ref)) <= UNFUSED_TOL_PHI * max(1.0, np.max(np.abs(phi_ref)))
-        assert abs(dev - dev_ref) <= UNFUSED_TOL_DEV * (1.0 + dev_ref)
+    rho0, phi0, dt, engs, args = _case(**case)
+    for eng in engs:
+        rho, phi = rho0, phi0
+        rho_ref, phi_ref = rho.copy(), phi.copy()
+        for _ in range(steps):
+            rho, phi, dev = eng.step(rho, phi, dt)
+            rho_ref, phi_ref, dev_ref = _ref_step(rho_ref, phi_ref, dt, *args, unfused=True)
+            assert np.isfinite(dev) == np.isfinite(dev_ref)  # blow up on the same step
+            if not np.isfinite(dev_ref):
+                break
+            assert np.max(np.abs(rho - rho_ref)) <= UNFUSED_TOL_RHO * np.max(rho_ref)
+            assert (np.max(np.abs(phi - phi_ref))
+                    <= UNFUSED_TOL_PHI * max(1.0, np.max(np.abs(phi_ref))))
+            assert abs(dev - dev_ref) <= UNFUSED_TOL_DEV * (1.0 + dev_ref)
 
 
 EPS = np.finfo(float).eps
@@ -454,15 +480,16 @@ SHIFT_K = 1024.0
 def test_step_phase_shift_invariance(shift, **case):
     """Only differences of the phase enter the right-hand side, so a
     constant shift rides through a step unchanged."""
-    rho, phi, dt, eng, _ = _case(**case)
-    rho1, phi1, dev1 = eng.step(rho, phi, dt)
-    rho2, phi2, dev2 = eng.step(rho, phi + shift, dt)
-    assert np.isfinite(dev1) == np.isfinite(dev2)
-    assume(np.isfinite(dev1))  # a non-finite step leaves nothing to compare
-    phi1 = phi1 + shift
-    scale = SHIFT_K * EPS * (1.0 + np.max(np.abs(phi)) + np.max(np.abs(phi1)) + abs(shift))
-    assert np.max(np.abs(rho2 - rho1)) <= scale * np.max(rho1)
-    assert np.max(np.abs(phi2 - phi1)) <= scale
+    rho, phi, dt, engs, _ = _case(**case)
+    for eng in engs:
+        rho1, phi1, dev1 = eng.step(rho, phi, dt)
+        rho2, phi2, dev2 = eng.step(rho, phi + shift, dt)
+        assert np.isfinite(dev1) == np.isfinite(dev2)
+        assume(np.isfinite(dev1))  # a non-finite step leaves nothing to compare
+        phi1 = phi1 + shift
+        scale = SHIFT_K * EPS * (1.0 + np.max(np.abs(phi)) + np.max(np.abs(phi1)) + abs(shift))
+        assert np.max(np.abs(rho2 - rho1)) <= scale * np.max(rho1)
+        assert np.max(np.abs(phi2 - phi1)) <= scale
 
 
 # the renormalization sums the mirrored density in another order; over
@@ -478,13 +505,14 @@ def test_step_commutes_with_parity(**case):
     mirrored state gives the mirrored step: the stencils are centered, each
     neighbour sum is commutative, each difference changes sign exactly, and
     the ghost layers mirror. The phase mirrors bit for bit."""
-    rho, phi, dt, eng, _ = _case(even=True, **case)
-    rho1, phi1, dev1 = eng.step(rho, phi, dt)
-    rho2, phi2, dev2 = eng.step(rho[::-1].copy(), phi[::-1].copy(), dt)
-    assert np.isfinite(dev1) == np.isfinite(dev2)
-    assume(np.isfinite(dev1))  # a non-finite step leaves nothing to compare
-    assert phi2[::-1].tobytes() == phi1.tobytes()
-    assert np.max(np.abs(rho2[::-1] - rho1)) <= PARITY_K * EPS * np.max(rho1)
+    rho, phi, dt, engs, _ = _case(even=True, **case)
+    for eng in engs:
+        rho1, phi1, dev1 = eng.step(rho, phi, dt)
+        rho2, phi2, dev2 = eng.step(rho[::-1].copy(), phi[::-1].copy(), dt)
+        assert np.isfinite(dev1) == np.isfinite(dev2)
+        assume(np.isfinite(dev1))  # a non-finite step leaves nothing to compare
+        assert phi2[::-1].tobytes() == phi1.tobytes()
+        assert np.max(np.abs(rho2[::-1] - rho1)) <= PARITY_K * EPS * np.max(rho1)
 
 
 def test_step_results_are_not_engine_buffers():
@@ -492,13 +520,13 @@ def test_step_results_are_not_engine_buffers():
     _, psi0 = discrete_ground_state(g, HARMONIC)
     h0 = to_hydro(psi0, node_floor=0.0)
     rho0, phi0 = h0.rho.copy(), h0.phi.copy()
-    eng = _MadelungEngine(g, HARMONIC)
-    r1, p1, _ = eng.step(h0.rho, h0.phi, 1e-4)
-    kept = r1.copy(), p1.copy()
-    r2, p2, _ = eng.step(r1, p1, 1e-4)
-    assert h0.rho.tobytes() == rho0.tobytes() and h0.phi.tobytes() == phi0.tobytes()
-    assert r1.tobytes() == kept[0].tobytes() and p1.tobytes() == kept[1].tobytes()
-    assert not (np.shares_memory(r1, r2) or np.shares_memory(p1, p2))
+    for eng in engines(g, HARMONIC):
+        r1, p1, _ = eng.step(h0.rho, h0.phi, 1e-4)
+        kept = r1.copy(), p1.copy()
+        r2, p2, _ = eng.step(r1, p1, 1e-4)
+        assert h0.rho.tobytes() == rho0.tobytes() and h0.phi.tobytes() == phi0.tobytes()
+        assert r1.tobytes() == kept[0].tobytes() and p1.tobytes() == kept[1].tobytes()
+        assert not (np.shares_memory(r1, r2) or np.shares_memory(p1, p2))
 
     tr = evolve(
         psi0,
@@ -510,3 +538,34 @@ def test_step_results_are_not_engine_buffers():
     assert len(arrays) == 12
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler for the kernel")
+@pytest.mark.parametrize("boundary", ["periodic", "hardwall"])
+def test_kernel_is_the_numpy_step_bitwise_over_2000_engines_steps(boundary):
+    """The compiled step and the numpy step take the perfbench engines set-up
+    (n = 1024, dt = 1.25e-4) through 2000 steps to the same bits and the
+    same |Z - 1|: free on its periodic grid, and in a harmonic potential
+    between hard walls."""
+    cfg = RunConfig.load(str(ENGINES_INI))
+    g, p, dt = cfg.grid(), cfg.params(), cfg.evolution_configs()[0].dt
+    if boundary == "hardwall":
+        g, p = Grid1D(g.x_min, g.x_max, g.n, boundary), HARMONIC
+    h = to_hydro(WaveFunction(g, cfg.initial_state().amplitudes).normalized(), node_floor=0.0)
+    kernel, plain = engines(g, p)
+    a = b = h.rho, h.phi
+    for _ in range(2000):
+        *a, dev_a = kernel.step(*a, dt)
+        *b, dev_b = plain.step(*b, dt)
+        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+        assert dev_a == dev_b < 1e-9
+
+
+@pytest.mark.parametrize("compiled", PATHS)
+def test_step_refuses_fields_of_another_length(compiled):
+    """A state that is not one value per cell is refused, on either path,
+    before the kernel could read or write past its arrays."""
+    g = Grid1D(-8.0, 8.0, 16)
+    eng = _MadelungEngine(g, PhysicalParams(), compiled=compiled)
+    with pytest.raises(ValueError):
+        eng.step(np.full(17, 1.0 / 16.0), np.zeros(17), 1e-4)

@@ -12,7 +12,10 @@ it loads, is not run, and scipy.sparse is not loaded either. build_device,
 which checks file devices, loads the compiled BLAS module for zherk the
 same way, on its first call. The worker that runs the second sampler mode
 of trajectories, or the Madelung engine of evolve, is a plain os.fork, so
-no process-pool machinery is loaded either. These are structural checks rather than timing ones, so they do
+no process-pool machinery is loaded either. The compiled density-phase
+step is looked up, built and loaded only when a density-phase engine is
+made, so start-up, measure and a Crank-Nicolson evolve never run a
+compiler. These are structural checks rather than timing ones, so they do
 not depend on the machine.
 """
 
@@ -48,9 +51,11 @@ n_trials = 200
 """
 
 
-def fresh_python(code):
-    """stdout of code run in a fresh interpreter that imports edsim from SRC."""
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+def fresh_python(code, **env):
+    """stdout of code run in a fresh interpreter that imports edsim from SRC,
+    with env added to its environment."""
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=SRC, **env),
                          check=True, capture_output=True, text=True, timeout=120)
     return out.stdout
 
@@ -131,3 +136,31 @@ def test_blas_wrapper_is_the_scipy_linalg_blas_object():
     for imports in ("from edsim.dynamics import load_linalg; import scipy.linalg.blas",
                     "import scipy.linalg.blas; from edsim.dynamics import load_linalg"):
         assert fresh_python(f"{imports}; {same}").split() == ["True"]
+
+
+def test_start_up_measure_and_cn_evolve_never_build_or_load_the_kernel(tmp_path):
+    """`import edsim.cli`, a measure and a Crank-Nicolson evolve, each in a
+    fresh interpreter whose PATH starts with a cc that only records that it
+    ran, never look up the compiled density-phase step, so no compiler
+    starts and no kernel loads. A density-phase evolve looks it up once."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG)
+    ran = tmp_path / "cc-ran"
+    fake = tmp_path / "bin" / "cc"
+    fake.parent.mkdir()
+    fake.write_text(f"#!/bin/sh\ntouch '{ran}'\nexit 1\n")
+    fake.chmod(0o755)
+    path = os.pathsep.join((str(fake.parent), os.environ.get("PATH", "")))
+    lookups = "; import edsim.dynamics; print(edsim.dynamics.madelung_kernel.cache_info().misses)"
+    runs = {"import": "import edsim.cli"}
+    for command in ("evolve", "measure"):
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / command)]
+        runs[command] = f"import edsim.cli; assert edsim.cli.main({argv!r}) == 0"
+    for name, code in runs.items():
+        assert fresh_python(code + lookups, PATH=path).split() == ["0"], name
+    assert not ran.exists()
+    madelung = tmp_path / "madelung.ini"
+    madelung.write_text(CONFIG.replace("engine = schrodinger", "engine = madelung\nnode_floor = 0"))
+    argv = ["evolve", "--config", str(madelung), "--out", str(tmp_path / "madelung")]
+    code = f"import edsim.cli; assert edsim.cli.main({argv!r}) == 0"
+    assert fresh_python(code + lookups).split() == ["1"]
