@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one Crank-Nicolson step and one density-phase step against another checkout.
+"""Time one Crank-Nicolson step and the density-phase step's two paths against another checkout.
 
 Usage, from any directory:
 
@@ -8,10 +8,14 @@ Usage, from any directory:
 Each checkout gets one Python subprocess with PYTHONPATH at its own src. A
 subprocess reads the INI (default perfbench/workloads/engines.ini), takes its
 grid, physics, initial state and first [evolution] dt, builds the CN solver
-and the density-phase engine once, and warms both up. On each request it
-steps each engine STEPS_PER_BLOCK times from the initial state and answers with the
-mean time of one step in microseconds. The density-phase engine steps at
-min(dt, its stability bound), from the initial state converted with no node
+and two density-phase engines once, and warms them up. The first engine
+steps as a run does, with the compiled kernel where it can be built
+(madelung_step_us); the second is made while dynamics.madelung_kernel
+answers None, so it takes the numpy step a host without a C compiler runs
+(madelung_numpy_step_us). On each request the subprocess steps each engine
+STEPS_PER_BLOCK times from the initial state and answers with the mean time
+of one step in microseconds. The density-phase engines step at
+min(dt, their stability bound), from the initial state converted with no node
 floor. The two sides alternate in --blocks blocks, the base first in even
 blocks, so a slow spell of the host falls on both alike. The script prints
 each side's median and quartiles over the blocks, the blocks the change won
@@ -33,13 +37,14 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = ROOT / "perfbench" / "workloads" / "engines.ini"
 STEPS_PER_BLOCK = 500
 METRICS = [{"name": name, "unit": "us", "better": "lower", "bound": 0.0}
-           for name in ("cn_step_us", "madelung_step_us")]
+           for name in ("cn_step_us", "madelung_step_us", "madelung_numpy_step_us")]
 
 # the subprocess: argv is (INI, steps); one JSON line of step times per
 # line read from stdin, until stdin closes
 CHILD = r"""
 import json, sys, time
-from edsim import to_hydro
+from unittest import mock
+from edsim import dynamics, to_hydro
 from edsim.config import RunConfig
 from edsim.dynamics import _MadelungEngine, _cn_solver, schrodinger_step
 
@@ -52,6 +57,8 @@ md_dt = min(dt, ecfg.stability_limit(g, p))
 solver = _cn_solver(g, p, dt)
 h0 = to_hydro(psi, node_floor=0.0)
 engine = _MadelungEngine(g, p)
+with mock.patch.object(dynamics, "madelung_kernel", lambda: None):
+    numpy_engine = _MadelungEngine(g, p)
 
 
 def cn():
@@ -62,18 +69,20 @@ def cn():
     return time.perf_counter() - start
 
 
-def madelung():
+def madelung(eng):
     rho, phi = h0.rho, h0.phi
     start = time.perf_counter()
     for _ in range(steps):
-        rho, phi, _ = engine.step(rho, phi, md_dt)
+        rho, phi, _ = eng.step(rho, phi, md_dt)
     return time.perf_counter() - start
 
 
-cn(), madelung()
+cn(), madelung(engine), madelung(numpy_engine)
 for _ in sys.stdin:
     print(json.dumps({"cn_step_us": cn() / steps * 1e6,
-                      "madelung_step_us": madelung() / steps * 1e6}), flush=True)
+                      "madelung_step_us": madelung(engine) / steps * 1e6,
+                      "madelung_numpy_step_us": madelung(numpy_engine) / steps * 1e6}),
+          flush=True)
 """
 
 

@@ -4,9 +4,9 @@
    cc -O2 -ffp-contract=off -fPIC -shared and calls madelung_rk4 through
    ctypes. Each element goes through the same IEEE 754 operations, on the
    same operands, in the same order as _MadelungEngine's numpy step (its
-   _rhs and the RK4 sums of its step), so the two give the same bits: +, -,
-   *, /, sqrt and nearbyint are each rounded correctly, and with contraction
-   off no a * b + c becomes one fused multiply-add. The renormalization
+   _rhs and _numpy_rk4), so the two give the same bits: +, -, *, /, sqrt
+   and nearbyint are each rounded correctly, and with contraction off no
+   a * b + c becomes one fused multiply-add. The renormalization
    (max(rho, 0), the sum and the finite checks) stays in numpy, whose sum
    adds pairwise in its own order. See _MadelungEngine for the algebra.
 

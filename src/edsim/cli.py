@@ -14,8 +14,8 @@ Exit codes:
     5  validate ran and at least one criterion failed
 
 Errors are reported as a single JSON line on stderr: {"error": ..., "message": ...},
-plus "stage" (the engine), "step" and "t" for a failure at a known step of
-evolve.
+plus "stage" (the engine, or the sampler mode), "step" and "t" for a failure
+at a known step of evolve or of trajectories' ensemble advance.
 
 Config values are read and checked through RunConfig (edsim.config), which
 also states the run plan: the engines and sampler laws a run uses, and the

@@ -56,7 +56,6 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import List, Tuple
 
 import numpy as np
-import scipy
 
 from .errors import NodeError, SimulationError, SolverError, StabilityError
 from .operators import gradient, hamiltonian, log_gradient
@@ -78,10 +77,11 @@ def load_linalg(module):
     which sets up scipy's array-API layer and loads numpy.f2py,
     numpy.testing and numpy.ma, about 0.3 s of start-up for a few wrappers.
     scipy.linalg.lapack and scipy.linalg.blas re-export these modules'
-    wrappers, so callers get the same objects either way. `import scipy`
-    above runs its _distributor_init, which sets up bundled-library paths."""
+    wrappers, so callers get the same objects either way. Nothing loads
+    before the first call, so start-up never pays for it."""
     name = "scipy.linalg." + module
     if name not in sys.modules:
+        import scipy  # its _distributor_init sets up bundled-library paths
         stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", module)
         path = next(stem + s for s in EXTENSION_SUFFIXES if os.path.exists(stem + s))
         spec = importlib.util.spec_from_loader(name, ExtensionFileLoader(name, path))
@@ -90,9 +90,6 @@ def load_linalg(module):
         spec.loader.exec_module(loaded)
     return sys.modules[name]
 
-
-_flapack = load_linalg("_flapack")
-zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 
 # largest |Z - 1| one density-phase step may renormalize away; see above
 RENORM_LIMIT = 1e-3
@@ -217,12 +214,13 @@ def _cn_solver(grid: Grid1D, p: PhysicalParams, dt: float):
         g = -d[0]
         d[0] -= g
         d[-1] -= c * c / g
-    dl, d, du, du2, ipiv, info = zgttrf(e, d, e)
+    lapack = load_linalg("_flapack")
+    dl, d, du, du2, ipiv, info = lapack.zgttrf(e, d, e)
     if info != 0:
         raise SolverError(f"Crank-Nicolson matrix is singular (gttrf info {info})")
 
     def solve(b):
-        return zgttrs(dl, d, du, du2, ipiv, b)[0]
+        return lapack.zgttrs(dl, d, du, du2, ipiv, b)[0]
 
     if not corner:
         return solve
@@ -355,222 +353,104 @@ def _address(a):
 
 
 class _MadelungEngine:
-    """RK4 stepper for the density-phase pair on buffers built once.
+    """RK4 stepper for the density-phase pair.
 
-    The padded state is one flat buffer of 2(n + 4) values, padded rho
-    then padded phi, two ghost cells per side. The two interiors and the
-    four ghosts between them form one contiguous slice of 2n + 4 values, as
-    do the stage buffers, so each term that rho and phi share (the
-    dissipation stencil, the RK4 stages and their sums) is one 1-d call.
-    The four values between the rows are junk that no stencil reads: every
-    ghost is written by index before its stencil. The flux and
-    sqrt(rho + floor) live in (n + 4) buffers. Every term goes through out=
-    ufuncs into preallocated work arrays, and a step allocates only the two
-    arrays it returns.
+    _rhs folds the grid constants: gp = pe_e - pe_w is 2 dx times the phase
+    gradient; vq = -V/hbar - 2 kq holds the -2 sq of the curvature stencil,
+    kq = hbar / (2 m dx^2); w = rp^2 / (rp^2 + floor^2) weights the phase
+    equation; and each field f gains msk ((c1/r4s)(f_e + f_w) - (c0/r4s) f
+    - (f_ee + f_ww)) with msk = r4s g^2 / (rp^2 + g^2), the 5-point form of
+    (r2/4 d2f - r4/16 d4f) / (1 + (rp/g)^2), g the guard scale.
 
-    The grid constants are folded so that one right-hand side makes 26
-    ufunc calls. With the unscaled centered difference gp = pe_e - pe_w of
-    the phase, rp = max(rho, 0), sq = sqrt(rp + floor) and
-    kq = hbar / (2 m dx^2):
-
-        drho = (fe_w - fe_e) * (hbar/m)/(2dx)^2,  fe = rho * gp
-        dphi = w * (-(hbar/(8 m dx^2)) gp^2 + (-V/hbar - 2 kq) + kq * (se_e + se_w) / sq)
-
-    where the -2 kq is the -2 sq of the curvature stencil. gp^2 and rp^2
-    are one square of the adjacent [gp, rp], and the phase weight and the
-    dissipation mask come from one (2, n) division,
-
-        [w, r4s msk] = [rp^2, r4s g^2] / (rp^2 + [floor^2, g^2]),
-
-    g the guard scale, which is w = rp^2 / (rp^2 + floor^2) and
-    msk = 1 / (1 + (rp/g)^2). Both rows f = rho, phi are then smoothed by
-
-        df += r4s msk * ((c1/r4s)(ye + yw) - (c0/r4s) y - (yee + yww)),
-
-    c1 = r2/4 + r4/4 and c0 = r2/2 + 3 r4/8, the 5-point form of
-    msk (r2/4 d2f - r4/16 d4f).
-
-    With compiled (the default) and the kernel of _madelung.c at hand
-    (madelung_kernel), the RK4 sums run in C, one call a step, through the
-    same operations in the same order, to the same bits; self.compiled says
-    which path runs. The renormalization is numpy's on both.
+    A step is one call of the compiled kernel of _madelung.c or, where
+    madelung_kernel cannot build it, _numpy_rk4: the same operations in the
+    same order, so the same bits. Both renormalize in numpy.
     """
 
-    def __init__(self, grid: Grid1D, p: PhysicalParams, compiled: bool = True):
+    def __init__(self, grid: Grid1D, p: PhysicalParams):
         self.dx = dx = grid.dx
         self.n = n = grid.n
         hbar, m = p.hbar, p.m
         self.periodic = grid.boundary == "periodic"
-        kr = (hbar / m) / (2.0 * dx) ** 2
-        kg = -(hbar / (8.0 * m * dx**2))
         kq = hbar / (2.0 * m * dx**2)
-        vq = -(p.potential_on(grid) / hbar) - 2.0 * kq
+        self._vq = -(p.potential_on(grid) / hbar) - 2.0 * kq
         # dissipation rates scale with the grid so that dt * rate is constant
         # at the stability bound
         r2 = 4.0 * hbar / (m * dx**2)
         r4 = 1.0 * hbar / (m * dx**2)
         r4s = r4 / 16.0
-        c1 = (r2 / 4.0 + r4 / 4.0) / r4s  # c1/r4s and c0/r4s of the docstring
-        c0 = (r2 / 2.0 + 3.0 * r4 / 8.0) / r4s
-        # scalar operands as 0-d arrays: a ufunc converts a Python float on
-        # every call, which costs about as much as the arithmetic at n = 1024
-        self._consts = (*(np.array(v) for v in (kr, kq, kg, c1, c0, HYDRO_FLOOR, 0.0, 2.0)), vq)
         g2 = GUARD_SCALE * GUARD_SCALE
-        kernel = madelung_kernel() if compiled else None
-        self.compiled = kernel is not None
-        if self.compiled:
-            # the constants in the kernel's order, and its work buffer; the
-            # step passes raw addresses, as ndpointer argument checks would
-            # cost a third of the step at n = 1024
+        # kr, kq, kg, c1/r4s, c0/r4s, the floor and its square, g^2 and
+        # r4s g^2, in the kernel's order
+        self._consts = np.array([(hbar / m) / (2.0 * dx) ** 2, kq, -(hbar / (8.0 * m * dx**2)),
+                                 (r2 / 4.0 + r4 / 4.0) / r4s, (r2 / 2.0 + 3.0 * r4 / 8.0) / r4s,
+                                 HYDRO_FLOOR, HYDRO_FLOOR * HYDRO_FLOOR, g2, r4s * g2])
+        self._kernel = None
+        if (kernel := madelung_kernel()) is not None:
+            # raw addresses: ndpointer checks would cost a third of a step at n = 1024
             rk4, size = kernel
-            self._kconsts = np.array([kr, kq, kg, c1, c0, HYDRO_FLOOR,
-                                      HYDRO_FLOOR * HYDRO_FLOOR, g2, r4s * g2])
             self._kwork = np.empty(size(n))
-            self._kernel = functools.partial(  # vq stays alive in self._consts
-                rk4, *map(_address, (self._kconsts, vq, self._kwork)), n, self.periodic)
-            self._rk4 = self._compiled_rk4
-            return
-        self._rk4 = self._numpy_rk4
+            self._kernel = functools.partial(
+                rk4, *map(_address, (self._consts, self._vq, self._kwork)), n, self.periodic)
 
-        # padded state, rho in pad[:s] and phi in pad[s:]; flux and
-        # sqrt(rho + floor) buffers; and the views the stencils read:
-        # interior, east and west neighbours. y spans both interiors and the
-        # ghosts between them, and a row of any 2n + 4 buffer b is b[:n] or b[s:].
-        s = n + 4
-        pad, fe, se = np.zeros(2 * s), np.zeros(s), np.zeros(s)
-        self._y = y = pad[2:-2]
-        self._views = (pad[:s], pad[s:], y[:n], y[s:], pad[s + 3:-1], pad[s + 1:-3],
-                       fe, fe[2:-2], fe[3:-1], fe[1:-3], se, se[2:-2], se[3:-1], se[1:-3],
-                       y, pad[3:-1], pad[1:-3], pad[4:], pad[:-4])
-        self._y0 = np.empty(2 * n + 4)
-        self._k = [np.empty(2 * n + 4) for _ in range(4)]
-        self._k_rows = [(k, k[:n], k[s:]) for k in self._k]
-        # [gp, rp] and its square [gp^2, rp^2, r4s g^2], whose last 2n values
-        # are the numerator of the weight (row 0) and mask (row 1) division;
-        # the denominator is rp^2 + [floor^2, g^2]
-        gr, sq2, wm = np.empty(2 * n), np.empty(3 * n), np.empty((2, n))
-        sq2[2 * n:] = r4s * g2
-        fg = np.array([[HYDRO_FLOOR * HYDRO_FLOOR], [g2]])
-        self._a2 = a2 = np.empty(2 * n + 4)
-        self._rows = (self._y0[:n], self._y0[s:], a2[:n], a2[s:])
-        self._work = (gr, gr[:n], gr[n:], sq2[:2 * n], sq2[:n], sq2[n:2 * n],
-                      sq2[n:].reshape(2, n), np.empty(n), a2, a2[:n], a2[s:],
-                      np.empty(2 * n + 4), fg, wm, wm[0], wm[1])
-
-    def _winding(self, phi):
-        # unwrapped phase of a periodic state advances by an exact multiple
-        # of 2 pi across the domain; estimate it from the end-to-end slope
-        west = float(phi[-1] - phi[0]) * self.n / (self.n - 1.0)
-        return 2.0 * math.pi * round(west / (2.0 * math.pi), 0)
-
-    def _ghosts(self, buf, odd, off=0.0):
-        """Two ghost cells per side: periodic images shifted by -+off, or a
-        mirror about the wall (odd: the field changes sign there)."""
-        n = self.n
+    def _pad(self, f, odd=False, off=0.0):
+        """f with two ghost cells per side: periodic images shifted by -+off,
+        or a mirror about the wall (odd: the field changes sign there)."""
         if self.periodic:
-            buf[0] = buf[n] - off
-            buf[1] = buf[n + 1] - off
-            buf[n + 2] = buf[2] + off
-            buf[n + 3] = buf[3] + off
-        elif odd:
-            buf[0], buf[1], buf[n + 2], buf[n + 3] = -buf[3], -buf[2], -buf[n + 1], -buf[n]
-        else:
-            buf[0], buf[1], buf[n + 2], buf[n + 3] = buf[3], buf[2], buf[n + 1], buf[n]
+            return np.concatenate((f[-2:] - off, f, f[:2] + off))
+        west, east = f[1::-1], f[:-3:-1]
+        return np.concatenate((-west, f, -east) if odd else (west, f, east))
 
-    def _rhs(self, i):
-        """Time derivatives of the state in the padded buffer's interiors,
-        written into stage buffer i: drho/dt in its first n values, dphi/dt
-        in its last n."""
-        (re, pe, rho, phi, pe_e, pe_w, fe, flux, fe_e, fe_w, se, sq, se_e, se_w,
-         y, ye, yw, yee, yww) = self._views
-        gr, gp, rp, gr2, gp2, rp2, num, a, a2, a2_rho, a2_phi, c2, fg, wm, w, msk = self._work
-        kr, kq, kg, c1, c0, floor, zero, _, vq = self._consts
-        k, drho, dphi = self._k_rows[i]
+    def _rhs(self, rho, phi):
+        """drho/dt and dphi/dt of (rho, phi), in the kernel's operation order."""
+        kr, kq, kg, c1, c0, floor, floor2, g2, r4s_g2 = self._consts
+        off = 0.0
+        if self.periodic:  # the phase gains whole turns across the ring: count them
+            west = float(phi[-1] - phi[0]) * self.n / (self.n - 1.0)
+            off = 2.0 * math.pi * round(west / (2.0 * math.pi), 0)
+        pe, re = self._pad(phi, off=off), self._pad(rho)
+        gp = pe[3:-1] - pe[1:-3]
+        # odd ghosts: no flux through the wall, and sqrt(rho) -> 0 there
+        fe = self._pad(rho * gp, odd=True)
+        rp = np.maximum(rho, 0.0)
+        sq = np.sqrt(rp + floor)
+        se = self._pad(sq, odd=True)
+        rp2 = rp * rp
+        dphi = ((gp * gp * kg + self._vq + (se[3:-1] + se[1:-3]) * kq / sq)
+                * (rp2 / (rp2 + floor2)))
+        msk = r4s_g2 / (rp2 + g2)
+        sr, sp = (((f[3:-1] + f[1:-3]) * c1 - f[2:-2] * c0) - (f[4:] + f[:-4]) for f in (re, pe))
+        return (fe[1:-3] - fe[3:-1]) * kr + sr * msk, dphi + sp * msk
 
-        # gp = pe_e - pe_w, 2 dx times the phase gradient
-        self._ghosts(pe, False, self._winding(phi) if self.periodic else 0.0)
-        np.subtract(pe_e, pe_w, out=gp)
-        # flux = rho * gp; odd ghost: zero flux through the wall
-        np.multiply(rho, gp, out=flux)
-        self._ghosts(fe, True)
-        # drho = (fe_w - fe_e) * (hbar/m)/(2dx)^2
-        np.subtract(fe_w, fe_e, out=drho)
-        np.multiply(drho, kr, out=drho)
-
-        # sq = sqrt(rp + floor), rp = max(rho, 0); odd ghost: sqrt(rho) -> 0
-        # at the wall
-        np.maximum(rho, zero, out=rp)
-        np.add(rp, floor, out=sq)
-        np.sqrt(sq, out=sq)
-        self._ghosts(se, True)
-        # dphi = -(hbar/(8 m dx^2)) gp^2 + (-V/hbar - 2 kq) + kq * (se_e + se_w) / sq
-        np.add(se_e, se_w, out=a)
-        np.multiply(a, kq, out=a)
-        np.divide(a, sq, out=a)
-        np.multiply(gr, gr, out=gr2)  # [gp^2, rp^2]
-        np.multiply(gp2, kg, out=dphi)
-        np.add(dphi, vq, out=dphi)
-        np.add(dphi, a, out=dphi)
-
-        # [w, r4s msk] = [rp^2, r4s g^2] / (rp^2 + [floor^2, g^2])
-        np.add(rp2, fg, out=wm)
-        np.divide(num, wm, out=wm)
-        np.multiply(dphi, w, out=dphi)
-
-        # for f = rho, phi (even ghosts, phi's shifted by the winding):
-        # df += r4s msk * ((c1/r4s)(ye + yw) - (c0/r4s) y - (yee + yww))
-        self._ghosts(re, False)
-        np.add(ye, yw, out=a2)
-        np.multiply(a2, c1, out=a2)
-        np.multiply(y, c0, out=c2)
-        np.subtract(a2, c2, out=a2)
-        np.add(yee, yww, out=c2)
-        np.subtract(a2, c2, out=a2)
-        np.multiply(a2_rho, msk, out=a2_rho)
-        np.multiply(a2_phi, msk, out=a2_phi)
-        np.add(k, a2, out=k)
+    def _numpy_rk4(self, rho, phi, dt):
+        """The kernel's RK4 step over _rhs, before the renormalization."""
+        with np.errstate(all="ignore"):  # a diverging substep is caught by step
+            k = [self._rhs(rho, phi)]
+            # stage i integrates from (rho, phi) + h k_(i-1)
+            for h in (0.5 * dt, 0.5 * dt, dt):
+                k.append(self._rhs(rho + k[-1][0] * h, phi + k[-1][1] * h))
+            return [y + (((b + c) * 2.0 + a) + d) * (dt / 6.0)
+                    for y, a, b, c, d in zip((rho, phi), *k)]
 
     def step(self, rho, phi, dt):
         """One RK4 step plus renormalization. Returns (rho, phi, |Z - 1|) in
         new arrays; the inputs are left untouched."""
-        rho, phi = self._rk4(rho, phi, dt)
-        np.maximum(rho, self._consts[6], out=rho)
+        rho = np.ascontiguousarray(rho, dtype=np.float64)
+        phi = np.ascontiguousarray(phi, dtype=np.float64)
+        if rho.shape != (self.n,) or phi.shape != (self.n,):
+            raise ValueError(f"rho and phi must hold {self.n} values")
+        if self._kernel is None:
+            rho, phi = self._numpy_rk4(rho, phi, dt)
+        else:
+            out = np.empty(self.n), np.empty(self.n)
+            self._kernel(_address(rho), _address(phi), dt, *map(_address, out))
+            rho, phi = out
+        np.maximum(rho, 0.0, out=rho)
         z = float(rho.sum() * self.dx)
         if not (math.isfinite(z) and z > 0.0 and np.isfinite(phi).all()):
             return rho, phi, np.inf
         rho /= z
         return rho, phi, abs(z - 1.0)
-
-    def _compiled_rk4(self, rho, phi, dt):
-        rho = np.ascontiguousarray(rho, dtype=np.float64)
-        phi = np.ascontiguousarray(phi, dtype=np.float64)
-        if rho.shape != (self.n,) or phi.shape != (self.n,):
-            raise ValueError(f"rho and phi must hold {self.n} values")
-        rho_out, phi_out = np.empty(self.n), np.empty(self.n)
-        self._kernel(_address(rho), _address(phi), dt, _address(rho_out), _address(phi_out))
-        return rho_out, phi_out
-
-    def _numpy_rk4(self, rho, phi, dt):
-        k, y, y0, a2 = self._k, self._y, self._y0, self._a2
-        y0_rho, y0_phi, a2_rho, a2_phi = self._rows
-        two = self._consts[7]
-        with np.errstate(all="ignore"):  # a diverging substep is caught by step
-            np.copyto(y0_rho, rho)
-            np.copyto(y0_phi, phi)
-            np.copyto(y, y0)
-            self._rhs(0)
-            # stage i integrates from y0 + h k_(i-1)
-            for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
-                np.multiply(k[i - 1], h, out=y)
-                np.add(y0, y, out=y)
-                self._rhs(i)
-            # y0 + (dt/6) (2 (k2 + k3) + k1 + k4)
-            np.add(k[1], k[2], out=a2)
-            np.multiply(a2, two, out=a2)
-            np.add(a2, k[0], out=a2)
-            np.add(a2, k[3], out=a2)
-            np.multiply(a2, dt / 6.0, out=a2)
-            return np.add(rho, a2_rho), np.add(phi, a2_phi)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@
 class SimulationError(Exception):
     """Base class for all domain errors raised by this package.
 
-    stage (the engine), step (counted from 1) and t (the time that step
-    was taking the run to), when known, say where a run failed; the CLI's
-    JSON error line carries them as keys beside error and message."""
+    stage (the engine, or the sampler mode), step (counted from 1) and t
+    (the time that step was taking the run to), when known, say where a run
+    failed; the CLI's JSON error line carries them as keys beside error and
+    message."""
 
     def __init__(self, *args, stage=None, step=None, t=None):
         super().__init__(*args)

@@ -200,6 +200,8 @@ def advance_ensemble(ens: Ensemble, fields: TraceFields, dt: float, mode: str,
     linear interpolation in time and space, with the values np.interp
     gives, bit for bit, within the trace's boundary and node floor. Step k
     runs at t = k dt; ens.t and t_target must be whole numbers of dt steps.
+    An error of step k carries the mode as its stage, k + 1 as its step and
+    (k + 1) dt as its t.
     """
     if mode not in SAMPLER_MODES:
         raise ValueError(f"mode must be one of {SAMPLER_MODES}")
@@ -235,9 +237,12 @@ def advance_ensemble(ens: Ensemble, fields: TraceFields, dt: float, mode: str,
             noise = rng.standard_normal(len(x))
             noise *= noise_amp
             x += noise
-        _apply_boundary(x, grid)
+        t = (k + 1) * dt
+        try:
+            _apply_boundary(x, grid)
+        except StabilityError as e:
+            raise StabilityError(*e.args, stage=mode, step=k + 1, t=t) from None
         if diffusing and node_floor > 0:
-            t = (k + 1) * dt
             idx = np.clip(
                 np.floor((x - grid.x_min) / grid.dx).astype(int), 0, grid.n - 1
             )
@@ -245,6 +250,6 @@ def advance_ensemble(ens: Ensemble, fields: TraceFields, dt: float, mode: str,
             if float(np.min(rho_here)) < node_floor:
                 raise NodeError(
                     f"particle entered a cell with rho below {node_floor:g} "
-                    f"(t={t:g}): drift d(log rho)/dx diverges there"
-                )
+                    f"(t={t:g}): drift d(log rho)/dx diverges there",
+                    stage=mode, step=k + 1, t=t)
     return Ensemble(x, t_target, rng.bit_generator.state)

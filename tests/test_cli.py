@@ -231,6 +231,26 @@ def test_worker_errors_match_inline(case, code, error, forks, ini, tmp_path, cap
 
 
 @needs_fork
+def test_sampler_errors_carry_their_step(forks, ini, tmp_path, capsys):
+    """A sampler step that fails mid-run exits 3 with the mode, the step
+    (counted from 1) and its t as the JSON line's stage, step and t: through
+    the forked worker of mode = both and in a run of that mode alone."""
+    seen = {}
+    for mode in ("both", ENTROPIC_DIFFUSION):
+        cfg = ini(sampler__mode=mode, evolution__node_floor="1e-3")
+        assert run("trajectories", "--config", cfg, "--out", str(tmp_path / mode)) == 3
+        err = capsys.readouterr().err
+        line = json.loads(err)
+        assert set(line) == ERROR_KEYS | STEP_KEYS
+        assert line["error"] == "NodeError" and "(t=0.007)" in line["message"]
+        assert (line["stage"], line["step"], line["t"]) == (ENTROPIC_DIFFUSION, 7, 7 * 1e-3)
+        seen[mode] = err
+    assert seen["both"] == seen[ENTROPIC_DIFFUSION]
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@needs_fork
 def test_killed_worker_exits_1_naming_mode_and_signal(forks, monkeypatch, ini, tmp_path, capsys):
     real, runner = cli.advance_ensemble, os.getpid()
 

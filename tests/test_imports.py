@@ -6,16 +6,16 @@ scipy.special and scipy.optimize out of its import graph. chi2_critical
 reads its 1% points from a table; only chi2_gof, which measure does not
 call, imports scipy.special, when it is called. The Crank-Nicolson step
 solves its banded system with zgttrf and zgttrs from scipy.linalg's
-compiled LAPACK module, which edsim.dynamics loads from its file: the
-scipy.linalg package init, with scipy's array-API layer and the numpy.f2py
-it loads, is not run, and scipy.sparse is not loaded either. build_device,
-which checks file devices, loads the compiled BLAS module for zherk the
-same way, on its first call. The worker that runs the second sampler mode
-of trajectories, or the Madelung engine of evolve, is a plain os.fork, so
-no process-pool machinery is loaded either. The compiled density-phase
-step is looked up, built and loaded only when a density-phase engine is
-made, so start-up, measure and a Crank-Nicolson evolve never run a
-compiler. These are structural checks rather than timing ones, so they do
+compiled LAPACK module, which edsim.dynamics loads from its file when it
+first factors a Crank-Nicolson matrix: the scipy.linalg package init, with
+scipy's array-API layer and the numpy.f2py it loads, is not run, and
+scipy.sparse is not loaded either. build_device, which checks file
+devices, loads the compiled BLAS module for zherk the same way, on its
+first call. The worker that runs the second sampler mode of trajectories,
+or the Madelung engine of evolve, is a plain os.fork, so no process-pool
+machinery is loaded either. The compiled density-phase step is looked
+up, built and loaded only when a density-phase engine is made, so
+start-up, measure and a Crank-Nicolson evolve never run a compiler. These are structural checks rather than timing ones, so they do
 not depend on the machine.
 """
 
@@ -84,6 +84,20 @@ def test_cli_import_leaves_compiled_blas_unloaded():
     assert loaded_by_cli_import(("scipy.linalg._fblas",)) == []
 
 
+def test_cli_import_measure_and_amplify_leave_compiled_lapack_unloaded(tmp_path):
+    """Only a Crank-Nicolson solver loads scipy.linalg's compiled LAPACK
+    module, on its first factorization, so start-up, measure and amplify,
+    which solve nothing, never load it; a Crank-Nicolson evolve does."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG + "\n[amplify]\nepsilon = 0.1\nn_trials = 50\n")
+    lapack = ("scipy.linalg._flapack",)
+    assert loaded_by_cli_import(lapack) == []
+    for command, names in (("measure", []), ("amplify", []), ("evolve", list(lapack))):
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / command)]
+        code = f"import edsim.cli; assert edsim.cli.main({argv!r}) == 0; "
+        assert fresh_python(code + loaded(lapack)).split() == names, command
+
+
 def test_cli_import_leaves_process_pools_unloaded():
     assert loaded_by_cli_import(POOLS) == []
 
@@ -122,10 +136,10 @@ def test_measure_loads_compiled_blas_without_the_linalg_package(tmp_path):
 def test_lapack_wrappers_are_scipy_linalg_lapack_objects():
     """The solver's zgttrf and zgttrs are the objects scipy.linalg.lapack
     exports, whether edsim or scipy.linalg is imported first."""
-    same = ("print(edsim.dynamics.zgttrf is scipy.linalg.lapack.zgttrf,"
-            " edsim.dynamics.zgttrs is scipy.linalg.lapack.zgttrs)")
-    for imports in ("import edsim.dynamics, scipy.linalg.lapack",
-                    "import scipy.linalg.lapack, edsim.dynamics"):
+    same = ("lapack = load_linalg('_flapack'); print(lapack.zgttrf is scipy.linalg.lapack.zgttrf,"
+            " lapack.zgttrs is scipy.linalg.lapack.zgttrs)")
+    for imports in ("from edsim.dynamics import load_linalg; import scipy.linalg.lapack",
+                    "import scipy.linalg.lapack; from edsim.dynamics import load_linalg"):
         assert fresh_python(f"{imports}; {same}").split() == ["True", "True"]
 
 

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -61,14 +62,16 @@ def cache(monkeypatch, tmp_path):
 
 
 def one_step_on_both_paths():
-    """A step of a packet on a hard-wall grid by the compiled and the numpy
-    engine, as bytes."""
+    """A step of a packet on a hard-wall grid by the compiled engine and by
+    the numpy one, made while madelung_kernel answers None, as bytes."""
     g = Grid1D(-8.0, 8.0, 64, "hardwall")
     h = to_hydro(WaveFunction(g, free_gaussian(g.cells, sigma0=1.0, k0=2.0)).normalized(), 0.0)
+    engines = [_MadelungEngine(g, PhysicalParams())]
+    with mock.patch.object(dynamics, "madelung_kernel", lambda: None):
+        engines.append(_MadelungEngine(g, PhysicalParams()))
+    assert [eng._kernel is None for eng in engines] == [False, True]
     out = []
-    for compiled in (True, False):
-        eng = _MadelungEngine(g, PhysicalParams(), compiled=compiled)
-        assert eng.compiled == compiled
+    for eng in engines:
         rho, phi, dev = eng.step(h.rho, h.phi, 1e-3)
         out.append((rho.tobytes(), phi.tobytes(), dev))
     return out
@@ -187,16 +190,10 @@ def test_evolve_without_the_kernel_writes_the_same_bytes(how, cache, monkeypatch
     lines = capfd.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(FALLBACK), lines
     assert lines[0].endswith("); the numpy step runs instead")
-    assert not _MadelungEngine(Grid1D(-8.0, 8.0, 16), PhysicalParams()).compiled
+    assert _MadelungEngine(Grid1D(-8.0, 8.0, 16), PhysicalParams())._kernel is None
     assert capfd.readouterr().err == ""
     if shutil.which("cc"):
         compiled = sorted((tmp_path / "compiled").iterdir())
         assert [p.name for p in compiled] == sorted(os.listdir(tmp_path / "numpy"))
         for p in compiled:
             assert p.read_bytes() == (tmp_path / "numpy" / p.name).read_bytes(), p.name
-
-
-def test_compiled_false_runs_numpy_without_a_lookup(cache):
-    eng = _MadelungEngine(Grid1D(-8.0, 8.0, 16), PhysicalParams(), compiled=False)
-    assert not eng.compiled
-    assert madelung_kernel.cache_info().misses == 0 and not cache.exists()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "step_bench.py"
-STEPS = ("cn_step_us", "madelung_step_us")
+STEPS = ("cn_step_us", "madelung_step_us", "madelung_numpy_step_us")
 
 
 def test_checkout_against_itself_prints_quartiles_and_a_json_line():

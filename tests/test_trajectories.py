@@ -156,8 +156,23 @@ def test_node_check_on_diffusive_drift():
     # absurdly high floor: every occupied cell trips the check immediately
     g, fields = make_trace(n=256, t_final=0.1, stride=10, node_floor=10.0)
     ens = sample_initial(fields.rhos[0], g, 100, seed=1)
-    with pytest.raises(NodeError):
+    with pytest.raises(NodeError, match=r"\(t=0\.002\)") as info:
         advance_ensemble(ens, fields, 2e-3, ENTROPIC_DIFFUSION)
+    assert info.value.context() == {"stage": ENTROPIC_DIFFUSION, "step": 1, "t": 2e-3}
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "hardwall"])
+def test_non_finite_position_mid_advance_carries_its_step(boundary):
+    """A drift that turns the positions non-finite stops the advance with
+    the boundary's StabilityError and its message, and with the mode, the
+    step on the global clock and its t as the error's stage, step and t."""
+    g, fields = make_trace(n=256, t_final=0.1, stride=10, boundary=boundary)
+    ens = sample_initial(fields.rhos[0], g, 100, seed=1)
+    ens = advance_ensemble(ens, fields, 2e-3, CURRENT_FLOW, t_target=0.04)
+    nan_drift = replace(fields, v_tab=np.full_like(fields.v_tab, np.nan))
+    with pytest.raises(StabilityError, match="^non-finite particle position$") as info:
+        advance_ensemble(ens, nan_drift, 2e-3, CURRENT_FLOW)
+    assert info.value.context() == {"stage": CURRENT_FLOW, "step": 21, "t": 21 * 2e-3}
 
 
 def test_positions_stay_in_domain():
