@@ -17,6 +17,12 @@ Cases (default: all, at seed 11):
   engines, particles, readout   the perfbench workloads, read as they are
   engines_harmonic              engines in the harmonic potential between hard
                                 walls, to t_final 0.25 with snapshot_stride 200
+  madelung_node_fail            evolve on the density-phase engine alone, a
+                                packet at k 5 running into a wall on 32 cells
+                                of [-4, 4] with snapshot_stride 5, whose far
+                                tail falls below node_floor 1e-6 at step 8,
+                                inside the second stride: exit 3 and the JSON
+                                error line on stderr
   periodic                      particles with periodic walls and node_floor 1e-9
   madelung                      particles on the density-phase engine
   both_hardwall                 particles with engine = both on hard walls
@@ -61,6 +67,12 @@ CASES = {
                          {"physics": {"potential": "harmonic"},
                           "evolution": {"boundary": "hardwall", "t_final": "0.25",
                                         "snapshot_stride": "200"}}),
+    "madelung_node_fail": ("engines", ("evolve",),
+                           {"grid": {"x_min": "-4", "x_max": "4", "n": "32"},
+                            "initial": {"mu": "1", "k": "5"},
+                            "evolution": {"engine": "madelung", "boundary": "hardwall",
+                                          "dt": "0.003125", "t_final": "0.0625",
+                                          "snapshot_stride": "5", "node_floor": "1e-6"}}),
     "particles": ("particles", ("evolve", "trajectories"), {}),
     "readout": ("readout", ("measure", "amplify"), {}),
     "periodic": ("particles", ("evolve", "trajectories"),

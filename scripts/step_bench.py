@@ -7,21 +7,25 @@ Usage, from any directory:
 
 Each checkout gets one Python subprocess with PYTHONPATH at its own src. A
 subprocess reads the INI (default perfbench/workloads/engines.ini), takes its
-grid, physics, initial state and first [evolution] dt, builds the CN solver
-and two density-phase engines once, and warms them up. The first engine
-steps as a run does, with the compiled kernel where it can be built
-(madelung_step_us); the second is made while dynamics.madelung_kernel
+grid, physics, initial state and first [evolution] dt, snapshot_stride and
+node_floor, builds the CN solver and two density-phase engines once, and
+warms them up. The first engine advances as evolve does, with the compiled
+kernel where it can be built (madelung_step_us): one snapshot stride in one
+call of _MadelungEngine.run, or, in a checkout whose engine has no run, one
+stride of step calls. The second is made while dynamics.madelung_kernel
 answers None, so it takes the numpy step a host without a C compiler runs
-(madelung_numpy_step_us). On each request the subprocess steps each engine
-STEPS_PER_BLOCK times from the initial state and answers with the mean time
-of one step in microseconds. The density-phase engines step at
-min(dt, their stability bound), from the initial state converted with no node
-floor. The two sides alternate in --blocks blocks, the base first in even
-blocks, so a slow spell of the host falls on both alike. The script prints
-each side's median and quartiles over the blocks, the blocks the change won
-and whether the change's median is slower at all (a bound of 0), in the
-lines of bench_pairs.py, then one JSON line of the same figures; it exits 0
-whatever they are, and 1 if a subprocess fails.
+(madelung_numpy_step_us). On each request the subprocess takes
+STEPS_PER_BLOCK CN steps, one stride of the first engine and
+STEPS_PER_BLOCK steps of the second, each from the initial state, and
+answers with the mean time of one step of each in microseconds, and the
+stride. The density-phase engines step at min(dt, their stability bound),
+from the initial state converted with no node floor. The two sides
+alternate in --blocks blocks, the base first in even blocks, so a slow
+spell of the host falls on both alike. The script prints each side's
+median and quartiles over the blocks, the blocks the change won and
+whether the change's median is slower at all (a bound of 0), in the lines
+of bench_pairs.py, then one JSON line of the same figures and the stride;
+it exits 0 whatever they are, and 1 if a subprocess fails.
 """
 
 import argparse
@@ -52,7 +56,7 @@ cfg = RunConfig.load(sys.argv[1])
 steps = int(sys.argv[2])
 g, p, psi = cfg.grid(), cfg.params(), cfg.initial_state().normalized()
 ecfg = cfg.evolution_configs()[0]
-dt = ecfg.dt
+dt, stride = ecfg.dt, ecfg.snapshot_stride
 md_dt = min(dt, ecfg.stability_limit(g, p))
 solver = _cn_solver(g, p, dt)
 h0 = to_hydro(psi, node_floor=0.0)
@@ -69,7 +73,7 @@ def cn():
     return time.perf_counter() - start
 
 
-def madelung(eng):
+def madelung(eng, steps):
     rho, phi = h0.rho, h0.phi
     start = time.perf_counter()
     for _ in range(steps):
@@ -77,11 +81,20 @@ def madelung(eng):
     return time.perf_counter() - start
 
 
-cn(), madelung(engine), madelung(numpy_engine)
+def madelung_stride():
+    if not hasattr(engine, "run"):
+        return madelung(engine, stride)
+    start = time.perf_counter()
+    engine.run(h0.rho, h0.phi, md_dt, stride, ecfg.node_floor)
+    return time.perf_counter() - start
+
+
+cn(), madelung_stride(), madelung(numpy_engine, steps)
 for _ in sys.stdin:
     print(json.dumps({"cn_step_us": cn() / steps * 1e6,
-                      "madelung_step_us": madelung(engine) / steps * 1e6,
-                      "madelung_numpy_step_us": madelung(numpy_engine) / steps * 1e6}),
+                      "madelung_step_us": madelung_stride() / stride * 1e6,
+                      "madelung_numpy_step_us": madelung(numpy_engine, steps) / steps * 1e6,
+                      "stride": stride}),
           flush=True)
 """
 
@@ -123,10 +136,12 @@ def main(argv=None):
             proc.stdin.close()
             proc.wait()
     rows = summarize(METRICS, sides[0][1], sides[1][1])
-    print(f"{config.name}: {args.blocks} blocks of {STEPS_PER_BLOCK} steps, us a step")
+    stride = sides[1][1][0]["stride"]
+    print(f"{config.name}: {args.blocks} blocks of {STEPS_PER_BLOCK} steps "
+          f"and one {stride}-step stride, us a step")
     print(report(rows))
-    print(json.dumps({"config": str(config), "blocks": args.blocks,
-                      "steps": STEPS_PER_BLOCK, **{r["name"]: r for r in rows}}))
+    print(json.dumps({"config": str(config), "blocks": args.blocks, "steps": STEPS_PER_BLOCK,
+                      "stride": stride, **{r["name"]: r for r in rows}}))
     return 0
 
 

@@ -1,14 +1,23 @@
-/* One RK4 step of the density-phase engine, compiled.
+/* The density-phase engine's RK4 step, and whole runs of steps, compiled.
 
    edsim.dynamics builds this file on first use with
-   cc -O2 -ffp-contract=off -fPIC -shared and calls madelung_rk4 through
-   ctypes. Each element goes through the same IEEE 754 operations, on the
-   same operands, in the same order as _MadelungEngine's numpy step (its
-   _rhs and _numpy_rk4), so the two give the same bits: +, -, *, /, sqrt
-   and nearbyint are each rounded correctly, and with contraction off no
-   a * b + c becomes one fused multiply-add. The renormalization
-   (max(rho, 0), the sum and the finite checks) stays in numpy, whose sum
-   adds pairwise in its own order. See _MadelungEngine for the algebra.
+   cc -O3 -fno-math-errno -fno-trapping-math -ffp-contract=off -fPIC -shared
+   and calls it through ctypes. Each element goes through the same IEEE 754
+   operations, on the same operands, in the same order as
+   _MadelungEngine's numpy step (its _rhs, _numpy_rk4 and step), so the two
+   give the same bits: +, -, *, /, sqrt and nearbyint are each rounded
+   correctly, and with contraction off no a * b + c becomes one fused
+   multiply-add. The rows of rhs do not overlap (restrict), so GCC
+   vectorizes its loops; lanes do the same operations as the scalar code,
+   and no flag lets it reorder a sum. Only the sign and payload of a NaN
+   may differ, and a step with a NaN fails.
+
+   madelung_rk4 is one step before the renormalization. madelung_run takes
+   up to a snapshot stride of steps, each renormalized and checked as
+   _MadelungEngine.run does in numpy: max(rho, 0), numpy's pairwise sum
+   (madelung_sum) times dx, the finite checks, the division, the
+   renormalization limit and the node floor. See _MadelungEngine for the
+   algebra.
 
    Work layout, madelung_work_size(n) values, s = n + 4: padded rho (s),
    padded phi (s), padded flux (s), padded sqrt(rho + floor) (s), then the
@@ -59,8 +68,8 @@ static double nonneg(double r)
 
 /* drho/dt and dphi/dt of the state in the padded rows re and pe. */
 static void rhs(ptrdiff_t n, int periodic, const double *K, const double *vq,
-                double *re, double *pe, double *fe, double *se,
-                double *drho, double *dphi)
+                double *restrict re, double *restrict pe, double *restrict fe,
+                double *restrict se, double *restrict drho, double *restrict dphi)
 {
     ptrdiff_t j;
     double off = 0.0;
@@ -97,7 +106,8 @@ static void rhs(ptrdiff_t n, int periodic, const double *K, const double *vq,
 }
 
 /* One RK4 step of (rho, phi) by dt into (rho_out, phi_out), before the
-   renormalization. */
+   renormalization. rho_out may be rho and phi_out phi: each is read at an
+   index only before that index is written. */
 void madelung_rk4(const double *K, const double *vq, double *work, long n, int periodic,
                   const double *rho, const double *phi, double dt,
                   double *rho_out, double *phi_out)
@@ -129,4 +139,104 @@ void madelung_rk4(const double *K, const double *vq, double *work, long n, int p
         rho_out[j] = rho[j] + ((((k2[j] + k3[j]) * 2.0 + k1[j]) + k4[j]) * sixth);
         phi_out[j] = phi[j] + ((((k2[n + j] + k3[n + j]) * 2.0 + k1[n + j]) + k4[n + j]) * sixth);
     }
+}
+
+/* numpy's pairwise sum of a[0, n) (pairwise_sum in its loops_utils.h.src):
+   under 8 values one after another, up to 128 in 8 interleaved
+   accumulators and the rest one after another, and above that the two
+   halves, split at a multiple of 8. */
+static double pairwise(const double *a, ptrdiff_t n)
+{
+    ptrdiff_t i;
+
+    if (n < 8) {
+        double res = 0.0;
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        int j;
+        for (j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    i = n / 2;
+    i -= i % 8;
+    return pairwise(a, i) + pairwise(a + i, n - i);
+}
+
+/* np.sum of a contiguous float64 array: its identity, +0, plus the
+   pairwise sum, so values that are all -0.0 sum to +0. */
+double madelung_sum(const double *a, long n)
+{
+    return 0.0 + pairwise(a, n);
+}
+
+/* how a run of steps ends */
+enum { RAN, NON_FINITE, RENORM, NODE };
+
+/* Up to steps RK4 steps of (rho, phi) by dt, in place, each followed by
+   the renormalization and the checks of _MadelungEngine.run: rho becomes
+   max(rho, 0) / Z with Z = sum(rho) dx, and a step fails when Z or a phase
+   is not finite or Z <= 0 (NON_FINITE), when |Z - 1| exceeds limit
+   (RENORM), or, with node_floor > 0, when its least density is below
+   node_floor (NODE). Returns how the run ended; out holds the worst
+   |Z - 1| of the steps that passed, their number, and what the failing
+   step failed on: its |Z - 1| or its least density. */
+int madelung_run(const double *K, const double *vq, double *work, double *out, long n,
+                 int periodic, double dx, double limit, double *rho, double *phi, double dt,
+                 double node_floor, long steps)
+{
+    double worst = 0.0, value = 0.0;
+    int kind = RAN;
+    long i;
+
+    for (i = 0; i < steps; i++) {
+        ptrdiff_t j;
+        int finite = 1;
+        double z, dev;
+
+        madelung_rk4(K, vq, work, n, periodic, rho, phi, dt, rho, phi);
+        for (j = 0; j < n; j++) {
+            rho[j] = nonneg(rho[j]);
+            finite &= isfinite(phi[j]) != 0;
+        }
+        z = madelung_sum(rho, n) * dx;
+        if (!(isfinite(z) && z > 0.0 && finite)) {
+            kind = NON_FINITE;
+            break;
+        }
+        for (j = 0; j < n; j++)
+            rho[j] /= z;
+        dev = fabs(z - 1.0);
+        if (!(dev <= limit)) {
+            kind = RENORM;
+            value = dev;
+            break;
+        }
+        if (node_floor > 0.0) {
+            double least = rho[0];
+            for (j = 1; j < n; j++)
+                least = rho[j] < least ? rho[j] : least;
+            if (least < node_floor) {
+                kind = NODE;
+                value = least;
+                break;
+            }
+        }
+        if (dev > worst)
+            worst = dev;
+    }
+    out[0] = worst;
+    out[1] = (double)i;
+    out[2] = value;
+    return kind;
 }

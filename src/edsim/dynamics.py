@@ -271,8 +271,13 @@ def schrodinger_step(
 KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_madelung.c")
 # -ffp-contract=off keeps each a * b + c two rounded operations: GCC's default
 # in its GNU C mode fuses them into one FMA where the host has one, which
-# moves bits. No flag may let the compiler reorder or approximate arithmetic.
-KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# moves bits. -fno-math-errno lets sqrt be one instruction, and
+# -fno-trapping-math lets max(rho, 0) become a branchless select, so that
+# -O3 vectorizes the loops; neither changes a result. No flag may let the
+# compiler reorder or approximate arithmetic, and none ties the library to
+# the CPU that built it: the cache key names only platform.machine().
+KERNEL_FLAGS = ("-O3", "-fno-math-errno", "-fno-trapping-math", "-ffp-contract=off", "-fPIC",
+                "-shared")
 # beside the package's bytecode: written by whoever runs the package first
 KERNEL_CACHE = os.path.join(os.path.dirname(KERNEL_SOURCE), "__pycache__")
 _DIGEST = 32  # a cached library ends with the sha256 of the bytes before it
@@ -320,7 +325,7 @@ def _intact(path):
 
 @functools.cache
 def madelung_kernel():
-    """(madelung_rk4, madelung_work_size) of the compiled step, built into
+    """The compiled library of _madelung.c, its functions typed, built into
     KERNEL_CACHE on first use and rebuilt once if the cached file is not
     intact; or None, after one line on stderr, when it cannot be built or
     loaded (no compiler, a cache that cannot be written, a failed compile).
@@ -335,17 +340,33 @@ def madelung_kernel():
         print(f"edsim: no compiled density-phase step ({e}); the numpy step runs instead",
               file=sys.stderr, flush=True)
         return None
-    rk4, size = lib.madelung_rk4, lib.madelung_work_size
-    ptr, long = ctypes.c_void_p, ctypes.c_long
-    rk4.argtypes = (ptr, ptr, ptr, long, ctypes.c_int, ptr, ptr, ctypes.c_double, ptr, ptr)
-    rk4.restype = None
-    size.argtypes = (long,)
-    size.restype = ctypes.c_size_t
-    return rk4, size
+    ptr, long, int_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_double
+    for f, restype, *argtypes in (
+            (lib.madelung_work_size, ctypes.c_size_t, long),
+            (lib.madelung_rk4, None, ptr, ptr, ptr, long, int_, ptr, ptr, double, ptr, ptr),
+            (lib.madelung_run, int_, ptr, ptr, ptr, ptr, long, int_, double, double, ptr, ptr,
+             double, double, long),
+            (lib.madelung_sum, double, ptr, long)):
+        f.restype, f.argtypes = restype, argtypes
+    return lib
 
 
 def _address(a):
     return a.__array_interface__["data"][0]
+
+
+# how a run of density-phase steps ends, as madelung_run answers
+RAN, NON_FINITE, RENORM, NODE = range(4)
+
+
+def _step_error(kind, value):
+    """The error of a density-phase step that failed as kind on value (its
+    |Z - 1| or its least density)."""
+    if kind == NON_FINITE:
+        return StabilityError("non-finite field")
+    if kind == RENORM:
+        return StabilityError(f"renormalization correction {value:.3g} exceeds {RENORM_LIMIT:g}")
+    return NodeError(f"density {value:.3e} below node floor")
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +385,10 @@ class _MadelungEngine:
 
     A step is one call of the compiled kernel of _madelung.c or, where
     madelung_kernel cannot build it, _numpy_rk4: the same operations in the
-    same order, so the same bits. Both renormalize in numpy.
+    same order, so the same bits; step renormalizes either in numpy. run
+    takes a snapshot stride of steps: in one call of the kernel's
+    madelung_run, which renormalizes and checks each step in C with a copy
+    of numpy's pairwise sum, or else as a loop over step.
     """
 
     def __init__(self, grid: Grid1D, p: PhysicalParams):
@@ -385,13 +409,15 @@ class _MadelungEngine:
         self._consts = np.array([(hbar / m) / (2.0 * dx) ** 2, kq, -(hbar / (8.0 * m * dx**2)),
                                  (r2 / 4.0 + r4 / 4.0) / r4s, (r2 / 2.0 + 3.0 * r4 / 8.0) / r4s,
                                  HYDRO_FLOOR, HYDRO_FLOOR * HYDRO_FLOOR, g2, r4s * g2])
-        self._kernel = None
-        if (kernel := madelung_kernel()) is not None:
+        self._kernel = self._run = None
+        if (lib := madelung_kernel()) is not None:
             # raw addresses: ndpointer checks would cost a third of a step at n = 1024
-            rk4, size = kernel
-            self._kwork = np.empty(size(n))
-            self._kernel = functools.partial(
-                rk4, *map(_address, (self._consts, self._vq, self._kwork)), n, self.periodic)
+            self._kwork = np.empty(lib.madelung_work_size(n))
+            self._out = np.empty(3)
+            rows = [_address(a) for a in (self._consts, self._vq, self._kwork)]
+            self._kernel = functools.partial(lib.madelung_rk4, *rows, n, self.periodic)
+            self._run = functools.partial(lib.madelung_run, *rows, _address(self._out), n,
+                                          self.periodic, dx, RENORM_LIMIT)
 
     def _pad(self, f, odd=False, off=0.0):
         """f with two ghost cells per side: periodic images shifted by -+off,
@@ -452,6 +478,31 @@ class _MadelungEngine:
         rho /= z
         return rho, phi, abs(z - 1.0)
 
+    def run(self, rho, phi, dt, steps, node_floor):
+        """Up to steps steps from (rho, phi), each checked as evolve needs
+        it: a step fails when a field is not finite, when |Z - 1| exceeds
+        RENORM_LIMIT, or, with node_floor > 0, when a density falls below
+        node_floor. Returns (rho, phi, the worst |Z - 1| of the steps that
+        passed, None) in new arrays after the last step, or (..., (i,
+        error)) when step i, counted from 0, fails with error."""
+        if self._run is None:
+            worst = 0.0
+            for i in range(steps):
+                rho, phi, dev = self.step(rho, phi, dt)
+                if not dev <= RENORM_LIMIT:
+                    return rho, phi, worst, (i, _step_error(
+                        RENORM if math.isfinite(dev) else NON_FINITE, dev))
+                if node_floor > 0 and (least := float(np.min(rho))) < node_floor:
+                    return rho, phi, worst, (i, _step_error(NODE, least))
+                worst = max(worst, dev)
+            return rho, phi, worst, None
+        rho, phi = np.array(rho, dtype=np.float64), np.array(phi, dtype=np.float64)
+        if rho.shape != (self.n,) or phi.shape != (self.n,):
+            raise ValueError(f"rho and phi must hold {self.n} values")
+        kind = self._run(_address(rho), _address(phi), dt, node_floor, steps)
+        worst, done, value = self._out.tolist()
+        return rho, phi, worst, None if kind == RAN else (int(done), _step_error(kind, value))
+
 
 # ---------------------------------------------------------------------------
 # driver
@@ -471,16 +522,18 @@ def madelung_start(initial: WaveFunction, p: PhysicalParams, cfg: EvolutionConfi
 def evolve(initial: WaveFunction, p: PhysicalParams, cfg: EvolutionConfig) -> EvolutionTrace:
     """Run the configured engine over [0, t_final], recording snapshots.
 
-    One loop steps either engine. An engine gives a start state, a step
-    state -> (state, renormalization correction) and a snapshot state ->
-    (HydroState, norm). The loop records a snapshot every snapshot_stride
-    steps, always including t = 0 and t_final, with a diagnostics row that
-    carries the worst correction since the previous snapshot. To any
-    SimulationError of a step it adds the t that step was taking the run
-    to, in the message, and the engine, the step and that t as the error's
-    stage, step and t. The
-    density-phase engine starts from madelung_start (dt bound, node check
-    active with cfg.node_floor).
+    One loop, over snapshot strides, steps either engine. An engine gives
+    a start state, an advance (state, steps) -> (state, the worst
+    renormalization correction, None), or (..., (i, error)) when its step
+    i, counted from 0, fails, and a snapshot state -> (HydroState, norm).
+    The loop records a snapshot every snapshot_stride steps, always
+    including t = 0 and t_final, with a diagnostics row that carries the
+    worst correction since the previous snapshot. To a failing step's
+    SimulationError it adds the t that step was taking the run to, in the
+    message, and the engine, the step and that t as the error's stage, step
+    and t. The density-phase engine starts from madelung_start (dt bound,
+    node check active with cfg.node_floor) and advances a stride per call
+    of _MadelungEngine.run; Crank-Nicolson advances step by step.
     """
     grid, dt, node_floor = initial.grid, cfg.dt, cfg.node_floor
     n_steps = _steps_for(cfg.t_final, dt)
@@ -490,8 +543,13 @@ def evolve(initial: WaveFunction, p: PhysicalParams, cfg: EvolutionConfig) -> Ev
         state = initial.normalized()
         solver = _cn_solver(grid, p, dt)
 
-        def step(psi):
-            return schrodinger_step(psi, p, dt, solver), 0.0
+        def advance(psi, steps):
+            for i in range(steps):
+                try:
+                    psi = schrodinger_step(psi, p, dt, solver)
+                except SimulationError as e:
+                    return psi, 0.0, (i, e)
+            return psi, 0.0, None
 
         def snapshot(psi):
             return to_hydro(psi, node_floor=0.0), psi.norm()
@@ -500,33 +558,25 @@ def evolve(initial: WaveFunction, p: PhysicalParams, cfg: EvolutionConfig) -> Ev
         state = h0.rho, h0.phi
         eng = _MadelungEngine(grid, p)
 
-        def step(rho_phi):
-            rho, phi, dev = eng.step(*rho_phi, dt)
-            if not dev <= RENORM_LIMIT:
-                raise StabilityError(
-                    f"renormalization correction {dev:.3g} exceeds {RENORM_LIMIT:g}"
-                    if math.isfinite(dev) else "non-finite field")
-            if node_floor > 0 and float(np.min(rho)) < node_floor:
-                raise NodeError(f"density {float(np.min(rho)):.3e} below node floor")
-            return (rho, phi), dev
+        def advance(rho_phi, steps):
+            rho, phi, worst, failed = eng.run(*rho_phi, dt, steps, node_floor)
+            return (rho, phi), worst, failed
 
-        def snapshot(rho_phi):  # step returns new arrays
+        def snapshot(rho_phi):  # run returns new arrays
             return HydroState(grid, *rho_phi), float(np.sum(rho_phi[0]) * grid.dx)
 
-    worst_renorm = 0.0
-    for k in range(n_steps + 1):
+    worst_renorm, k = 0.0, 0
+    while True:
         t = k * dt
-        if k % cfg.snapshot_stride == 0 or k == n_steps:
-            h, norm = snapshot(state)
-            trace.snapshots.append((t, h))
-            trace.diagnostics.append(DiagnosticsRow(t, norm, energy(h, p), worst_renorm))
-            worst_renorm = 0.0
+        h, norm = snapshot(state)
+        trace.snapshots.append((t, h))
+        trace.diagnostics.append(DiagnosticsRow(t, norm, energy(h, p), worst_renorm))
         if k == n_steps:
-            break
-        try:
-            state, dev = step(state)
-        except SimulationError as e:
-            raise type(e)(f"{e} (t={t + dt:g})", stage=cfg.engine, step=k + 1,
-                          t=t + dt) from None
-        worst_renorm = max(worst_renorm, dev)
-    return trace
+            return trace
+        steps = min(cfg.snapshot_stride, n_steps - k)
+        state, worst_renorm, failed = advance(state, steps)
+        if failed is not None:
+            i, e = failed
+            t = (k + i) * dt + dt
+            raise type(e)(f"{e} (t={t:g})", stage=cfg.engine, step=k + i + 1, t=t) from None
+        k += steps

@@ -565,11 +565,96 @@ def test_kernel_is_the_numpy_step_bitwise_over_2000_engines_steps(boundary):
         assert dev_a == dev_b < 1e-9
 
 
+def on_numpy_path(run):
+    """run(), made to build its engines while madelung_kernel answers None,
+    so they take the numpy path's per-step loop."""
+    with mock.patch.object(dynamics, "madelung_kernel", lambda: None):
+        return run()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler for the kernel")
+@pytest.mark.parametrize("boundary", ["periodic", "hardwall"])
+@pytest.mark.parametrize("stride, steps", [(1, 40), (800, 2000)])
+def test_whole_strides_are_the_numpy_steps_bitwise(boundary, stride, steps):
+    """evolve on the perfbench engines set-up, advancing a whole snapshot
+    stride per kernel call (stride 1, and engines.ini's 800 with a last
+    stride of 400), records the bits of the numpy path's step-by-step run:
+    every snapshot and every diagnostics row, worst |Z - 1| included."""
+    cfg = RunConfig.load(str(ENGINES_INI))
+    g, p, dt = cfg.grid(), cfg.params(), cfg.evolution_configs()[0].dt
+    if boundary == "hardwall":
+        g, p = Grid1D(g.x_min, g.x_max, g.n, boundary), HARMONIC
+    psi = WaveFunction(g, cfg.initial_state().amplitudes)
+    ecfg = EvolutionConfig(dt=dt, t_final=steps * dt, engine="madelung", snapshot_stride=stride,
+                           node_floor=0.0)
+    runs = [evolve(psi, p, ecfg), on_numpy_path(lambda: evolve(psi, p, ecfg))]
+    assert len(runs[0].snapshots) == -(-steps // stride) + 1
+    (a, b) = [[(t, h.rho.tobytes(), h.phi.tobytes()) for t, h in tr.snapshots] for tr in runs]
+    assert a == b
+    assert runs[0].diagnostics == runs[1].diagnostics
+    assert 0 < max(d.renorm_correction for d in runs[0].diagnostics) < 1e-9
+
+
+def _uniform_overflow():
+    """A uniform potential of 3e306 ramps the phase, with no gradient, until
+    the phase stencil's sums overflow: non-finite at step 8. (A snapshot
+    before it would overflow in the energy's one-sided gradient.)"""
+    g = Grid1D(-8.0, 8.0, 8)
+    p = PhysicalParams(potential=lambda x: np.full_like(x, 3e306))
+    return g, p, WaveFunction(g, free_gaussian(g.cells, sigma0=2.0)), 0.05 * g.dx**2, 0.0
+
+
+def _slow_leak():
+    """A packet on eight cells leaks norm through the guards until step
+    194 renormalizes by more than RENORM_LIMIT."""
+    g = Grid1D(-8.0, 8.0, 8)
+    p = PhysicalParams(potential=lambda x: 1.0 + x**2 / 64.0)
+    return g, p, WaveFunction(g, free_gaussian(g.cells, sigma0=2.0)), 0.05 * g.dx**2, 0.0
+
+
+def _thinning_tail():
+    """The packet of test_node_floor_mid_run_reports_its_step: its tail
+    falls below the node floor at step 8."""
+    g = Grid1D(-4.0, 4.0, 32, "hardwall")
+    psi = WaveFunction(g, free_gaussian(g.cells, sigma0=1.0, k0=5.0, x0=1.0))
+    return g, PhysicalParams(), psi, 1.0 / 320.0, 1e-6
+
+
+@pytest.mark.parametrize("setup, stride, error, message, step", [
+    (_uniform_overflow, 10, StabilityError, r"non-finite field \(t=1\.6\)", 8),
+    (_slow_leak, 10, StabilityError,
+     r"renormalization correction 0\.00206 exceeds 0\.001 \(t=38\.8\)", 194),
+    (_thinning_tail, 5, NodeError, r"density 9\.4\d\de-07 below node floor \(t=0\.025\)", 8),
+])
+def test_failure_mid_stride_is_the_same_on_both_paths(setup, stride, error, message, step):
+    """A run that fails in the middle of a snapshot stride, for each way a
+    step can fail, raises the same error on both paths: type, message,
+    stage, step and t."""
+    g, p, psi, dt, floor = setup()
+    cfg = EvolutionConfig(dt=dt, t_final=(step + 2 * stride) * dt, engine="madelung",
+                          snapshot_stride=stride, node_floor=floor)
+    assert step % stride not in (0, 1)
+    seen = []
+    for compiled in PATHS:
+        with pytest.raises(error, match=f"^{message}$") as info:
+            if compiled:
+                evolve(psi, p, cfg)
+            else:
+                on_numpy_path(lambda: evolve(psi, p, cfg))
+        assert type(info.value) is error
+        seen.append((str(info.value), info.value.context()))
+    assert seen[0][1] == {"stage": "madelung", "step": step, "t": (step - 1) * dt + dt}
+    assert seen == seen[:1] * len(PATHS)
+
+
 @pytest.mark.parametrize("compiled", PATHS)
 def test_step_refuses_fields_of_another_length(compiled):
-    """A state that is not one value per cell is refused, on either path,
-    before the kernel could read or write past its arrays."""
+    """A state that is not one value per cell is refused, by a step or a
+    run of steps on either path, before the kernel could read or write past
+    its arrays."""
     g = Grid1D(-8.0, 8.0, 16)
     eng = engine(g, PhysicalParams(), compiled)
     with pytest.raises(ValueError):
         eng.step(np.full(17, 1.0 / 16.0), np.zeros(17), 1e-4)
+    with pytest.raises(ValueError):
+        eng.run(np.full(16, 1.0 / 16.0), np.zeros(15), 1e-4, 3, 0.0)

@@ -1,15 +1,20 @@
 """The compiled density-phase step: its build command, its cache, two
-processes building it at once, a damaged cached library, and the numpy step
-that runs, to the same bytes, when it cannot be built."""
+processes building it at once, a damaged cached library, its copy of
+numpy's sum, and the numpy step that runs, to the same bytes, when it
+cannot be built."""
 
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import edsim.dynamics as dynamics
 from edsim import Grid1D, PhysicalParams, WaveFunction, cli, free_gaussian, to_hydro
@@ -25,9 +30,20 @@ from edsim.dynamics import (
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 SRC = os.path.dirname(os.path.dirname(dynamics.__file__))
-# flags that let the compiler reorder, fuse or approximate arithmetic, or
-# tie the library to the CPU that built it
-UNSAFE = ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-march=native")
+# Flags that let the compiler reorder, fuse or approximate arithmetic, or
+# tie the library to the CPU that built it. -ffinite-math-only may drop the
+# kernel's finite checks, -fassociative-math may reorder the pairwise sum,
+# -freciprocal-math may turn the division by Z into a product,
+# -fno-signed-zeros may fold the sum's 0.0 + x into x (a -0.0 sum then
+# keeps its sign) and -fcx-limited-range changes complex division. The
+# kernel's two others move no bit: -fno-math-errno only stops sqrt and
+# nearbyint from setting errno (their values are the same correctly rounded
+# ones), and -fno-trapping-math only lets the compiler assume that no
+# floating-point exception traps, so it may turn max(rho, 0) into a
+# branchless select, which gives the same value for every input.
+UNSAFE = ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-march=native",
+          "-ffinite-math-only", "-fassociative-math", "-freciprocal-math", "-fno-signed-zeros",
+          "-fcx-limited-range")
 FALLBACK = "edsim: no compiled density-phase step ("
 
 CONFIG = """\
@@ -80,10 +96,10 @@ def one_step_on_both_paths():
 def test_build_command_keeps_contraction_off_and_no_unsafe_math():
     cmd = kernel_command("k.c", "k.so")
     assert cmd[0] == "cc" and "-ffp-contract=off" in cmd
-    assert not [f for f in cmd if f in UNSAFE or f.startswith("-march")]
+    assert not [f for f in cmd if f in UNSAFE or f.startswith(("-march", "-mtune", "-mavx"))]
     source = Path(KERNEL_SOURCE).read_bytes()
     names = {kernel_path(source),
-             kernel_path(source, ("-O3",) + KERNEL_FLAGS[1:]),
+             kernel_path(source, ("-O2",) + KERNEL_FLAGS[1:]),
              kernel_path(source, KERNEL_FLAGS + ("-g",)),
              kernel_path(source + b"\n")}
     assert len(names) == 4  # each flag change, and a source change, names another file
@@ -197,3 +213,46 @@ def test_evolve_without_the_kernel_writes_the_same_bytes(how, cache, monkeypatch
         assert [p.name for p in compiled] == sorted(os.listdir(tmp_path / "numpy"))
         for p in compiled:
             assert p.read_bytes() == (tmp_path / "numpy" / p.name).read_bytes(), p.name
+
+
+# lengths at and beside the edges of numpy's pairwise sum: its 8
+# accumulators, its blocks of 128 and the halves it splits larger arrays
+# into, at multiples of 8
+SUM_EDGES = sorted({k + d for k in (8, 16, 64, 120, 128, 136, 256, 264, 1024, 1032, 4096, 8192,
+                                    65536, 100_000)
+                    for d in (-1, 0, 1) if 1 <= k + d <= 100_000})
+# the values a sum may meet beside normal numbers
+SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf, -np.inf, np.nan)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@needs_cc
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(st.integers(1, 300), st.sampled_from(SUM_EDGES), st.integers(1, 100_000)),
+       seed=st.integers(0, 2**32 - 1), scale=st.integers(-320, 300),
+       specials=st.sets(st.sampled_from(SPECIALS)), rate=st.floats(0.0, 0.5))
+@example(n=1, seed=0, scale=0, specials={-0.0}, rate=1.0)
+@example(n=9, seed=0, scale=0, specials={-0.0}, rate=1.0)
+@example(n=200, seed=0, scale=0, specials={-0.0}, rate=1.0)
+@example(n=129, seed=1, scale=-310, specials=set(), rate=0.0)
+def test_kernel_sum_is_numpy_sum_bitwise(n, seed, scale, specials, rate):
+    """The kernel's madelung_sum, which its renormalization uses, gives
+    np.sum's bits on float64 arrays of 1 to 100,000 values, subnormal,
+    signed-zero and infinite ones among them, so a numpy release that sums
+    in another order fails here instead of moving output bits. A NaN sum
+    is compared as NaN only: its sign and payload are not kept."""
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):  # scales may overflow, and sums meet inf - inf
+        a = rng.standard_normal(n) * 10.0 ** (scale + rng.uniform(-8.0, 8.0, n))
+        if specials:
+            spots = rng.random(n) < rate
+            a[spots] = rng.choice(sorted(specials, key=repr), size=int(spots.sum()))
+        want = float(np.sum(a))
+    got = madelung_kernel().madelung_sum(a.ctypes.data, n)
+    if np.isnan(want):
+        assert np.isnan(got)
+    else:
+        assert _bits(got) == _bits(want), (got, want)

@@ -1,5 +1,7 @@
 """scripts/step_bench.py, the per-step timing against another checkout, run
-against this checkout itself with tiny blocks."""
+against this checkout itself with tiny blocks. The compiled Madelung
+engine is timed as evolve runs it, one snapshot stride a call, and the CN
+and numpy steps one at a time."""
 
 import json
 import subprocess
@@ -16,12 +18,12 @@ def test_checkout_against_itself_prints_quartiles_and_a_json_line():
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     *text, last = proc.stdout.splitlines()
-    assert text[0] == "engines.ini: 2 blocks of 500 steps, us a step"
+    assert text[0] == "engines.ini: 2 blocks of 500 steps and one 800-step stride, us a step"
     assert [line.split(" (us):")[0] for line in text[1:]] == list(STEPS)
     result = json.loads(last)
-    assert set(result) == {"config", "blocks", "steps", *STEPS}
+    assert set(result) == {"config", "blocks", "steps", "stride", *STEPS}
     assert result["config"] == str(ROOT / "perfbench" / "workloads" / "engines.ini")
-    assert (result["blocks"], result["steps"]) == (2, 500)
+    assert (result["blocks"], result["steps"], result["stride"]) == (2, 500, 800)
     for name in STEPS:
         row = result[name]
         assert set(row) == {"name", "unit", "bound", "pairs", "base", "here", "won",
