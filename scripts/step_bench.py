@@ -25,7 +25,9 @@ spell of the host falls on both alike. The script prints each side's
 median and quartiles over the blocks, the blocks the change won and
 whether the change's median is slower at all (a bound of 0), in the lines
 of bench_pairs.py, then one JSON line of the same figures and the stride;
-it exits 0 whatever they are, and 1 if a subprocess fails.
+it exits 0 whatever they are, and 1 if a subprocess fails: a stride of the
+first engine that fails before its last step (say at the INI's node_floor)
+fails its subprocess, since it would time fewer steps than it counts.
 """
 
 import argparse
@@ -85,8 +87,11 @@ def madelung_stride():
     if not hasattr(engine, "run"):
         return madelung(engine, stride)
     start = time.perf_counter()
-    engine.run(h0.rho, h0.phi, md_dt, stride, ecfg.node_floor)
-    return time.perf_counter() - start
+    *_, failed = engine.run(h0.rho, h0.phi, md_dt, stride, ecfg.node_floor)
+    elapsed = time.perf_counter() - start
+    if failed is not None:  # fewer than stride steps ran
+        sys.exit(f"the density-phase stride fails at step {failed[0] + 1}: {failed[1]}")
+    return elapsed
 
 
 cn(), madelung_stride(), madelung(numpy_engine, steps)

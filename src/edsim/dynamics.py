@@ -343,7 +343,6 @@ def madelung_kernel():
     ptr, long, int_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_double
     for f, restype, *argtypes in (
             (lib.madelung_work_size, ctypes.c_size_t, long),
-            (lib.madelung_rk4, None, ptr, ptr, ptr, long, int_, ptr, ptr, double, ptr, ptr),
             (lib.madelung_run, int_, ptr, ptr, ptr, ptr, long, int_, double, double, ptr, ptr,
              double, double, long),
             (lib.madelung_sum, double, ptr, long)):
@@ -357,6 +356,9 @@ def _address(a):
 
 # how a run of density-phase steps ends, as madelung_run answers
 RAN, NON_FINITE, RENORM, NODE = range(4)
+# the most steps one madelung_run call takes: Python handles a signal, such
+# as Ctrl-C, only between calls
+RUN_CHUNK = 1000
 
 
 def _step_error(kind, value):
@@ -383,12 +385,12 @@ class _MadelungEngine:
     - (f_ee + f_ww)) with msk = r4s g^2 / (rp^2 + g^2), the 5-point form of
     (r2/4 d2f - r4/16 d4f) / (1 + (rp/g)^2), g the guard scale.
 
-    A step is one call of the compiled kernel of _madelung.c or, where
-    madelung_kernel cannot build it, _numpy_rk4: the same operations in the
-    same order, so the same bits; step renormalizes either in numpy. run
-    takes a snapshot stride of steps: in one call of the kernel's
-    madelung_run, which renormalizes and checks each step in C with a copy
-    of numpy's pairwise sum, or else as a loop over step.
+    The compiled kernel of _madelung.c steps with madelung_run, which
+    renormalizes and checks each step in C with a copy of numpy's pairwise
+    sum: step is one call of it for one step, and run takes a snapshot
+    stride in calls of up to RUN_CHUNK steps. Where madelung_kernel cannot
+    build it, step is _numpy_rk4, the same operations in the same order, so
+    the same bits, renormalized in numpy, and run is a loop over step.
     """
 
     def __init__(self, grid: Grid1D, p: PhysicalParams):
@@ -409,15 +411,14 @@ class _MadelungEngine:
         self._consts = np.array([(hbar / m) / (2.0 * dx) ** 2, kq, -(hbar / (8.0 * m * dx**2)),
                                  (r2 / 4.0 + r4 / 4.0) / r4s, (r2 / 2.0 + 3.0 * r4 / 8.0) / r4s,
                                  HYDRO_FLOOR, HYDRO_FLOOR * HYDRO_FLOOR, g2, r4s * g2])
-        self._kernel = self._run = None
+        self._run = None
         if (lib := madelung_kernel()) is not None:
             # raw addresses: ndpointer checks would cost a third of a step at n = 1024
             self._kwork = np.empty(lib.madelung_work_size(n))
             self._out = np.empty(3)
-            rows = [_address(a) for a in (self._consts, self._vq, self._kwork)]
-            self._kernel = functools.partial(lib.madelung_rk4, *rows, n, self.periodic)
-            self._run = functools.partial(lib.madelung_run, *rows, _address(self._out), n,
-                                          self.periodic, dx, RENORM_LIMIT)
+            rows = [_address(a) for a in (self._consts, self._vq, self._kwork, self._out)]
+            self._run = functools.partial(lib.madelung_run, *rows, n, self.periodic, dx,
+                                          RENORM_LIMIT)
 
     def _pad(self, f, odd=False, off=0.0):
         """f with two ghost cells per side: periodic images shifted by -+off,
@@ -458,19 +459,25 @@ class _MadelungEngine:
             return [y + (((b + c) * 2.0 + a) + d) * (dt / 6.0)
                     for y, a, b, c, d in zip((rho, phi), *k)]
 
+    def _fields(self, rho, phi):
+        """Copies of rho and phi as float64 rows, one value per cell: the
+        kernel steps in place."""
+        rho = np.array(rho, dtype=np.float64, order="C")
+        phi = np.array(phi, dtype=np.float64, order="C")
+        if rho.shape != (self.n,) or phi.shape != (self.n,):
+            raise ValueError(f"rho and phi must hold {self.n} values")
+        return rho, phi
+
     def step(self, rho, phi, dt):
         """One RK4 step plus renormalization. Returns (rho, phi, |Z - 1|) in
         new arrays; the inputs are left untouched."""
-        rho = np.ascontiguousarray(rho, dtype=np.float64)
-        phi = np.ascontiguousarray(phi, dtype=np.float64)
-        if rho.shape != (self.n,) or phi.shape != (self.n,):
-            raise ValueError(f"rho and phi must hold {self.n} values")
-        if self._kernel is None:
-            rho, phi = self._numpy_rk4(rho, phi, dt)
-        else:
-            out = np.empty(self.n), np.empty(self.n)
-            self._kernel(_address(rho), _address(phi), dt, *map(_address, out))
-            rho, phi = out
+        rho, phi = self._fields(rho, phi)
+        if self._run is not None:
+            # no node floor, and the limit only stops the one step
+            kind = self._run(_address(rho), _address(phi), dt, 0.0, 1)
+            worst, _, value = self._out.tolist()
+            return rho, phi, np.inf if kind == NON_FINITE else value if kind == RENORM else worst
+        rho, phi = self._numpy_rk4(rho, phi, dt)
         np.maximum(rho, 0.0, out=rho)
         z = float(rho.sum() * self.dx)
         if not (math.isfinite(z) and z > 0.0 and np.isfinite(phi).all()):
@@ -485,8 +492,8 @@ class _MadelungEngine:
         node_floor. Returns (rho, phi, the worst |Z - 1| of the steps that
         passed, None) in new arrays after the last step, or (..., (i,
         error)) when step i, counted from 0, fails with error."""
+        worst = 0.0
         if self._run is None:
-            worst = 0.0
             for i in range(steps):
                 rho, phi, dev = self.step(rho, phi, dt)
                 if not dev <= RENORM_LIMIT:
@@ -496,12 +503,15 @@ class _MadelungEngine:
                     return rho, phi, worst, (i, _step_error(NODE, least))
                 worst = max(worst, dev)
             return rho, phi, worst, None
-        rho, phi = np.array(rho, dtype=np.float64), np.array(phi, dtype=np.float64)
-        if rho.shape != (self.n,) or phi.shape != (self.n,):
-            raise ValueError(f"rho and phi must hold {self.n} values")
-        kind = self._run(_address(rho), _address(phi), dt, node_floor, steps)
-        worst, done, value = self._out.tolist()
-        return rho, phi, worst, None if kind == RAN else (int(done), _step_error(kind, value))
+        rho, phi = self._fields(rho, phi)
+        for start in range(0, steps, RUN_CHUNK):
+            kind = self._run(_address(rho), _address(phi), dt, node_floor,
+                             min(RUN_CHUNK, steps - start))
+            chunk_worst, done, value = self._out.tolist()
+            worst = max(worst, chunk_worst)
+            if kind != RAN:
+                return rho, phi, worst, (start + int(done), _step_error(kind, value))
+        return rho, phi, worst, None
 
 
 # ---------------------------------------------------------------------------

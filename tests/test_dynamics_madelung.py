@@ -47,7 +47,7 @@ def engine(grid, p, compiled):
     else:
         with mock.patch.object(dynamics, "madelung_kernel", lambda: None):
             eng = _MadelungEngine(grid, p)
-    assert (eng._kernel is not None) == compiled
+    assert (eng._run is not None) == compiled
     return eng
 
 
@@ -419,7 +419,7 @@ def test_step_is_bitwise_plain_formulation(steps, **case):
 def _poison(eng):
     """Fill the work buffer of eng's compiled path with NaN; the numpy path
     keeps no buffers from step to step."""
-    if eng._kernel is not None:
+    if eng._run is not None:
         eng._kwork.fill(np.nan)
 
 
@@ -572,14 +572,22 @@ def on_numpy_path(run):
         return run()
 
 
+def in_chunks_of_2(run):
+    """run(), with each madelung_run call taking at most 2 steps, so that a
+    stride spans several calls."""
+    with mock.patch.object(dynamics, "RUN_CHUNK", 2):
+        return run()
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler for the kernel")
 @pytest.mark.parametrize("boundary", ["periodic", "hardwall"])
 @pytest.mark.parametrize("stride, steps", [(1, 40), (800, 2000)])
 def test_whole_strides_are_the_numpy_steps_bitwise(boundary, stride, steps):
     """evolve on the perfbench engines set-up, advancing a whole snapshot
     stride per kernel call (stride 1, and engines.ini's 800 with a last
-    stride of 400), records the bits of the numpy path's step-by-step run:
-    every snapshot and every diagnostics row, worst |Z - 1| included."""
+    stride of 400), or in calls of 2 steps, records the bits of the numpy
+    path's step-by-step run: every snapshot and every diagnostics row,
+    worst |Z - 1| included."""
     cfg = RunConfig.load(str(ENGINES_INI))
     g, p, dt = cfg.grid(), cfg.params(), cfg.evolution_configs()[0].dt
     if boundary == "hardwall":
@@ -587,11 +595,13 @@ def test_whole_strides_are_the_numpy_steps_bitwise(boundary, stride, steps):
     psi = WaveFunction(g, cfg.initial_state().amplitudes)
     ecfg = EvolutionConfig(dt=dt, t_final=steps * dt, engine="madelung", snapshot_stride=stride,
                            node_floor=0.0)
-    runs = [evolve(psi, p, ecfg), on_numpy_path(lambda: evolve(psi, p, ecfg))]
+    runs = [evolve(psi, p, ecfg)] + [how(lambda: evolve(psi, p, ecfg))
+                                     for how in (on_numpy_path, in_chunks_of_2)]
     assert len(runs[0].snapshots) == -(-steps // stride) + 1
-    (a, b) = [[(t, h.rho.tobytes(), h.phi.tobytes()) for t, h in tr.snapshots] for tr in runs]
-    assert a == b
-    assert runs[0].diagnostics == runs[1].diagnostics
+    a, *others = [[(t, h.rho.tobytes(), h.phi.tobytes()) for t, h in tr.snapshots]
+                  for tr in runs]
+    assert others == [a, a]
+    assert runs[1].diagnostics == runs[0].diagnostics == runs[2].diagnostics
     assert 0 < max(d.renorm_correction for d in runs[0].diagnostics) < 1e-9
 
 
@@ -628,23 +638,23 @@ def _thinning_tail():
 ])
 def test_failure_mid_stride_is_the_same_on_both_paths(setup, stride, error, message, step):
     """A run that fails in the middle of a snapshot stride, for each way a
-    step can fail, raises the same error on both paths: type, message,
-    stage, step and t."""
+    step can fail, raises the same error on both paths, and with the stride
+    split into kernel calls of 2 steps: type, message, stage, step and
+    t."""
     g, p, psi, dt, floor = setup()
     cfg = EvolutionConfig(dt=dt, t_final=(step + 2 * stride) * dt, engine="madelung",
                           snapshot_stride=stride, node_floor=floor)
-    assert step % stride not in (0, 1)
+    # the failing step falls inside a stride, after its first call of 2 steps
+    assert (step - 1) % stride not in (0, 1, stride - 1)
+    hows = [on_numpy_path] + ([lambda run: run(), in_chunks_of_2] if True in PATHS else [])
     seen = []
-    for compiled in PATHS:
+    for how in hows:
         with pytest.raises(error, match=f"^{message}$") as info:
-            if compiled:
-                evolve(psi, p, cfg)
-            else:
-                on_numpy_path(lambda: evolve(psi, p, cfg))
+            how(lambda: evolve(psi, p, cfg))
         assert type(info.value) is error
         seen.append((str(info.value), info.value.context()))
     assert seen[0][1] == {"stage": "madelung", "step": step, "t": (step - 1) * dt + dt}
-    assert seen == seen[:1] * len(PATHS)
+    assert seen == seen[:1] * len(hows)
 
 
 @pytest.mark.parametrize("compiled", PATHS)

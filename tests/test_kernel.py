@@ -85,7 +85,7 @@ def one_step_on_both_paths():
     engines = [_MadelungEngine(g, PhysicalParams())]
     with mock.patch.object(dynamics, "madelung_kernel", lambda: None):
         engines.append(_MadelungEngine(g, PhysicalParams()))
-    assert [eng._kernel is None for eng in engines] == [False, True]
+    assert [eng._run is None for eng in engines] == [False, True]
     out = []
     for eng in engines:
         rho, phi, dev = eng.step(h.rho, h.phi, 1e-3)
@@ -206,7 +206,7 @@ def test_evolve_without_the_kernel_writes_the_same_bytes(how, cache, monkeypatch
     lines = capfd.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(FALLBACK), lines
     assert lines[0].endswith("); the numpy step runs instead")
-    assert _MadelungEngine(Grid1D(-8.0, 8.0, 16), PhysicalParams())._kernel is None
+    assert _MadelungEngine(Grid1D(-8.0, 8.0, 16), PhysicalParams())._run is None
     assert capfd.readouterr().err == ""
     if shutil.which("cc"):
         compiled = sorted((tmp_path / "compiled").iterdir())

@@ -32,3 +32,18 @@ def test_checkout_against_itself_prints_quartiles_and_a_json_line():
             median, q1, q3 = row[side]
             assert 0 < q1 <= median <= q3
         assert 0 <= row["won"] <= 2
+
+
+def test_a_stride_that_fails_fails_the_script(tmp_path):
+    """A node floor that the engines set-up's periodic run falls below in
+    its first step stops the timed stride there; the script exits 1 rather
+    than divide one step's time by the stride."""
+    ini = (ROOT / "perfbench" / "workloads" / "engines.ini").read_text()
+    config = tmp_path / "node_floor.ini"
+    config.write_text(ini.replace("node_floor = 0", "node_floor = 1e-97"))
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(ROOT), "--config", str(config),
+                           "--blocks", "1"], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "the density-phase stride fails at step 1: density 0.000e+00 below node floor" \
+        in proc.stderr
+    assert proc.stdout == ""
